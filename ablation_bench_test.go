@@ -67,6 +67,7 @@ func BenchmarkAlignmentBudget(b *testing.B) {
 		}
 		sums = append(sums, sc[0].Summary)
 	}
+	w := match.EqualWeights()
 	for _, budget := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("budget%d", budget), func(b *testing.B) {
 			var total float64
@@ -75,7 +76,9 @@ func BenchmarkAlignmentBudget(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				a := sums[n%len(sums)]
 				c := sums[(n+7)%len(sums)]
-				d, _ := match.BestAlignment(a, c, budget)
+				// Threshold 1: no bound can dismiss the pair, so every
+				// iteration pays (and reports) the full search.
+				d, _ := match.Refine(a, c, w, budget, 1)
 				total += d
 				pairs++
 			}

@@ -51,6 +51,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -464,7 +465,8 @@ type matchRespJSON struct {
 
 // matchPhasesJSON is the per-query trace summary: phase wall times plus
 // the pruning detail that explains them (zone-skipped segments never
-// paid a probe; cache hits never paid a disk read). It is derived from
+// paid a probe; cache hits never paid a disk read; pruned pairs never
+// paid an alignment search). It is derived from
 // the query's span tree; Trace is the trace id, retrievable at
 // /debug/traces?trace=ID while the flight recorder still holds it.
 type matchPhasesJSON struct {
@@ -476,6 +478,7 @@ type matchPhasesJSON struct {
 	SegmentsSkipped int    `json:"segments_skipped"`
 	CacheHits       int    `json:"cache_hits"`
 	DiskLoads       int    `json:"disk_loads"`
+	Pruned          int    `json:"pruned"`
 }
 
 // phasesFromTrace flattens a /match span tree into the response's phase
@@ -492,7 +495,8 @@ func phasesFromTrace(td trace.TraceData) matchPhasesJSON {
 		p.RefineNS = sd.DurNS
 		hits, _ := sd.Int("cache_hits")
 		loads, _ := sd.Int("disk_loads")
-		p.CacheHits, p.DiskLoads = int(hits), int(loads)
+		pruned, _ := sd.Int("pruned")
+		p.CacheHits, p.DiskLoads, p.Pruned = int(hits), int(loads), int(pruned)
 	}
 	if sd := td.Span("order"); sd != nil {
 		p.OrderNS = sd.DurNS
@@ -564,65 +568,77 @@ func matchHandler(eng *streamsum.Engine, slow time.Duration, logger *slog.Logger
 		if !ok {
 			return
 		}
-		id := e.ID
 		mo.Target = e.Summary
-		limit := mo.Limit
-		if limit > 0 {
-			mo.Limit = limit + 1 // the target itself matches at distance 0
-		}
-		tr := startHTTPTrace(r, trace.Match, "http.match")
-		tr.Root().SetInt("target", id)
-		mo.Trace = tr
-		start := time.Now()
-		ms, stats, err := eng.Match(mo)
-		if err != nil {
-			tr.Root().SetStr("error", err.Error())
-			tr.Finish()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		root := tr.Root()
-		root.SetInt("candidates", int64(stats.IndexCandidates))
-		root.SetInt("matches", int64(len(ms)))
-		tid := tr.ID()
-		td, _ := tr.Finish()
-		phases := phasesFromTrace(td)
-		if elapsed := time.Since(start); slow > 0 && elapsed >= slow {
-			logger.Warn("slow /match",
-				"target", id, "took", elapsed, "threshold", slow,
-				"filter", time.Duration(phases.FilterNS),
-				"refine", time.Duration(phases.RefineNS),
-				"order", time.Duration(phases.OrderNS),
-				"segments_probed", phases.SegmentsProbed,
-				"segments_skipped", phases.SegmentsSkipped,
-				"cache_hits", phases.CacheHits,
-				"disk_loads", phases.DiskLoads,
-				"candidates", stats.IndexCandidates,
-				"refined", stats.Refined,
-				"trace", td.TraceID)
-		}
-		resp := matchRespJSON{
-			Candidates: stats.IndexCandidates,
-			Refined:    stats.Refined,
-			Phases:     phases,
-			Matches:    make([]matchJSON, 0, len(ms)),
-		}
-		for _, m := range ms {
-			if m.ID == id {
-				continue
-			}
-			if limit > 0 && len(resp.Matches) == limit {
-				break
-			}
-			resp.Matches = append(resp.Matches, matchJSON{
-				ID: m.ID, Distance: m.Distance,
-				Window: m.Entry.Summary.Window, Cells: m.Entry.Summary.NumCells(),
-			})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("traceparent", trace.Traceparent(tid, 1))
-		_ = json.NewEncoder(w).Encode(resp)
+		serveMatch(eng, slow, logger, w, r, mo, e.ID)
 	}
+}
+
+// serveMatch runs one resolved matching query (mo.Target set; id is the
+// target's archive id) and writes the /match response. A query the
+// matcher rejects as malformed (streamsum.ErrBadQuery) is the client's
+// error, a 400; any other failure is the store's, a 500.
+func serveMatch(eng *streamsum.Engine, slow time.Duration, logger *slog.Logger, w http.ResponseWriter, r *http.Request, mo streamsum.MatchOptions, id int64) {
+	limit := mo.Limit
+	if limit > 0 {
+		mo.Limit = limit + 1 // the target itself matches at distance 0
+	}
+	tr := startHTTPTrace(r, trace.Match, "http.match")
+	tr.Root().SetInt("target", id)
+	mo.Trace = tr
+	start := time.Now()
+	ms, stats, err := eng.Match(mo)
+	if err != nil {
+		tr.Root().SetStr("error", err.Error())
+		tr.Finish()
+		code := http.StatusInternalServerError
+		if errors.Is(err, streamsum.ErrBadQuery) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
+		return
+	}
+	root := tr.Root()
+	root.SetInt("candidates", int64(stats.IndexCandidates))
+	root.SetInt("matches", int64(len(ms)))
+	tid := tr.ID()
+	td, _ := tr.Finish()
+	phases := phasesFromTrace(td)
+	if elapsed := time.Since(start); slow > 0 && elapsed >= slow {
+		logger.Warn("slow /match",
+			"target", id, "took", elapsed, "threshold", slow,
+			"filter", time.Duration(phases.FilterNS),
+			"refine", time.Duration(phases.RefineNS),
+			"order", time.Duration(phases.OrderNS),
+			"segments_probed", phases.SegmentsProbed,
+			"segments_skipped", phases.SegmentsSkipped,
+			"cache_hits", phases.CacheHits,
+			"disk_loads", phases.DiskLoads,
+			"candidates", stats.IndexCandidates,
+			"refined", stats.Refined,
+			"pruned", stats.Pruned,
+			"trace", td.TraceID)
+	}
+	resp := matchRespJSON{
+		Candidates: stats.IndexCandidates,
+		Refined:    stats.Refined,
+		Phases:     phases,
+		Matches:    make([]matchJSON, 0, len(ms)),
+	}
+	for _, m := range ms {
+		if m.ID == id {
+			continue
+		}
+		if limit > 0 && len(resp.Matches) == limit {
+			break
+		}
+		resp.Matches = append(resp.Matches, matchJSON{
+			ID: m.ID, Distance: m.Distance,
+			Window: m.Entry.Summary.Window, Cells: m.Entry.Summary.NumCells(),
+		})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("traceparent", trace.Traceparent(tid, 1))
+	_ = json.NewEncoder(w).Encode(resp)
 }
 
 // The /subscribe stream's event shapes, one struct per event type so

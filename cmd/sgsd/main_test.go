@@ -105,6 +105,34 @@ func TestHTTPErrorHygiene(t *testing.T) {
 	}
 }
 
+// TestMatchBadQueryIs400: a query the matcher itself rejects as malformed
+// — here a 1-D target against the 2-D base, which no GIVEN archive id can
+// produce, so the resolved half of the handler is driven directly — is
+// the client's error (400 with the matcher's message), not a 500, and
+// never a panic in the location probe.
+func TestMatchBadQueryIs400(t *testing.T) {
+	eng := testEngine(t)
+	line := make([]streamsum.Point, 40)
+	for i := range line {
+		line[i] = streamsum.Point{float64(i) * 0.2}
+	}
+	static, err := streamsum.SummarizeStatic(line, 1.0, 4)
+	if err != nil || len(static) == 0 {
+		t.Fatalf("1-D fixture: %d clusters, err %v", len(static), err)
+	}
+	ps := streamsum.EqualWeights()
+	ps.PositionSensitive = true
+	for _, w := range []*streamsum.Weights{nil, &ps} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", "/match", nil)
+		mo := streamsum.MatchOptions{Target: static[0].Summary, Threshold: 0.3, Weights: w}
+		serveMatch(eng, 0, testLogger(), rec, req, mo, 0)
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "dimension") {
+			t.Errorf("weights %v: status %d body %q, want 400 naming the dimension", w, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 func q(s string) string {
 	return strings.ReplaceAll(s, " ", "+")
 }

@@ -54,6 +54,7 @@ func TestHTTPMetrics(t *testing.T) {
 		"# TYPE sgs_match_queries_total counter",
 		"# TYPE sgs_match_filter_seconds histogram",
 		"sgs_match_refine_seconds_bucket",
+		"# TYPE sgs_match_pruned_pairs_total counter",
 		// store
 		"# TYPE sgs_segstore_segment_scans_total counter",
 		"sgs_segstore_record_loads_total{mode=\"mmap\"}",
@@ -155,6 +156,7 @@ func TestHTTPMatchPhases(t *testing.T) {
 			Skipped   int    `json:"segments_skipped"`
 			CacheHits int    `json:"cache_hits"`
 			DiskLoads int    `json:"disk_loads"`
+			Pruned    *int   `json:"pruned"`
 		} `json:"phases"`
 	}
 	if err := json.Unmarshal(body.Bytes(), &resp); err != nil {
@@ -170,6 +172,11 @@ func TestHTTPMatchPhases(t *testing.T) {
 	// so no segment probes and no cache/disk attribution.
 	if resp.Phases.Probed != 0 || resp.Phases.Skipped != 0 {
 		t.Errorf("memory-only base reports segment probes: %+v", resp.Phases)
+	}
+	// How many refined pairs a distance bound dismissed is part of the
+	// summary (the field is always present), and never exceeds them.
+	if p := resp.Phases.Pruned; p == nil || *p < 0 || *p > resp.Refined {
+		t.Errorf("phases pruned = %v with %d refined", p, resp.Refined)
 	}
 	// The phase summary is derived from a span trace, whose id comes back
 	// both in the body and as a W3C traceparent response header.
@@ -207,7 +214,7 @@ func TestSlowQueryLog(t *testing.T) {
 			}
 			got := logBuf.String()
 			if tc.wantLog {
-				for _, want := range []string{"slow /match", "filter=", "refine=", "order=", "cache_hits=", "trace="} {
+				for _, want := range []string{"slow /match", "filter=", "refine=", "order=", "cache_hits=", "pruned=", "trace="} {
 					if !strings.Contains(got, want) {
 						t.Errorf("slow-query log %q missing %q", got, want)
 					}

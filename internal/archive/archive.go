@@ -301,6 +301,10 @@ func (b *Base) Close() error {
 // Config returns the archiving policy.
 func (b *Base) Config() Config { return b.cfg }
 
+// Dim returns the dimensionality of the data space (Config.Dim): every
+// archived summary has it, and a matching target must.
+func (b *Base) Dim() int { return b.cfg.Dim }
+
 // Len returns the number of archived clusters.
 func (b *Base) Len() int {
 	b.mu.Lock()

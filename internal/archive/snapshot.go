@@ -25,6 +25,7 @@ import (
 // archive state, or go through the Base convenience wrappers when
 // per-call freshness is enough.
 type Snapshot struct {
+	dim      int
 	gen      *generation
 	demoting []*Entry // in-flight demotions not yet visible in view, oldest first
 	delta    []*Entry
@@ -69,7 +70,7 @@ func (b *Base) Snapshot() *Snapshot {
 	if b.snap != nil {
 		return b.snap
 	}
-	s := &Snapshot{gen: b.frozen, cache: b.cache, count: b.count, bytes: b.bytes}
+	s := &Snapshot{dim: b.cfg.Dim, gen: b.frozen, cache: b.cache, count: b.count, bytes: b.bytes}
 	if len(b.delta) > 0 {
 		s.delta = append(make([]*Entry, 0, len(b.delta)), b.delta...)
 	}
@@ -101,6 +102,10 @@ func (b *Base) Snapshot() *Snapshot {
 	b.snap = s
 	return s
 }
+
+// Dim returns the dimensionality of the data space the snapshot's
+// summaries live in.
+func (s *Snapshot) Dim() int { return s.dim }
 
 // Len returns the number of archived clusters in the snapshot (both
 // tiers).

@@ -1,8 +1,8 @@
 package match
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 
 	"streamsum/internal/grid"
 	"streamsum/internal/sgs"
@@ -13,42 +13,111 @@ import (
 // location-shifting vector in cell units. A skeletal grid cell of the
 // target either has a corresponding cell in the candidate (their features
 // are compared) or it does not (maximum difference 1, "its corresponding
-// sub-region ... can be viewed as an empty grid").
+// sub-region ... can be viewed as an empty grid"). See the package comment
+// for the pruning bound and why it never changes a result.
 
-// zeroAlign is the identity alignment used by position-sensitive queries.
-func zeroAlign(dim int) grid.Coord {
-	var c grid.Coord
-	c.D = uint8(dim)
-	return c
+// vec is a cell coordinate or an alignment in cell units; components past
+// the pair's dimensionality stay zero.
+type vec = [grid.MaxDim]int32
+
+// Refine is the grid-cell-level match of one (target, candidate) pair: it
+// reports the pair's distance and whether that distance is within
+// threshold. Under a position-sensitive metric the distance is taken at
+// the identity alignment; otherwise it is the best one the anytime search
+// finds in budget evaluations. Before searching, a position-insensitive
+// pair at a threshold below 1 is tested against an exact lower bound on
+// the distance at every alignment; a pair the bound dismisses reports
+// dist = +Inf (no distance was computed) and within = false. Whenever
+// within is true, dist is exactly what the unpruned search returns.
+//
+// Summaries must be normalized (sgs.Summary.Normalize) and their cells'
+// coordinates must carry the summary's dimensionality. Refine is safe for
+// concurrent use and allocates nothing once its pooled scratch is warm.
+func Refine(target, cand *sgs.Summary, w Weights, budget int, threshold float64) (dist float64, within bool) {
+	na, nb := len(target.Cells), len(cand.Cells)
+	switch {
+	case na == 0 && nb == 0:
+		dist = 0
+	case na == 0 || nb == 0 || target.Dim != cand.Dim:
+		dist = 1 // no cell can coincide at any alignment
+	case w.PositionSensitive:
+		var identity vec
+		dist = cellDistance(target, cand, &identity)
+	default:
+		sc := scratchPool.Get().(*scratch)
+		dist = sc.refine(target, cand, budget, threshold)
+		scratchPool.Put(sc)
+	}
+	return dist, dist <= threshold
 }
 
-// CellDistance returns the grid-cell-level distance between summaries a
+// RefineDistance is the exact, unpruned grid-cell-level distance of a
+// pair: Refine at threshold 1, where no bound can dismiss anything.
+func RefineDistance(target, cand *sgs.Summary, w Weights, budget int) float64 {
+	d, _ := Refine(target, cand, w, budget, 1)
+	return d
+}
+
+// cellDistance returns the grid-cell-level distance between summaries a
 // and b under the given alignment: the mean, over the union of (aligned)
 // occupied cells, of the per-cell difference; per-cell differences average
 // the status, density and connectivity features. The result is in [0,1].
-func CellDistance(a, b *sgs.Summary, align grid.Coord) float64 {
-	if a.NumCells() == 0 && b.NumCells() == 0 {
+//
+// Both cell lists are sorted and translation preserves the order, so one
+// merge pass finds every coincident cell. Where a translated coordinate
+// wraps around int32 the order breaks; the pass then rescans b from its
+// start for that cell, which keeps the lookup exact. Terms are added in
+// a's cell order, so the float result does not depend on how the
+// counterpart was found.
+func cellDistance(a, b *sgs.Summary, align *vec) float64 {
+	na, nb := len(a.Cells), len(b.Cells)
+	if na == 0 && nb == 0 {
 		return 0
 	}
-	if a.NumCells() == 0 || b.NumCells() == 0 {
+	if na == 0 || nb == 0 {
 		return 1
 	}
-	matched := 0
+	dim := a.Dim
+	matched, j := 0, 0
 	var sum float64
 	for i := range a.Cells {
 		ca := &a.Cells[i]
-		cb := b.Find(ca.Coord.Add(align))
-		if cb == nil {
-			sum += 1
-			continue
+		var t vec
+		for d := 0; d < dim; d++ {
+			t[d] = ca.Coord.C[d] + align[d]
 		}
-		matched++
-		sum += cellDiff(ca, cb)
+		if j > 0 && cmpVec(&b.Cells[j-1].Coord.C, &t, dim) >= 0 {
+			j = 0 // t wrapped below the cells already passed
+		}
+		c := -1
+		for ; j < nb; j++ {
+			if c = cmpVec(&b.Cells[j].Coord.C, &t, dim); c >= 0 {
+				break
+			}
+		}
+		if j < nb && c == 0 {
+			matched++
+			sum += cellDiff(ca, &b.Cells[j])
+		} else {
+			sum += 1
+		}
 	}
 	// Cells of b with no counterpart in a.
-	sum += float64(b.NumCells() - matched)
-	union := a.NumCells() + b.NumCells() - matched
-	return sum / float64(union)
+	sum += float64(nb - matched)
+	return sum / float64(na+nb-matched)
+}
+
+// cmpVec orders two coordinates like sgs.CoordLess: -1, 0 or +1.
+func cmpVec(x, y *vec, dim int) int {
+	for d := 0; d < dim; d++ {
+		if x[d] != y[d] {
+			if x[d] < y[d] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // cellDiff compares the three cell-level features with equal weight.
@@ -62,83 +131,270 @@ func cellDiff(a, b *sgs.Cell) float64 {
 	return (status + density + conn) / 3
 }
 
-// alignItem is a priority-queue entry for the anytime search.
+// distanceFloor is the smallest distance any alignment of an na-cell and
+// an nb-cell summary can reach while bringing at most m cells into
+// coincidence: the unmatched cells alone contribute na+nb−2m to the sum
+// over a union of na+nb−m. It is computed with the same float division as
+// cellDistance so the two compare exactly (see the package comment).
+func distanceFloor(na, nb, m int) float64 {
+	return float64(na+nb-2*m) / float64(na+nb-m)
+}
+
+// alignItem is a priority-queue entry of the anytime search: an evaluated
+// alignment (by its index in scratch.aligns) and its distance.
 type alignItem struct {
-	align grid.Coord
-	dist  float64
+	dist float64
+	idx  int32
 }
 
-type alignHeap []alignItem
-
-func (h alignHeap) Len() int            { return len(h) }
-func (h alignHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h alignHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *alignHeap) Push(x interface{}) { *h = append(*h, x.(alignItem)) }
-func (h *alignHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// slot is one cell of the open-addressed visited set; it is occupied iff
+// its epoch is the current search's.
+type slot struct {
+	epoch uint32
+	idx   int32
 }
 
-// BestAlignment runs the A*-style anytime search of §7.2 for the alignment
-// minimizing CellDistance(a, b, align): it starts from the alignment that
-// overlaps the two summaries' MBR centers, then repeatedly expands the most
-// promising alignment's 2·dim axis neighbors, stopping after budget
-// distance evaluations. It returns the best distance found and its
-// alignment. Exhaustive optimality is not guaranteed — by design: the
-// paper trades optimality for bounded online latency.
-func BestAlignment(a, b *sgs.Summary, budget int) (float64, grid.Coord) {
-	dim := a.Dim
-	start := centerAlign(a, b)
-	if budget < 1 {
-		budget = 1
-	}
-	visited := map[grid.Coord]bool{start: true}
-	h := &alignHeap{{align: start, dist: CellDistance(a, b, start)}}
-	heap.Init(h)
-	evals := 1
-	best := (*h)[0]
-	for h.Len() > 0 && evals < budget {
-		cur := heap.Pop(h).(alignItem)
-		if cur.dist < best.dist {
-			best = cur
-		}
-		// Expand axis neighbors (the "nearby" alignments of §7.2).
-		for d := 0; d < dim && evals < budget; d++ {
-			for _, delta := range [2]int32{-1, 1} {
-				nb := cur.align
-				nb.C[d] += delta
-				if visited[nb] {
-					continue
-				}
-				visited[nb] = true
-				nd := CellDistance(a, b, nb)
-				evals++
-				if nd < best.dist {
-					best = alignItem{align: nb, dist: nd}
-				}
-				heap.Push(h, alignItem{align: nb, dist: nd})
-				if evals >= budget {
-					break
-				}
+// scratch is the reusable working memory of one refine call.
+type scratch struct {
+	dim    int         // dimensionality of the current search's alignments
+	aligns []vec       // alignments evaluated by the current search, in order
+	heap   []alignItem // binary min-heap on dist
+	slots  []slot      // visited set over aligns; len is a power of two
+	epoch  uint32
+
+	votes  []uint32 // dense table over cell-pair difference vectors
+	ia, ib []int32  // each cell's share of its pairs' table index
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxVoteTable caps the dense vote table (entries). It also keeps every
+// axis extent far below 2^32, so difference vectors that only coincide
+// through int32 wrap-around can never land in different entries.
+const maxVoteTable = 1 << 16
+
+// refine is the position-insensitive case of Refine for two non-empty
+// summaries of one dimensionality.
+func (sc *scratch) refine(a, b *sgs.Summary, budget int, threshold float64) float64 {
+	alo, ahi := extent(a)
+	blo, bhi := extent(b)
+	if threshold < 1 {
+		na, nb := len(a.Cells), len(b.Cells)
+		// No translation matches more cells than the smaller summary has.
+		pruned := distanceFloor(na, nb, min(na, nb)) > threshold
+		if !pruned {
+			if m := sc.maxCoincident(a, b, &alo, &ahi, &blo, &bhi, budget); m >= 0 {
+				pruned = distanceFloor(na, nb, m) > threshold
 			}
 		}
+		if pruned {
+			metricPruned.Inc()
+			return math.Inf(1)
+		}
 	}
-	return best.dist, best.align
+	dist, _ := sc.bestAlignment(a, b, centerAlign(a, b, &alo, &ahi, &blo, &bhi), budget)
+	return dist
 }
 
 // centerAlign computes the starting alignment: the cell-unit offset that
 // best overlaps the two summaries' MBR centers ("we start with an
 // alignment that makes two clusters well overlapped").
-func centerAlign(a, b *sgs.Summary) grid.Coord {
-	ca := a.MBR().Center()
-	cb := b.MBR().Center()
-	var off grid.Coord
-	off.D = uint8(a.Dim)
+func centerAlign(a, b *sgs.Summary, alo, ahi, blo, bhi *vec) (off vec) {
 	for d := 0; d < a.Dim; d++ {
-		off.C[d] = int32(math.Round((cb[d] - ca[d]) / a.Side))
+		ca := mbrCenter(alo[d], ahi[d], a.Side)
+		cb := mbrCenter(blo[d], bhi[d], b.Side)
+		off[d] = int32(math.Round((cb - ca) / a.Side))
 	}
 	return off
+}
+
+// mbrCenter is Summary.MBR().Center() along one axis, from the axis's
+// extreme cell coordinates. The conversions pin each product's rounding to
+// what MBR computes cell by cell (no fused multiply-add).
+func mbrCenter(lo, hi int32, side float64) float64 {
+	return (float64(float64(lo)*side) + (float64(float64(hi)*side) + side)) / 2
+}
+
+// extent returns the per-axis minimum and maximum cell coordinate of a
+// non-empty summary.
+func extent(s *sgs.Summary) (lo, hi vec) {
+	lo, hi = s.Cells[0].Coord.C, s.Cells[0].Coord.C
+	for i := 1; i < len(s.Cells); i++ {
+		c := &s.Cells[i].Coord.C
+		for d := 0; d < s.Dim; d++ {
+			lo[d] = min(lo[d], c[d])
+			hi[d] = max(hi[d], c[d])
+		}
+	}
+	return lo, hi
+}
+
+// maxCoincident returns M*, the largest number of cells of a that one
+// translation brings into coincidence with cells of b: every cell pair
+// votes for its difference vector in a dense table spanning the possible
+// differences, and M* is the fullest entry. It returns -1 without voting
+// when the table would exceed maxVoteTable or when the |a|·|b| votes (plus
+// clearing the table, about eight entries per vote's cost) would cost more
+// than the budget·(|a|+|b|) cell visits of the search they might save.
+func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, budget int) int {
+	na, nb := len(a.Cells), len(b.Cells)
+	var stride [grid.MaxDim]int64
+	size := int64(1)
+	dim := a.Dim
+	for d := dim - 1; d >= 0; d-- {
+		stride[d] = size
+		size *= int64(ahi[d]) - int64(alo[d]) + int64(bhi[d]) - int64(blo[d]) + 1
+		if size > maxVoteTable {
+			return -1
+		}
+	}
+	if (int64(na)*int64(nb)+size/8)/int64(na+nb) >= int64(budget) {
+		return -1
+	}
+	// The pair (i, j) differs by b[j]−a[i], whose table index splits into
+	// a share of a[i] (measured down from a's maximum) and one of b[j]
+	// (measured up from b's minimum), both non-negative.
+	sc.ia, sc.ib = sc.ia[:0], sc.ib[:0]
+	for i := range a.Cells {
+		var ix int64
+		for d := 0; d < dim; d++ {
+			ix += (int64(ahi[d]) - int64(a.Cells[i].Coord.C[d])) * stride[d]
+		}
+		sc.ia = append(sc.ia, int32(ix))
+	}
+	for j := range b.Cells {
+		var ix int64
+		for d := 0; d < dim; d++ {
+			ix += (int64(b.Cells[j].Coord.C[d]) - int64(blo[d])) * stride[d]
+		}
+		sc.ib = append(sc.ib, int32(ix))
+	}
+	if int64(cap(sc.votes)) < size {
+		sc.votes = make([]uint32, size)
+	}
+	votes := sc.votes[:size]
+	clear(votes)
+	var best uint32
+	for _, x := range sc.ia {
+		row := votes[x:]
+		for _, y := range sc.ib {
+			row[y]++
+			best = max(best, row[y])
+		}
+	}
+	return int(best)
+}
+
+// bestAlignment runs the A*-style anytime search of §7.2 for the alignment
+// minimizing cellDistance(a, b, align): starting from start, it repeatedly
+// expands the most promising alignment's 2·dim axis neighbors, stopping
+// after budget distance evaluations. It returns the best distance found
+// and its alignment. Exhaustive optimality is not guaranteed — by design:
+// the paper trades optimality for bounded online latency. Every alignment
+// is evaluated in full: the expansion order depends on the exact
+// distances, so none can be abandoned early without changing the result.
+func (sc *scratch) bestAlignment(a, b *sgs.Summary, start vec, budget int) (float64, vec) {
+	sc.dim = a.Dim
+	sc.aligns, sc.heap = sc.aligns[:0], sc.heap[:0]
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.slots) // epoch wrapped: stale stamps could look current
+		sc.epoch = 1
+	}
+	sc.visit(&start)
+	best := alignItem{dist: cellDistance(a, b, &start)}
+	sc.push(best)
+	for evals := 1; len(sc.heap) > 0 && evals < budget; {
+		cur := sc.aligns[sc.pop().idx]
+		// Expand axis neighbors (the "nearby" alignments of §7.2).
+	expand:
+		for d := 0; d < sc.dim; d++ {
+			for _, delta := range [2]int32{-1, 1} {
+				nb := cur
+				nb[d] += delta
+				if sc.visit(&nb) {
+					continue
+				}
+				it := alignItem{dist: cellDistance(a, b, &nb), idx: int32(len(sc.aligns) - 1)}
+				evals++
+				if it.dist < best.dist {
+					best = it
+				}
+				sc.push(it)
+				if evals >= budget {
+					break expand
+				}
+			}
+		}
+	}
+	return best.dist, sc.aligns[best.idx]
+}
+
+// visit adds v to the visited set, appending it to sc.aligns, and reports
+// whether it was there already.
+func (sc *scratch) visit(v *vec) bool {
+	if 2*(len(sc.aligns)+1) > len(sc.slots) {
+		sc.slots = make([]slot, max(64, 2*len(sc.slots)))
+		for i := range sc.aligns {
+			sc.slots[sc.probe(&sc.aligns[i])] = slot{sc.epoch, int32(i)}
+		}
+	}
+	h := sc.probe(v)
+	if sc.slots[h].epoch == sc.epoch {
+		return true
+	}
+	sc.slots[h] = slot{sc.epoch, int32(len(sc.aligns))}
+	sc.aligns = append(sc.aligns, *v)
+	return false
+}
+
+// probe returns the slot holding v, or the free slot where it belongs.
+func (sc *scratch) probe(v *vec) uint32 {
+	mask := uint32(len(sc.slots) - 1)
+	var h uint32
+	for d := 0; d < sc.dim; d++ {
+		h = (h ^ uint32(v[d])) * 0x9E3779B1
+	}
+	for h = (h ^ h>>15) & mask; ; h = (h + 1) & mask {
+		if s := sc.slots[h]; s.epoch != sc.epoch || sc.aligns[s.idx] == *v {
+			return h
+		}
+	}
+}
+
+// push and pop are container/heap's Push and Pop on sc.heap, step for
+// step: alignments of equal distance must leave the heap in the order the
+// boxed heap released them, or the search would expand different ones.
+func (sc *scratch) push(it alignItem) {
+	h := append(sc.heap, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	sc.heap = h
+}
+
+func (sc *scratch) pop() alignItem {
+	h := sc.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	sc.heap = h[:n]
+	return h[n]
 }

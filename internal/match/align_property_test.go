@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"streamsum/internal/geom"
-	"streamsum/internal/grid"
 )
 
 // TestCellDistanceSymmetryUnderInverseAlignment: D(a, b, v) == D(b, a, -v)
@@ -16,14 +15,10 @@ func TestCellDistanceSymmetryUnderInverseAlignment(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		a := summarize(t, blob(rng, 150+rng.Intn(150), rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()), 0)
 		b := summarize(t, blob(rng, 150+rng.Intn(150), rng.Float64()*20, rng.Float64()*20, 0.5+rng.Float64()), 1)
-		align := grid.CoordOf(int32(rng.Intn(9)-4), int32(rng.Intn(9)-4))
-		var inv grid.Coord
-		inv.D = align.D
-		for i := uint8(0); i < align.D; i++ {
-			inv.C[i] = -align.C[i]
-		}
-		d1 := CellDistance(a, b, align)
-		d2 := CellDistance(b, a, inv)
+		align := vec{int32(rng.Intn(9) - 4), int32(rng.Intn(9) - 4)}
+		inv := vec{-align[0], -align[1]}
+		d1 := cellDistance(a, b, &align)
+		d2 := cellDistance(b, a, &inv)
 		if diff := d1 - d2; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("trial %d: D(a,b,%v)=%g != D(b,a,%v)=%g", trial, align, d1, inv, d2)
 		}
@@ -105,11 +100,11 @@ func TestBestAlignmentIdempotentOnSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 10; trial++ {
 		s := summarize(t, blob(rng, 200, 0, 0, 1), 0)
-		d, align := BestAlignment(s, s, 32)
+		d, align := bestAlignment(s, s, 32)
 		if d != 0 {
 			t.Fatalf("self alignment distance %g", d)
 		}
-		if !align.IsZero() {
+		if align != (vec{}) {
 			t.Fatalf("self alignment offset %v", align)
 		}
 	}

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"streamsum/internal/archive"
@@ -26,24 +25,9 @@ func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	for i, t := range targets {
-		if t == nil || t.NumCells() == 0 {
-			return nil, fmt.Errorf("match: empty target %d", i)
-		}
-	}
-	if q.Threshold < 0 || q.Threshold > 1 {
-		return nil, fmt.Errorf("match: threshold %g out of [0,1]", q.Threshold)
-	}
-	w := EqualWeights()
-	if q.Weights != nil {
-		w = *q.Weights
-	}
-	if err := w.Validate(); err != nil {
+	w, budget, err := prepare(src, q, targets...)
+	if err != nil {
 		return nil, err
-	}
-	budget := q.AlignBudget
-	if budget <= 0 {
-		budget = DefaultAlignBudget
 	}
 
 	feats := make([][4]float64, len(targets))
@@ -97,7 +81,7 @@ func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
 			errs[i] = err
 			return
 		}
-		if RefineDistance(targets[p.ti], sum, w, budget) <= q.Threshold {
+		if _, within := Refine(targets[p.ti], sum, w, budget, q.Threshold); within {
 			found[p.ti].Store(true)
 		}
 	})

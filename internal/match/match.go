@@ -1,6 +1,7 @@
 package match
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -19,6 +20,9 @@ import (
 // satisfy it; pass a snapshot when the query must not observe concurrent
 // archiving.
 type Source interface {
+	// Dim is the dimensionality of the archived summaries; a query's
+	// target must have it.
+	Dim() int
 	SearchLocation(q geom.MBR, visit func(*archive.Entry) bool)
 	SearchFeatures(lo, hi [4]float64, visit func(*archive.Entry) bool)
 }
@@ -106,13 +110,59 @@ type Match struct {
 }
 
 // Stats reports filter-and-refine effectiveness: how many filter shards
-// were probed, how many candidates the indexes returned and how many
-// survived to the grid-cell-level match (the paper reports ~6% reaching
-// the grid level, §8.2).
+// were probed, how many candidates the indexes returned, how many
+// survived the cluster-level gate and were handed to the grid-cell-level
+// match (the paper reports ~6% reaching the grid level, §8.2), and how
+// many of those an exact bound dismissed without an alignment search.
 type Stats struct {
 	FilterShards    int
 	IndexCandidates int
 	Refined         int
+	Pruned          int
+}
+
+// ErrBadQuery is matched (errors.Is) by every error Run and Any return
+// because of the query itself — target, threshold, weights, dimension —
+// rather than the source: a caller's mistake, not a server fault.
+var ErrBadQuery = errors.New("match: bad query")
+
+type badQueryError string
+
+func (e badQueryError) Error() string        { return string(e) }
+func (e badQueryError) Is(target error) bool { return target == ErrBadQuery }
+
+func badQueryf(format string, args ...any) error {
+	return badQueryError(fmt.Sprintf(format, args...))
+}
+
+// prepare validates what Run and Any share — threshold, weights, budget,
+// and that every target is non-empty and of the source's dimensionality —
+// before anything is probed: a location probe with a target of another
+// dimensionality would index out of range.
+func prepare(src Source, q Query, targets ...*sgs.Summary) (Weights, int, error) {
+	w := EqualWeights()
+	if q.Weights != nil {
+		w = *q.Weights
+	}
+	for _, t := range targets {
+		if t == nil || t.NumCells() == 0 {
+			return w, 0, badQueryf("match: empty target")
+		}
+		if t.Dim != src.Dim() {
+			return w, 0, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
+		}
+	}
+	if q.Threshold < 0 || q.Threshold > 1 {
+		return w, 0, badQueryf("match: threshold %g out of [0,1]", q.Threshold)
+	}
+	if err := w.Validate(); err != nil {
+		return w, 0, badQueryError(err.Error())
+	}
+	budget := q.AlignBudget
+	if budget <= 0 {
+		budget = DefaultAlignBudget
+	}
+	return w, budget, nil
 }
 
 // filterShards resolves the source into its filter shards: one per tier
@@ -166,17 +216,6 @@ func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targe
 	return out, probed
 }
 
-// RefineDistance is the grid-cell-level distance the refine phase
-// assigns a (target, candidate) pair: the fixed zero alignment under a
-// position-sensitive metric, the anytime alignment search otherwise.
-func RefineDistance(target, cand *sgs.Summary, w Weights, budget int) float64 {
-	if w.PositionSensitive {
-		return CellDistance(target, cand, zeroAlign(target.Dim))
-	}
-	d, _ := BestAlignment(target, cand, budget)
-	return d
-}
-
 // Run executes the query against src and returns matches sorted by
 // ascending distance. Both the filter phase (one index probe per shard
 // of a ShardedSource) and the refine phase (one grid-cell-level match
@@ -184,22 +223,9 @@ func RefineDistance(target, cand *sgs.Summary, w Weights, budget int) float64 {
 // byte-identical at every worker count and every shard layout.
 func Run(src Source, q Query) ([]Match, Stats, error) {
 	var st Stats
-	if q.Target == nil || q.Target.NumCells() == 0 {
-		return nil, st, fmt.Errorf("match: empty target")
-	}
-	if q.Threshold < 0 || q.Threshold > 1 {
-		return nil, st, fmt.Errorf("match: threshold %g out of [0,1]", q.Threshold)
-	}
-	w := EqualWeights()
-	if q.Weights != nil {
-		w = *q.Weights
-	}
-	if err := w.Validate(); err != nil {
+	w, budget, err := prepare(src, q, q.Target)
+	if err != nil {
 		return nil, st, err
-	}
-	budget := q.AlignBudget
-	if budget <= 0 {
-		budget = DefaultAlignBudget
 	}
 
 	targetFeat := q.Target.Features().Vector()
@@ -300,6 +326,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	refineSpan := tr.Start("refine")
 	refineStart := time.Now()
 	dists := make([]float64, len(refine))
+	within := make([]bool, len(refine))
 	sums := make([]*sgs.Summary, len(refine))
 	errs := make([]error, len(refine))
 	hits := make([]bool, len(refine))
@@ -311,11 +338,16 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		}
 		sums[i] = sum
 		hits[i] = hit
-		dists[i] = RefineDistance(q.Target, sum, w, budget)
+		dists[i], within[i] = Refine(q.Target, sum, w, budget, q.Threshold)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, st, err
+		}
+	}
+	for _, d := range dists {
+		if math.IsInf(d, 1) {
+			st.Pruned++
 		}
 	}
 	refineDur := time.Since(refineStart)
@@ -333,6 +365,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 			}
 		}
 		refineSpan.SetInt("refined", int64(st.Refined))
+		refineSpan.SetInt("pruned", int64(st.Pruned))
 		refineSpan.SetInt("cache_hits", int64(cacheHits))
 		refineSpan.SetInt("disk_loads", int64(diskLoads))
 	}
@@ -343,7 +376,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	orderStart := time.Now()
 	var matches []Match
 	for i, e := range refine {
-		if dists[i] <= q.Threshold {
+		if within[i] {
 			// Results carry materialized summaries even for disk-resident
 			// candidates (the refine phase read them anyway).
 			matches = append(matches, Match{ID: e.ID, Distance: dists[i], Entry: e.WithSummary(sums[i])})

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,22 +130,32 @@ func TestFeatureRangesPaperExample(t *testing.T) {
 	}
 }
 
+// bestAlignment runs the kernel's anytime search the way Refine does, on
+// scratch of its own, and also returns the alignment found.
+func bestAlignment(a, b *sgs.Summary, budget int) (float64, vec) {
+	var sc scratch
+	alo, ahi := extent(a)
+	blo, bhi := extent(b)
+	return sc.bestAlignment(a, b, centerAlign(a, b, &alo, &ahi, &blo, &bhi), budget)
+}
+
 func TestCellDistanceIdentityAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var identity vec
 	s := summarize(t, blob(rng, 200, 0, 0, 0.8), 0)
-	if d := CellDistance(s, s, zeroAlign(2)); d != 0 {
+	if d := cellDistance(s, s, &identity); d != 0 {
 		t.Errorf("self distance = %g", d)
 	}
 	s2 := summarize(t, blob(rng, 200, 30, 30, 0.8), 1)
-	d := CellDistance(s, s2, zeroAlign(2))
+	d := cellDistance(s, s2, &identity)
 	if d != 1 {
 		t.Errorf("disjoint unaligned distance = %g, want 1", d)
 	}
 	var empty sgs.Summary
-	if CellDistance(&empty, &empty, zeroAlign(2)) != 0 {
+	if cellDistance(&empty, &empty, &identity) != 0 {
 		t.Error("empty-empty should be 0")
 	}
-	if CellDistance(s, &empty, zeroAlign(2)) != 1 {
+	if cellDistance(s, &empty, &identity) != 1 {
 		t.Error("empty-nonempty should be 1")
 	}
 }
@@ -161,14 +172,14 @@ func TestBestAlignmentFindsShiftedTwin(t *testing.T) {
 	}
 	a := summarize(t, base, 0)
 	b := summarize(t, moved, 1)
-	d, _ := BestAlignment(a, b, 128)
+	d, _ := bestAlignment(a, b, 128)
 	// Cell quantization means the shifted copy lands in different relative
 	// cell positions, so the distance is small but not zero.
 	if d > 0.55 {
 		t.Errorf("aligned distance = %g, want small", d)
 	}
 	// Identity alignment would be hopeless.
-	if id := CellDistance(a, b, zeroAlign(2)); id != 1 {
+	if id := cellDistance(a, b, new(vec)); id != 1 {
 		t.Errorf("identity alignment distance = %g, want 1", id)
 	}
 	// A perfectly cell-aligned translation must give ~0.
@@ -178,7 +189,7 @@ func TestBestAlignmentFindsShiftedTwin(t *testing.T) {
 		aligned[i] = p.Add(geom.Point{10 * side, 4 * side})
 	}
 	c := summarize(t, aligned, 2)
-	d2, _ := BestAlignment(a, c, 128)
+	d2, _ := bestAlignment(a, c, 128)
 	if d2 > 1e-9 {
 		t.Errorf("cell-aligned twin distance = %g, want 0", d2)
 	}
@@ -188,8 +199,8 @@ func TestBestAlignmentBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := summarize(t, blob(rng, 200, 0, 0, 0.8), 0)
 	b := summarize(t, blob(rng, 200, 5, 5, 0.8), 1)
-	dBig, _ := BestAlignment(a, b, 512)
-	dSmall, _ := BestAlignment(a, b, 1)
+	dBig, _ := bestAlignment(a, b, 512)
+	dSmall, _ := bestAlignment(a, b, 1)
 	if dBig > dSmall+1e-12 {
 		t.Errorf("larger budget found worse alignment: %g vs %g", dBig, dSmall)
 	}
@@ -293,6 +304,65 @@ func TestRunValidation(t *testing.T) {
 	badW := Weights{Volume: 2}
 	if _, _, err := Run(b, Query{Target: sums[0], Threshold: 0.2, Weights: &badW}); err == nil {
 		t.Error("bad weights accepted")
+	}
+}
+
+// TestRunRejectsDimensionMismatch: a target of another dimensionality
+// than the source is a bad query, rejected before any probe — under a
+// position-sensitive metric the R-tree probe would otherwise index the
+// target's MBR out of range. Both source forms, Run and Any.
+func TestRunRejectsDimensionMismatch(t *testing.T) {
+	b, _ := buildBase(t, 5, 7)
+	var origin [grid.MaxDim]int32
+	oneD := randomSummary(rand.New(rand.NewSource(1)), 1, 6, origin, 9, 0.5)
+	ps := EqualWeights()
+	ps.PositionSensitive = true
+	for _, src := range []Source{b, b.Snapshot()} {
+		for _, w := range []*Weights{nil, &ps} {
+			if _, _, err := Run(src, Query{Target: oneD, Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("Run with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
+			}
+			if _, err := Any(src, []*sgs.Summary{oneD}, Query{Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("Any with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
+			}
+		}
+	}
+}
+
+// TestRefineAllocatesNothing: a warm Refine allocates nothing, whether
+// the pair is dismissed by a bound, searched, or position-sensitive.
+func TestRefineAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	rng := rand.New(rand.NewSource(10))
+	a := summarize(t, blob(rng, 200, 0, 0, 0.8), 0)
+	near := summarize(t, blob(rng, 200, 0.3, 0.2, 0.8), 1)
+	far := summarize(t, elongated(rng, 250, 60, 60), 2)
+	ps := EqualWeights()
+	ps.PositionSensitive = true
+	cases := []struct {
+		name      string
+		b         *sgs.Summary
+		w         Weights
+		threshold float64
+		pruned    bool
+	}{
+		{"pruned", far, EqualWeights(), 0.1, true},
+		{"searched", near, EqualWeights(), 0.9, false},
+		{"searched-unpruned", far, EqualWeights(), 1, false},
+		{"position-sensitive", near, ps, 0.5, false},
+	}
+	for _, c := range cases {
+		d, _ := Refine(a, c.b, c.w, DefaultAlignBudget, c.threshold) // warms the pool
+		if math.IsInf(d, 1) != c.pruned {
+			t.Fatalf("%s: dist %v, want pruned = %v", c.name, d, c.pruned)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			Refine(a, c.b, c.w, DefaultAlignBudget, c.threshold)
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per warm Refine, want 0", c.name, n)
+		}
 	}
 }
 

@@ -13,6 +13,8 @@ var (
 		"Index candidates returned by filter-phase probes.")
 	metricRefined = obs.NewCounter("sgs_match_refined_total",
 		"Candidates that survived the cluster-level gate into the refine phase.")
+	metricPruned = obs.NewCounter("sgs_match_pruned_pairs_total",
+		"Refine-phase pairs an exact distance bound dismissed without an alignment search (every caller of Refine).")
 	metricFilterSeconds = obs.NewHistogram("sgs_match_filter_seconds",
 		"Filter phase wall time (parallel gated index probes across shards).")
 	metricRefineSeconds = obs.NewHistogram("sgs_match_refine_seconds",

@@ -143,6 +143,9 @@ func TestTraceFilled(t *testing.T) {
 	if hits+loads != int64(st.Refined) {
 		t.Fatalf("cache hits %d + disk loads %d != refined %d", hits, loads, st.Refined)
 	}
+	if got := attr(t, refine, "pruned"); got != int64(st.Pruned) || st.Pruned > st.Refined {
+		t.Fatalf("refine pruned attr %d, stats %d pruned of %d refined", got, st.Pruned, st.Refined)
+	}
 	if got := attr(t, order, "matches"); got != int64(len(matches)) {
 		t.Fatalf("order matches attr %d, want %d", got, len(matches))
 	}

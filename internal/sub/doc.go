@@ -19,14 +19,18 @@
 // from v at the class's maximum registered threshold. Most subscriptions
 // are therefore pruned per cluster without a single distance computation;
 // survivors pass the exact cluster-feature gate at their own threshold
-// and only then pay the grid-cell-level match (match.RefineDistance).
+// and only then reach the grid-cell-level match (match.Refine) — which
+// itself dismisses most of them by an exact lower bound on the distance
+// before paying for an alignment search (Stats.Pruned of Stats.Refined;
+// see internal/match's package comment for why that never changes an
+// event).
 //
 // # Evaluation pipeline
 //
 // Offer evaluates one window in three phases, mirroring internal/match:
 // a parallel probe phase (one task per new-entry × class pair, fanned
 // across the registry's workers), a parallel refine phase (one
-// grid-cell-level distance per surviving pair), and a sequential ordered
+// match.Refine call per surviving pair), and a sequential ordered
 // delivery phase. Candidate pairs are sorted by (subscription id, entry
 // id) between the phases, so the events each subscription receives — and
 // their order — are byte-identical at every worker count.

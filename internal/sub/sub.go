@@ -3,6 +3,7 @@ package sub
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -226,9 +227,11 @@ type Stats struct {
 	Entries uint64
 	// Candidates that survived the index probe + feature gate (pairs).
 	Candidates uint64
-	// Refined pairs that paid the grid-cell-level match (== Candidates;
-	// kept separate so future early-exit phases stay observable).
+	// Refined pairs handed to the grid-cell-level match (== Candidates).
 	Refined uint64
+	// Pruned pairs among Refined that an exact distance bound dismissed
+	// without an alignment search (match.Refine).
+	Pruned uint64
 	// Events delivered (match + evolution).
 	Events uint64
 	// LastEval is the duration of the most recent Offer.
@@ -515,6 +518,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	// or by overlapping windows — still decodes once per residency.
 	refineSpan := tr.Start("refine")
 	dists := make([]float64, len(pairs))
+	within := make([]bool, len(pairs))
 	sums := make([]*sgs.Summary, len(pairs))
 	errs := make([]error, len(pairs))
 	par.ForEach(r.workers, len(pairs), func(i int) {
@@ -525,15 +529,22 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 			return
 		}
 		sums[i] = sum
-		dists[i] = match.RefineDistance(p.s.target, sum, p.s.weights, p.budgetOf())
+		dists[i], within[i] = match.Refine(p.s.target, sum, p.s.weights, p.s.budget, p.s.thresh)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
+	var pruned uint64
+	for _, d := range dists {
+		if math.IsInf(d, 1) {
+			pruned++
+		}
+	}
 	refineDur := time.Since(start) - probeDur
 	refineSpan.SetInt("pairs", int64(len(pairs)))
+	refineSpan.SetInt("pruned", int64(pruned))
 	refineSpan.End()
 
 	// Ordered delivery: pairs are grouped by subscription (the sort key's
@@ -545,7 +556,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 		j := i
 		var evs []Event
 		for ; j < len(pairs) && pairs[j].s == pairs[i].s; j++ {
-			if dists[j] > pairs[j].s.thresh {
+			if !within[j] {
 				continue
 			}
 			e := entries[pairs[j].ei]
@@ -574,6 +585,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	r.stats.Entries += uint64(len(entries))
 	r.stats.Candidates += uint64(len(pairs))
 	r.stats.Refined += uint64(len(pairs))
+	r.stats.Pruned += pruned
 	r.stats.Events += delivered
 	r.stats.LastEval = elapsed
 	r.stats.TotalEval += elapsed
@@ -588,7 +600,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 			"probe", probeDur, "refine", refineDur,
 			"deliver", elapsed-probeDur-refineDur,
 			"entries", len(entries), "candidates", len(pairs),
-			"events", delivered, "trace", tr.ID().String())
+			"pruned", pruned, "events", delivered, "trace", tr.ID().String())
 	}
 	return nil
 }
@@ -611,9 +623,6 @@ func (r *Registry) QueueDepth() int {
 	}
 	return depth
 }
-
-// budgetOf returns the pair's alignment budget (on the subscription).
-func (p pair) budgetOf() int { return p.s.budget }
 
 // probeLocked runs the inverted filter phase under the registry read
 // lock: one task per (entry, class), each probing the class's index for

@@ -149,6 +149,12 @@ type (
 // position-insensitive).
 func EqualWeights() Weights { return match.EqualWeights() }
 
+// ErrBadQuery is matched (errors.Is) by every Match / MatchQuery error
+// caused by the query itself — an empty target, a target of another
+// dimensionality than the pattern base, a threshold outside [0,1], bad
+// weights — as opposed to a failure of the store.
+var ErrBadQuery = match.ErrBadQuery
+
 // NewMatchTrace returns a standalone trace for one matching query:
 // set it as MatchOptions.Trace, run the query, then call Finish to
 // obtain the span tree. Standalone traces live outside the engine's
@@ -568,8 +574,10 @@ func (e *Engine) archiveNovelWindow(w *WindowResult) error {
 		tf := s.Features().Vector()
 		novel := true
 		for _, a := range added {
-			if match.FeatureDistance(tf, a.Features().Vector(), ew) <= e.opts.ArchiveNovelty &&
-				match.RefineDistance(s, a, ew, match.DefaultAlignBudget) <= e.opts.ArchiveNovelty {
+			if match.FeatureDistance(tf, a.Features().Vector(), ew) > e.opts.ArchiveNovelty {
+				continue
+			}
+			if _, within := match.Refine(s, a, ew, match.DefaultAlignBudget, e.opts.ArchiveNovelty); within {
 				novel = false
 				break
 			}

@@ -1,6 +1,7 @@
 package streamsum
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -308,6 +309,14 @@ func TestEngineMatchWorkersDeterminism(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("no matches")
 	}
+	// The same at a threshold low enough that pairs are dismissed by bound.
+	low, lowStats, err := eng.Match(MatchOptions{Target: target, Threshold: 0.3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(low) == 0 || lowStats.Pruned == 0 {
+		t.Fatalf("threshold 0.3: %d matches, %d of %d refined pairs pruned; want both non-zero", len(low), lowStats.Pruned, lowStats.Refined)
+	}
 	for _, workers := range []int{2, 8} {
 		got, gotStats, err := eng.Match(MatchOptions{Target: target, Threshold: 1, Limit: 10, Workers: workers})
 		if err != nil {
@@ -315,6 +324,55 @@ func TestEngineMatchWorkersDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref, got) || refStats != gotStats {
 			t.Fatalf("MatchWorkers %d diverged from sequential", workers)
+		}
+		got, gotStats, err = eng.Match(MatchOptions{Target: target, Threshold: 0.3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(low, got) || lowStats != gotStats {
+			t.Fatalf("MatchWorkers %d diverged from sequential at threshold 0.3", workers)
+		}
+	}
+}
+
+// TestQueryDimensionMismatch: a target of another dimensionality than the
+// engine's is rejected with an error — by one-shot Match (ErrBadQuery,
+// before any index probe) and by Subscribe — under both metric modes.
+// The position-sensitive one-shot case used to panic with an index out of
+// range in the location probe.
+func TestQueryDimensionMismatch(t *testing.T) {
+	eng, err := New(Options{
+		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 4000, Slide: 1000,
+		Archive: &ArchiveOptions{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PushBatch(gen.GMTI(gen.GMTIConfig{Seed: 21}, 8000).Points, nil); err != nil {
+		t.Fatal(err)
+	}
+	if eng.PatternBase().Len() == 0 {
+		t.Fatal("fixture archived nothing")
+	}
+	line := make([]Point, 40)
+	for i := range line {
+		line[i] = Point{float64(i) * 0.2}
+	}
+	static, err := SummarizeStatic(line, 1.0, 4)
+	if err != nil || len(static) == 0 {
+		t.Fatalf("1-D fixture: %d clusters, err %v", len(static), err)
+	}
+	oneD := static[0].Summary
+	ps := EqualWeights()
+	ps.PositionSensitive = true
+	for _, w := range []*Weights{nil, &ps} {
+		if _, _, err := eng.Match(MatchOptions{Target: oneD, Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("Match with a 1-D target (weights %v): err = %v, want ErrBadQuery", w, err)
+		}
+		s, err := eng.Subscribe(SubscribeOptions{Target: oneD, Threshold: 0.5, Weights: w})
+		if err == nil {
+			s.Cancel()
+			t.Errorf("Subscribe with a 1-D target (weights %v) accepted", w)
 		}
 	}
 }

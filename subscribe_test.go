@@ -110,10 +110,15 @@ func runSubscribed(t *testing.T, workers int, targets []*Summary, threshs []floa
 		s.Cancel()
 	}
 	wg.Wait()
+	// The thresholds must be low enough for the refine phase to dismiss
+	// pairs by bound, or the equivalences below say nothing about pruning.
+	if st := eng.SubscriptionStats(); st.Pruned == 0 || st.Pruned >= st.Refined {
+		t.Fatalf("pruned %d of %d refined pairs: fixture does not exercise both outcomes", st.Pruned, st.Refined)
+	}
 
 	// Cross-check against a full scan of the final archive: exactly the
-	// entries within threshold (gate + grid-level refine, the matcher's
-	// predicate) must have produced events, in archive order.
+	// entries within threshold (gate + the unpruned grid-level distance)
+	// must have produced events, in archive order.
 	snap := eng.PatternBase().Snapshot()
 	for i := range runs {
 		w := EqualWeights()

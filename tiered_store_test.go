@@ -2,6 +2,7 @@ package streamsum
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -276,7 +277,14 @@ func TestTieredConcurrentMatch(t *testing.T) {
 // match.Any over the window + intra-window resolution) archives exactly
 // the same summaries as the per-cluster probe loop it replaced.
 func TestNoveltyBatchEquivalence(t *testing.T) {
-	const novelty = 0.4
+	// 0.4 is the original setting; at 0.2 most gate survivors are
+	// dismissed by bound instead of searched.
+	for _, novelty := range []float64{0.4, 0.2} {
+		t.Run(fmt.Sprint(novelty), func(t *testing.T) { testNoveltyBatchEquivalence(t, novelty) })
+	}
+}
+
+func testNoveltyBatchEquivalence(t *testing.T, novelty float64) {
 	collect := func() [][]*sgs.Summary {
 		eng, err := New(Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 4000, Slide: 1000})
 		if err != nil {
@@ -317,16 +325,28 @@ func TestNoveltyBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered := 0
+	offered, pruned := 0, 0
+	ew := match.EqualWeights()
 	for _, sums := range windows {
 		for _, s := range sums {
 			offered++
 			if ref.Len() > 0 {
-				ms, _, err := match.Run(ref, match.Query{Target: s, Threshold: novelty, Limit: 1})
+				ms, st, err := match.Run(ref, match.Query{Target: s, Threshold: novelty, Limit: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(ms) > 0 {
+				pruned += st.Pruned
+				// The query must agree with a scan that prunes nothing.
+				known, sf := false, s.Features().Vector()
+				ref.All(func(e *archive.Entry) bool {
+					known = match.FeatureDistance(sf, e.Features.Vector(), ew) <= novelty &&
+						match.RefineDistance(s, e.Summary, ew, match.DefaultAlignBudget) <= novelty
+					return !known
+				})
+				if known != (len(ms) > 0) {
+					t.Fatalf("novelty %g: query found %d matches, unpruned scan says known = %v", novelty, len(ms), known)
+				}
+				if known {
 					continue
 				}
 			}
@@ -357,6 +377,9 @@ func TestNoveltyBatchEquivalence(t *testing.T) {
 	base := eng.PatternBase()
 	if ref.Len() == 0 || ref.Len() == offered {
 		t.Fatalf("weak fixture: novelty filter kept %d of %d offered", ref.Len(), offered)
+	}
+	if pruned == 0 {
+		t.Fatal("no reference query dismissed a pair by bound")
 	}
 	if base.Len() != ref.Len() {
 		t.Fatalf("batched novelty archived %d, sequential reference %d", base.Len(), ref.Len())
