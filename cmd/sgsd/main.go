@@ -814,14 +814,8 @@ func registerEngineGauges(eng *streamsum.Engine) {
 		"Summaries queued or in flight to the disk tier.",
 		func() float64 { return float64(base.TierStats().DemotingEntries) })
 	obs.RegisterGaugeFunc("sgs_store_segments",
-		"Live on-disk segments by format version.",
-		func() float64 { return float64(base.TierStats().SegmentsV1) }, obs.L{Key: "format", Value: "v1"})
-	obs.RegisterGaugeFunc("sgs_store_segments",
-		"Live on-disk segments by format version.",
-		func() float64 { return float64(base.TierStats().SegmentsV2) }, obs.L{Key: "format", Value: "v2"})
-	obs.RegisterGaugeFunc("sgs_store_segments",
-		"Live on-disk segments by format version.",
-		func() float64 { return float64(base.TierStats().SegmentsV3) }, obs.L{Key: "format", Value: "v3"})
+		"Live on-disk segments.",
+		func() float64 { return float64(base.TierStats().Segments) })
 	obs.RegisterGaugeFunc("sgs_store_segments_mapped",
 		"On-disk segments currently served through mmap (the rest use pread).",
 		func() float64 { return float64(base.TierStats().SegmentsMapped) })
@@ -994,9 +988,6 @@ func statsHandler(eng *streamsum.Engine) http.HandlerFunc {
 			"demoting_bytes":       ts.DemotingBytes,
 			"demote_queue_batches": ts.DemotingBatches,
 			"segments":             ts.Segments,
-			"segments_v1":          ts.SegmentsV1,
-			"segments_v2":          ts.SegmentsV2,
-			"segments_v3":          ts.SegmentsV3,
 			"segments_mapped":      ts.SegmentsMapped,
 			"segment_clusters":     ts.SegEntries,
 			"segment_bytes":        ts.SegBytes,

@@ -68,12 +68,17 @@ func TestHTTPMetrics(t *testing.T) {
 		"sgs_sub_delivery_seconds_bucket",
 		// engine gauges bound by registerEngineGauges
 		"# TYPE sgs_base_clusters gauge",
-		"sgs_store_segments{format=\"v3\"}",
+		"# TYPE sgs_store_segments gauge",
+		"# TYPE sgs_segstore_segments_opened_total counter",
 		"sgs_sub_queue_depth",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// There is one segment format, so no series is split by format.
+	if strings.Contains(body, "format=") {
+		t.Error("/metrics labels a series by segment format")
 	}
 	// HELP precedes TYPE for each family, once.
 	if strings.Count(body, "# HELP sgs_ingest_tuples_total ") != 1 {
@@ -87,8 +92,7 @@ func TestHTTPMetrics(t *testing.T) {
 
 // TestHTTPStatsFields: /stats carries the tier/cache/subscription fields
 // monitoring relies on, including the ones folded in alongside /metrics
-// (demotion queue depth, per-format segment counts, mapped segments,
-// subscription queue depth).
+// (demotion queue depth, mapped segments, subscription queue depth).
 func TestHTTPStatsFields(t *testing.T) {
 	eng := testEngine(t)
 	mux := http.NewServeMux()
@@ -107,7 +111,7 @@ func TestHTTPStatsFields(t *testing.T) {
 	for _, key := range []string{
 		"clusters", "bytes", "mem_clusters", "mem_bytes",
 		"demoting_clusters", "demoting_bytes", "demote_queue_batches",
-		"segments", "segments_v1", "segments_v2", "segments_v3", "segments_mapped",
+		"segments", "segments_mapped",
 		"segment_clusters", "segment_bytes", "segment_dead", "segment_compactions",
 		"cache_hits", "cache_misses", "cache_hit_ratio", "cache_evicted",
 		"cache_entries", "cache_bytes", "cache_budget",

@@ -22,11 +22,11 @@
 // reads the segment footers for the per-segment lines, then decodes
 // every live summary blob twice through a decoded-summary cache
 // (internal/sumcache) — a validation pass whose warm hit ratio and
-// resident bytes appear on the final "sumcache:" line (or "sumcache:
-// off" under SGS_SUMCACHE=off).
+// resident bytes appear on the final "sumcache:" line.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -194,8 +194,14 @@ func openStore(dir string, dim int) (*segstore.Store, error) {
 		return try(dim)
 	}
 	for d := 2; d <= 8; d++ {
-		if st, err := try(d); err == nil {
+		st, err := try(d)
+		if err == nil {
 			return st, nil
+		}
+		// The manifest matched this dimensionality but a segment did not
+		// validate (a pre-v3 one, say): report it rather than keep probing.
+		if errors.Is(err, segstore.ErrBadSegment) {
+			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("sgstool: could not determine store dimensionality; pass -dim")
@@ -207,8 +213,8 @@ func printStore(w io.Writer, st *segstore.Store) {
 		s.Segments, s.LiveRecords, s.Records,
 		float64(s.LiveBytes)/1024, float64(s.Bytes)/1024, s.Tombstones)
 	v := st.View()
-	fmt.Fprintf(w, "%-24s %4s %6s %8s %8s %10s %10s %10s\n",
-		"segment", "fmt", "mapped", "records", "dead", "col", "blob", "ids")
+	fmt.Fprintf(w, "%-24s %6s %8s %8s %10s %10s %10s\n",
+		"segment", "mapped", "records", "dead", "col", "blob", "ids")
 	for _, seg := range v.Segments() {
 		recs := seg.Records()
 		dead := 0
@@ -225,9 +231,8 @@ func printStore(w io.Writer, st *segstore.Store) {
 			}
 		}
 		col, blob := seg.Regions()
-		fmt.Fprintf(w, "%-24s %4s %6v %8d %8d %10d %10d %4d..%-4d\n",
-			filepath.Base(seg.Path()), fmt.Sprintf("v%d", seg.Format()),
-			seg.Mapped(), len(recs), dead, col, blob, lo, hi)
+		fmt.Fprintf(w, "%-24s %6v %8d %8d %10d %10d %4d..%-4d\n",
+			filepath.Base(seg.Path()), seg.Mapped(), len(recs), dead, col, blob, lo, hi)
 		mbr, fmin, fmax := seg.Zone()
 		fmt.Fprintf(w, "%24s zone mbr=%v feat=[%g..%g %g..%g %g..%g %g..%g]\n",
 			"", mbr,
@@ -241,14 +246,9 @@ func printStore(w io.Writer, st *segstore.Store) {
 // doubles as a residency check: the warm pass must hit for every record
 // the cache retained. The budget is scaled so each shard's share covers
 // the full live payload (the cache stripes its bound across shards, and
-// ids need not spread evenly). Reports "off" when SGS_SUMCACHE=off
-// disables the layer.
+// ids need not spread evenly).
 func printCacheSmoke(w io.Writer, v *segstore.View, liveBytes int) {
 	c := sumcache.New(sumcache.NumShards * (liveBytes + 1))
-	if c == nil {
-		fmt.Fprintln(w, "sumcache: off")
-		return
-	}
 	decode := func() error {
 		for _, seg := range v.Segments() {
 			for _, r := range seg.Records() {

@@ -65,9 +65,8 @@ type Config struct {
 	// query. Requires StorePath. With MaxMemBytes set the cache's budget
 	// is carved out of it (memory tier demotes down to MaxMemBytes -
 	// SummaryCacheBytes, so tier + cache together stay under the one
-	// bound) and must therefore be smaller than MaxMemBytes. 0 — or
-	// SGS_SUMCACHE=off in the environment — disables the cache; every
-	// load then decodes from disk.
+	// bound) and must therefore be smaller than MaxMemBytes. 0 disables
+	// the cache; every load then decodes from disk.
 	SummaryCacheBytes int
 	// Logger receives background diagnostics (demotion flush failures,
 	// correlated with their flight-recorder trace ids). Nil discards
@@ -244,8 +243,8 @@ func New(cfg Config) (*Base, error) {
 		// The cache share is carved out of MaxMemBytes up front (not
 		// tracked live) so the sum of memory-tier bytes and cache
 		// residency is bounded at all times, not just at demotion points.
-		// With the cache disabled (env/off or zero budget) the memory
-		// tier gets the whole bound back.
+		// With the cache disabled (zero budget) the memory tier gets the
+		// whole bound back.
 		b.cache = sumcache.New(cfg.SummaryCacheBytes)
 		if cfg.MaxMemBytes > 0 {
 			b.memBudget = cfg.MaxMemBytes - b.cache.Budget()
@@ -833,11 +832,7 @@ type TierStats struct {
 	SegBytes    int // live encoded bytes
 	SegDead     int // tombstoned records awaiting compaction
 	Compactions uint64
-	// Segment set composition: on-disk format versions and how many
-	// segments serve reads from a memory mapping (vs the pread fallback).
-	SegmentsV1     int
-	SegmentsV2     int
-	SegmentsV3     int
+	// Segments serving reads from a memory mapping (vs the pread fallback).
 	SegmentsMapped int
 	// Decoded-summary cache (internal/sumcache); all zero when the cache
 	// is disabled. CacheBytes is the resident encoded-size charge and,
@@ -869,9 +864,6 @@ func (b *Base) TierStats() TierStats {
 		ts.SegBytes = s.LiveBytes
 		ts.SegDead = s.Records - s.LiveRecords
 		ts.Compactions = s.Compactions
-		ts.SegmentsV1 = s.SegmentsV1
-		ts.SegmentsV2 = s.SegmentsV2
-		ts.SegmentsV3 = s.SegmentsV3
 		ts.SegmentsMapped = s.SegmentsMapped
 	}
 	if cache != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 )
 
 // TestCacheConfigValidation: the cache requires a disk tier (memory-tier
@@ -32,10 +31,16 @@ func TestCacheConfigValidation(t *testing.T) {
 // TestCacheSharesMemBudget is the budget half of the residency contract:
 // during demotion-heavy ingest with interleaved disk reads, the memory
 // tier plus the decoded-summary cache never exceed MaxMemBytes — the
-// cache's share is carved out of the bound, not added on top.
+// cache's share is carved out of the bound, not added on top. A zero
+// budget disables the cache and gives the tier the whole bound.
 func TestCacheSharesMemBudget(t *testing.T) {
+	for _, cacheBudget := range []int{0, 4 << 10} {
+		runCacheSharesMemBudget(t, cacheBudget)
+	}
+}
+
+func runCacheSharesMemBudget(t *testing.T, cacheBudget int) {
 	const maxMem = 8 << 10
-	const cacheBudget = 4 << 10
 	sums := fixtureSummaries(t, 48, 96)
 	b, err := New(Config{
 		Dim: 2, StorePath: t.TempDir(),
@@ -74,13 +79,11 @@ func TestCacheSharesMemBudget(t *testing.T) {
 	if ts.SegEntries == 0 {
 		t.Fatalf("ingest never demoted: %+v", ts)
 	}
-	if sumcache.Enabled() {
-		if ts.CacheBudget != cacheBudget {
-			t.Fatalf("cache budget %d want %d", ts.CacheBudget, cacheBudget)
-		}
-		if ts.CacheMisses == 0 {
-			t.Fatalf("disk loads never reached the cache: %+v", ts)
-		}
+	if ts.CacheBudget != cacheBudget {
+		t.Fatalf("cache budget %d want %d", ts.CacheBudget, cacheBudget)
+	}
+	if (ts.CacheMisses == 0) != (cacheBudget == 0) {
+		t.Fatalf("budget %d: cache misses %d", cacheBudget, ts.CacheMisses)
 	}
 }
 
@@ -88,15 +91,14 @@ func TestCacheSharesMemBudget(t *testing.T) {
 // its cached decode — the summary must not stay resident (or billed)
 // after the record is tombstoned.
 func TestCacheInvalidatedOnRemove(t *testing.T) {
-	if !sumcache.Enabled() {
-		t.Skip("SGS_SUMCACHE=off")
-	}
 	sums := fixtureSummaries(t, 40, 97)
 	// The cache stripes its budget across shards, so each shard's share
 	// must fit whole summaries (a few hundred bytes each) for decodes to
-	// be retained at all.
+	// be retained at all. A one-byte compaction target stops the
+	// background compactor from merging (and so retiring, with its cached
+	// decodes) the segment the test reads from while it reads.
 	b, err := New(Config{
-		Dim: 2, StorePath: t.TempDir(),
+		Dim: 2, StorePath: t.TempDir(), StoreSegmentBytes: 1,
 		MaxMemBytes: 16 << 10, SummaryCacheBytes: 8 << 10,
 	})
 	if err != nil {
@@ -137,9 +139,6 @@ func TestCacheInvalidatedOnRemove(t *testing.T) {
 // segment must be dropped (OnRetire), including the live ones, and
 // reloads through the rewritten segment must be byte-identical.
 func TestCacheInvalidatedOnCompaction(t *testing.T) {
-	if !sumcache.Enabled() {
-		t.Skip("SGS_SUMCACHE=off")
-	}
 	sums := fixtureSummaries(t, 40, 98)
 	// A one-byte compaction target keeps every segment "full", so the
 	// background compactor never merges them behind the test's back; the

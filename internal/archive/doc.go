@@ -78,8 +78,8 @@
 //     the removed id's decode the same way.
 //   - The cache changes when decodes happen, never what they yield:
 //     match and subscription results are byte-identical with the cache
-//     on, off (SGS_SUMCACHE=off or a zero budget), or pathologically
-//     small. Disabling it only changes repeated-query latency.
+//     on, off (a zero budget), or pathologically small. Disabling it
+//     only changes repeated-query latency.
 //
 // Demotion batches flush on a background demoter goroutine: the segment
 // payload write and fsync (segstore.PrepareFlush) run entirely outside

@@ -373,22 +373,18 @@ func (g segShard) ZoneIntersectsFeatures(lo, hi [4]float64) bool {
 	return true
 }
 
-// ShardInfo identifies a filter shard for per-query span tracing: a
-// human-readable label (the segment file's basename, or "mem" for the
-// memory tier) and the segment format version (0 when the shard is not
-// a disk segment). Purely descriptive — it never affects matching.
+// ShardInfo identifies a filter shard for per-query span tracing by a
+// human-readable label: the segment file's basename, or "mem" for the
+// memory tier. Purely descriptive — it never affects matching.
 type ShardInfo interface {
-	ShardInfo() (label string, format int)
+	ShardInfo() (label string)
 }
 
 // ShardInfo labels the memory-tier shard.
-func (m memShard) ShardInfo() (string, int) { return "mem", 0 }
+func (m memShard) ShardInfo() string { return "mem" }
 
-// ShardInfo labels a disk-segment shard with its file basename and
-// on-disk format version.
-func (g segShard) ShardInfo() (string, int) {
-	return filepath.Base(g.seg.Path()), g.seg.Format()
-}
+// ShardInfo labels a disk-segment shard with its file basename.
+func (g segShard) ShardInfo() string { return filepath.Base(g.seg.Path()) }
 
 // ZoneSearcher is implemented by disk-segment filter shards: a cheap,
 // probe-free answer to "could this query touch the shard at all?",

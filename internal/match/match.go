@@ -290,11 +290,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		}
 		sp := filterSpan.Child("shard")
 		if si, ok := shards[i].(archive.ShardInfo); ok {
-			label, format := si.ShardInfo()
-			sp.SetStr("segment", label)
-			if format > 0 {
-				sp.SetInt("format", int64(format))
-			}
+			sp.SetStr("segment", si.ShardInfo())
 		}
 		if zone[i] >= 0 {
 			sp.SetBool("zone_skip", zone[i] == 0)

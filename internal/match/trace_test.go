@@ -6,7 +6,6 @@ import (
 
 	"streamsum/internal/archive"
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 	"streamsum/internal/trace"
 )
 
@@ -106,7 +105,7 @@ func TestTraceFilled(t *testing.T) {
 		t.Fatal("query that found matches probed no segments")
 	}
 	// Per-shard spans: exactly one memory shard labeled "mem" without a
-	// zone attribute; segment shards carry file label, format, and a
+	// zone attribute; segment shards carry their file label and a
 	// zone_skip flag consistent with the aggregate counts.
 	mem, zoneSkips := 0, int64(0)
 	for i := range kids {
@@ -120,9 +119,6 @@ func TestTraceFilled(t *testing.T) {
 				t.Error("memory shard carries a zone_skip attribute")
 			}
 			continue
-		}
-		if f, ok := kids[i].Int("format"); !ok || f <= 0 {
-			t.Errorf("segment shard %q format attr = %d %v", label, f, ok)
 		}
 		if skip, ok := kids[i].Bool("zone_skip"); !ok {
 			t.Errorf("segment shard %q without zone_skip", label)
@@ -151,14 +147,11 @@ func TestTraceFilled(t *testing.T) {
 	}
 
 	// A repeat of the same query against the same snapshot must hit the
-	// decoded-summary cache for everything it loaded before (skipped when
-	// the cache is globally disabled via SGS_SUMCACHE=off).
-	if sumcache.Enabled() {
-		td2, _, _ := runTraced(t, snap, Query{Target: sums[0], Threshold: 0.2})
-		r2 := td2.Span("refine")
-		if h, l := attr(t, r2, "cache_hits"), attr(t, r2, "disk_loads"); h != int64(st.Refined) || l != 0 {
-			t.Fatalf("repeat query: cache hits %d, disk loads %d, want %d and 0", h, l, st.Refined)
-		}
+	// decoded-summary cache for everything it loaded before.
+	td2, _, _ := runTraced(t, snap, Query{Target: sums[0], Threshold: 0.2})
+	r2 := td2.Span("refine")
+	if h, l := attr(t, r2, "cache_hits"), attr(t, r2, "disk_loads"); h != int64(st.Refined) || l != 0 {
+		t.Fatalf("repeat query: cache hits %d, disk loads %d, want %d and 0", h, l, st.Refined)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // L is one metric label pair. Labels distinguish series within a
-// family (e.g. format="v3" under sgs_segstore_segments_opened_total).
+// family (e.g. mode="mmap" under sgs_segstore_record_loads_total).
 type L struct {
 	Key, Value string
 }

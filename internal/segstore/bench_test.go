@@ -36,40 +36,35 @@ func BenchmarkFlushSegment(b *testing.B) {
 }
 
 // BenchmarkScanSegment measures the fused filter+gate scan over one
-// segment — the per-segment cost of the disk tier's filter phase — in
-// both formats: v3 (linear scan of the mapped feats column) against v2
-// (the legacy serialized-index probe rebuilt into an in-memory feature
-// grid). The gate rejects everything, so allocs/op pins the
-// zero-allocation property of the v3 scan itself.
+// segment — the per-segment cost of the disk tier's filter phase, a
+// linear scan of the mapped feats column. The gate rejects everything,
+// so allocs/op pins the zero-allocation property of the scan itself.
+// The sub-benchmark keeps its "v3" name so recorded baselines still
+// line up.
 func BenchmarkScanSegment(b *testing.B) {
 	entries := makeEntries(b, 256, 7, 0)
-	for _, f := range []struct {
-		name  string
-		write func(string, int, []FlushEntry) error
-	}{{"v3", writeSegment}, {"v2", writeSegmentV2}} {
-		b.Run(f.name, func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "scan"+segSuffix)
-			if err := f.write(path, 2, entries); err != nil {
-				b.Fatal(err)
+	b.Run("v3", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "scan"+segSuffix)
+		if err := writeSegment(path, 2, entries); err != nil {
+			b.Fatal(err)
+		}
+		seg, err := OpenSegment(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer seg.close()
+		lo := [4]float64{0, 0, 0, 0}
+		hi := [4]float64{1e9, 1e9, 1e9, 1e9}
+		gate := func([4]float64) bool { return false }
+		visit := func(Record) bool { return true }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if seg.GatedSearchFeatures(lo, hi, gate, visit) != len(entries) {
+				b.Fatal("scan missed records")
 			}
-			seg, err := OpenSegment(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer seg.close()
-			lo := [4]float64{0, 0, 0, 0}
-			hi := [4]float64{1e9, 1e9, 1e9, 1e9}
-			gate := func([4]float64) bool { return false }
-			visit := func(Record) bool { return true }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if seg.GatedSearchFeatures(lo, hi, gate, visit) != len(entries) {
-					b.Fatal("scan missed records")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkLoadRecord measures one refine-phase summary load from a

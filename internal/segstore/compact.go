@@ -96,7 +96,7 @@ func (st *Store) compactGroup(group []*Segment, dead map[int64]struct{}, tr *tra
 	var out *Segment
 	if len(merged) > 0 {
 		st.mu.Lock()
-		name := fmt.Sprintf("seg-%08d%s", st.seq, segSuffix)
+		name := fmt.Sprintf("%s%08d%s", segPrefix, st.seq, segSuffix)
 		st.seq++
 		st.mu.Unlock()
 		path := filepath.Join(st.dir, name)

@@ -5,10 +5,10 @@
 // (the off-line analysis workload of §3.2 assumes the pattern base keeps
 // every archived summary; the memory tier alone cannot).
 //
-// # On-disk format (v3, current)
+// # On-disk format (v3)
 //
 // A segment file holds a batch of archived summaries demoted from the
-// memory tier, in FIFO (archive) order. The current format is columnar:
+// memory tier, in FIFO (archive) order. The format is columnar:
 // every fixed-width filter-phase feature lives in a densely packed
 // array, laid out for sequential scanning, and the variable-width
 // summary blobs follow in their own region:
@@ -46,24 +46,20 @@
 // phase fanned across many segments touches only the segments whose
 // range overlaps the query.
 //
-// # Legacy formats
+// # Pre-v3 formats
 //
-// v1/v2 segments ("SGSLOG1\n" header, length-prefixed blob records, a
-// serialized-index footer — "SGSFTR2\n" with the zone block, "SGSFTR1\n"
-// without) still open read-only: their footer rebuilds in-memory R-tree
-// and feature-grid probe structures, and their record region remains
-// byte-identical to an archive.Appender log (a damaged legacy segment is
-// salvageable with archive.Base.LoadAppended). A store may hold any mix
-// of versions; compaction rewrites whatever it merges into v3. All new
-// segments are written v3.
+// v1/v2 segments ("SGSLOG1\n" header) are rejected with ErrBadSegment.
+// To migrate such a store, run `sgstool compact` on it with a build that
+// still reads them: compaction rewrites what it merges as v3.
 //
-// Validity is all-or-nothing in every format: OpenSegment verifies the
-// end magic, the trailer's geometry (footerOff + footerLen + trailer ==
-// file size), the footer CRC, the header magic, the columnar-region CRC
-// (v3) and every record's byte range before exposing anything. A file
-// truncated at any byte offset fails one of those checks and is rejected
-// whole — a torn segment is never loaded (see the recovery sweep in
-// segment_test.go, which CI runs with mmap both on and off).
+// Validity is all-or-nothing: OpenSegment verifies the header magic,
+// the end magic, the trailer's geometry (footerOff + footerLen + trailer
+// == file size), the footer CRC, the columnar-region CRC and every
+// record's byte range before exposing anything. A file truncated at any
+// byte offset fails one of those checks and is rejected whole — a torn
+// segment is never loaded (see the recovery sweep in segment_test.go,
+// which CI runs with mmap both on and off). FuzzOpenSegment and
+// FuzzManifest fuzz both decoders with their checksums resealed.
 //
 // # Store, manifest, compaction
 //
@@ -94,15 +90,14 @@
 // # Concurrency, mapping lifetime and the read contract
 //
 // Segments are immutable after OpenSegment: any number of goroutines may
-// probe the search methods concurrently (the same read-only traversal
-// contract as internal/rtree and internal/featidx) and Load records
-// concurrently. View pins the current segment set plus a copy of the
-// tombstones — the store analogue of archive.Snapshot — and remains
-// searchable while flushes, tombstones and compactions proceed: a
-// compaction retires replaced segments by unlinking them, but an mmap
-// (like an open file handle) survives unlink, so every pinned View stays
-// readable until the View (and the Segments it pins) become unreachable,
-// at which point a finalizer unmaps and closes. Blob slices returned by
+// probe the search methods and Load records concurrently. View pins the
+// current segment set plus a copy of the tombstones — the store
+// analogue of archive.Snapshot — and remains searchable while flushes,
+// tombstones and compactions proceed: a compaction retires replaced
+// segments by unlinking them, but an mmap (like an open file handle)
+// survives unlink, so every pinned View stays readable until the View
+// (and the Segments it pins) become unreachable, at which point a
+// finalizer unmaps and closes. Blob slices returned by
 // LoadBlob on a mapped segment are views into that mapping and share its
 // lifetime — copy them to retain them past the pinning View. Store.Close
 // stops the compactor and unmaps/closes all live segments; Views must

@@ -22,8 +22,8 @@ var (
 )
 
 // v3 fixed footer head: magic | dim u8 | count u32 | colOff u64 |
-// colLen u64 | blobOff u64 | blobLen u64 | colCRC u32, then the v2-style
-// zone block (union MBR + per-feature min/max).
+// colLen u64 | blobOff u64 | blobLen u64 | colCRC u32, then the zone
+// block (union MBR + per-feature min/max).
 const footerV3Head = 8 + 1 + 4 + 8*4 + 4
 
 // colLayout describes the byte offsets of the six columns inside the
@@ -53,10 +53,10 @@ func layoutV3(count, dim int) colLayout {
 	return l
 }
 
-// writeSegmentV3 writes a complete v3 segment file at path (no atomicity
+// writeSegment writes a complete v3 segment file at path (no atomicity
 // — the caller writes to a temp name and renames). Entries must be in
 // archive (FIFO) order and share the store's dimensionality.
-func writeSegmentV3(path string, dim int, entries []FlushEntry) error {
+func writeSegment(path string, dim int, entries []FlushEntry) error {
 	count := len(entries)
 	l := layoutV3(count, dim)
 	col := make([]byte, l.size)
@@ -140,8 +140,8 @@ func writeSegmentV3(path string, dim int, entries []FlushEntry) error {
 // zoneSize is the encoded size of a zone block.
 func zoneSize(dim int) int { return dim*16 + 64 }
 
-// appendZone encodes the zone block (identical layout in v2 and v3
-// footers: union MBR min/max, then per-feature min/max).
+// appendZone encodes the footer's zone block: union MBR min/max, then
+// per-feature min/max.
 func appendZone(buf []byte, dim int, z zone) []byte {
 	var n8 [8]byte
 	f64 := func(v float64) {
@@ -207,17 +207,11 @@ func zoneOfEntries(dim int, entries []FlushEntry) zone {
 // openSegmentV3 validates a v3 segment and builds its in-memory state:
 // the columnar region either as a sub-slice of the file mapping (zero
 // copy) or, on the pread fallback, as one heap copy read at open. The
-// caller has already verified the trailer geometry and footer CRC.
+// caller has already verified the header magic, the trailer geometry
+// and the footer CRC.
 func openSegmentV3(path string, f *os.File, size, footerOff int64, footer []byte) (*Segment, error) {
-	var head [8]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadSegment, path, err)
-	}
-	if head != segMagicV3 {
-		return nil, fmt.Errorf("%w: %s: bad header magic for v3 footer", ErrBadSegment, path)
-	}
-	if len(footer) < footerV3Head {
-		return nil, fmt.Errorf("%w: %s: short v3 footer", ErrBadSegment, path)
+	if len(footer) < footerV3Head || [8]byte(footer[:8]) != footerMagicV3 {
+		return nil, fmt.Errorf("%w: %s: bad footer magic", ErrBadSegment, path)
 	}
 	p := footer[8:]
 	dim := int(p[0])
@@ -230,9 +224,11 @@ func openSegmentV3(path string, f *os.File, size, footerOff int64, footer []byte
 	blobOff := int64(binary.LittleEndian.Uint64(p[21:]))
 	blobLen := int64(binary.LittleEndian.Uint64(p[29:]))
 	colCRC := binary.LittleEndian.Uint32(p[37:])
+	// blobLen >= 0 keeps the columnar region inside the file, which also
+	// bounds count by the file size before anything is sized from it.
 	l := layoutV3(count, dim)
 	if colOff != int64(len(segMagicV3)) || colLen != int64(l.size) ||
-		blobOff != colOff+colLen || blobOff+blobLen != footerOff {
+		blobOff != colOff+colLen || blobLen < 0 || blobOff+blobLen != footerOff {
 		return nil, fmt.Errorf("%w: %s: v3 region geometry", ErrBadSegment, path)
 	}
 	zone, rest, err := decodeZone(footer[footerV3Head:], dim)
@@ -241,7 +237,7 @@ func openSegmentV3(path string, f *os.File, size, footerOff int64, footer []byte
 	}
 
 	seg := &Segment{
-		path: path, f: f, version: 3, dim: dim, zone: zone,
+		path: path, f: f, dim: dim, zone: zone,
 		payload: int(blobLen),
 		byID:    make(map[int64]int, count),
 	}
@@ -335,13 +331,13 @@ func (s *Segment) featAt(i int) [4]float64 {
 	}
 }
 
-// scanFeaturesV3 linearly scans the feats column for records inside
+// scanFeatures linearly scans the feats column for records inside
 // [lo, hi], applying gate (when non-nil) before visiting — the fused
 // filter+gate pass. It returns the number of in-range records (the index
-// candidates), so callers report the same filter statistics the indexed
-// v1/v2 path would. The scan reads only the mapped (or heap) columns:
-// zero allocation, no syscall.
-func (s *Segment) scanFeaturesV3(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
+// candidates), the same count an index probe of the memory tier reports.
+// The scan reads only the mapped (or heap) columns: zero allocation, no
+// syscall.
+func (s *Segment) scanFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
 	probed := 0
 	for i := 0; i < s.count; i++ {
 		v := s.featAt(i)
@@ -360,10 +356,10 @@ func (s *Segment) scanFeaturesV3(lo, hi [4]float64, gate func([4]float64) bool, 
 	return probed
 }
 
-// scanLocationV3 linearly scans the mbrs column for records whose MBR
+// scanLocation linearly scans the mbrs column for records whose MBR
 // intersects q (inclusive bounds, exactly geom.MBR.Intersects), applying
 // gate before visiting. Returns the number of intersecting records.
-func (s *Segment) scanLocationV3(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) int {
+func (s *Segment) scanLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) int {
 	if q.IsEmpty() {
 		return 0
 	}

@@ -2,69 +2,16 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"streamsum/internal/geom"
 )
-
-// reformatSegment rewrites an existing segment file in place in the
-// given legacy format, preserving its records (the manifest lists file
-// names only, so a store reopens the rewritten file transparently).
-func reformatSegment(t *testing.T, path string, version int) {
-	t.Helper()
-	seg, err := OpenSegment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []FlushEntry
-	for _, r := range seg.Records() {
-		blob, err := seg.LoadBlob(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, FlushEntry{
-			ID: r.ID, Blob: append([]byte{}, blob...), MBR: r.MBR, Feat: r.Feat,
-		})
-	}
-	dim := seg.Dim()
-	if err := seg.close(); err != nil {
-		t.Fatal(err)
-	}
-	tmp := path + ".tmp"
-	if err := writeSegmentV2(tmp, dim, entries); err != nil {
-		t.Fatal(err)
-	}
-	if version == 1 {
-		// Strip the v2 zone block and restamp the footer as v1 — the
-		// same rewrite TestSegmentZone performs.
-		raw, err := os.ReadFile(tmp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		footerOff := int64(len(raw)) - trailerSize
-		origOff := footerOffOf(t, raw)
-		footer := append([]byte{}, raw[origOff:footerOff]...)
-		copy(footer[:8], footerMagicV1[:])
-		footer = footer[:len(footer)-zoneSize(dim)]
-		out := append(append([]byte{}, raw[:origOff]...), footer...)
-		var tr [trailerSize]byte
-		binary.LittleEndian.PutUint64(tr[0:], uint64(origOff))
-		binary.LittleEndian.PutUint32(tr[8:], uint32(len(footer)))
-		binary.LittleEndian.PutUint32(tr[12:], crc32.ChecksumIEEE(footer))
-		copy(tr[16:], endMagic[:])
-		out = append(out, tr[:]...)
-		if err := os.WriteFile(tmp, out, 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // footerOffOf reads a segment file's footer offset from its trailer.
 func footerOffOf(t *testing.T, raw []byte) int64 {
@@ -75,105 +22,73 @@ func footerOffOf(t *testing.T, raw []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(raw[len(raw)-trailerSize:]))
 }
 
-// TestMixedFormatStore: a store holding v1, v2 and v3 segments at once
-// must open, serve queries from every segment, compact into the current
-// format and reopen clean.
-func TestMixedFormatStore(t *testing.T) {
+// preV3Segment hand-builds a one-record v2 segment, the record-log
+// format read before v3: an "SGSLOG1\n" header, a length-prefixed blob,
+// an "SGSFTR2\n" footer (record directory plus zone block) and a trailer
+// whose footer CRC is valid.
+func preV3Segment() []byte {
+	le := binary.LittleEndian
+	blob := []byte("blob")
+	out := le.AppendUint32([]byte("SGSLOG1\n"), uint32(len(blob)))
+	out = append(out, blob...)
+	footerOff := len(out)
+	footer := le.AppendUint32([]byte("SGSFTR2\n\x02"), 1) // dim 2, one record
+	footer = le.AppendUint64(footer, 7)                   // id
+	footer = le.AppendUint64(footer, 12)                  // blob offset
+	footer = le.AppendUint32(footer, uint32(len(blob)))
+	// Record MBR min/max and features, then the zone: MBR, feature min, max.
+	for _, v := range []float64{0, 0, 1, 1, 1, 2, 3, 4, 0, 0, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4} {
+		footer = le.AppendUint64(footer, math.Float64bits(v))
+	}
+	out = append(out, footer...)
+	out = le.AppendUint64(out, uint64(footerOff))
+	out = le.AppendUint32(out, uint32(len(footer)))
+	out = le.AppendUint32(out, crc32.ChecksumIEEE(footer))
+	return append(out, endMagic[:]...)
+}
+
+// wantPreV3 checks err is the pre-v3 rejection: ErrBadSegment plus the
+// migration hint.
+func wantPreV3(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), "pre-v3") ||
+		!strings.Contains(err.Error(), "sgstool compact") {
+		t.Fatalf("pre-v3 segment: err = %v, want ErrBadSegment naming the migration", err)
+	}
+}
+
+// TestPreV3SegmentRejected: v1/v2 segments are no longer read. Both the
+// old header and (behind a v3 header) the old footer are recognized and
+// rejected with the migration message, by OpenSegment and by Store.Open
+// when the manifest lists such a file.
+func TestPreV3SegmentRejected(t *testing.T) {
+	raw := preV3Segment()
+	path := filepath.Join(t.TempDir(), "old"+segSuffix)
+	for _, head := range []string{"SGSLOG1\n", "SGSSEG3\n"} {
+		bad := append([]byte(head), raw[8:]...)
+		if err := os.WriteFile(path, bad, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenSegment(path)
+		wantPreV3(t, err)
+	}
+
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Dim: 2, TargetSegmentBytes: 1 << 20, NoBackgroundCompaction: true})
+	st, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []FlushEntry
-	for i := 0; i < 3; i++ {
-		batch := makeEntries(t, 4, int64(20+i), int64(100*i))
-		all = append(all, batch...)
-		if err := st.Flush(batch); err != nil {
-			t.Fatal(err)
-		}
+	if err := st.Flush(makeEntries(t, 2, 5, 0)); err != nil {
+		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite segment 0 as v2 and segment 1 as v1; segment 2 stays v3.
-	reformatSegment(t, filepath.Join(dir, "seg-00000000"+segSuffix), 2)
-	reformatSegment(t, filepath.Join(dir, "seg-00000001"+segSuffix), 1)
-
-	st2, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
-	if err != nil {
-		t.Fatalf("mixed-format store rejected: %v", err)
-	}
-	v := st2.View()
-	var formats []int
-	for _, seg := range v.Segments() {
-		formats = append(formats, seg.Format())
-	}
-	if !reflect.DeepEqual(formats, []int{2, 1, 3}) {
-		t.Fatalf("segment formats = %v", formats)
-	}
-	// Every record is reachable and loads across all three formats, and
-	// gated probes agree with a linear scan.
-	for _, e := range all {
-		seg, r, ok := v.Get(e.ID)
-		if !ok {
-			t.Fatalf("id %d missing from mixed store", e.ID)
-		}
-		blob, err := seg.LoadBlob(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(blob) != string(e.Blob) {
-			t.Fatalf("id %d: blob mismatch after reformat", e.ID)
-		}
-	}
-	for _, seg := range v.Segments() {
-		for _, r := range seg.Records() {
-			hit := false
-			probed := seg.GatedSearchFeatures(r.Feat, r.Feat, nil, func(got Record) bool {
-				if got.ID == r.ID {
-					hit = true
-					return false
-				}
-				return true
-			})
-			if !hit || probed == 0 {
-				t.Fatalf("format v%d: point probe missed record %d", seg.Format(), r.ID)
-			}
-		}
-	}
-
-	// Compaction rewrites the mixed set into one current-format segment.
-	if err := st2.CompactNow(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000000"+segSuffix), raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if s := st2.Stats(); s.Segments != 1 {
-		t.Fatalf("segments after compaction: %d", s.Segments)
-	}
-	if got := st2.View().Segments()[0].Format(); got != 3 {
-		t.Fatalf("compacted segment format = v%d", got)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
-	if err != nil {
-		t.Fatalf("reopen after mixed compaction: %v", err)
-	}
-	defer st3.Close()
-	var ids []int64
-	for _, seg := range st3.View().Segments() {
-		for _, r := range seg.Records() {
-			ids = append(ids, r.ID)
-		}
-	}
-	if len(ids) != len(all) {
-		t.Fatalf("records after reopen: %d want %d", len(ids), len(all))
-	}
-	for i, e := range all {
-		if ids[i] != e.ID {
-			t.Fatalf("FIFO order broken at %d: %d want %d", i, ids[i], e.ID)
-		}
-	}
+	_, err = Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
+	wantPreV3(t, err)
 }
 
 // TestV3CorruptionRejected flips bytes inside the columnar region and
@@ -219,6 +134,24 @@ func TestV3CorruptionRejected(t *testing.T) {
 			t.Fatalf("byte %d corrupted but segment accepted", off)
 		}
 	}
+	// A resealed footer claiming more records than the file holds (the
+	// columnar region runs past the footer, the blob length goes
+	// negative) must fail the geometry check before anything is sized
+	// from the count.
+	bad := append([]byte{}, raw...)
+	p := bad[footerOff+8:]
+	l := layoutV3(1000, 2)
+	binary.LittleEndian.PutUint32(p[1:], 1000)
+	binary.LittleEndian.PutUint64(p[13:], uint64(l.size))
+	binary.LittleEndian.PutUint64(p[21:], uint64(len(segMagicV3)+l.size))
+	binary.LittleEndian.PutUint64(p[29:], uint64(footerOff-int64(len(segMagicV3)+l.size)))
+	resealSegment(bad)
+	if err := os.WriteFile(path, bad, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSegment(path); !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("oversized record count: err = %v, want ErrBadSegment", err)
+	}
 	if err := os.WriteFile(path, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +180,6 @@ func TestV3PreadFallback(t *testing.T) {
 	defer seg.close()
 	if seg.Mapped() {
 		t.Fatal("segment mapped with mmap disabled")
-	}
-	if seg.Format() != 3 {
-		t.Fatalf("format = v%d", seg.Format())
 	}
 	for _, e := range entries {
 		r, ok := seg.Get(e.ID)

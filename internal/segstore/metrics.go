@@ -6,12 +6,8 @@ import "streamsum/internal/obs"
 // filter/refine hot paths are single atomic adds — see internal/obs for
 // the zero-allocation contract.
 var (
-	metricOpenedV1 = obs.NewCounter("sgs_segstore_segments_opened_total",
-		"Segment files opened, by on-disk format version.", obs.L{Key: "format", Value: "v1"})
-	metricOpenedV2 = obs.NewCounter("sgs_segstore_segments_opened_total",
-		"", obs.L{Key: "format", Value: "v2"})
-	metricOpenedV3 = obs.NewCounter("sgs_segstore_segments_opened_total",
-		"", obs.L{Key: "format", Value: "v3"})
+	metricOpened = obs.NewCounter("sgs_segstore_segments_opened_total",
+		"Segment files opened.")
 
 	metricLoadsMmap = obs.NewCounter("sgs_segstore_record_loads_total",
 		"Record blob reads, by access mode (mmap = decoded from the mapping, pread = syscall fallback).",
@@ -29,14 +25,3 @@ var (
 	metricCompactions = obs.NewCounter("sgs_segstore_compactions_total",
 		"Committed compactions.")
 )
-
-func (s *Segment) countOpen() {
-	switch s.version {
-	case 1:
-		metricOpenedV1.Inc()
-	case 2:
-		metricOpenedV2.Inc()
-	default:
-		metricOpenedV3.Inc()
-	}
-}

@@ -2,11 +2,13 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"testing"
 
 	"streamsum/internal/dbscan"
@@ -217,6 +219,34 @@ func TestStoreFlushTombstoneCompact(t *testing.T) {
 	if sum.NumCells() == 0 {
 		t.Fatal("empty summary from pinned view")
 	}
+
+	// The merged segment survives a reopen: FIFO order holds, and a point
+	// probe on each record's own feature vector finds it.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	got = got[:0]
+	for _, seg := range st2.View().Segments() {
+		for _, r := range seg.Records() {
+			got = append(got, r.ID)
+			hit := false
+			probed := seg.GatedSearchFeatures(r.Feat, r.Feat, nil, func(c Record) bool {
+				hit = c.ID == r.ID
+				return !hit
+			})
+			if !hit || probed == 0 {
+				t.Fatalf("point probe missed record %d after reopen", r.ID)
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order after reopen: %v want %v", got, want)
+	}
 }
 
 func TestStoreReopen(t *testing.T) {
@@ -365,10 +395,107 @@ func TestSegstoreRecovery(t *testing.T) {
 	}
 }
 
-// TestSegmentZone checks the footer's filter zone across all three
-// formats: it must bound every record, disjoint queries must return
-// nothing (the skip path), a v2 footer must carry the same zone, and a
-// v1 footer (no zone block) must still open with a derived zone.
+// sealManifest appends the CRC that loadManifest checks.
+func sealManifest(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// manifestListing builds a CRC-valid dim-2 manifest listing names in
+// order, with no tombstones.
+func manifestListing(names ...string) []byte {
+	le := binary.LittleEndian
+	b := append(append([]byte{}, manifestMagic[:]...), 2)
+	b = le.AppendUint64(b, uint64(len(names))) // next file sequence number
+	b = le.AppendUint32(b, uint32(len(names)))
+	for _, n := range names {
+		b = append(le.AppendUint16(b, uint16(len(n))), n...)
+	}
+	return sealManifest(le.AppendUint32(b, 0))
+}
+
+// wantBadManifest installs man as dir's MANIFEST and checks that Open
+// refuses it with ErrBadManifest.
+func wantBadManifest(t *testing.T, dir string, man []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
+	if err == nil {
+		st.Close()
+	}
+	if !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("manifest %q: err = %v, want ErrBadManifest", man, err)
+	}
+}
+
+// hugeCountManifest is a 33-byte manifest with a valid CRC that claims
+// 2^32-1 segments.
+func hugeCountManifest() []byte {
+	body := append(append([]byte{}, manifestMagic[:]...), 2)
+	body = binary.LittleEndian.AppendUint64(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, math.MaxUint32)
+	return sealManifest(append(body, make([]byte, 8)...))
+}
+
+// TestManifestHugeSegmentCount: hugeCountManifest is refused. The claim
+// used to size an allocation directly, which killed the process with a
+// fatal out-of-memory error.
+func TestManifestHugeSegmentCount(t *testing.T) {
+	man := hugeCountManifest()
+	if len(man) != 33 {
+		t.Fatalf("fixture is %d bytes", len(man))
+	}
+	wantBadManifest(t, t.TempDir(), man)
+}
+
+// TestManifestPathTraversal: a listed name must be a bare seg-*.sgsseg
+// basename. Otherwise Open would serve a file outside the store
+// directory, and a later compaction would unlink it.
+func TestManifestPathTraversal(t *testing.T) {
+	root := t.TempDir()
+	victim := filepath.Join(root, "seg-00000000"+segSuffix)
+	if err := writeSegment(victim, 2, makeEntries(t, 2, 6, 0)); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "store")
+	if err := os.Mkdir(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../seg-00000000" + segSuffix, victim, "old.sgsb"} {
+		wantBadManifest(t, dir, manifestListing(name))
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("file outside the store: %v", err)
+	}
+}
+
+// TestManifestDuplicateName: one file listed twice would open as two
+// segments (every id served twice, and a merge would unlink it), so the
+// manifest is refused; listed once, the same file opens.
+func TestManifestDuplicateName(t *testing.T) {
+	dir := t.TempDir()
+	name := "seg-00000000" + segSuffix
+	if err := writeSegment(filepath.Join(dir, name), 2, makeEntries(t, 2, 6, 0)); err != nil {
+		t.Fatal(err)
+	}
+	wantBadManifest(t, dir, manifestListing(name, name))
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifestListing(name), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if s := st.Stats(); s.Segments != 1 || s.Records != 2 {
+		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestSegmentZone checks the footer's filter zone: it must bound every
+// record, disjoint queries must return nothing (the skip path), and an
+// in-zone point probe must find every record.
 func TestSegmentZone(t *testing.T) {
 	dir := t.TempDir()
 	entries := makeEntries(t, 12, 3, 0)
@@ -380,9 +507,7 @@ func TestSegmentZone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg.Format() != 3 {
-		t.Fatalf("current writer produced format %d", seg.Format())
-	}
+	defer seg.close()
 	mbr, fmin, fmax := seg.Zone()
 	for _, r := range seg.Records() {
 		if !mbr.Intersects(r.MBR) {
@@ -424,62 +549,5 @@ func TestSegmentZone(t *testing.T) {
 		if !found {
 			t.Fatalf("point probe missed record %d", r.ID)
 		}
-	}
-
-	// Rewrite the same records as a legacy v2 file, then under a v1
-	// footer (records only, v1 magic): OpenSegment must derive an
-	// identical zone.
-	v2path := filepath.Join(dir, "zone-v2.sgsseg")
-	if err := writeSegmentV2(v2path, 2, entries); err != nil {
-		t.Fatal(err)
-	}
-	seg2, err := OpenSegment(v2path)
-	if err != nil {
-		t.Fatalf("v2 segment rejected: %v", err)
-	}
-	if seg2.Format() != 2 {
-		t.Fatalf("v2 segment reports format %d", seg2.Format())
-	}
-	mbr2, fmin2, fmax2 := seg2.Zone()
-	if !reflect.DeepEqual(mbr2, mbr) || fmin2 != fmin || fmax2 != fmax {
-		t.Fatalf("v2 zone differs from v3: %v %v %v vs %v %v %v", mbr2, fmin2, fmax2, mbr, fmin, fmax)
-	}
-	recs := seg2.Records()
-	v1 := encodeFooterV2(2, recs)
-	copy(v1[:8], footerMagicV1[:])
-	v1 = v1[:len(v1)-(2*16+64)] // drop the zone block
-	raw, err := os.ReadFile(v2path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footerOff := int64(len(raw)) - trailerSize
-	// Recover the original footer offset from the trailer to find where
-	// the record region ends.
-	origOff := int64(binary.LittleEndian.Uint64(raw[footerOff:]))
-	body := raw[:origOff]
-	out := append(append([]byte{}, body...), v1...)
-	var tr [trailerSize]byte
-	binary.LittleEndian.PutUint64(tr[0:], uint64(origOff))
-	binary.LittleEndian.PutUint32(tr[8:], uint32(len(v1)))
-	binary.LittleEndian.PutUint32(tr[12:], crc32.ChecksumIEEE(v1))
-	copy(tr[16:], endMagic[:])
-	out = append(out, tr[:]...)
-	v1path := filepath.Join(dir, "zone-v1.sgsseg")
-	if err := os.WriteFile(v1path, out, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	seg1, err := OpenSegment(v1path)
-	if err != nil {
-		t.Fatalf("v1 footer rejected: %v", err)
-	}
-	if seg1.Format() != 1 {
-		t.Fatalf("v1 segment reports format %d", seg1.Format())
-	}
-	mbr1, fmin1, fmax1 := seg1.Zone()
-	if !reflect.DeepEqual(mbr1, mbr) || fmin1 != fmin || fmax1 != fmax {
-		t.Fatalf("derived v1 zone differs: %v %v %v vs %v %v %v", mbr1, fmin1, fmax1, mbr, fmin, fmax)
-	}
-	if seg1.Len() != seg.Len() {
-		t.Fatalf("v1 reopen lost records: %d vs %d", seg1.Len(), seg.Len())
 	}
 }

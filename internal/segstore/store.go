@@ -16,6 +16,7 @@ var manifestMagic = [8]byte{'S', 'G', 'S', 'M', 'A', 'N', '1', '\n'}
 
 const (
 	manifestName = "MANIFEST"
+	segPrefix    = "seg-"
 	segSuffix    = ".sgsseg"
 )
 
@@ -60,10 +61,6 @@ type Stats struct {
 	Tombstones  int
 	Compactions uint64
 
-	// Per-format and access-mode composition of the live segment set.
-	SegmentsV1     int
-	SegmentsV2     int
-	SegmentsV3     int
 	SegmentsMapped int // segments serving reads from a memory mapping
 }
 
@@ -151,7 +148,10 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // loadManifest parses MANIFEST, returning the listed segment file names
-// in archive order. A missing manifest means a fresh store.
+// in archive order. A missing manifest means a fresh store. Every listed
+// name must be a distinct bare seg-*.sgsseg basename: compaction later
+// unlinks listed files, so a name reaching outside the store directory,
+// or one file listed twice, is refused rather than trusted.
 func (st *Store) loadManifest() ([]string, error) {
 	b, err := os.ReadFile(filepath.Join(st.dir, manifestName))
 	if os.IsNotExist(err) {
@@ -173,7 +173,10 @@ func (st *Store) loadManifest() ([]string, error) {
 	p = p[9:]
 	nsegs := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	names := make([]string, 0, nsegs)
+	// Each name costs at least its 2-byte length, so the remaining bytes
+	// bound the count whatever the header claims.
+	names := make([]string, 0, min(uint64(nsegs), uint64(len(p)/2)))
+	seen := make(map[string]bool)
 	for i := uint32(0); i < nsegs; i++ {
 		if len(p) < 2 {
 			return nil, fmt.Errorf("%w: truncated segment list", ErrBadManifest)
@@ -183,8 +186,16 @@ func (st *Store) loadManifest() ([]string, error) {
 		if len(p) < n {
 			return nil, fmt.Errorf("%w: truncated segment name", ErrBadManifest)
 		}
-		names = append(names, string(p[:n]))
+		name := string(p[:n])
 		p = p[n:]
+		if filepath.Base(name) != name || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+			return nil, fmt.Errorf("%w: segment name %q", ErrBadManifest, name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("%w: segment %q listed twice", ErrBadManifest, name)
+		}
+		seen[name] = true
+		names = append(names, name)
 	}
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadManifest)
@@ -310,7 +321,7 @@ func (st *Store) PrepareFlush(entries []FlushEntry) (*PendingSegment, error) {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("segstore: store is closed")
 	}
-	name := fmt.Sprintf("seg-%08d%s", st.seq, segSuffix)
+	name := fmt.Sprintf("%s%08d%s", segPrefix, st.seq, segSuffix)
 	st.seq++
 	st.mu.Unlock()
 	p := &PendingSegment{st: st, path: filepath.Join(st.dir, name), entries: len(entries), maxID: -1}
@@ -436,14 +447,6 @@ func (st *Store) Stats() Stats {
 	for _, seg := range st.segs {
 		s.Records += len(seg.recs)
 		s.Bytes += seg.payload
-		switch seg.version {
-		case 1:
-			s.SegmentsV1++
-		case 2:
-			s.SegmentsV2++
-		default:
-			s.SegmentsV3++
-		}
 		if seg.Mapped() {
 			s.SegmentsMapped++
 		}

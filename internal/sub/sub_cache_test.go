@@ -7,7 +7,6 @@ import (
 	"streamsum/internal/archive"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 )
 
 // runOfferDiskResident archives the fixture's windows into store-backed
@@ -32,16 +31,9 @@ func runOfferDiskResident(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			// The cache's budget is carved out of MaxMemBytes; raising the
 			// bound by it keeps the tier split identical across configs.
-			// Under SGS_SUMCACHE=off no carve-out happens, so the bound
-			// (and the configured budget, which New validates against it)
-			// stays at the bare cap.
-			carve := 0
-			if sumcache.Enabled() {
-				carve = cache
-			}
 			base, err := archive.New(archive.Config{
 				Dim: 2, StorePath: t.TempDir(),
-				MaxMemBytes: memCap + carve, SummaryCacheBytes: carve,
+				MaxMemBytes: memCap + cache, SummaryCacheBytes: cache,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +103,7 @@ func runOfferDiskResident(t *testing.T) {
 				streams[i] = stripPayload(gots[i]())
 			}
 
-			if cache > 0 && sumcache.Enabled() {
+			if cache > 0 {
 				if ts := base.TierStats(); ts.CacheMisses == 0 {
 					t.Fatalf("cache %d: refine never consulted the cache: %+v", cache, ts)
 				}

@@ -24,8 +24,8 @@
 //     owner is invalidated. Retiring an owner (compaction, Remove) must
 //     call InvalidateOwner/InvalidateID to uncharge its entries.
 //   - A nil *Cache is valid and means "disabled": GetOrLoad degrades to
-//     calling the loader. New returns nil for a non-positive budget or
-//     when SGS_SUMCACHE=off, so the uncached path stays reachable.
+//     calling the loader. New returns nil for a non-positive budget, so
+//     the cache is off exactly when its budget is <= 0.
 //
 // The cache only ever changes when a decode happens, never what it
 // yields: results are byte-identical with the cache on, off, or
@@ -33,7 +33,6 @@
 package sumcache
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -51,23 +50,6 @@ var (
 	metricEvictions = obs.NewCounter("sgs_sumcache_evictions_total",
 		"Decoded-summary cache entries evicted under byte pressure.")
 )
-
-// enabled gates cache construction, mirroring segstore's SGS_MMAP
-// toggle: the environment opts out globally, SetEnabled exists for tests
-// that must exercise the uncached path deterministically.
-var enabled atomic.Bool
-
-func init() {
-	enabled.Store(os.Getenv("SGS_SUMCACHE") != "off")
-}
-
-// SetEnabled switches whether New constructs caches, returning the
-// previous setting. Existing caches are unaffected. Tests only;
-// production code should use the SGS_SUMCACHE environment variable.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether New will construct caches.
-func Enabled() bool { return enabled.Load() }
 
 // NumShards is the lock striping width; the byte budget is divided
 // evenly across shards. Keys shard by record id, which the
@@ -125,10 +107,9 @@ type Cache struct {
 }
 
 // New returns a cache bounded by maxBytes of encoded summary charge, or
-// nil (the disabled cache) when maxBytes is non-positive or the layer is
-// switched off (SGS_SUMCACHE=off / SetEnabled(false)).
+// nil (the disabled cache) when maxBytes is non-positive.
 func New(maxBytes int) *Cache {
-	if maxBytes <= 0 || !enabled.Load() {
+	if maxBytes <= 0 {
 		return nil
 	}
 	c := &Cache{budget: int64(maxBytes)}

@@ -273,13 +273,8 @@ func TestDisabledCache(t *testing.T) {
 		t.Fatal("nil cache reports residency")
 	}
 
-	if New(0) != nil {
-		t.Fatal("zero budget must disable the cache")
-	}
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if New(1<<20) != nil {
-		t.Fatal("SetEnabled(false) must disable construction")
+	if New(0) != nil || New(-1) != nil {
+		t.Fatal("a non-positive budget must disable the cache")
 	}
 }
 

@@ -237,8 +237,8 @@ type Options struct {
 	// decodes once per residency, not once per query. Requires StorePath.
 	// The budget is carved out of StoreMaxMemBytes (memory tier + cache
 	// share that bound), so when both are set it must be strictly
-	// smaller. 0 — or SGS_SUMCACHE=off — disables the cache; results are
-	// identical either way, only repeated-query latency changes.
+	// smaller. 0 disables the cache; results are identical either way,
+	// only repeated-query latency changes.
 	SummaryCacheBytes int
 	// Logger receives the engine's diagnostics (slow window evaluations,
 	// background demotion failures), with a "component" attribute naming

@@ -11,7 +11,6 @@ import (
 	"streamsum/internal/match"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 )
 
 // tieredStreamEngines feeds the same GMTI stream into a memory-only
@@ -109,7 +108,7 @@ func runTieredMatchIdentical(t *testing.T) {
 	if memBase.Len() == 0 {
 		t.Fatal("empty pattern base")
 	}
-	for i, eng := range tierEngs {
+	for _, eng := range tierEngs {
 		tierBase := eng.PatternBase()
 		if memBase.Len() != tierBase.Len() {
 			t.Fatalf("base sizes: mem %d, tiered %d", memBase.Len(), tierBase.Len())
@@ -119,16 +118,14 @@ func runTieredMatchIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := tierBase.TierStats()
-		// The memory tier's effective cap is what the engine was configured
-		// with minus the cache's actual carve-out — under SGS_SUMCACHE=off
-		// the carve-out is zero and the whole bound goes to the tier.
-		memCap := maxMem + tieredCacheCfgs[i] - ts.CacheBudget
-		if ts.MemBytes > memCap {
-			t.Fatalf("memory tier %d bytes exceeds cap %d", ts.MemBytes, memCap)
+		// The cache's budget is carved out of the configured bound, which
+		// tieredStreamEngines raised by it, so every tier is capped at maxMem.
+		if ts.MemBytes > maxMem {
+			t.Fatalf("memory tier %d bytes exceeds cap %d", ts.MemBytes, maxMem)
 		}
-		if ts.MemBytes+ts.SegBytes <= memCap {
+		if ts.MemBytes+ts.SegBytes <= maxMem {
 			t.Fatalf("history (%d mem + %d disk bytes) did not grow past the cap %d",
-				ts.MemBytes, ts.SegBytes, memCap)
+				ts.MemBytes, ts.SegBytes, maxMem)
 		}
 		if ts.Segments < 2 {
 			t.Fatalf("want multiple segments, got %d", ts.Segments)
@@ -193,12 +190,10 @@ func runTieredMatchIdentical(t *testing.T) {
 
 	// The identical results above came from genuinely different residency
 	// paths: the uncached engine reports no cache, the cached engines
-	// served refine hits while staying inside their byte budgets. Under
-	// SGS_SUMCACHE=off every engine is uncached — the determinism half
-	// above is then the whole point of the run.
+	// served refine hits while staying inside their byte budgets.
 	for i, budget := range tieredCacheCfgs {
 		ts := tierEngs[i].PatternBase().TierStats()
-		if budget == 0 || !sumcache.Enabled() {
+		if budget == 0 {
 			if ts.CacheBudget != 0 || ts.CacheHits+ts.CacheMisses != 0 {
 				t.Fatalf("uncached engine reports cache activity: %+v", ts)
 			}
