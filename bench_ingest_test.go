@@ -1,15 +1,14 @@
-// Ingest-path benchmarks for the batched, sharded pipeline, alongside the
+// Ingest-path benchmarks for the batched pipeline, alongside the
 // Fig.7-style per-window benches of bench_test.go. These measure raw
 // ingestion throughput (tuples/sec) rather than per-window response time:
 //
 //	BenchmarkPushSequential      — the single-tuple Push hot path (baseline)
 //	BenchmarkPushBatch/...       — PushBatch with the parallel neighbor-
-//	                               discovery phase, swept over worker counts
-//	                               (EmitWorkers swept in lockstep)
-//	BenchmarkEmit/...            — output-stage scaling in isolation,
-//	                               swept over EmitWorkers
-//	BenchmarkShardedIngest/...   — the sharded executor, swept over shard
-//	                               counts (per-partition clustering)
+//	                               discovery phase and output stage, swept
+//	                               over Config.Workers
+//	BenchmarkEmit/...            — output-stage scaling in isolation:
+//	                               single-tuple Push (no discovery fan-out),
+//	                               swept over Config.Workers
 //
 // A recorded baseline lives in BENCH_ingest.json; the parallel speedup
 // claims require >= 4 physical cores (single-core hosts will show the
@@ -17,13 +16,11 @@
 package streamsum
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"streamsum/internal/core"
 	"streamsum/internal/experiments"
-	"streamsum/internal/stream"
 	"streamsum/internal/window"
 )
 
@@ -37,10 +34,9 @@ func ingestConfig(workers int) core.Config {
 	return core.Config{
 		Dim: 4, ThetaR: pc.ThetaR, ThetaC: pc.ThetaC,
 		Window: window.Spec{Win: ingestWin, Slide: ingestSlide},
-		// One knob drives both fan-outs in the sweep: discovery workers
-		// during ingest and output-stage workers during the per-slide emit.
-		Workers:     workers,
-		EmitWorkers: workers,
+		// One knob drives both fan-outs: discovery during PushBatch and
+		// the output stage during the per-slide emit.
+		Workers: workers,
 	}
 }
 
@@ -113,74 +109,36 @@ func BenchmarkPushBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEmit isolates the output stage's scaling: discovery runs with
-// one worker so each iteration's cost is dominated by the per-slide
-// window emission (prune + DFS + parallel cluster/summary construction),
-// swept over EmitWorkers.
+// BenchmarkEmit isolates the output stage's scaling: tuples go through
+// single-tuple Push, whose one range query search has nothing to fan
+// out, so Config.Workers only reaches the per-slide window emission
+// (prune + DFS + parallel cluster/summary construction).
 func BenchmarkEmit(b *testing.B) {
 	data := benchSTT(ingestWin + 60*ingestSlide)
 	pointAt := func(id int64) Point { return data.Points[id%int64(len(data.Points))] }
 	for _, emitWorkers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("emitWorkers%d", emitWorkers), func(b *testing.B) {
-			cfg := ingestConfig(1)
-			cfg.EmitWorkers = emitWorkers
-			ex, err := core.New(cfg)
+			ex, err := core.New(ingestConfig(emitWorkers))
 			if err != nil {
 				b.Fatal(err)
 			}
-			batch := make([]Point, ingestSlide)
 			var pushed int64
-			fill := func() {
-				for j := range batch {
-					batch[j] = pointAt(pushed)
-					pushed++
-				}
-			}
-			for pushed < ingestWin {
-				fill()
-				if _, err := ex.PushBatch(batch, nil); err != nil {
+			for ; pushed < ingestWin; pushed++ {
+				if _, _, err := ex.Push(pointAt(pushed), 0); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				fill()
-				if _, err := ex.PushBatch(batch, nil); err != nil {
-					b.Fatal(err)
+				for j := 0; j < ingestSlide; j++ {
+					if _, _, err := ex.Push(pointAt(pushed), 0); err != nil {
+						b.Fatal(err)
+					}
+					pushed++
 				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)*ingestSlide/b.Elapsed().Seconds(), "tuples/sec")
-		})
-	}
-}
-
-// BenchmarkShardedIngest measures the sharded executor end to end:
-// hash-partitioned per-shard clustering with batched ingestion inside
-// each shard. Throughput is tuples/sec over the whole (fixed-size) run.
-func BenchmarkShardedIngest(b *testing.B) {
-	const total = 100000
-	data := benchSTT(total)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				b.StopTimer()
-				procs := make([]stream.Processor, shards)
-				for i := range procs {
-					ex, err := core.New(ingestConfig(1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					procs[i] = ex
-				}
-				sh := &stream.Sharded{Procs: procs, BatchSize: ingestSlide}
-				b.StartTimer()
-				if _, err := sh.Run(context.Background(), stream.FromSlice(data.Points, data.TS)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*total/b.Elapsed().Seconds(), "tuples/sec")
 		})
 	}
 }

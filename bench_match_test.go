@@ -102,8 +102,8 @@ func BenchmarkMatchRun(b *testing.B) {
 
 // BenchmarkPutUnderMatch measures archiver-side Put latency while K
 // analyst goroutines run matching queries against the same base in a
-// closed loop — the mixed read/write traffic a shared pattern base sees
-// when fed by sharded ingestion. matchers0 is the uncontended baseline.
+// closed loop — the mixed read/write traffic a pattern base sees while
+// ingestion archives into it. matchers0 is the uncontended baseline.
 func BenchmarkPutUnderMatch(b *testing.B) {
 	for _, matchers := range []int{0, 2} {
 		name := "matchers0"
@@ -146,7 +146,7 @@ func BenchmarkPutUnderMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPutBatchUnderMatch is the sharded-ingest append path: one op
+// BenchmarkPutBatchUnderMatch is the per-window append path: one op
 // archives a window's worth of summaries via a single PutBatch while two
 // analyst goroutines match continuously against the same base.
 func BenchmarkPutBatchUnderMatch(b *testing.B) {

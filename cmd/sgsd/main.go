@@ -22,10 +22,10 @@
 // same history decode each summary once; /stats reports the hit ratio.
 //
 // With -batch N (N = the query's slide is a good choice), tuples are fed
-// through the engine's batched ingest path, whose neighbor-discovery phase
-// fans out across -workers goroutines; with -emit-workers M the output
-// stage's per-cluster summary construction fans out across M goroutines.
-// Output is identical to unbatched, sequential operation in every case.
+// through the engine's batched ingest path. -parallelism P bounds every
+// fan-out inside the engine (batched neighbor discovery, the output
+// stage, matching, subscription evaluation); output is identical to
+// unbatched, sequential operation at every setting.
 //
 // With -http ADDR, sgsd serves cluster matching queries over HTTP while
 // the stream is still being ingested — the pattern base is
@@ -43,8 +43,7 @@
 // evaluation is inverted and incremental, so each live subscription
 // costs index probes per window, not a history scan. Error hygiene: a
 // malformed query is a 400 carrying the parse error, an unknown archive
-// id is a 404. The matcher's refine phase fans out across -match-workers
-// goroutines and subscription evaluation across -sub-workers.
+// id is a 404.
 package main
 
 import (
@@ -108,11 +107,8 @@ func main() {
 	members := flag.Bool("members", false, "include member ids in output")
 	archivePath := flag.String("archive", "", "save the pattern base to this file on exit")
 	logPath := flag.String("log", "", "append summaries to this crash-safe log as windows complete")
-	workers := flag.Int("workers", 0, "parallel neighbor-discovery workers for batched ingest (0 = one per CPU, 1 = sequential)")
+	parallelism := flag.Int("parallelism", 0, "goroutines for every fan-out inside the engine: batched neighbor discovery, output-stage summary construction, /match filter and refine, /subscribe evaluation (0 = one per CPU, 1 = sequential); windows, match results and events are byte-identical at every setting")
 	batch := flag.Int("batch", 0, "ingest batch size; 0 pushes tuple-by-tuple, otherwise tuples are fed through PushBatch in batches of this size (the query's slide is a good value)")
-	emitWorkers := flag.Int("emit-workers", 0, "parallel output-stage workers for per-cluster summary construction (0 = one per CPU, 1 = sequential); windows are byte-identical at every setting")
-	matchWorkers := flag.Int("match-workers", 0, "parallel matching workers for the filter and refine phases of /match queries (0 = one per CPU, 1 = sequential); results are byte-identical at every setting")
-	subWorkers := flag.Int("sub-workers", 0, "parallel standing-query evaluation workers for /subscribe (0 = one per CPU, 1 = sequential); events are byte-identical at every setting")
 	httpAddr := flag.String("http", "", "serve matching queries over HTTP on this address (e.g. :8080) concurrently with ingestion; implies archiving")
 	storePath := flag.String("store", "", "attach a disk tier to the pattern base under this directory; implies archiving. Evicted summaries demote into on-disk segments (inspect with sgstool inspect), stay matchable, and survive restarts — the memory tier is flushed to the store on clean exit")
 	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store); overflow demotes the oldest summaries to disk. 0 = no byte bound")
@@ -144,17 +140,17 @@ never stalls the stream:
   curl 'localhost:8080/match?q=GIVEN+DensityBasedCluster+3+SELECT+DensityBasedClusters+FROM+History+WHERE+Distance+<=+0.2'
 
 Performance knobs: -batch N feeds tuples through the batched ingest path
-(parallel neighbor discovery across -workers goroutines; N = the query's
-slide amortizes best), -emit-workers M fans the output stage's
-per-cluster summary construction across M goroutines, and -match-workers
-K fans the matcher's refine phase across K goroutines. All default to one
-worker per CPU and never change the output: windows and match results are
-byte-identical to sequential operation.
+(N = the query's slide amortizes best), and -parallelism P bounds every
+fan-out inside the engine (batched neighbor discovery, per-cluster
+summary construction, /match filter and refine, /subscribe evaluation).
+It defaults to one goroutine per CPU and never changes the output:
+windows, match results and events are byte-identical to sequential
+operation.
 
 Example:
 
   sgsd -query "DETECT DensityBasedClusters f+s FROM s USING theta_range = 0.1 AND theta_cnt = 8 IN WINDOWS WITH win = 10000 AND slide = 1000" \
-       -source stt -n 50000 -batch 1000 -workers 4 -emit-workers 4 -http :8080
+       -source stt -n 50000 -batch 1000 -parallelism 4 -http :8080
 
 Flags:
 `)
@@ -219,10 +215,7 @@ Flags:
 	if *archivePath != "" || *httpAddr != "" || *storePath != "" {
 		opts.Archive = &streamsum.ArchiveOptions{}
 	}
-	opts.Workers = *workers
-	opts.EmitWorkers = *emitWorkers
-	opts.MatchWorkers = *matchWorkers
-	opts.SubWorkers = *subWorkers
+	opts.Parallelism = *parallelism
 	opts.StorePath = *storePath
 	opts.StoreMaxMemBytes = *storeMem
 	opts.SummaryCacheBytes = *storeCache

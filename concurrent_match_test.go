@@ -1,49 +1,29 @@
 package streamsum
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
-	"streamsum/internal/archive"
-	"streamsum/internal/core"
 	"streamsum/internal/gen"
 	"streamsum/internal/match"
-	"streamsum/internal/stream"
-	"streamsum/internal/window"
 )
 
-// TestShardedPutWithConcurrentMatching is the acceptance scenario for
-// the snapshot-isolated pattern base: N sharded engines feed one base
-// through stream.ArchiveWindows (one PutBatch per window) while analyst
-// goroutines run matching queries against the same base the whole time.
-// Run with -race; completion also proves the old reader/writer deadlock
-// is gone.
-func TestShardedPutWithConcurrentMatching(t *testing.T) {
-	const shards = 4
-	base, err := archive.New(archive.Config{Dim: 2})
+// TestPutWithConcurrentMatching is the acceptance scenario for the
+// snapshot-isolated pattern base: an engine archives every window into
+// its base (one PutBatch per window) while analyst goroutines run
+// matching queries against the same base the whole time. Run with
+// -race; completion also proves the old reader/writer deadlock is gone.
+func TestPutWithConcurrentMatching(t *testing.T) {
+	eng, err := New(Options{
+		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 600, Slide: 300,
+		Archive: &ArchiveOptions{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	procs := make([]stream.Processor, shards)
-	for i := range procs {
-		eng, err := core.New(core.Config{
-			Dim: 2, ThetaR: 1.0, ThetaC: 4,
-			Window: window.Spec{Win: 600, Slide: 300},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = eng
-	}
-	sh := &stream.Sharded{
-		Procs:     procs,
-		OnWindow:  stream.ArchiveWindows(base, nil),
-		FlushTail: true,
-	}
+	base := eng.PatternBase()
 
 	// Matching targets built independently of the stream.
 	rng := rand.New(rand.NewSource(7))
@@ -60,7 +40,13 @@ func TestShardedPutWithConcurrentMatching(t *testing.T) {
 	data := gen.GMTI(gen.GMTIConfig{Seed: 3}, 12000)
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := sh.Run(context.Background(), stream.FromSlice(data.Points, data.TS))
+		for lo := 0; lo < len(data.Points); lo += 300 {
+			if _, err := eng.PushBatch(data.Points[lo:lo+300], nil); err != nil {
+				runDone <- err
+				return
+			}
+		}
+		_, err := eng.Flush()
 		runDone <- err
 	}()
 
@@ -111,6 +97,6 @@ func TestShardedPutWithConcurrentMatching(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if base.Len() == 0 {
-		t.Fatal("sharded run archived nothing")
+		t.Fatal("run archived nothing")
 	}
 }

@@ -68,8 +68,8 @@ func ExampleSummarizeStatic() {
 
 // ExampleOptions configures an engine explicitly: query parameters (the
 // DETECT clause of Figure 2) plus the execution-side knobs the query
-// language does not cover. Workers and EmitWorkers only change how much
-// hardware ingestion and the output stage use — never the output itself.
+// language does not cover. Parallelism only changes how much hardware the
+// engine uses — never the output itself.
 func ExampleOptions() {
 	eng, err := streamsum.New(streamsum.Options{
 		Dim:    2,   // tuple dimensionality
@@ -78,8 +78,7 @@ func ExampleOptions() {
 		Win:    400, // window size, in tuples (TimeBased switches to ticks)
 		Slide:  400, // slide size
 
-		Workers:     4, // parallel neighbor discovery inside PushBatch
-		EmitWorkers: 4, // parallel per-cluster summary construction
+		Parallelism: 4, // goroutines per fan-out (discovery, summaries, matching)
 	})
 	if err != nil {
 		panic(err)
@@ -138,8 +137,7 @@ func ExampleOptionsFromQuery() {
 	if err != nil {
 		panic(err)
 	}
-	opts.Workers = 4     // knobs the query language leaves to the runtime
-	opts.EmitWorkers = 4 //
+	opts.Parallelism = 4 // a knob the query language leaves to the runtime
 	eng, err := streamsum.New(opts)
 	if err != nil {
 		panic(err)

@@ -346,9 +346,9 @@ func (b *Base) Put(s *sgs.Summary) (int64, bool, error) {
 
 // PutBatch offers a window's worth of summaries with semantics identical
 // to calling Put for each in order (same policy decisions, same ids, same
-// evictions), but under a single base lock acquisition — the intended
-// append path for sharded ingestion, where N engines feed one base and
-// per-cluster locking would multiply contention. It returns the per-
+// evictions), but under a single base lock acquisition — the engine's
+// per-window append path, where per-cluster locking would multiply
+// contention with concurrent analysts. It returns the per-
 // summary archive ids and archived flags. On error the prefix already
 // archived stays archived (exactly as a sequential Put loop would leave
 // it) and the returned slices cover that prefix.

@@ -45,90 +45,12 @@ import (
 // can observe the difference because emit() only runs between segments,
 // after phase 3.
 
-// BatchEntry is one admitted tuple of an emission-free segment, with its
-// pre-assigned id and position. It is the unit of work DriveBatch hands
-// to an extractor's segment-insertion callback.
-type BatchEntry struct {
-	ID  int64
-	P   geom.Point
-	Pos int64
-}
-
-// BatchDriver is the per-extractor surface DriveBatch operates on. Both
-// extractors (C-SGS here, Extra-N in internal/extran) share the exact
-// same segment-cutting semantics — emission boundaries, error behavior,
-// the nil-tss rule, the post-Flush drop check — so the driver loop exists
-// once and the extractors supply only their state and callbacks.
-type BatchDriver struct {
-	Dim    int
-	Window window.Spec
-	// NextID, LastPos and Cur point at the extractor's id / monotonicity /
-	// current-window counters; Emit (which advances *Cur) and Insert are
-	// its output stage and segment-insertion pipeline.
-	NextID  *int64
-	LastPos *int64
-	Cur     *int64
-	Emit    func() *WindowResult
-	Insert  func(seg []BatchEntry)
-	// ErrDim and ErrOrder construct the extractor's package-specific
-	// errors for a dimension mismatch / out-of-order position.
-	ErrDim   func(got, want int) error
-	ErrOrder func(pos, last int64) error
-}
-
-// DriveBatch feeds a batch of tuples with semantics identical to calling
-// the extractor's Push for each tuple in order: the batch is cut into
-// emission-free segments at window boundaries (Emit runs between
-// segments), each segment goes through Insert as one unit, and errors
-// abort the batch at the offending tuple with every earlier tuple fully
-// applied — matching a sequential Push loop that stops at the first
-// error. A nil tss under time-based windows reads as all-zero timestamps,
-// like Push(p, 0).
-func DriveBatch(d BatchDriver, pts []geom.Point, tss []int64) ([]*WindowResult, error) {
-	MetricBatches.Inc()
-	MetricTuples.Add(uint64(len(pts)))
-	var out []*WindowResult
-	seg := make([]BatchEntry, 0, len(pts))
-	flush := func() {
-		if len(seg) > 0 {
-			d.Insert(seg)
-			seg = seg[:0]
-		}
-	}
-	for i, p := range pts {
-		if len(p) != d.Dim {
-			flush()
-			return out, d.ErrDim(len(p), d.Dim)
-		}
-		id := *d.NextID
-		*d.NextID++
-		pos := id
-		if d.Window.Kind == window.TimeBased {
-			pos = 0 // nil tss reads as all-zero timestamps, like Push(p, 0)
-			if tss != nil {
-				pos = tss[i]
-			}
-		}
-		if pos < *d.LastPos {
-			flush()
-			return out, d.ErrOrder(pos, *d.LastPos)
-		}
-		*d.LastPos = pos
-		if pos >= d.Window.End(*d.Cur) {
-			flush()
-			for pos >= d.Window.End(*d.Cur) {
-				out = append(out, d.Emit())
-			}
-		}
-		if d.Window.LastWindow(pos) < *d.Cur {
-			// Entire lifespan lies in already-emitted windows (possible only
-			// after a mid-stream Flush); dropped, same as Push.
-			continue
-		}
-		seg = append(seg, BatchEntry{ID: id, P: p, Pos: pos})
-	}
-	flush()
-	return out, nil
+// batchEntry is one admitted tuple of an emission-free segment, with its
+// pre-assigned id and position.
+type batchEntry struct {
+	id  int64
+	p   geom.Point
+	pos int64
 }
 
 // segCell is one occupied cell of a segment. The per-cell work — finding
@@ -149,47 +71,80 @@ type segCell struct {
 // windows and may be nil for count-based ones (a nil tss under time-based
 // windows reads as all-zero timestamps, like Push(p, 0)).
 //
-// The neighbor-discovery phase fans out across Config.Workers goroutines;
-// errors (dimension mismatch, out-of-order position) abort the batch at
-// the offending tuple, with every earlier tuple fully applied — again
-// matching a sequential Push loop that stops at the first error.
+// The batch is cut into emission-free segments at window boundaries (emit
+// runs between segments) and each segment goes through insertSegment as
+// one unit, whose neighbor-discovery phase fans out across Config.Workers
+// goroutines. Errors (dimension mismatch, out-of-order position) abort
+// the batch at the offending tuple, with every earlier tuple fully
+// applied — again matching a sequential Push loop that stops at the
+// first error.
 func (e *Extractor) PushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, error) {
 	if tss != nil && len(tss) != len(pts) {
 		return nil, fmt.Errorf("core: PushBatch got %d timestamps for %d tuples", len(tss), len(pts))
 	}
 	e.tr = trace.Default.Start(trace.Ingest, "ingest.batch")
 	defer func() { e.tr = nil }()
-	out, err := DriveBatch(BatchDriver{
-		Dim: e.cfg.Dim, Window: e.cfg.Window,
-		NextID: &e.nextID, LastPos: &e.lastPos, Cur: &e.cur,
-		Emit: e.emit, Insert: e.insertSegment,
-		ErrDim: func(got, want int) error {
-			return fmt.Errorf("core: tuple dimension %d != query dimension %d", got, want)
-		},
-		ErrOrder: func(pos, last int64) error {
-			return fmt.Errorf("core: out-of-order position %d after %d", pos, last)
-		},
-	}, pts, tss)
-	FinishBatchTrace(e.tr, len(pts), len(out), err)
-	return out, err
-}
-
-// FinishBatchTrace stamps the batch-level attributes on an ingest
-// trace's root span and commits it to the flight recorder; both
-// extractors' PushBatch call it (nil trace = recorder disabled).
-func FinishBatchTrace(tr *trace.Trace, tuples, windows int, err error) {
-	root := tr.Root()
-	root.SetInt("tuples", int64(tuples))
-	root.SetInt("windows", int64(windows))
+	out, err := e.pushBatch(pts, tss)
+	root := e.tr.Root()
+	root.SetInt("tuples", int64(len(pts)))
+	root.SetInt("windows", int64(len(out)))
 	if err != nil {
 		root.SetStr("error", err.Error())
 	}
-	tr.Finish()
+	e.tr.Finish()
+	return out, err
+}
+
+func (e *Extractor) pushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, error) {
+	MetricBatches.Inc()
+	MetricTuples.Add(uint64(len(pts)))
+	var out []*WindowResult
+	seg := make([]batchEntry, 0, len(pts))
+	flush := func() {
+		if len(seg) > 0 {
+			e.insertSegment(seg)
+			seg = seg[:0]
+		}
+	}
+	for i, p := range pts {
+		if len(p) != e.cfg.Dim {
+			flush()
+			return out, fmt.Errorf("core: tuple dimension %d != query dimension %d", len(p), e.cfg.Dim)
+		}
+		id := e.nextID
+		e.nextID++
+		pos := id
+		if e.cfg.Window.Kind == window.TimeBased {
+			pos = 0 // nil tss reads as all-zero timestamps, like Push(p, 0)
+			if tss != nil {
+				pos = tss[i]
+			}
+		}
+		if pos < e.lastPos {
+			flush()
+			return out, fmt.Errorf("core: out-of-order position %d after %d", pos, e.lastPos)
+		}
+		e.lastPos = pos
+		if pos >= e.cfg.Window.End(e.cur) {
+			flush()
+			for pos >= e.cfg.Window.End(e.cur) {
+				out = append(out, e.emit())
+			}
+		}
+		if e.cfg.Window.LastWindow(pos) < e.cur {
+			// Entire lifespan lies in already-emitted windows (possible only
+			// after a mid-stream Flush); dropped, same as Push.
+			continue
+		}
+		seg = append(seg, batchEntry{id: id, p: p, pos: pos})
+	}
+	flush()
+	return out, nil
 }
 
 // insertSegment inserts one emission-free run of tuples through the
 // three-phase pipeline described in the file comment.
-func (e *Extractor) insertSegment(seg []BatchEntry) {
+func (e *Extractor) insertSegment(seg []batchEntry) {
 	n := len(seg)
 	workers := par.DefaultWorkers(e.cfg.Workers)
 	if n < 2 || workers == 1 {
@@ -198,9 +153,9 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 		sp := e.tr.Start("apply")
 		start := time.Now()
 		for _, t := range seg {
-			e.insert(t.ID, t.P, t.Pos)
+			e.insert(t.id, t.p, t.pos)
 		}
-		MetricApplySeconds.Observe(time.Since(start))
+		metricApplySeconds.Observe(time.Since(start))
 		sp.SetInt("tuples", int64(n))
 		sp.End()
 		return
@@ -220,13 +175,13 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 	cellIdx := make(map[grid.Coord]int32, n)
 	for k, t := range seg {
 		objs[k] = &object{
-			id:       t.ID,
-			p:        t.P,
-			last:     e.cfg.Window.LastWindow(t.Pos),
+			id:       t.id,
+			p:        t.p,
+			last:     e.cfg.Window.LastWindow(t.pos),
 			coreLast: window.Never,
 			tracker:  window.NewCoreTracker(e.cfg.ThetaC),
 		}
-		coord := e.geo.CoordOf(t.P)
+		coord := e.geo.CoordOf(t.p)
 		ci, ok := cellIdx[coord]
 		if !ok {
 			ci = int32(len(cells))
@@ -255,7 +210,7 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 	r2 := e.cfg.ThetaR * e.cfg.ThetaR
 	par.For(workers, n, func(k int) {
 		o := objs[k]
-		p := seg[k].P
+		p := seg[k].p
 		sc := &cells[tupCell[k]]
 		var ex []*object
 		for _, c := range sc.scan {
@@ -268,7 +223,7 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 		existing[k] = ex
 		var local []int32
 		for _, m := range sc.cands {
-			if int(m) != k && geom.DistSq(p, seg[m].P) <= r2 {
+			if int(m) != k && geom.DistSq(p, seg[m].p) <= r2 {
 				local = append(local, m)
 			}
 		}
@@ -284,7 +239,7 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 		}
 		o.coreLast = o.tracker.CoreLast(o.last)
 	})
-	MetricDiscoverySeconds.Observe(time.Since(discoveryStart))
+	metricDiscoverySeconds.Observe(time.Since(discoveryStart))
 	discoverySpan.SetInt("tuples", int64(n))
 	discoverySpan.SetInt("cells", int64(len(cells)))
 	discoverySpan.End()
@@ -342,7 +297,7 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 	for _, q := range grown {
 		e.refresh(q)
 	}
-	MetricApplySeconds.Observe(time.Since(applyStart))
+	metricApplySeconds.Observe(time.Since(applyStart))
 	applySpan.SetInt("tuples", int64(n))
 	applySpan.SetInt("grown", int64(len(grown)))
 	applySpan.End()

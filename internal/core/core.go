@@ -26,18 +26,15 @@ type Config struct {
 	// is about. Used by ablation experiments; the public facade always
 	// summarizes.
 	SkipSummaries bool
-	// Workers bounds the fan-out of PushBatch's parallel neighbor-discovery
-	// phase. <= 0 means one worker per available CPU (GOMAXPROCS); 1 forces
-	// the fully sequential batch path. It has no effect on single-tuple
-	// Push, whose one range query search has nothing to fan out.
-	Workers int
-	// EmitWorkers bounds the fan-out of the output stage's parallel phases
+	// Workers bounds both of C-SGS's internal fan-outs: PushBatch's
+	// neighbor-discovery phase and the output stage's parallel phases
 	// (connection pruning, edge-attachment resolution, per-cluster summary
-	// construction). <= 0 means one worker per available CPU; 1 forces the
-	// fully sequential output stage. Results are byte-identical at every
-	// setting — the fan-out only runs over frozen state and writes to
-	// pre-assigned slots.
-	EmitWorkers int
+	// construction). <= 0 means one worker per available CPU (GOMAXPROCS);
+	// 1 forces the fully sequential paths. Results are byte-identical at
+	// every setting — the fan-outs only run over frozen state and write to
+	// pre-assigned slots. Extra-N (internal/extran) shares this Config and
+	// ignores Workers: it runs sequentially.
+	Workers int
 }
 
 // Validate checks the configuration.

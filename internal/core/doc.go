@@ -60,12 +60,12 @@
 //     order, with one deferred refresh per touched object.
 //   - Output (emit.go): connection pruning fans out across cells, edge
 //     attachment resolution across edge cells, and cluster/summary
-//     construction across clusters, bounded by Config.EmitWorkers. Every
+//     construction across clusters, bounded by Config.Workers too. Every
 //     parallel work item writes only state it exclusively owns (its cell,
 //     its edge cell's objects, its pre-assigned cluster slot) and reads
 //     only state frozen by the preceding sequential phase.
 //
 // Both fan-outs are deterministic: emitted windows are byte-identical to
-// the fully sequential paths (Workers = EmitWorkers = 1) at every setting,
+// the fully sequential paths (Workers = 1) at every setting,
 // a property the tests assert under -race.
 package core

@@ -39,7 +39,7 @@ import (
 // so the stage is race-clean under any worker count; and because all
 // user-visible orderings are canonicalized (members sorted, summaries
 // normalized, groups ordered by sorted core cells), the output is
-// byte-identical to the sequential stage at every EmitWorkers setting.
+// byte-identical to the sequential stage at every Workers setting.
 
 // emit runs the output stage for the current window, then performs the
 // (trivial, thanks to lifespan analysis) expiration stage and advances the
@@ -49,7 +49,7 @@ func (e *Extractor) emit() *WindowResult {
 	start := time.Now()
 	n := e.cur
 	res := &WindowResult{Window: n}
-	workers := par.DefaultWorkers(e.cfg.EmitWorkers)
+	workers := par.DefaultWorkers(e.cfg.Workers)
 
 	// --- Output stage -----------------------------------------------------
 	// The skeletal grid cells are the vertices of a graph, their live

@@ -8,9 +8,9 @@ import (
 )
 
 // TestEmitParallelMatchesSequential is the determinism guarantee of the
-// parallel output stage: for every EmitWorkers setting the emitted
+// parallel output stage: for every Workers setting the emitted
 // WindowResult sequence — members, cores, and summaries — must be
-// byte-identical to the fully sequential stage (EmitWorkers = 1), via
+// byte-identical to the fully sequential stage (Workers = 1), via
 // both the Push and the PushBatch ingest paths. Run under -race this also
 // verifies the prune / edge-resolution / cluster-build fan-outs are
 // race-clean.
@@ -18,21 +18,20 @@ func TestEmitParallelMatchesSequential(t *testing.T) {
 	pts := batchStream(6000, 2, 99)
 	base := Config{
 		Dim: 2, ThetaR: 0.7, ThetaC: 4,
-		Window:      window.Spec{Win: 1500, Slide: 300},
-		EmitWorkers: 1,
+		Window:  window.Spec{Win: 1500, Slide: 300},
+		Workers: 1,
 	}
 	wantPush := encodeWindows(t, runSequential(t, base, pts, nil))
 
 	for _, ew := range []int{1, 2, 8} {
 		cfg := base
-		cfg.EmitWorkers = ew
+		cfg.Workers = ew
 
 		if got := encodeWindows(t, runSequential(t, cfg, pts, nil)); string(got) != string(wantPush) {
-			t.Errorf("emitWorkers=%d: Push output differs from sequential emit", ew)
+			t.Errorf("workers=%d: Push output differs from sequential emit", ew)
 		}
-		cfg.Workers = 4
 		if got := encodeWindows(t, runBatched(t, cfg, pts, nil, 700)); string(got) != string(wantPush) {
-			t.Errorf("emitWorkers=%d: PushBatch output differs from sequential emit", ew)
+			t.Errorf("workers=%d: PushBatch output differs from sequential emit", ew)
 		}
 	}
 }
@@ -43,8 +42,8 @@ func TestEmitParallelMatchesSequential(t *testing.T) {
 func TestEmitEmptyWindowClustersNil(t *testing.T) {
 	ex, err := New(Config{
 		Dim: 2, ThetaR: 0.5, ThetaC: 5,
-		Window:      window.Spec{Win: 10, Slide: 10},
-		EmitWorkers: 8,
+		Window:  window.Spec{Win: 10, Slide: 10},
+		Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,14 +74,14 @@ func TestEmitParallelSkipSummaries(t *testing.T) {
 		Dim: 3, ThetaR: 0.9, ThetaC: 5,
 		Window:        window.Spec{Win: 1000, Slide: 250},
 		SkipSummaries: true,
-		EmitWorkers:   1,
+		Workers:       1,
 	}
 	want := encodeWindows(t, runSequential(t, base, pts, nil))
 	for _, ew := range []int{2, 8} {
 		cfg := base
-		cfg.EmitWorkers = ew
+		cfg.Workers = ew
 		if got := encodeWindows(t, runSequential(t, cfg, pts, nil)); string(got) != string(want) {
-			t.Errorf("emitWorkers=%d: SkipSummaries output differs from sequential emit", ew)
+			t.Errorf("workers=%d: SkipSummaries output differs from sequential emit", ew)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import "streamsum/internal/obs"
 
-// Process-wide ingest metrics (obs.Default), shared by both extractors:
-// C-SGS records into them here, Extra-N (internal/extran) imports them —
-// the two pipelines have the same phase structure, so their telemetry
-// shares one set of families. Exported because extran needs them; no
-// other package should record into them.
+// Process-wide ingest metrics (obs.Default). C-SGS records into all of
+// them; Extra-N (internal/extran) records tuples, batches, windows,
+// clusters and emit time into the same families, which is why those are
+// exported — no other package should record into them. The discovery and
+// apply phases exist only in C-SGS's batch pipeline.
 var (
 	MetricTuples = obs.NewCounter("sgs_ingest_tuples_total",
 		"Tuples admitted, via Push or PushBatch.")
@@ -16,9 +16,9 @@ var (
 		"Windows emitted.")
 	MetricClusters = obs.NewCounter("sgs_ingest_clusters_total",
 		"Clusters reported across all emitted windows.")
-	MetricDiscoverySeconds = obs.NewHistogram("sgs_ingest_discovery_seconds",
+	metricDiscoverySeconds = obs.NewHistogram("sgs_ingest_discovery_seconds",
 		"Per-segment discovery phase wall time (parallel range queries + private career construction).")
-	MetricApplySeconds = obs.NewHistogram("sgs_ingest_apply_seconds",
+	metricApplySeconds = obs.NewHistogram("sgs_ingest_apply_seconds",
 		"Per-segment apply phase wall time (sequential shared-state wiring + refresh).")
 	MetricEmitSeconds = obs.NewHistogram("sgs_ingest_emit_seconds",
 		"Per-window output-stage wall time (prune, DFS, edge resolve, cluster assembly, expiry).")

@@ -77,9 +77,11 @@ func RunTimeVar(cfg TimeVarConfig) ([]TimeVarResult, error) {
 		ts[i] = t
 	}
 
+	// Single-threaded on both sides, like Fig. 7 (see RunFig7).
 	wcfg := core.Config{
 		Dim: 2, ThetaR: 1.2, ThetaC: 5,
-		Window: window.Spec{Kind: window.TimeBased, Win: cfg.WinTicks, Slide: cfg.SlideTicks},
+		Window:  window.Spec{Kind: window.TimeBased, Win: cfg.WinTicks, Slide: cfg.SlideTicks},
+		Workers: 1,
 	}
 	var out []TimeVarResult
 	for _, method := range []string{"Extra-N", "C-SGS"} {

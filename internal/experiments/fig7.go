@@ -85,9 +85,13 @@ func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 	}
 	res := Fig7Result{Method: cfg.Method, Case: cfg.Case.Name, Slide: cfg.Slide}
 
+	// Workers: 1 keeps C-SGS's output stage on one goroutine, so the
+	// §8.1 comparison is single-threaded on both sides, as in the paper
+	// (Extra-N always runs sequentially).
 	wcfg := core.Config{
 		Dim: 4, ThetaR: cfg.Case.ThetaR, ThetaC: cfg.Case.ThetaC,
-		Window: window.Spec{Win: Fig7Win, Slide: cfg.Slide},
+		Window:  window.Spec{Win: Fig7Win, Slide: cfg.Slide},
+		Workers: 1,
 	}
 
 	type pusher interface {

@@ -28,22 +28,10 @@
 // # Concurrency
 //
 // An Extractor is single-writer: Push, PushBatch, Flush and Stats must not
-// be called concurrently. The same internal fan-out contracts as
-// internal/core apply:
-//
-//   - Ingest (batch.go): per-segment range query searches and new-object
-//     career constructions fan out read-only over the frozen PointIndex
-//     (see grid.PointIndex's concurrency contract) across Config.Workers
-//     goroutines; all mutation — object table, index, trackers, per-view
-//     union-find forests — replays sequentially in arrival order, with
-//     one deferred unionViews pass per touched object.
-//   - Output (extran.go emit): grouping runs sequentially because find
-//     compresses paths, but once every live core has been through find,
-//     root lookups are pure reads; edge-attachment resolution then fans
-//     out across objects and member sorting across clusters, bounded by
-//     Config.EmitWorkers.
-//
-// Both fan-outs are deterministic: emitted windows are byte-identical to
-// the fully sequential paths at every worker setting, asserted under
-// -race by the package tests.
+// be called concurrently. Extra-N is the paper's baseline and runs
+// sequentially: PushBatch is a Push loop with the same error contract,
+// and the output stage groups, attaches and sorts on the caller's
+// goroutine. Config.Workers (shared with C-SGS) has no effect here, which
+// keeps the §8.1 comparison single-threaded when the C-SGS side runs with
+// Workers = 1.
 package extran

@@ -9,12 +9,11 @@ import (
 	"streamsum/internal/core"
 	"streamsum/internal/geom"
 	"streamsum/internal/grid"
-	"streamsum/internal/par"
-	"streamsum/internal/trace"
 	"streamsum/internal/window"
 )
 
-// Config is identical to the C-SGS extractor's configuration.
+// Config is identical to the C-SGS extractor's configuration. Extra-N
+// runs sequentially, so Workers has no effect here.
 type Config = core.Config
 
 // object mirrors core.object but carries per-view membership instead of
@@ -24,7 +23,6 @@ type object struct {
 	p        geom.Point
 	last     int64
 	coreLast int64
-	grownSeg int64 // batch segment that last recorded a career growth (dedup)
 	tracker  window.CoreTracker
 	nbrs     []*object
 }
@@ -59,20 +57,6 @@ func (v *view) find(x int64) int64 {
 	return r
 }
 
-// root returns x's component root without mutating the forest. After every
-// member of the component has been through find (as the output stage's
-// grouping pass guarantees for live cores), root is a single probe; it is
-// the read-only lookup the parallel edge-attachment phase fans out with.
-func (v *view) root(x int64) int64 {
-	for {
-		p, ok := v.parent.Get(x)
-		if !ok || p == x {
-			return x
-		}
-		x = p
-	}
-}
-
 func (v *view) union(a, b int64) {
 	ra, rb := v.find(a), v.find(b)
 	if ra != rb {
@@ -89,17 +73,10 @@ type Extractor struct {
 	lastPos int64
 	nextID  int64
 	nextCID int64
-	segSeq  int64 // batch segment counter (career-growth dedup epoch)
 
 	objs   map[int64]*object
 	views  map[int64]*view     // window index -> predicted membership
 	expiry map[int64][]*object // window n -> objects with last == n
-
-	// tr is the in-flight batch's span trace (flight recorder category
-	// Ingest), set only for the duration of a PushBatch; nil otherwise
-	// (single-tuple Push is untraced). Ingestion is single-caller, so no
-	// synchronization is needed.
-	tr *trace.Trace
 }
 
 // New returns an Extra-N extractor for the given query.
@@ -166,29 +143,39 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*core.WindowResult, e
 	return id, out, nil
 }
 
+// PushBatch feeds a batch of tuples with semantics identical to calling
+// Push for each tuple in order — it is that loop. tss supplies per-tuple
+// timestamps for time-based windows and may be nil (all-zero timestamps,
+// like Push(p, 0)); a non-nil tss must have one entry per tuple. An error
+// aborts the batch at the offending tuple and returns the windows the
+// earlier tuples completed.
+func (e *Extractor) PushBatch(pts []geom.Point, tss []int64) ([]*core.WindowResult, error) {
+	if tss != nil && len(tss) != len(pts) {
+		return nil, errTSLen(len(tss), len(pts))
+	}
+	core.MetricBatches.Inc()
+	var out []*core.WindowResult
+	for i, p := range pts {
+		var ts int64
+		if tss != nil {
+			ts = tss[i]
+		}
+		_, emitted, err := e.Push(p, ts)
+		out = append(out, emitted...)
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
 // Flush force-emits the current window.
 func (e *Extractor) Flush() *core.WindowResult { return e.emit() }
 
+// insert wires one tuple into the window state after its one range query
+// search: object table, index, trackers and the per-view union-find
+// forests.
 func (e *Extractor) insert(id int64, p geom.Point, pos int64) {
-	e.applyInsert(id, p, pos, e.discoverInto(p, nil))
-}
-
-// discoverInto appends to buf every live object within θr of p — the one
-// range query search per arrival. Pure read of the index and object table;
-// safe to run concurrently with other discoverInto calls over frozen
-// state (the batched path's parallel discovery phase, see batch.go).
-func (e *Extractor) discoverInto(p geom.Point, buf []*object) []*object {
-	e.ix.RangeQuery(p, func(ent grid.Entry) bool {
-		buf = append(buf, e.objs[ent.ID])
-		return true
-	})
-	return buf
-}
-
-// applyInsert wires one tuple with pre-discovered neighbors cands into the
-// window state. Mirrors core.applyInsert: all mutation (object table,
-// index, trackers, per-view union-find forests) happens here, sequentially.
-func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, cands []*object) *object {
 	o := &object{
 		id:       id,
 		p:        p,
@@ -204,7 +191,8 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, cands []*obje
 		old int64
 	}
 	var affected []grown
-	for _, q := range cands {
+	e.ix.RangeQuery(p, func(ent grid.Entry) bool {
+		q := e.objs[ent.ID]
 		o.nbrs = append(o.nbrs, q)
 		q.nbrs = append(q.nbrs, o)
 		o.tracker.Add(q.last)
@@ -214,7 +202,8 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, cands []*obje
 				q.coreLast = nl
 			}
 		}
-	}
+		return true
+	})
 	e.ix.Insert(id, p)
 	o.coreLast = o.tracker.CoreLast(o.last)
 
@@ -230,7 +219,6 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, cands []*obje
 		}
 		e.unionViews(g.q, from)
 	}
-	return o
 }
 
 // unionViews joins a with each of its core neighbors in all views from
@@ -264,26 +252,14 @@ func (e *Extractor) view(n int64) *view {
 }
 
 // emit outputs the clusters of the current window in full representation.
-//
-// Like core's output stage it is split into a cheap sequential grouping
-// phase and parallel per-object / per-cluster phases (bounded by
-// Config.EmitWorkers): grouping must run sequentially because find
-// compresses paths, but once every live core has been through find, root
-// lookups are pure reads and the edge-attachment scan fans out across
-// objects (each object's neighbor-list compaction is owned by exactly one
-// work item); member sorting then fans out across clusters. Output is
-// byte-identical at every worker count.
 func (e *Extractor) emit() *core.WindowResult {
-	sp := e.tr.Start("emit")
 	start := time.Now()
 	n := e.cur
 	res := &core.WindowResult{Window: n}
 	v := e.view(n)
-	workers := par.DefaultWorkers(e.cfg.EmitWorkers)
 
-	// Phase 1 (sequential): group live core objects by their view-n
-	// component; collect the non-core objects for the parallel attachment
-	// scan.
+	// Group live core objects by their view-n component; collect the
+	// non-core objects for edge attachment.
 	groups := make(map[int64][]*object)
 	var roots []int64
 	var nonCore []*object
@@ -313,40 +289,28 @@ func (e *Extractor) emit() *core.WindowResult {
 	}
 	sort.Slice(roots, func(i, j int) bool { return minID[roots[i]] < minID[roots[j]] })
 
+	// Core members, with ids in cluster order. An empty window keeps
+	// res.Clusters nil, preserving the serialized shape of cluster-less
+	// windows ("Clusters":null, not []).
 	rootIdx := make(map[int64]int, len(roots))
 	for i, r := range roots {
 		rootIdx[r] = i
-	}
-
-	// Phase 2 (parallel over clusters): core-member collection into
-	// pre-assigned slots with pre-assigned ids. An empty window keeps
-	// res.Clusters nil, preserving the serialized shape of cluster-less
-	// windows ("Clusters":null, not []).
-	if len(roots) > 0 {
-		res.Clusters = make([]*core.Cluster, len(roots))
-	}
-	baseID := e.nextCID
-	e.nextCID += int64(len(roots))
-	par.For(workers, len(roots), func(i int) {
-		g := groups[roots[i]]
-		cl := &core.Cluster{ID: baseID + int64(i)}
+		g := groups[r]
+		cl := &core.Cluster{ID: e.nextCID}
+		e.nextCID++
 		cl.Members = make([]int64, 0, len(g))
 		cl.Cores = make([]int64, 0, len(g))
 		for _, o := range g {
 			cl.Members = append(cl.Members, o.id)
 			cl.Cores = append(cl.Cores, o.id)
 		}
-		res.Clusters[i] = cl
-	})
+		res.Clusters = append(res.Clusters, cl)
+	}
 
-	// Phase 3 (parallel over non-core objects): resolve which clusters each
-	// edge object attaches to (Definition 3.1: neighbors of cores; possibly
-	// several clusters). Every live core went through find in phase 1, so
-	// root is a read-only lookup here; the only write is each object's own
-	// neighbor-list compaction.
-	attach := make([][]int, len(nonCore))
-	par.For(workers, len(nonCore), func(i int) {
-		o := nonCore[i]
+	// Edge attachment (Definition 3.1): a non-core object joins every
+	// cluster one of its live core neighbors belongs to; its neighbor list
+	// is compacted on the way.
+	for _, o := range nonCore {
 		var cis []int
 		live := 0
 		for _, b := range o.nbrs {
@@ -358,7 +322,7 @@ func (e *Extractor) emit() *core.WindowResult {
 			if b.coreLast < n {
 				continue
 			}
-			ci := rootIdx[v.root(b.id)]
+			ci := rootIdx[v.find(b.id)]
 			dup := false
 			for _, x := range cis {
 				if x == ci {
@@ -368,24 +332,17 @@ func (e *Extractor) emit() *core.WindowResult {
 			}
 			if !dup {
 				cis = append(cis, ci)
+				res.Clusters[ci].Members = append(res.Clusters[ci].Members, o.id)
 			}
 		}
 		o.nbrs = o.nbrs[:live]
-		attach[i] = cis
-	})
-	// Sequential merge; member order is canonicalized by the sort below.
-	for i, o := range nonCore {
-		for _, ci := range attach[i] {
-			res.Clusters[ci].Members = append(res.Clusters[ci].Members, o.id)
-		}
 	}
 
-	// Phase 4 (parallel over clusters): canonical member order.
-	par.For(workers, len(res.Clusters), func(i int) {
-		c := res.Clusters[i]
+	// Canonical member order.
+	for _, c := range res.Clusters {
 		sort.Slice(c.Members, func(a, b int) bool { return c.Members[a] < c.Members[b] })
 		sort.Slice(c.Cores, func(a, b int) bool { return c.Cores[a] < c.Cores[b] })
-	})
+	}
 
 	// Expiration: drop the view that just closed and the expired tuples.
 	delete(e.views, n)
@@ -399,9 +356,6 @@ func (e *Extractor) emit() *core.WindowResult {
 	core.MetricEmitSeconds.Observe(time.Since(start))
 	core.MetricWindows.Inc()
 	core.MetricClusters.Add(uint64(len(res.Clusters)))
-	sp.SetInt("window", n)
-	sp.SetInt("clusters", int64(len(res.Clusters)))
-	sp.End()
 	return res
 }
 

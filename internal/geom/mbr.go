@@ -186,7 +186,7 @@ func (m MBR) MinDist(p Point) float64 {
 		case p[i] > m.Max[i]:
 			d = p[i] - m.Max[i]
 		}
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

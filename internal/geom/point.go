@@ -86,7 +86,9 @@ func Dist(p, q Point) float64 {
 
 // DistSq returns the squared Euclidean distance between p and q.
 // Squared distances avoid the Sqrt in the hot range-query path; neighbor
-// predicates compare against θr² instead.
+// predicates compare against θr² instead. The float64 conversion rounds
+// each product on its own (no fused multiply-add), so the θr test gives
+// the same answer on every GOARCH.
 func DistSq(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
@@ -94,7 +96,7 @@ func DistSq(p, q Point) float64 {
 	var s float64
 	for i := range p {
 		d := p[i] - q[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

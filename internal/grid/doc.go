@@ -19,12 +19,8 @@
 // Geometry is immutable after construction and safe for unrestricted
 // concurrent use; its offset tables are computed once in NewGeometry.
 //
-// PointIndex is single-writer. Its read path — RangeQuery, CellScan,
-// Neighbors, CountNeighbors, Cells, Len, Geometry — performs no mutation
-// of any kind (no lazy cell creation, no rebalancing), so any number of
-// goroutines may read concurrently provided no Insert/BulkInsert/Remove
-// overlaps with them. This is the contract the batched ingest pipeline
-// relies on: the parallel neighbor-discovery phase fans read-only range
-// queries over a frozen index, and all writes happen in the sequential
-// apply phase that follows.
+// PointIndex is single-writer. Its read path — RangeQuery, Neighbors,
+// CountNeighbors, Cells, Len, Geometry — performs no mutation of any kind
+// (no lazy cell creation, no rebalancing), so any number of goroutines
+// may read concurrently provided no Insert/Remove overlaps with them.
 package grid

@@ -175,7 +175,7 @@ func (g *Geometry) MinDistBetween(a, b Coord) float64 {
 		gap := math.Abs(float64(a.C[i]-b.C[i])) - 1
 		if gap > 0 {
 			d := gap * g.side
-			s += d * d
+			s += float64(d * d)
 		}
 	}
 	return math.Sqrt(s)
@@ -207,7 +207,7 @@ func (g *Geometry) CanNeighbor(a, b Coord) bool {
 		gap := float64(d) - 1
 		if gap > 0 {
 			dd := gap * g.side
-			s += dd * dd
+			s += float64(dd * dd)
 		}
 	}
 	return s <= g.radius*g.radius*(1+1e-12)
@@ -259,7 +259,7 @@ func (g *Geometry) computeOffsets() []Coord {
 				gap := math.Abs(float64(v)) - 1
 				if gap > 0 {
 					d := gap * g.side
-					s += d * d
+					s += float64(d * d)
 				}
 			}
 			if s <= g.radius*g.radius*(1+1e-12) {

@@ -85,24 +85,6 @@ func (ix *PointIndex) Insert(id int64, p geom.Point) {
 	ix.size++
 }
 
-// BulkInsert adds a batch of entries. It is equivalent to calling Insert
-// for each entry in order but amortizes the cell lookup across runs of
-// spatially adjacent entries — streams are usually locality-heavy, so
-// consecutive tuples often land in the same cell.
-func (ix *PointIndex) BulkInsert(entries []Entry) {
-	var pc *pcell
-	var have Coord
-	for _, en := range entries {
-		c := ix.geo.CoordOf(en.P)
-		if pc == nil || c != have {
-			pc = ix.cellOf(c, true)
-			have = c
-		}
-		pc.entries = append(pc.entries, en)
-		ix.size++
-	}
-}
-
 // Remove deletes the entry with the given id located at p. It returns true
 // if an entry was removed.
 func (ix *PointIndex) Remove(id int64, p geom.Point) bool {
@@ -160,33 +142,6 @@ func (ix *PointIndex) RangeQuery(q geom.Point, visit func(Entry) bool) {
 	for _, nb := range center.nbrs {
 		if !scan(nb) {
 			return
-		}
-	}
-}
-
-// CellScan visits the entry slice of every occupied cell that can contain
-// points within θr of a point in cell c, including c's own cell. Like
-// RangeQuery it is part of the read-only path; the batched ingest pipeline
-// calls it once per occupied segment cell and shares the result across
-// that cell's tuples, hoisting the offset probing out of the per-tuple
-// loop. Iteration stops early if visit returns false.
-func (ix *PointIndex) CellScan(c Coord, visit func([]Entry) bool) {
-	if pc := ix.cells[c]; pc != nil {
-		if !visit(pc.entries) {
-			return
-		}
-		for _, nb := range pc.nbrs {
-			if !visit(nb.entries) {
-				return
-			}
-		}
-		return
-	}
-	for _, off := range ix.geo.NeighborOffsets() {
-		if pc, ok := ix.cells[c.Add(off)]; ok {
-			if !visit(pc.entries) {
-				return
-			}
 		}
 	}
 }

@@ -2,60 +2,11 @@ package grid
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
 	"streamsum/internal/geom"
 )
-
-func randomEntries(n int, seed int64) []Entry {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Entry, n)
-	for i := range out {
-		out[i] = Entry{
-			ID: int64(i),
-			P:  geom.Point{rng.Float64() * 10, rng.Float64() * 10},
-		}
-	}
-	return out
-}
-
-// TestBulkInsertEquivalent checks BulkInsert produces an index answering
-// range queries identically to one built with per-entry Insert.
-func TestBulkInsertEquivalent(t *testing.T) {
-	geo, err := NewGeometry(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := randomEntries(2000, 7)
-
-	one := NewPointIndex(geo)
-	for _, en := range entries {
-		one.Insert(en.ID, en.P)
-	}
-	bulk := NewPointIndex(geo)
-	bulk.BulkInsert(entries)
-
-	if one.Len() != bulk.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", one.Len(), bulk.Len())
-	}
-	for i := 0; i < 200; i++ {
-		q := entries[i*7%len(entries)].P
-		a := one.Neighbors(q, -1)
-		b := bulk.Neighbors(q, -1)
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		if len(a) != len(b) {
-			t.Fatalf("query %v: %d vs %d neighbors", q, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("query %v: neighbor sets differ at %d: %d vs %d", q, j, a[j], b[j])
-			}
-		}
-	}
-}
 
 // TestCanNeighborMatchesOffsets checks CanNeighbor agrees exactly with
 // NeighborOffsets membership over the full reach box (plus one ring

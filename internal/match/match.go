@@ -396,12 +396,13 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 
 // FeatureDistance is the cluster-level metric Σ wi·di with
 // di = |x−f|/min(x,f) clamped to [0,1] (the location term is handled by
-// the caller's index probe).
+// the caller's index probe). Each product is rounded on its own (no
+// fused multiply-add), so distances are bit-identical on every GOARCH.
 func FeatureDistance(a, b [4]float64, w Weights) float64 {
 	ws := [4]float64{w.Volume, w.Status, w.Density, w.Connectivity}
 	var sum float64
 	for d := 0; d < 4; d++ {
-		sum += ws[d] * relDist(a[d], b[d])
+		sum += float64(ws[d] * relDist(a[d], b[d]))
 	}
 	return sum
 }

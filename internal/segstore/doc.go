@@ -34,7 +34,7 @@
 // allocation and no per-candidate syscall — only gate survivors
 // materialize anything, and only refine survivors decode a blob (Load
 // decodes directly from the mapping). When mmap is unavailable or
-// disabled (SetMmapEnabled, or SGS_MMAP=off in the environment) the
+// disabled (SetMmapEnabled(false), or a platform without mmap) the
 // columns are read into one heap copy at open and blob loads fall back
 // to pread into a pooled scratch buffer; every result is bit-identical
 // either way.

@@ -313,7 +313,21 @@ func TestStoreReopen(t *testing.T) {
 // TestSegstoreRecovery is the crash-consistency sweep (run twice in CI):
 // a segment or manifest truncated at any byte offset must be rejected
 // whole — recovery never loads a torn segment or trusts a torn manifest.
+// The sweep runs under both read paths, mmap and the pread fallback.
 func TestSegstoreRecovery(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		mmap bool
+	}{{"mmap", true}, {"pread", false}} {
+		t.Run(path.name, func(t *testing.T) {
+			prev := SetMmapEnabled(path.mmap)
+			defer SetMmapEnabled(prev)
+			recoverySweep(t)
+		})
+	}
+}
+
+func recoverySweep(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Dim: 2, NoBackgroundCompaction: true})
 	if err != nil {

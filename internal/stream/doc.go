@@ -1,33 +1,18 @@
 // Package stream provides the streaming plumbing around the pattern
-// extractor (§3.3): tuple sources, executors, and the interfaces the two
-// extractors (C-SGS in internal/core, Extra-N in internal/extran) plug
-// into.
+// extractor (§3.3): tuple sources and the interfaces the two extractors
+// (C-SGS in internal/core, Extra-N in internal/extran) plug into.
 //
 //   - Source yields tuples in arrival order; FromSlice wraps in-memory
 //     data, FromCSV reads one tuple per CSV record.
 //   - Processor is the single-tuple extractor interface;
-//     BatchProcessor adds whole-slide ingestion through the two-phase
-//     (parallel read-only discovery, sequential apply) pipeline with
-//     semantics identical to pushing the tuples one by one.
-//   - Executor drives one Processor sequentially over a Source with
-//     response-time accounting — the metric of §8.1 ("the average CPU
-//     time elapsed from the time that all new data have arrived to the
-//     time that all clusters have been output").
-//   - Sharded is the scale-out executor: it hash-partitions one source
-//     across N independent Processors, each on its own goroutine with
-//     micro-batched ingestion, plus a single consumer goroutine that
-//     serializes every shard's completed windows into the OnWindow
-//     callback.
+//     BatchProcessor adds whole-slide ingestion with semantics identical
+//     to pushing the tuples one by one.
 //
 // # Concurrency
 //
-// Each Processor is single-writer and owned by exactly one goroutine: the
-// caller's for Executor, the shard's for Sharded. Any parallelism inside a
-// Push/PushBatch call is the processor's own (discovery and output-stage
-// fan-outs bounded by its Workers/EmitWorkers configuration) and never
-// escapes the call. Sharded's stages communicate only through channels:
-// feeder → per-shard input channels → results channel → consumer; within a
-// shard, windows arrive at the consumer in emission order, while the
-// interleaving *across* shards is nondeterministic by design (OnWindow
-// receives the shard index so consumers can de-interleave).
+// A Source is read by one goroutine. Each Processor is single-writer and
+// owned by the caller's goroutine; any parallelism inside a
+// Push/PushBatch call is the processor's own (C-SGS's discovery and
+// output-stage fan-outs, bounded by core.Config.Workers) and never
+// escapes the call.
 package stream

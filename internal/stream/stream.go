@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"streamsum/internal/core"
 	"streamsum/internal/geom"
@@ -32,9 +31,10 @@ type Processor interface {
 }
 
 // BatchProcessor is a Processor that can additionally ingest whole slide
-// batches through the two-phase pipeline (parallel read-only neighbor
-// discovery, sequential state update) with semantics identical to pushing
-// the tuples one by one. Both extractors implement it.
+// batches with semantics identical to pushing the tuples one by one. Both
+// extractors implement it: C-SGS through its two-phase pipeline (parallel
+// read-only neighbor discovery, sequential state update), Extra-N as a
+// Push loop.
 type BatchProcessor interface {
 	Processor
 	PushBatch(pts []geom.Point, tss []int64) ([]*core.WindowResult, error)
@@ -132,74 +132,3 @@ func (s *CSVSource) Next() (Tuple, bool) {
 
 // Err returns the first error encountered while reading, if any.
 func (s *CSVSource) Err() error { return s.err }
-
-// RunStats summarizes one executor run.
-type RunStats struct {
-	Tuples  int
-	Windows int
-	// Elapsed is total processing time (insertions + output stages).
-	Elapsed time.Duration
-	// PerWindow is Elapsed / Windows (the §8.1 response-time metric).
-	PerWindow time.Duration
-	// Clusters is the total number of clusters emitted.
-	Clusters int
-}
-
-// Executor drives a Processor over a Source.
-type Executor struct {
-	Proc Processor
-	// OnWindow receives each completed window's result. It may be nil.
-	// Time spent in OnWindow is excluded from RunStats.Elapsed (it is the
-	// consumer, e.g. the archiver, not the extractor).
-	OnWindow func(*core.WindowResult) error
-	// FlushTail emits the final partial window at end of stream.
-	FlushTail bool
-}
-
-// Run drains the source.
-func (e *Executor) Run(src Source) (RunStats, error) {
-	var st RunStats
-	deliver := func(results []*core.WindowResult) error {
-		for _, r := range results {
-			st.Windows++
-			st.Clusters += len(r.Clusters)
-			if e.OnWindow != nil {
-				if err := e.OnWindow(r); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for {
-		t, ok := src.Next()
-		if !ok {
-			break
-		}
-		start := time.Now()
-		_, emitted, err := e.Proc.Push(t.P, t.TS)
-		st.Elapsed += time.Since(start)
-		if err != nil {
-			return st, err
-		}
-		st.Tuples++
-		if err := deliver(emitted); err != nil {
-			return st, err
-		}
-	}
-	if cs, ok := src.(*CSVSource); ok && cs.Err() != nil {
-		return st, cs.Err()
-	}
-	if e.FlushTail {
-		start := time.Now()
-		r := e.Proc.Flush()
-		st.Elapsed += time.Since(start)
-		if err := deliver([]*core.WindowResult{r}); err != nil {
-			return st, err
-		}
-	}
-	if st.Windows > 0 {
-		st.PerWindow = st.Elapsed / time.Duration(st.Windows)
-	}
-	return st, nil
-}

@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"streamsum/internal/core"
-	"streamsum/internal/extran"
-	"streamsum/internal/gen"
 	"streamsum/internal/geom"
-	"streamsum/internal/window"
 )
 
 func TestFromSlice(t *testing.T) {
@@ -77,89 +73,5 @@ func TestFromCSVErrors(t *testing.T) {
 	src3 := FromCSV(strings.NewReader("1,2\n"), []int{0, 1}, 5)
 	if _, ok := src3.Next(); ok {
 		t.Fatal("missing ts column accepted")
-	}
-}
-
-func TestExecutorWithCSGS(t *testing.T) {
-	b := gen.GMTI(gen.GMTIConfig{Seed: 1}, 3000)
-	cfg := core.Config{Dim: 2, ThetaR: 1.0, ThetaC: 4,
-		Window: window.Spec{Win: 1000, Slide: 500}}
-	proc, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := 0
-	ex := &Executor{
-		Proc: proc,
-		OnWindow: func(r *core.WindowResult) error {
-			windows++
-			return nil
-		},
-		FlushTail: true,
-	}
-	st, err := ex.Run(FromSlice(b.Points, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Tuples != 3000 {
-		t.Fatalf("tuples = %d", st.Tuples)
-	}
-	if st.Windows != windows || st.Windows == 0 {
-		t.Fatalf("windows = %d (callback saw %d)", st.Windows, windows)
-	}
-	if st.Clusters == 0 {
-		t.Fatal("no clusters found on GMTI data")
-	}
-	if st.Elapsed <= 0 || st.PerWindow <= 0 {
-		t.Fatal("timing not recorded")
-	}
-}
-
-func TestExecutorWithExtraN(t *testing.T) {
-	b := gen.GMTI(gen.GMTIConfig{Seed: 2}, 2000)
-	cfg := core.Config{Dim: 2, ThetaR: 1.0, ThetaC: 4,
-		Window: window.Spec{Win: 1000, Slide: 1000}}
-	proc, err := extran.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := &Executor{Proc: proc, FlushTail: true}
-	st, err := ex.Run(FromSlice(b.Points, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Windows == 0 || st.Clusters == 0 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestExecutorCallbackError(t *testing.T) {
-	b := gen.GMTI(gen.GMTIConfig{Seed: 3}, 1500)
-	cfg := core.Config{Dim: 2, ThetaR: 1.0, ThetaC: 4,
-		Window: window.Spec{Win: 500, Slide: 500}}
-	proc, _ := core.New(cfg)
-	wantErr := &csvErrSentinel{}
-	ex := &Executor{
-		Proc:     proc,
-		OnWindow: func(*core.WindowResult) error { return wantErr },
-	}
-	_, err := ex.Run(FromSlice(b.Points, nil))
-	if err != wantErr {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-type csvErrSentinel struct{}
-
-func (*csvErrSentinel) Error() string { return "sentinel" }
-
-func TestExecutorPropagatesCSVError(t *testing.T) {
-	cfg := core.Config{Dim: 2, ThetaR: 1.0, ThetaC: 4,
-		Window: window.Spec{Win: 500, Slide: 500}}
-	proc, _ := core.New(cfg)
-	ex := &Executor{Proc: proc}
-	src := FromCSV(strings.NewReader("1,2\nbad,row\n"), []int{0, 1}, -1)
-	if _, err := ex.Run(src); err == nil {
-		t.Fatal("CSV error not propagated")
 	}
 }

@@ -1,7 +1,6 @@
 package streamsum
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -9,11 +8,10 @@ import (
 	"streamsum/internal/extran"
 	"streamsum/internal/gen"
 	"streamsum/internal/stream"
-	"streamsum/internal/window"
 )
 
-// Both extractors must stay batch-capable: the facade's PushBatch and the
-// sharded executor dispatch through this interface.
+// Both extractors must stay batch-capable: the facade's PushBatch
+// dispatches through this interface.
 var (
 	_ stream.BatchProcessor = (*core.Extractor)(nil)
 	_ stream.BatchProcessor = (*extran.Extractor)(nil)
@@ -47,7 +45,7 @@ func TestEnginePushBatchMatchesPush(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		bo := opts
-		bo.Workers = workers
+		bo.Parallelism = workers
 		batEng, err := New(bo)
 		if err != nil {
 			t.Fatal(err)
@@ -83,17 +81,17 @@ func TestEnginePushBatchMatchesPush(t *testing.T) {
 	}
 }
 
-// TestEngineEmitWorkersMatchesSequential is the facade-level determinism
-// guarantee of the parallel output stage: for EmitWorkers in {1, 2, 8}
+// TestEngineParallelismMatchesSequential is the facade-level determinism
+// guarantee of the parallel output stage: for Parallelism in {1, 2, 8}
 // the emitted windows must be byte-identical to the fully sequential
 // stage, for both the C-SGS and the Extra-N (FullOnly) engine. Run under
 // -race this also exercises the output-stage fan-out.
-func TestEngineEmitWorkersMatchesSequential(t *testing.T) {
+func TestEngineParallelismMatchesSequential(t *testing.T) {
 	data := gen.STT(gen.STTConfig{Seed: 2011}, 6000)
 	for _, fullOnly := range []bool{false, true} {
 		opts := Options{
 			Dim: 4, ThetaR: 1.2, ThetaC: 6, Win: 2000, Slide: 500,
-			FullOnly: fullOnly, EmitWorkers: 1,
+			FullOnly: fullOnly, Parallelism: 1,
 		}
 		run := func(o Options) []byte {
 			eng, err := New(o)
@@ -120,69 +118,11 @@ func TestEngineEmitWorkersMatchesSequential(t *testing.T) {
 			return b
 		}
 		want := run(opts)
-		for _, ew := range []int{1, 2, 8} {
+		for _, p := range []int{1, 2, 8} {
 			o := opts
-			o.EmitWorkers = ew
+			o.Parallelism = p
 			if got := run(o); string(got) != string(want) {
-				t.Errorf("fullOnly=%v emitWorkers=%d: output differs from sequential emit", fullOnly, ew)
-			}
-		}
-	}
-}
-
-// TestShardedEmitWorkersMatchesSequential: sharded ingestion with
-// parallel output stages inside every shard must produce, shard for
-// shard, byte-identical window sequences to shards running the fully
-// sequential output stage. Across shards the consumer interleaving is
-// nondeterministic by design, so windows are compared per shard.
-func TestShardedEmitWorkersMatchesSequential(t *testing.T) {
-	data := gen.STT(gen.STTConfig{Seed: 5}, 20000)
-	const shards = 3
-
-	run := func(emitWorkers int) [][]*WindowResult {
-		procs := make([]stream.Processor, shards)
-		for i := range procs {
-			ex, err := core.New(core.Config{
-				Dim: 4, ThetaR: 1.2, ThetaC: 6,
-				Window:      window.Spec{Win: 2000, Slide: 500},
-				Workers:     2,
-				EmitWorkers: emitWorkers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs[i] = ex
-		}
-		perShard := make([][]*WindowResult, shards)
-		sh := &stream.Sharded{
-			Procs:     procs,
-			BatchSize: 500,
-			FlushTail: true,
-			OnWindow: func(shard int, w *WindowResult) error {
-				perShard[shard] = append(perShard[shard], w)
-				return nil
-			},
-		}
-		if _, err := sh.Run(context.Background(), stream.FromSlice(data.Points, data.TS)); err != nil {
-			t.Fatal(err)
-		}
-		return perShard
-	}
-
-	want := run(1)
-	for _, ew := range []int{2, 8} {
-		got := run(ew)
-		for s := 0; s < shards; s++ {
-			wb, err := json.Marshal(want[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := json.Marshal(got[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(wb) != string(gb) {
-				t.Errorf("emitWorkers=%d shard=%d: windows differ from sequential emit", ew, s)
+				t.Errorf("fullOnly=%v parallelism=%d: output differs from sequential emit", fullOnly, p)
 			}
 		}
 	}
@@ -194,7 +134,7 @@ func TestEnginePushBatchFullOnly(t *testing.T) {
 	data := gen.STT(gen.STTConfig{Seed: 7}, 4000)
 	opts := Options{
 		Dim: 4, ThetaR: 1.2, ThetaC: 6, Win: 1500, Slide: 500,
-		FullOnly: true, Workers: 4,
+		FullOnly: true, Parallelism: 4,
 	}
 	seqEng, err := New(Options{Dim: 4, ThetaR: 1.2, ThetaC: 6, Win: 1500, Slide: 500, FullOnly: true})
 	if err != nil {

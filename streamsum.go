@@ -16,42 +16,42 @@
 // and retrieved with cluster matching queries ("has a congestion like this
 // one been seen before?") using a filter-and-refine strategy.
 //
-// # Ingestion: Push, PushBatch, sharding
+// # Parallelism
+//
+// One knob, Options.Parallelism, bounds every fan-out inside the engine;
+// <= 0 means one goroutine per available CPU (GOMAXPROCS) and 1 runs
+// everything sequentially. Results — windows, summaries, match results,
+// subscription events — are byte-identical at every setting.
+//
+// # Ingestion: Push, PushBatch
 //
 // Push feeds one tuple at a time. For high-rate streams, PushBatch feeds a
 // whole batch (typically one slide's worth) through a two-phase pipeline:
 // the per-tuple range query search — the dominant per-insertion cost in
-// the paper's analysis — runs as a read-only fan-out across Options.Workers
-// goroutines over the frozen window state, and all state updates then
-// replay sequentially in arrival order. The batch path is guaranteed to
-// emit window-for-window identical results to sequential Push; it only
-// reorganizes where neighbors are *found*, never how state is updated.
-//
-// For horizontally partitioned workloads, internal/stream's Sharded
-// executor drives N independent engines (hash- or key-partitioned) with a
-// serialized consumer stage, stacking shard-level parallelism on top of
-// the per-batch discovery fan-out.
+// the paper's analysis — runs as a read-only fan-out over the frozen
+// window state, and all state updates then replay sequentially in
+// arrival order. The batch path is guaranteed to emit window-for-window
+// identical results to sequential Push; it only reorganizes where
+// neighbors are *found*, never how state is updated. (FullOnly engines,
+// which run the Extra-N baseline, ingest a batch as a Push loop.)
 //
 // # Output stage
 //
 // Whenever a window completes, the output stage extracts its clusters and
 // builds their summaries. The stage mirrors ingestion's structure: a cheap
 // sequential graph walk identifies the clusters, then per-cluster summary
-// construction fans out across Options.EmitWorkers goroutines over frozen
-// state, merged in deterministic cluster order — the emitted windows are
-// byte-identical at every worker count.
+// construction fans out over frozen state, merged in deterministic
+// cluster order.
 //
 // # Matching
 //
 // The pattern base is snapshot-isolated: matching queries (Match,
 // MatchQuery) execute against an immutable read-only view and never
 // block archiving, so they are safe from any number of goroutines
-// concurrently with ingestion — including N sharded engines feeding one
-// shared base. The matcher mirrors the output stage's structure: a
-// parallel index-probe filter phase (one probe per tier shard), a
-// parallel per-candidate refine phase across Options.MatchWorkers
-// goroutines, and a sequential order/limit phase, with results
-// byte-identical at every worker count.
+// concurrently with ingestion. The matcher mirrors the output stage's
+// structure: a parallel index-probe filter phase (one probe per tier
+// shard), a parallel per-candidate refine phase, and a sequential
+// order/limit phase.
 //
 // # Tiered history
 //
@@ -190,29 +190,13 @@ type Options struct {
 	// this threshold, so the pattern base stores each recurring pattern
 	// once instead of once per window.
 	ArchiveNovelty float64
-	// Workers bounds the parallel neighbor-discovery fan-out used by
-	// PushBatch: <= 0 means one worker per available CPU, 1 forces the
-	// fully sequential batch path. Single-tuple Push is unaffected.
-	Workers int
-	// EmitWorkers bounds the output stage's parallel fan-out (connection
-	// pruning, edge-attachment resolution, per-cluster summary
-	// construction): <= 0 means one worker per available CPU, 1 forces the
-	// fully sequential output stage. Applies to Push, PushBatch and Flush
-	// alike — the output stage runs whenever a window completes — and
-	// results are byte-identical at every setting.
-	EmitWorkers int
-	// MatchWorkers bounds the matching pipeline's parallel phases (the
-	// per-shard filter probes and the per-candidate grid-cell-level
-	// distance evaluations): <= 0 means one worker per available CPU, 1
-	// forces the fully sequential matcher. Results are byte-identical at
-	// every setting.
-	MatchWorkers int
-	// SubWorkers bounds the standing-query registry's per-window
-	// evaluation fan-out (the inverted probe and refine phases; see
-	// Subscribe): <= 0 means one worker per available CPU, 1 forces
-	// sequential evaluation. Delivered events are byte-identical at
-	// every setting.
-	SubWorkers int
+	// Parallelism bounds every fan-out inside the engine: PushBatch's
+	// neighbor discovery, the output stage's per-cluster summary
+	// construction, the matcher's filter and refine phases, and the
+	// standing-query registry's per-window evaluation. <= 0 means one
+	// goroutine per available CPU (GOMAXPROCS); 1 runs everything
+	// sequentially. Results are byte-identical at every setting.
+	Parallelism int
 	// StorePath, when non-empty, attaches a disk tier to the pattern base
 	// (requires Archive): entries evicted from the memory tier demote
 	// into immutable on-disk segments under this directory and remain
@@ -257,10 +241,6 @@ type Engine struct {
 	opts Options
 	proc stream.Processor
 	base *archive.Base
-	// sink archives one completed window into base (one PutBatch per
-	// window) and offers the new entries to the standing-query registry;
-	// nil when archiving is off or novelty filtering is on.
-	sink func(int, *core.WindowResult) error
 	// subs is the standing-query registry (nil without a pattern base).
 	subs *sub.Registry
 	// tracker feeds evolution events to Track subscriptions; created on
@@ -277,7 +257,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	cfg := core.Config{
 		Dim: opts.Dim, ThetaR: opts.ThetaR, ThetaC: opts.ThetaC, Window: spec,
-		Workers: opts.Workers, EmitWorkers: opts.EmitWorkers,
+		Workers: opts.Parallelism,
 	}
 	var (
 		proc stream.Processor
@@ -323,7 +303,7 @@ func New(opts Options) (*Engine, error) {
 			return nil, err
 		}
 		sc := sub.Config{
-			Dim: opts.Dim, Workers: opts.SubWorkers,
+			Dim: opts.Dim, Workers: opts.Parallelism,
 			SlowThreshold: opts.SlowQuery,
 		}
 		if opts.Logger != nil {
@@ -332,17 +312,6 @@ func New(opts Options) (*Engine, error) {
 		e.subs, err = sub.NewRegistry(sc)
 		if err != nil {
 			return nil, err
-		}
-		if opts.ArchiveNovelty <= 0 {
-			// The same window-per-PutBatch wiring sharded consumers use,
-			// with the window's new entries offered to the standing-query
-			// registry off the same post-batch snapshot — and evaluated
-			// inside the sink's window trace, so one recorded trace covers
-			// archiving through delivery.
-			e.sink = stream.ArchiveWindowsEval(e.base,
-				func(_ int, _ *core.WindowResult, entries []*archive.Entry, tr *trace.Trace) error {
-					return e.subs.OfferTraced(entries, tr)
-				}, nil)
 		}
 	}
 	return e, nil
@@ -375,10 +344,9 @@ func (e *Engine) Close() error {
 // OptionsFromQuery parses a DETECT query in the paper's query language
 // (Figure 2) into engine Options. dim supplies the tuple dimensionality,
 // which the query language leaves to the schema. Execution-side knobs the
-// language does not cover (Workers, EmitWorkers, MatchWorkers, SubWorkers,
-// Archive, ArchiveNovelty, StorePath, StoreMaxMemBytes,
-// SummaryCacheBytes) can be set on the returned Options before calling
-// New.
+// language does not cover (Parallelism, Archive, ArchiveNovelty,
+// StorePath, StoreMaxMemBytes, SummaryCacheBytes) can be set on the
+// returned Options before calling New.
 func OptionsFromQuery(q string, dim int) (Options, error) {
 	cq, err := query.ParseCluster(q)
 	if err != nil {
@@ -442,8 +410,8 @@ func (e *Engine) Push(p Point, ts int64) ([]*WindowResult, error) {
 // and archived automatically when archiving is configured. tss supplies
 // per-tuple timestamps for time-based windows and may be nil for
 // count-based ones. The batch's neighbor-discovery phase fans out across
-// Options.Workers goroutines; batching one slide's worth of tuples per
-// call amortizes best.
+// Options.Parallelism goroutines; batching one slide's worth of tuples
+// per call amortizes best.
 func (e *Engine) PushBatch(pts []Point, tss []int64) ([]*WindowResult, error) {
 	if tss != nil && len(tss) != len(pts) {
 		return nil, fmt.Errorf("streamsum: PushBatch got %d timestamps for %d points", len(tss), len(pts))
@@ -497,7 +465,7 @@ func (e *Engine) archiveWindow(w *WindowResult) error {
 	if e.opts.ArchiveNovelty > 0 {
 		err = e.archiveNovelWindow(w)
 	} else {
-		err = e.sink(0, w)
+		err = e.sinkWindow(w)
 	}
 	if err != nil {
 		return err
@@ -555,7 +523,7 @@ func (e *Engine) archiveNovelWindow(w *WindowResult) error {
 		var err error
 		matched, err = match.Any(e.base.Snapshot(), sums, match.Query{
 			Threshold: e.opts.ArchiveNovelty,
-			Workers:   e.opts.MatchWorkers,
+			Workers:   e.opts.Parallelism,
 		})
 		if err != nil {
 			return err
@@ -615,9 +583,6 @@ type MatchOptions struct {
 	Weights *Weights
 	// Limit, when positive, returns only the closest Limit matches.
 	Limit int
-	// Workers overrides the engine's Options.MatchWorkers for this query
-	// when non-zero. Results are byte-identical at every setting.
-	Workers int
 	// Trace, when non-nil, records the query's span tree: per-phase wall
 	// times and pruning detail (segments probed vs zone-skipped, summary
 	// cache hits vs disk loads) as spans and attributes. The caller owns
@@ -630,21 +595,17 @@ type MatchOptions struct {
 // Match runs a cluster matching query against the engine's pattern base.
 // The query executes against a read-only snapshot, so Match is safe from
 // any goroutine concurrently with ingestion and never blocks archiving;
-// its refine phase fans out across Options.MatchWorkers goroutines.
+// its refine phase fans out across Options.Parallelism goroutines.
 func (e *Engine) Match(opts MatchOptions) ([]Match, MatchStats, error) {
 	if e.base == nil {
 		return nil, MatchStats{}, fmt.Errorf("streamsum: engine has no pattern base (set Options.Archive)")
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = e.opts.MatchWorkers
 	}
 	return match.Run(e.base.Snapshot(), match.Query{
 		Target:    opts.Target,
 		Threshold: opts.Threshold,
 		Weights:   opts.Weights,
 		Limit:     opts.Limit,
-		Workers:   workers,
+		Workers:   e.opts.Parallelism,
 		Trace:     opts.Trace,
 	})
 }

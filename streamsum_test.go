@@ -274,35 +274,39 @@ func TestNewFromQueryThetaDefault(t *testing.T) {
 	}
 }
 
-// TestEngineMatchWorkersDeterminism: facade-level acceptance check that
-// Match results are byte-identical at MatchWorkers 1/2/8.
-func TestEngineMatchWorkersDeterminism(t *testing.T) {
-	eng, err := New(Options{
-		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,
-		Archive: &ArchiveOptions{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEngineMatchParallelismDeterminism: facade-level acceptance check
+// that Match results are byte-identical at Parallelism 1/2/8.
+func TestEngineMatchParallelismDeterminism(t *testing.T) {
 	b := gen.GMTI(gen.GMTIConfig{Seed: 5}, 5000)
 	var target *Summary
-	for _, p := range b.Points {
-		results, err := eng.Push(p, 0)
+	engine := func(parallelism int) *Engine {
+		eng, err := New(Options{
+			Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,
+			Archive: &ArchiveOptions{}, Parallelism: parallelism,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range results {
-			for _, c := range w.Clusters {
-				if c.Summary != nil {
-					target = c.Summary
+		for _, p := range b.Points {
+			results, err := eng.Push(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range results {
+				for _, c := range w.Clusters {
+					if c.Summary != nil && parallelism == 1 {
+						target = c.Summary
+					}
 				}
 			}
 		}
+		return eng
 	}
+	eng := engine(1)
 	if target == nil || eng.PatternBase().Len() == 0 {
 		t.Fatal("no archived clusters")
 	}
-	ref, refStats, err := eng.Match(MatchOptions{Target: target, Threshold: 1, Limit: 10, Workers: 1})
+	ref, refStats, err := eng.Match(MatchOptions{Target: target, Threshold: 1, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,27 +314,28 @@ func TestEngineMatchWorkersDeterminism(t *testing.T) {
 		t.Fatal("no matches")
 	}
 	// The same at a threshold low enough that pairs are dismissed by bound.
-	low, lowStats, err := eng.Match(MatchOptions{Target: target, Threshold: 0.3, Workers: 1})
+	low, lowStats, err := eng.Match(MatchOptions{Target: target, Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(low) == 0 || lowStats.Pruned == 0 {
 		t.Fatalf("threshold 0.3: %d matches, %d of %d refined pairs pruned; want both non-zero", len(low), lowStats.Pruned, lowStats.Refined)
 	}
-	for _, workers := range []int{2, 8} {
-		got, gotStats, err := eng.Match(MatchOptions{Target: target, Threshold: 1, Limit: 10, Workers: workers})
+	for _, parallelism := range []int{2, 8} {
+		eng := engine(parallelism)
+		got, gotStats, err := eng.Match(MatchOptions{Target: target, Threshold: 1, Limit: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref, got) || refStats != gotStats {
-			t.Fatalf("MatchWorkers %d diverged from sequential", workers)
+			t.Fatalf("Parallelism %d diverged from sequential", parallelism)
 		}
-		got, gotStats, err = eng.Match(MatchOptions{Target: target, Threshold: 0.3, Workers: workers})
+		got, gotStats, err = eng.Match(MatchOptions{Target: target, Threshold: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(low, got) || lowStats != gotStats {
-			t.Fatalf("MatchWorkers %d diverged from sequential at threshold 0.3", workers)
+			t.Fatalf("Parallelism %d diverged from sequential at threshold 0.3", parallelism)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package streamsum
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,15 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"streamsum/internal/archive"
-	"streamsum/internal/core"
 	"streamsum/internal/gen"
 	"streamsum/internal/match"
 	"streamsum/internal/sgs"
-	"streamsum/internal/stream"
-	"streamsum/internal/sub"
-	"streamsum/internal/trace"
-	"streamsum/internal/window"
 )
 
 // subTargets runs the stream once without subscriptions and returns a
@@ -65,7 +58,7 @@ func runSubscribed(t *testing.T, workers int, targets []*Summary, threshs []floa
 	t.Helper()
 	eng, err := New(Options{
 		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 4000, Slide: 1000,
-		Archive: &ArchiveOptions{}, SubWorkers: workers,
+		Archive: &ArchiveOptions{}, Parallelism: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +145,11 @@ func runSubscribed(t *testing.T, workers int, targets []*Summary, threshs []floa
 	return runs
 }
 
-// TestSubscribeDeterministicAcrossSubWorkers: a standing query's event
+// TestSubscribeDeterministicAcrossParallelism: a standing query's event
 // stream — ids, window sequence, distances, and the summaries the events
-// carry — is byte-identical at SubWorkers 1, 2 and 8, and always equals
+// carry — is byte-identical at Parallelism 1, 2 and 8, and always equals
 // what a one-shot full scan of the final archive would select.
-func TestSubscribeDeterministicAcrossSubWorkers(t *testing.T) {
+func TestSubscribeDeterministicAcrossParallelism(t *testing.T) {
 	targets := subTargets(t, 6)
 	threshs := make([]float64, len(targets))
 	weights := make([]*Weights, len(targets))
@@ -240,37 +233,36 @@ func TestSubscribeIncremental(t *testing.T) {
 	}
 }
 
-// TestSubscribeChurnSharded races subscribe/unsubscribe churn against
-// 4-shard ingestion into one pattern base (run under -race in CI), and
-// checks that the stable subscriptions' event multisets are identical
-// at SubWorkers 1, 2 and 8 — shard interleaving may reorder archiving
-// (and so archive ids), but never changes what a standing query sees.
-func TestSubscribeChurnSharded(t *testing.T) {
-	// Targets come from a plain run of the same sharded configuration, so
-	// the standing queries actually fire against the churn runs' clusters.
+// TestSubscribeChurn races subscribe/unsubscribe churn against ingestion
+// into the engine's pattern base (run under -race in CI), and checks that
+// the stable subscriptions' event multisets are identical at Parallelism
+// 1, 2 and 8 — churn may change what else is registered, but never what a
+// standing query sees.
+func TestSubscribeChurn(t *testing.T) {
+	opts := Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 2000, Slide: 500, Archive: &ArchiveOptions{}}
+	data := gen.GMTI(gen.GMTIConfig{Seed: 9}, 10000)
+	ingest := func(eng *Engine) {
+		for lo := 0; lo < len(data.Points); lo += 500 {
+			if _, err := eng.PushBatch(data.Points[lo:lo+500], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Targets come from a plain run of the same configuration, so the
+	// standing queries actually fire against the churn runs' clusters.
 	targets := func() []*Summary {
-		base, err := archive.New(archive.Config{Dim: 2})
+		eng, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		procs := make([]stream.Processor, 4)
-		for i := range procs {
-			eng, err := core.New(core.Config{
-				Dim: 2, ThetaR: 1.0, ThetaC: 4,
-				Window: window.Spec{Win: 2000, Slide: 500},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs[i] = eng
-		}
-		sh := &stream.Sharded{Procs: procs, OnWindow: stream.ArchiveWindows(base, nil), FlushTail: true}
-		data := gen.GMTI(gen.GMTIConfig{Seed: 9}, 10000)
-		if _, err := sh.Run(context.Background(), stream.FromSlice(data.Points, data.TS)); err != nil {
-			t.Fatal(err)
-		}
+		defer eng.Close()
+		ingest(eng)
+		base := eng.PatternBase()
 		if base.Len() < 4 {
-			t.Fatalf("sharded fixture archived only %d clusters", base.Len())
+			t.Fatalf("fixture archived only %d clusters", base.Len())
 		}
 		var out []*Summary
 		step := base.Len() / 4
@@ -279,26 +271,25 @@ func TestSubscribeChurnSharded(t *testing.T) {
 		}
 		return out
 	}()
-	run := func(workers int) [][]string {
-		reg, err := sub.NewRegistry(sub.Config{Dim: 2, Workers: workers})
+	run := func(parallelism int) [][]string {
+		o := opts
+		o.Parallelism = parallelism
+		eng, err := New(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := archive.New(archive.Config{Dim: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stable := make([]*sub.Subscription, len(targets))
+		defer eng.Close()
+		stable := make([]*Subscription, len(targets))
 		collected := make([][]string, len(targets))
 		var wg sync.WaitGroup
 		for i, tgt := range targets {
-			s, err := reg.Subscribe(sub.Options{Target: tgt, Threshold: 0.35})
+			s, err := eng.Subscribe(SubscribeOptions{Target: tgt, Threshold: 0.35})
 			if err != nil {
 				t.Fatal(err)
 			}
 			stable[i] = s
 			wg.Add(1)
-			go func(i int, s *sub.Subscription) {
+			go func(i int, s *Subscription) {
 				defer wg.Done()
 				for ev := range s.Events() {
 					sum, err := ev.Entry.LoadSummary()
@@ -306,33 +297,11 @@ func TestSubscribeChurnSharded(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					// Canonical form: archive ids differ across shard
-					// interleavings, the summaries do not.
 					c := sum.Clone()
 					c.ID = 0
-					collected[i] = append(collected[i], fmt.Sprintf("%.9f/%x", ev.Distance, sgs.Marshal(c)))
+					collected[i] = append(collected[i], fmt.Sprintf("%d/%.9f/%x", ev.EntryID, ev.Distance, sgs.Marshal(c)))
 				}
 			}(i, s)
-		}
-
-		procs := make([]stream.Processor, 4)
-		for i := range procs {
-			eng, err := core.New(core.Config{
-				Dim: 2, ThetaR: 1.0, ThetaC: 4,
-				Window: window.Spec{Win: 2000, Slide: 500},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs[i] = eng
-		}
-		sh := &stream.Sharded{
-			Procs: procs,
-			OnWindow: stream.ArchiveWindowsEval(base,
-				func(_ int, _ *core.WindowResult, entries []*archive.Entry, tr *trace.Trace) error {
-					return reg.OfferTraced(entries, tr)
-				}, nil),
-			FlushTail: true,
 		}
 
 		// Churners: subscribe and unsubscribe continuously during the run,
@@ -346,7 +315,7 @@ func TestSubscribeChurnSharded(t *testing.T) {
 			go func(g int) {
 				defer churn.Done()
 				rng := rand.New(rand.NewSource(int64(g)))
-				var kept []*sub.Subscription
+				var kept []*Subscription
 				defer func() {
 					for _, s := range kept {
 						s.Cancel()
@@ -358,7 +327,7 @@ func TestSubscribeChurnSharded(t *testing.T) {
 						return
 					default:
 					}
-					s, err := reg.Subscribe(sub.Options{
+					s, err := eng.Subscribe(SubscribeOptions{
 						Target:    targets[rng.Intn(len(targets))],
 						Threshold: 0.1 + 0.2*rng.Float64(),
 						Track:     i%2 == 0,
@@ -380,19 +349,14 @@ func TestSubscribeChurnSharded(t *testing.T) {
 			}(g)
 		}
 
-		data := gen.GMTI(gen.GMTIConfig{Seed: 9}, 10000)
-		if _, err := sh.Run(context.Background(), stream.FromSlice(data.Points, data.TS)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(eng)
 		close(stop)
 		churn.Wait()
-		for i, s := range stable {
+		for _, s := range stable {
 			s.Sync()
 			s.Cancel()
-			_ = i
 		}
 		wg.Wait()
-		reg.Close()
 		for i := range collected {
 			sort.Strings(collected[i])
 		}
@@ -407,12 +371,12 @@ func TestSubscribeChurnSharded(t *testing.T) {
 	if total == 0 {
 		t.Fatal("stable subscriptions saw no events; fixture is vacuous")
 	}
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
+	for _, p := range []int{2, 8} {
+		got := run(p)
 		for i := range ref {
 			if !reflect.DeepEqual(got[i], ref[i]) {
-				t.Fatalf("workers=%d: stable sub %d event multiset diverges (%d vs %d events)",
-					workers, i, len(got[i]), len(ref[i]))
+				t.Fatalf("parallelism=%d: stable sub %d event multiset diverges (%d vs %d events)",
+					p, i, len(got[i]), len(ref[i]))
 			}
 		}
 	}

@@ -77,7 +77,8 @@ func tieredEngine(t *testing.T, extra Options) *Engine {
 // TestTieredMatchIdenticalAcrossWorkers is the acceptance criterion of
 // the tiered store: a matching query over a base whose segments exceed
 // StoreMaxMemBytes returns results identical to the all-in-memory run at
-// every MatchWorkers count, while the memory tier stays within its cap.
+// every matcher worker count (match.Query.Workers, the fan-out
+// Options.Parallelism sets), while the memory tier stays within its cap.
 func TestTieredMatchIdenticalAcrossWorkers(t *testing.T) {
 	runTieredMatchIdentical(t)
 }
@@ -140,7 +141,7 @@ func runTieredMatchIdentical(t *testing.T) {
 		ref   int
 	}
 	runOne := func(eng *Engine, target *sgs.Summary, workers int) result {
-		ms, stats, err := eng.Match(MatchOptions{
+		ms, stats, err := match.Run(eng.PatternBase().Snapshot(), match.Query{
 			Target: target, Threshold: 0.35, Limit: 10, Workers: workers,
 		})
 		if err != nil {
@@ -235,7 +236,7 @@ func TestTieredConcurrentMatch(t *testing.T) {
 	var wg sync.WaitGroup
 	for m := 0; m < 3; m++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -243,11 +244,11 @@ func TestTieredConcurrentMatch(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := eng.Match(MatchOptions{Target: target, Threshold: 0.4, Limit: 5, Workers: workers}); err != nil {
+				if _, _, err := eng.Match(MatchOptions{Target: target, Threshold: 0.4, Limit: 5}); err != nil {
 					panic(err)
 				}
 			}
-		}(m%2 + 1)
+		}()
 	}
 	for lo := 0; lo+1000 <= len(data.Points); lo += 1000 {
 		if _, err := eng.PushBatch(data.Points[lo:lo+1000], nil); err != nil {
