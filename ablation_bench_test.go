@@ -1,6 +1,6 @@
 package streamsum
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the paper's design choices:
 //
 //   - BenchmarkGridSideAblation — the paper fixes the finest cell size at
 //     diagonal = θr (§4.3). Larger cells mean fewer cells but more false

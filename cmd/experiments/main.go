@@ -175,7 +175,7 @@ func runFig9(args []string) error {
 	seed := fs.Int64("seed", 2011, "workload seed")
 	_ = fs.Parse(args)
 
-	fmt.Println("Figure 9 — matching quality (simulated analyst study; see DESIGN.md)")
+	fmt.Println("Figure 9 — matching quality (simulated analyst study; see internal/quality)")
 	fmt.Printf("archive %d, %d targets, %d-D, top-3 matches per method, seed %d\n\n", *archiveN, *targets, *dim, *seed)
 	results, err := experiments.RunFig9(experiments.Fig9Config{
 		ArchiveSize: *archiveN, Targets: *targets, Dim: *dim, Seed: *seed,

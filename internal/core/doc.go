@@ -27,7 +27,7 @@
 // prolong-propagation unspecified, we keep per-object neighbor references
 // (ids only, pruned lazily at the same points the paper prunes its
 // bucketed neighbor lists) so that every career growth refreshes the
-// affected cell connections; DESIGN.md discusses this substitution.
+// affected cell connections.
 //
 // # Invariants
 //

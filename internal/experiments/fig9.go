@@ -17,8 +17,8 @@ import (
 // cluster, every summarization format returns its top-3 matches; each
 // returned match is rated very-similar / similar / not-similar. The
 // paper's 20 human analysts are replaced by the full-representation
-// coverage oracle of internal/quality (see that package and DESIGN.md for
-// why the substitution preserves the comparison's discriminating power).
+// coverage oracle of internal/quality (see that package's comment for why
+// the substitution preserves the comparison's discriminating power).
 //
 // Targets mix perturbed copies of archived clusters (a good match exists;
 // a faithful method should find it) with fresh clusters (no especially

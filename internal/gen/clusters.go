@@ -105,7 +105,7 @@ func Perturb(c GeneratedCluster, jitter, shift float64, seed int64) GeneratedClu
 	dim := len(c.Points[0])
 	delta := make(geom.Point, dim)
 	for d := range delta {
-		delta[d] = (rng.Float64()*2 - 1) * shift
+		delta[d] = (float64(rng.Float64())*2 - 1) * shift
 	}
 	pts := make([]geom.Point, 0, len(c.Points))
 	for _, p := range c.Points {
@@ -115,7 +115,7 @@ func Perturb(c GeneratedCluster, jitter, shift float64, seed int64) GeneratedClu
 		}
 		q := p.Add(delta)
 		for d := range q {
-			q[d] += rng.NormFloat64() * jitter
+			q[d] += float64(rng.NormFloat64() * jitter)
 		}
 		pts = append(pts, q)
 	}
@@ -131,57 +131,57 @@ func oneCluster(rng *rand.Rand, cfg ClustersConfig, shape ShapeFamily) []geom.Po
 	pts := make([]geom.Point, 0, n)
 	emit := func(x, y float64) {
 		p := make(geom.Point, cfg.Dim)
-		p[0] = center[0] + x
-		p[1] = center[1] + y
+		p[0] = center[0] + float64(x)
+		p[1] = center[1] + float64(y)
 		for d := 2; d < cfg.Dim; d++ {
-			p[d] = center[d] + rng.NormFloat64()*0.5
+			p[d] = center[d] + float64(rng.NormFloat64()*0.5)
 		}
 		pts = append(pts, p)
 	}
 	switch shape {
 	case ShapeBlob:
-		sx := 0.8 + rng.Float64()*1.5
-		sy := 0.8 + rng.Float64()*1.5
+		sx := 0.8 + float64(rng.Float64()*1.5)
+		sy := 0.8 + float64(rng.Float64()*1.5)
 		for i := 0; i < n; i++ {
 			emit(rng.NormFloat64()*sx, rng.NormFloat64()*sy)
 		}
 	case ShapeElongated:
-		length := 6 + rng.Float64()*8
-		width := 0.3 + rng.Float64()*0.5
+		length := 6 + float64(rng.Float64()*8)
+		width := 0.3 + float64(rng.Float64()*0.5)
 		angle := rng.Float64() * math.Pi
 		cos, sin := math.Cos(angle), math.Sin(angle)
 		for i := 0; i < n; i++ {
-			u := (rng.Float64() - 0.5) * length
+			u := (float64(rng.Float64()) - 0.5) * length
 			v := rng.NormFloat64() * width
-			emit(u*cos-v*sin, u*sin+v*cos)
+			emit(float64(u*cos)-float64(v*sin), float64(u*sin)+float64(v*cos))
 		}
 	case ShapeRing:
 		// Radius bounded so the ring's linear density stays above the
 		// clustering threshold even for the smallest point counts.
-		r := 1.8 + rng.Float64()*1.2
-		width := 0.25 + rng.Float64()*0.3
+		r := 1.8 + float64(rng.Float64()*1.2)
+		width := 0.25 + float64(rng.Float64()*0.3)
 		for i := 0; i < n; i++ {
-			a := rng.Float64() * 2 * math.Pi
-			rr := r + rng.NormFloat64()*width
+			a := float64(rng.Float64()) * 2 * math.Pi
+			rr := r + float64(rng.NormFloat64()*width)
 			emit(rr*math.Cos(a), rr*math.Sin(a))
 		}
 	case ShapeTwoLobe:
-		sep := 4 + rng.Float64()*3
-		s1 := 0.8 + rng.Float64()
-		s2 := 0.8 + rng.Float64()
+		sep := 4 + float64(rng.Float64()*3)
+		s1 := 0.8 + float64(rng.Float64())
+		s2 := 0.8 + float64(rng.Float64())
 		for i := 0; i < n; i++ {
 			switch {
 			case i%10 == 0: // thin bridge
-				emit((rng.Float64()-0.5)*sep, rng.NormFloat64()*0.25)
+				emit((float64(rng.Float64())-0.5)*sep, rng.NormFloat64()*0.25)
 			case i%2 == 0:
-				emit(-sep/2+rng.NormFloat64()*s1, rng.NormFloat64()*s1)
+				emit(float64(-sep/2)+float64(rng.NormFloat64()*s1), rng.NormFloat64()*s1)
 			default:
-				emit(sep/2+rng.NormFloat64()*s2, rng.NormFloat64()*s2)
+				emit(float64(sep/2)+float64(rng.NormFloat64()*s2), rng.NormFloat64()*s2)
 			}
 		}
 	case ShapeBend:
-		arm := 4 + rng.Float64()*4
-		width := 0.4 + rng.Float64()*0.4
+		arm := 4 + float64(rng.Float64()*4)
+		width := 0.4 + float64(rng.Float64()*0.4)
 		for i := 0; i < n; i++ {
 			u := rng.Float64() * arm
 			v := rng.NormFloat64() * width

@@ -17,6 +17,11 @@
 // larger than these two datasets, we append multiple rounds of the
 // original data varied by setting random differences on all attributes"
 // (Extend).
+//
+// A seed yields the same points on every GOARCH: each product that feeds
+// a sum is rounded on its own with float64(…), so arm64 cannot fuse the
+// two into one multiply-add. That includes a bare rng.Float64(), whose
+// inlined body ends in a multiply by 2^-63.
 package gen
 
 import (
@@ -64,7 +69,7 @@ func Extend(b Batch, target int, jitter float64, seed int64) Batch {
 		for i := 0; i < n && len(out.Points) < target; i++ {
 			p := b.Points[i].Clone()
 			for d := range p {
-				p[d] += (rng.Float64()*2 - 1) * jitter
+				p[d] += float64((float64(rng.Float64())*2 - 1) * jitter)
 			}
 			out.Points = append(out.Points, p)
 			out.TS = append(out.TS, b.TS[i]+round*span)
@@ -135,13 +140,13 @@ func STT(cfg STTConfig, n int) Batch {
 		tick++
 		// Symbols drift; bursts start at random.
 		for s := range syms {
-			syms[s].price += rng.NormFloat64() * 0.0004
+			syms[s].price += float64(rng.NormFloat64() * 0.0004)
 			if syms[s].price < 0 {
 				syms[s].price = 0
 			}
 			if syms[s].burst == 0 && rng.Float64() < cfg.BurstProb {
 				syms[s].burst = cfg.BurstLen/2 + rng.Intn(cfg.BurstLen)
-				syms[s].burstVol = 0.2 + rng.Float64()*0.6
+				syms[s].burstVol = 0.2 + float64(rng.Float64()*0.6)
 				syms[s].burstTyp = float64(rng.Intn(2))
 			}
 		}
@@ -155,8 +160,8 @@ func STT(cfg STTConfig, n int) Batch {
 					sym.burst--
 					b.Points = append(b.Points, geom.Point{
 						sym.burstTyp,
-						sym.price + rng.NormFloat64()*0.004,
-						sym.burstVol + rng.NormFloat64()*0.015,
+						sym.price + float64(rng.NormFloat64()*0.004),
+						sym.burstVol + float64(rng.NormFloat64()*0.015),
 						float64(tick) / 1000,
 					})
 					b.TS = append(b.TS, tick)
@@ -234,10 +239,10 @@ func GMTI(cfg GMTIConfig, n int) Batch {
 		convoys[i] = convoy{
 			x:       rng.Float64() * cfg.Region,
 			y:       rng.Float64() * cfg.Region,
-			heading: rng.Float64() * 2 * math.Pi,
-			speed:   0.01 + rng.Float64()*0.08,
+			heading: float64(rng.Float64()) * 2 * math.Pi,
+			speed:   0.01 + float64(rng.Float64()*0.08),
 			size:    6 + rng.Intn(20),
-			spread:  0.4 + rng.Float64()*1.2,
+			spread:  0.4 + float64(rng.Float64()*1.2),
 		}
 	}
 
@@ -247,9 +252,9 @@ func GMTI(cfg GMTIConfig, n int) Batch {
 		tick++
 		for ci := range convoys {
 			cv := &convoys[ci]
-			cv.heading += rng.NormFloat64() * 0.05
-			cv.x += math.Cos(cv.heading) * cv.speed
-			cv.y += math.Sin(cv.heading) * cv.speed
+			cv.heading += float64(rng.NormFloat64() * 0.05)
+			cv.x += float64(math.Cos(cv.heading) * cv.speed)
+			cv.y += float64(math.Sin(cv.heading) * cv.speed)
 			// Bounce off the region boundary.
 			if cv.x < 0 || cv.x > cfg.Region {
 				cv.heading = math.Pi - cv.heading
@@ -260,8 +265,8 @@ func GMTI(cfg GMTIConfig, n int) Batch {
 				cv.y = math.Min(math.Max(cv.y, 0), cfg.Region)
 			}
 			for v := 0; v < cv.size && len(b.Points) < n; v++ {
-				px := cv.x + rng.NormFloat64()*cv.spread
-				py := cv.y + rng.NormFloat64()*cv.spread
+				px := cv.x + float64(rng.NormFloat64()*cv.spread)
+				py := cv.y + float64(rng.NormFloat64()*cv.spread)
 				b.Points = append(b.Points, gmtiPoint(cfg, px, py, cv.speed, cv.heading, rng))
 				b.TS = append(b.TS, tick)
 			}
@@ -271,7 +276,7 @@ func GMTI(cfg GMTIConfig, n int) Batch {
 		for v := 0; v < lone && len(b.Points) < n; v++ {
 			b.Points = append(b.Points, gmtiPoint(cfg,
 				rng.Float64()*cfg.Region, rng.Float64()*cfg.Region,
-				rng.Float64()*0.09, rng.Float64()*2*math.Pi, rng))
+				rng.Float64()*0.09, float64(rng.Float64())*2*math.Pi, rng))
 			b.TS = append(b.TS, tick)
 		}
 	}
@@ -281,7 +286,7 @@ func GMTI(cfg GMTIConfig, n int) Batch {
 func gmtiPoint(cfg GMTIConfig, x, y, speed, heading float64, rng *rand.Rand) geom.Point {
 	if cfg.Dim == 4 {
 		// Speed in mph (0-200), heading scaled to a comparable range.
-		return geom.Point{x, y, speed/0.09*200 + rng.NormFloat64()*5, heading * 30}
+		return geom.Point{x, y, float64(speed/0.09*200) + float64(rng.NormFloat64()*5), heading * 30}
 	}
 	return geom.Point{x, y}
 }

@@ -14,7 +14,7 @@ import (
 // target either has a corresponding cell in the candidate (their features
 // are compared) or it does not (maximum difference 1, "its corresponding
 // sub-region ... can be viewed as an empty grid"). See the package comment
-// for the pruning bound and why it never changes a result.
+// for the pruning stages and why they never change a result.
 
 // vec is a cell coordinate or an alignment in cell units; components past
 // the pair's dimensionality stay zero.
@@ -26,9 +26,11 @@ type vec = [grid.MaxDim]int32
 // the identity alignment; otherwise it is the best one the anytime search
 // finds in budget evaluations. Before searching, a position-insensitive
 // pair at a threshold below 1 is tested against an exact lower bound on
-// the distance at every alignment; a pair the bound dismisses reports
-// dist = +Inf (no distance was computed) and within = false. Whenever
-// within is true, dist is exactly what the unpruned search returns.
+// the distance at every alignment, then, if it passes, against the exact
+// distances of the alignments enough cell pairs vote for; a pair either
+// test dismisses reports dist = +Inf (no search ran) and within = false.
+// A pair that is not dismissed gets exactly the unpruned search's
+// distance.
 //
 // Summaries must be normalized (sgs.Summary.Normalize) and their cells'
 // coordinates must carry the summary's dimensionality. Refine is safe for
@@ -162,8 +164,9 @@ type scratch struct {
 	slots  []slot      // visited set over aligns; len is a power of two
 	epoch  uint32
 
-	votes  []uint32 // dense table over cell-pair difference vectors
-	ia, ib []int32  // each cell's share of its pairs' table index
+	votes  []uint32           // dense table over cell-pair difference vectors
+	stride [grid.MaxDim]int64 // each axis's step in the table's index
+	ia, ib []int32            // each cell's share of its pairs' table index
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -184,7 +187,8 @@ func (sc *scratch) refine(a, b *sgs.Summary, budget int, threshold float64) floa
 		pruned := distanceFloor(na, nb, min(na, nb)) > threshold
 		if !pruned {
 			if m := sc.maxCoincident(a, b, &alo, &ahi, &blo, &bhi, budget); m >= 0 {
-				pruned = distanceFloor(na, nb, m) > threshold
+				pruned = distanceFloor(na, nb, m) > threshold ||
+					!sc.votedWithin(a, b, &ahi, &blo, m, minCoincident(na, nb, m, threshold), threshold)
 			}
 		}
 		if pruned {
@@ -238,7 +242,7 @@ func extent(s *sgs.Summary) (lo, hi vec) {
 // than the budget·(|a|+|b|) cell visits of the search they might save.
 func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, budget int) int {
 	na, nb := len(a.Cells), len(b.Cells)
-	var stride [grid.MaxDim]int64
+	stride := &sc.stride
 	size := int64(1)
 	dim := a.Dim
 	for d := dim - 1; d >= 0; d-- {
@@ -273,6 +277,7 @@ func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, bud
 		sc.votes = make([]uint32, size)
 	}
 	votes := sc.votes[:size]
+	sc.votes = votes
 	clear(votes)
 	var best uint32
 	for _, x := range sc.ia {
@@ -283,6 +288,58 @@ func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, bud
 		}
 	}
 	return int(best)
+}
+
+// minCoincident returns the fewest coincident cells, at most mStar, with
+// which an alignment of an na-cell and an nb-cell summary can come within
+// threshold: the smallest m with distanceFloor(na, nb, m) ≤ threshold,
+// which the caller has checked holds at mStar. The floor falls as m grows.
+func minCoincident(na, nb, mStar int, threshold float64) int {
+	lo, hi := 1, mStar
+	for lo < hi {
+		if mid := (lo + hi) / 2; distanceFloor(na, nb, mid) <= threshold {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return hi
+}
+
+// votedWithin reports whether some alignment holding at least mMin votes
+// in the table maxCoincident has just filled for (a, b) has cellDistance
+// within threshold. The alignments holding all mStar votes go first: they
+// are the likeliest to be within, so a pair that is kept usually costs
+// one evaluation.
+func (sc *scratch) votedWithin(a, b *sgs.Summary, ahi, blo *vec, mStar, mMin int, threshold float64) bool {
+	return sc.scanVotes(a, b, ahi, blo, mStar, mStar, threshold) ||
+		mMin < mStar && sc.scanVotes(a, b, ahi, blo, mMin, mStar-1, threshold)
+}
+
+// scanVotes reports whether some alignment holding lo to hi votes has
+// cellDistance within threshold, stopping at the first. An entry's index
+// splits, by the table's strides, into one digit per axis, the difference
+// b[j]−a[i] shifted up by ahi−blo; undoing that shift in int32 arithmetic
+// yields the alignment itself, or, where the shift wrapped, an alignment
+// congruent to it mod 2^32, which cellDistance's int32 translation maps
+// onto the very same cells.
+func (sc *scratch) scanVotes(a, b *sgs.Summary, ahi, blo *vec, lo, hi int, threshold float64) bool {
+	for ix, n := range sc.votes {
+		if int(n) < lo || int(n) > hi {
+			continue
+		}
+		var v vec
+		rest := int64(ix)
+		for d := 0; d < a.Dim; d++ {
+			digit := rest / sc.stride[d]
+			rest -= digit * sc.stride[d]
+			v[d] = int32(digit) - (ahi[d] - blo[d])
+		}
+		if cellDistance(a, b, &v) <= threshold {
+			return true
+		}
+	}
+	return false
 }
 
 // bestAlignment runs the A*-style anytime search of §7.2 for the alignment

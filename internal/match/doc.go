@@ -24,10 +24,11 @@
 //     every candidate surviving the exact cluster-level feature
 //     distance: the best alignment found by an A*-style anytime search
 //     (position-insensitive case) or the identity alignment
-//     (position-sensitive case), unless an exact bound shows first that
-//     no alignment can come within the threshold. This phase fans out
-//     across Query.Workers goroutines; candidates are independent, so
-//     each worker writes only its own result slot.
+//     (position-sensitive case), unless an exact bound or a scan of the
+//     voted alignments shows first that none can come within the
+//     threshold. This phase fans out across Query.Workers goroutines;
+//     candidates are independent, so each worker writes only its own
+//     result slot.
 //  3. Order — keep survivors within the threshold, sort by (distance,
 //     id), apply the top-k limit (sequential).
 //
@@ -58,27 +59,60 @@
 // abandoning one early (say, once it exceeds the threshold) would change
 // which alignments are reached and hence the answer.
 //
-// Bound. Only a few percent of gate survivors end up within the
-// threshold, and most of the rest can be dismissed without searching.
-// Let M* be the largest number of target cells any translation brings
-// into coincidence with candidate cells. An alignment with m coincident
-// cells leaves |a|−m target cells and |b|−m candidate cells unmatched at
-// difference 1 each, over a union of |a|+|b|−m cells, so
+// Bounds. Only a few percent of gate survivors end up within the
+// threshold, and most of the rest can be dismissed without searching. A
+// position-insensitive pair at a threshold below 1 meets two exact stages
+// before the search runs; a pair either stage dismisses reports dist =
+// +Inf, and Stats.Pruned and sgs_match_pruned_pairs_total count it.
+//
+// Stage one, M*. Let M* be the largest number of target cells any
+// translation brings into coincidence with candidate cells. An alignment
+// with m coincident cells leaves |a|−m target cells and |b|−m candidate
+// cells unmatched at difference 1 each, over a union of |a|+|b|−m cells,
+// so
 //
 //	CellDistance ≥ (|a|+|b|−2m) / (|a|+|b|−m) ≥ (|a|+|b|−2M*) / (|a|+|b|−M*)
 //
 // for every alignment whatsoever — reachable by the search or not — since
-// the middle term falls as m grows and m ≤ M*. A position-insensitive
-// pair at a threshold below 1 is therefore dismissed when the right-hand
-// side exceeds the threshold: first with M* ≤ min(|a|,|b|), which is
-// O(1), then with the true M*, found by letting each of the |a|·|b| cell
-// pairs vote for its difference vector in a pooled dense table. Whatever
-// the search would have returned lies above the threshold too, so no
-// result changes; Stats.Pruned counts the dismissals and Refine reports
-// them as dist = +Inf.
+// the middle term falls as m grows and m ≤ M*. The pair is dismissed when
+// the right-hand side exceeds the threshold: first with M* ≤ min(|a|,|b|),
+// which is O(1) and needs only the cell counts (Run applies it before it
+// loads a candidate's summary, from the cell count its features carry),
+// then with the true M*, found by letting each of the |a|·|b| cell pairs
+// vote for its difference vector in a pooled dense table.
 //
-// The comparison is exact in floating point, not just in the reals. The
-// kernel's sum starts at 0 and adds 1 per unmatched target cell, a
+// Stage two, the voted alignments. An alignment no cell pair votes for
+// has no coincident cell: every one of the |a|+|b| cells is unmatched at
+// difference exactly 1, and the kernel's sum of |a|+|b| ones over a union
+// of |a|+|b| is exactly 1, above any threshold below 1. So only voted
+// alignments can come within the threshold, and of those only the ones
+// holding at least mMin votes, the smallest m whose middle term above is
+// within the threshold (computed with that same division). The stage
+// walks the table that stage one has just filled, decodes each entry with
+// at least mMin votes into its alignment, and evaluates the cell distance
+// there, stopping at the first one within the threshold; only then does
+// the search run. Entries holding all M* votes are walked first, since
+// they are the likeliest to be within: a pair that is kept then usually
+// costs one evaluation. The search can only return the cell distance at
+// some alignment, so when none of the scanned ones is within, neither is
+// its answer, and the pair is dismissed. A pair the stage keeps gets
+// exactly the search it got before: no distance and no result changes.
+// The scan allocates nothing.
+//
+// Decoding survives int32 wrap-around. The table indexes the difference
+// b[j]−a[i] of each pair in int64, shifted up by (max a − min b) so every
+// digit is non-negative; the entry's axis digits give the difference back
+// once the shift is subtracted. The decoder subtracts it in int32
+// arithmetic, so where the true difference does not fit in int32 it yields
+// one congruent to it mod 2^32 — and cellDistance translates in int32 as
+// well, so that alignment maps a[i] onto the very cell b[j], and onto the
+// same cells as any alignment congruent to it. The table's 2^16 cap keeps
+// every axis's span of differences far below 2^32, so no two entries are
+// congruent and each entry's votes are exactly its alignment's coincident
+// cells.
+//
+// Both stages compare exactly in floating point, not just in the reals.
+// The kernel's sum starts at 0 and adds 1 per unmatched target cell, a
 // non-negative difference per matched one, then |b|−m; float addition is
 // monotone and small integers are exact, so the computed sum is at least
 // the integer |a|+|b|−2m. Correctly rounded division is monotone in its

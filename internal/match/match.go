@@ -113,7 +113,9 @@ type Match struct {
 // were probed, how many candidates the indexes returned, how many
 // survived the cluster-level gate and were handed to the grid-cell-level
 // match (the paper reports ~6% reaching the grid level, §8.2), and how
-// many of those an exact bound dismissed without an alignment search.
+// many of those Refine's exact stages (the M* vote bound, then the scan of
+// the voted alignments) dismissed without an alignment search. Refined
+// minus Pruned is the number of pairs searched.
 type Stats struct {
 	FilterShards    int
 	IndexCandidates int
@@ -318,7 +320,9 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	// --- Phase 2: refine — parallel grid-cell-level cluster match ---------
 	// Candidates are independent: each worker reads the shared immutable
 	// summaries (loading disk-resident ones lazily) and writes only its
-	// own slots.
+	// own slots. Refine's size bound needs only the candidate's cell count,
+	// which its features carry, so a candidate it dismisses is never
+	// loaded.
 	refineSpan := tr.Start("refine")
 	refineStart := time.Now()
 	dists := make([]float64, len(refine))
@@ -326,7 +330,15 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	sums := make([]*sgs.Summary, len(refine))
 	errs := make([]error, len(refine))
 	hits := make([]bool, len(refine))
+	sizeBound := !w.PositionSensitive && q.Threshold < 1
+	na := len(q.Target.Cells)
 	par.ForEach(q.Workers, len(refine), func(i int) {
+		if nb := int(refine[i].Features.Volume); sizeBound && nb > 0 &&
+			distanceFloor(na, nb, min(na, nb)) > q.Threshold {
+			metricPruned.Inc()
+			dists[i] = math.Inf(1)
+			return
+		}
 		sum, hit, err := refine[i].LoadSummaryTracked()
 		if err != nil {
 			errs[i] = err
@@ -349,9 +361,13 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	refineDur := time.Since(refineStart)
 	metricRefineSeconds.Observe(refineDur)
 	if tr != nil {
-		cacheHits, diskLoads := 0, 0
+		cacheHits, diskLoads, sizePruned := 0, 0, 0
 		for i, e := range refine {
-			if e.Summary != nil {
+			switch {
+			case sums[i] == nil:
+				sizePruned++ // dismissed before its load
+				continue
+			case e.Summary != nil:
 				continue // memory tier: no load happened
 			}
 			if hits[i] {
@@ -362,6 +378,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		}
 		refineSpan.SetInt("refined", int64(st.Refined))
 		refineSpan.SetInt("pruned", int64(st.Pruned))
+		refineSpan.SetInt("size_pruned", int64(sizePruned))
 		refineSpan.SetInt("cache_hits", int64(cacheHits))
 		refineSpan.SetInt("disk_loads", int64(diskLoads))
 	}

@@ -330,7 +330,8 @@ func TestRunRejectsDimensionMismatch(t *testing.T) {
 }
 
 // TestRefineAllocatesNothing: a warm Refine allocates nothing, whether
-// the pair is dismissed by a bound, searched, or position-sensitive.
+// the pair is dismissed by a bound or by the voted-alignment scan,
+// searched, or position-sensitive.
 func TestRefineAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -339,6 +340,17 @@ func TestRefineAllocatesNothing(t *testing.T) {
 	a := summarize(t, blob(rng, 200, 0, 0, 0.8), 0)
 	near := summarize(t, blob(rng, 200, 0.3, 0.2, 0.8), 1)
 	far := summarize(t, elongated(rng, 250, 60, 60), 2)
+	// Same cells as a, every feature changed: M* = |a| lets the pair past
+	// the vote bound, and the voted-alignment scan dismisses it.
+	recolored := a.Clone()
+	for i := range recolored.Cells {
+		c := &recolored.Cells[i]
+		c.Status = 1 - c.Status
+		c.Population = 10 * (c.Population + 1)
+	}
+	if !reachesScan(a, recolored, 0.1) {
+		t.Fatal("recolored pair does not reach the voted-alignment scan")
+	}
 	ps := EqualWeights()
 	ps.PositionSensitive = true
 	cases := []struct {
@@ -349,6 +361,7 @@ func TestRefineAllocatesNothing(t *testing.T) {
 		pruned    bool
 	}{
 		{"pruned", far, EqualWeights(), 0.1, true},
+		{"scan-pruned", recolored, EqualWeights(), 0.1, true},
 		{"searched", near, EqualWeights(), 0.9, false},
 		{"searched-unpruned", far, EqualWeights(), 1, false},
 		{"position-sensitive", near, ps, 0.5, false},
@@ -363,6 +376,45 @@ func TestRefineAllocatesNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: %v allocs per warm Refine, want 0", c.name, n)
 		}
+	}
+}
+
+// TestRunPrunedCountsEveryDismissal: Run's Stats count every gate
+// survivor as refined and every one Refine would dismiss as pruned,
+// including those Run dismisses by size before loading their summary.
+func TestRunPrunedCountsEveryDismissal(t *testing.T) {
+	b, sums := buildBase(t, 40, 12)
+	w := EqualWeights()
+	bySize := 0
+	for qi, target := range sums[:10] {
+		threshold := []float64{0.15, 0.3, 0.45}[qi%3]
+		_, st, err := Run(b, Query{Target: target, Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf := target.Features().Vector()
+		refined, pruned := 0, 0
+		b.All(func(e *archive.Entry) bool {
+			if FeatureDistance(tf, e.Features.Vector(), w) > threshold {
+				return true
+			}
+			refined++
+			if d, _ := Refine(target, e.Summary, w, DefaultAlignBudget, threshold); math.IsInf(d, 1) {
+				pruned++
+			}
+			na, nb := len(target.Cells), len(e.Summary.Cells)
+			if distanceFloor(na, nb, min(na, nb)) > threshold {
+				bySize++
+			}
+			return true
+		})
+		if st.Refined != refined || st.Pruned != pruned {
+			t.Fatalf("query %d: stats refined %d / pruned %d, per-candidate Refine %d / %d",
+				qi, st.Refined, st.Pruned, refined, pruned)
+		}
+	}
+	if bySize == 0 {
+		t.Fatal("no gate survivor fails the size bound; the pre-load dismissal is untested")
 	}
 }
 

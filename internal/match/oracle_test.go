@@ -319,6 +319,124 @@ func TestRefineDegenerateInputs(t *testing.T) {
 	}
 }
 
+// votedMinimum is the brute-force minimum of the oracle's cell distance
+// over every alignment at least one cell pair votes for, with M*, the
+// most votes any of them gets. Alignments are int32 differences, so a
+// pair straddling the int32 edge is covered like any other.
+func votedMinimum(a, b *sgs.Summary) (minDist float64, mStar int) {
+	votes := map[grid.Coord]int{}
+	for i := range a.Cells {
+		for j := range b.Cells {
+			v := grid.Coord{D: uint8(a.Dim)}
+			for d := 0; d < a.Dim; d++ {
+				v.C[d] = b.Cells[j].Coord.C[d] - a.Cells[i].Coord.C[d]
+			}
+			votes[v]++
+		}
+	}
+	minDist = math.Inf(1)
+	for v, n := range votes {
+		minDist = min(minDist, oracleCellDistance(a, b, v))
+		mStar = max(mStar, n)
+	}
+	return minDist, mStar
+}
+
+// coincident is M* as Refine's vote table finds it at the default budget,
+// or -1 where Refine builds no table for the pair.
+func coincident(a, b *sgs.Summary) int {
+	alo, ahi := extent(a)
+	blo, bhi := extent(b)
+	return new(scratch).maxCoincident(a, b, &alo, &ahi, &blo, &bhi, DefaultAlignBudget)
+}
+
+// reachesScan reports whether Refine, at threshold, gets past the M* vote
+// bound of a position-insensitive pair into the voted-alignment scan.
+func reachesScan(a, b *sgs.Summary, threshold float64) bool {
+	m := coincident(a, b)
+	return m >= 0 && distanceFloor(len(a.Cells), len(b.Cells), m) <= threshold
+}
+
+// TestRefineVotedScan: on a generated corpus of small pairs the vote table
+// covers — noisy and recolored copies, unrelated neighbors, pairs
+// straddling the int32 edge — at thresholds 0.1–0.6, Refine dismisses
+// exactly the pairs no voted alignment brings within the threshold. Every
+// pair whose brute-force voted minimum exceeds the threshold reports
+// +Inf, including pairs the M* bound alone lets through; no pair whose
+// minimum is within is dismissed, and a kept pair's distance is the
+// unpruned search's bit for bit.
+func TestRefineVotedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	w := EqualWeights()
+	scanDismissed, kept, wrapped := 0, 0, 0
+	for trial := 0; trial < 600; trial++ {
+		dim := 1 + rng.Intn(3)
+		extent := int32(3 + rng.Intn(6))
+		var origin, shift [grid.MaxDim]int32
+		edge := trial%4 == 3 // a just below MaxInt32, its copy wrapped past it
+		for d := 0; d < dim; d++ {
+			origin[d] = int32(rng.Intn(41) - 20)
+			shift[d] = int32(rng.Intn(7) - 3)
+			if edge {
+				origin[d] = math.MaxInt32 - extent - int32(rng.Intn(4))
+				shift[d] = extent + 5 + int32(rng.Intn(8))
+			}
+		}
+		a := randomSummary(rng, dim, 8+rng.Intn(33), origin, extent, 1)
+		var b *sgs.Summary
+		switch rng.Intn(3) {
+		case 0: // lightly perturbed copy
+			b = noisyCopy(rng, a, shift, 0.1)
+		case 1: // heavily perturbed copy: cells coincide, features differ
+			b = noisyCopy(rng, a, shift, 0.5)
+		default: // unrelated summary over the shifted box
+			var bOrigin [grid.MaxDim]int32
+			for d := 0; d < dim; d++ {
+				bOrigin[d] = origin[d] + shift[d]
+			}
+			b = randomSummary(rng, dim, 8+rng.Intn(33), bOrigin, extent, 1)
+		}
+		if edge && b.Cells[0].Coord.C[0] < 0 {
+			wrapped++
+		}
+		for _, p := range [][2]*sgs.Summary{{a, b}, {b, a}} {
+			if coincident(p[0], p[1]) < 0 {
+				continue // no vote table: the pair goes straight to the search
+			}
+			minDist, mStar := votedMinimum(p[0], p[1])
+			unpruned := RefineDistance(p[0], p[1], w, DefaultAlignBudget)
+			for k := 1; k <= 6; k++ {
+				threshold := 0.1 * float64(k)
+				dist, _ := Refine(p[0], p[1], w, DefaultAlignBudget, threshold)
+				if minDist > threshold {
+					if !math.IsInf(dist, 1) {
+						t.Fatalf("trial %d: voted minimum %v > threshold %v, yet Refine searched (dist %v)",
+							trial, minDist, threshold, dist)
+					}
+					if distanceFloor(len(p[0].Cells), len(p[1].Cells), mStar) <= threshold {
+						scanDismissed++
+					}
+					continue
+				}
+				kept++
+				if math.IsInf(dist, 1) {
+					t.Fatalf("trial %d: voted minimum %v ≤ threshold %v, yet dismissed", trial, minDist, threshold)
+				}
+				if math.Float64bits(dist) != math.Float64bits(unpruned) {
+					t.Fatalf("trial %d: kept pair's dist %v, unpruned search %v", trial, dist, unpruned)
+				}
+			}
+		}
+	}
+	// Without pairs past the M* bound that the scan alone dismisses, an
+	// implementation without the scan would pass too.
+	if scanDismissed < 50 || kept == 0 || wrapped == 0 {
+		t.Fatalf("corpus too weak: %d dismissed by the scan alone, %d kept, %d pairs across the int32 edge",
+			scanDismissed, kept, wrapped)
+	}
+	t.Logf("%d dismissed by the scan alone, %d kept, %d pairs across the int32 edge", scanDismissed, kept, wrapped)
+}
+
 // fuzzPair decodes fuzz bytes into two summaries, a budget, a threshold
 // and a weight mode. Layout: dim, budget, threshold (2 bytes), flags, then
 // cells of 1 + dim bytes each (feature byte, signed coordinate bytes)

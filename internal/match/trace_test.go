@@ -134,13 +134,15 @@ func TestTraceFilled(t *testing.T) {
 	}
 
 	// Every refine candidate is disk-resident here, so each one is
-	// attributed to exactly one load source.
+	// attributed to exactly one load source, or was dismissed by the size
+	// bound before any load.
 	hits, loads := attr(t, refine, "cache_hits"), attr(t, refine, "disk_loads")
-	if hits+loads != int64(st.Refined) {
-		t.Fatalf("cache hits %d + disk loads %d != refined %d", hits, loads, st.Refined)
+	sizePruned := attr(t, refine, "size_pruned")
+	if hits+loads+sizePruned != int64(st.Refined) {
+		t.Fatalf("cache hits %d + disk loads %d + size-pruned %d != refined %d", hits, loads, sizePruned, st.Refined)
 	}
-	if got := attr(t, refine, "pruned"); got != int64(st.Pruned) || st.Pruned > st.Refined {
-		t.Fatalf("refine pruned attr %d, stats %d pruned of %d refined", got, st.Pruned, st.Refined)
+	if got := attr(t, refine, "pruned"); got != int64(st.Pruned) || st.Pruned > st.Refined || sizePruned > got {
+		t.Fatalf("refine pruned attr %d (%d by size), stats %d pruned of %d refined", got, sizePruned, st.Pruned, st.Refined)
 	}
 	if got := attr(t, order, "matches"); got != int64(len(matches)) {
 		t.Fatalf("order matches attr %d, want %d", got, len(matches))
@@ -150,8 +152,8 @@ func TestTraceFilled(t *testing.T) {
 	// decoded-summary cache for everything it loaded before.
 	td2, _, _ := runTraced(t, snap, Query{Target: sums[0], Threshold: 0.2})
 	r2 := td2.Span("refine")
-	if h, l := attr(t, r2, "cache_hits"), attr(t, r2, "disk_loads"); h != int64(st.Refined) || l != 0 {
-		t.Fatalf("repeat query: cache hits %d, disk loads %d, want %d and 0", h, l, st.Refined)
+	if h, l := attr(t, r2, "cache_hits"), attr(t, r2, "disk_loads"); h != int64(st.Refined)-sizePruned || l != 0 {
+		t.Fatalf("repeat query: cache hits %d, disk loads %d, want %d and 0", h, l, int64(st.Refined)-sizePruned)
 	}
 }
 

@@ -54,7 +54,8 @@ func Points(s *sgs.Summary, opts Options) []geom.Point {
 		for k := 0; k < n; k++ {
 			p := make(geom.Point, s.Dim)
 			for d := 0; d < s.Dim; d++ {
-				p[d] = min[d] + rng.Float64()*s.Side
+				// Rounded on its own, so arm64 does not fuse it (see gen).
+				p[d] = min[d] + float64(rng.Float64()*s.Side)
 			}
 			out = append(out, p)
 		}
@@ -70,7 +71,7 @@ func Centers(s *sgs.Summary) []geom.Point {
 		min := s.CellMin(s.Cells[i].Coord)
 		c := min.Clone()
 		for d := range c {
-			c[d] += s.Side / 2
+			c[d] += float64(s.Side / 2)
 		}
 		out = append(out, c)
 	}

@@ -361,7 +361,7 @@ func gedBeam(a, b *Summary, beam int) float64 {
 	sub := func(x, y nodeInfo) float64 {
 		pd := math.Min(1, geom.Dist(x.p, y.p)/(2*scale))
 		dd := math.Abs(float64(x.deg-y.deg)) / float64(maxDeg)
-		return 0.7*pd + 0.3*dd
+		return float64(0.7*pd) + float64(0.3*dd)
 	}
 
 	states := []gedState{{}}

@@ -19,11 +19,14 @@
 // from v at the class's maximum registered threshold. Most subscriptions
 // are therefore pruned per cluster without a single distance computation;
 // survivors pass the exact cluster-feature gate at their own threshold
-// and only then reach the grid-cell-level match (match.Refine) — which
-// itself dismisses most of them by an exact lower bound on the distance
-// before paying for an alignment search (Stats.Pruned of Stats.Refined;
-// see internal/match's package comment for why that never changes an
-// event).
+// and only then reach the grid-cell-level match (match.Refine). Refine
+// itself dismisses most of them before paying for an alignment
+// search, in two exact stages: a lower bound on the distance from M*, the
+// most cells any translation brings into coincidence, then the exact
+// distances of the alignments enough cell pairs vote for, since an
+// alignment with no coincident cell is at distance exactly 1. Stats.Pruned
+// of Stats.Refined counts the dismissals; internal/match's package comment
+// says why they never change an event.
 //
 // # Evaluation pipeline
 //

@@ -387,7 +387,10 @@ func TestTrackOnlySubscription(t *testing.T) {
 }
 
 // TestChurnRace hammers subscribe/unsubscribe against a concurrent Offer
-// loop; the race detector is the assertion.
+// loop; the race detector is the assertion. Each churner cancels two of
+// every three subscriptions at once and keeps the third in a rolling set
+// of at most 8, so the registry, and with it each Offer, stays bounded
+// however fast the churners run.
 func TestChurnRace(t *testing.T) {
 	targets, windows := fixture(t, 8, 4, 3)
 	reg, err := NewRegistry(Config{Dim: 2, Workers: 4})
@@ -400,6 +403,7 @@ func TestChurnRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var kept []*Subscription
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -417,6 +421,9 @@ func TestChurnRace(t *testing.T) {
 				}()
 				if i%3 != 0 {
 					s.Cancel()
+				} else if kept = append(kept, s); len(kept) > 8 {
+					kept[0].Cancel()
+					kept = kept[1:]
 				}
 			}
 		}(g)
