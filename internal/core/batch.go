@@ -19,22 +19,39 @@ import (
 // A batch is cut into segments at window boundaries (emit() runs
 // sequentially between segments). Within one segment:
 //
-// Phase 1 (parallel, read-only): per tuple, the range query search — the
-// dominant CPU cost of C-SGS per the paper's cost analysis — runs over
-// the frozen window state; neighbors *within* the segment are found
-// through a temporary per-segment cell map. Because a new object's career
-// depends only on the immutable last-windows of its neighbors
-// (Observation 5.4), the phase also builds the object's complete neighbor
-// list and CoreTracker and computes its final core career, all on private
-// state.
+// Phase 0 (sequential): group the segment's tuples by cell, in first-touch
+// order, and look each cell up in the window state once.
 //
-// Phase 2 (sequential): cell membership, reverse neighbor wiring, and the
-// career growth of *existing* objects (their trackers are shared, so the
-// θc-order-statistic updates replay in arrival order, exactly as the
-// sequential path performs them).
+// Phase 1a (parallel over cells, read-only): each cell the window state
+// does not hold yet gets its one neighborhood probe (probeFresh), which
+// records the occupied cells to scan and the links the cell gets when
+// phase 2 creates it; each cell also resolves the segment tuples in
+// CanNeighbor cells.
+//
+// Phase 1b (parallel over tuples, read-only): per tuple, the range query
+// search — the dominant CPU cost of C-SGS per the paper's cost analysis —
+// runs over the frozen window state, and neighbors *within* the segment
+// come from the cell's candidates. Because a new object's career depends
+// only on the immutable last-windows of its neighbors (Observation 5.4),
+// the phase also builds the object's complete neighbor list (one
+// allocation, at its exact size) and CoreTracker and computes its final
+// core career, all on private state.
+//
+// Phase 2 (sequential): cell creation from the links phase 1a recorded,
+// cell membership, reverse neighbor wiring, and the career growth of
+// *existing* objects (their trackers are shared, so the θc-order-statistic
+// updates replay in arrival order, exactly as the sequential path performs
+// them).
 //
 // Phase 3 (sequential): one refresh per touched object — each new object
 // plus each existing object whose career grew — using final careers.
+//
+// Why phase 1a's links are exact: Push creates a cell with one walk over
+// its neighbor offsets, linking the cells that exist at that moment. Here
+// those are the window state's cells plus the segment cells created
+// before it, which are the fresh segment cells with a smaller first-touch
+// index; no cell is created or deleted between phases 1a and 2, so the
+// recorded walk yields the same cells in the same offset order.
 //
 // Why deferring refresh is exact: cell core-status and connection
 // lifespans are pure max-accumulations over career values (Lemmas
@@ -54,16 +71,27 @@ type batchEntry struct {
 }
 
 // segCell is one occupied cell of a segment. The per-cell work — finding
-// the occupied existing cells to scan and the segment tuples in
-// CanNeighbor cells — is computed once (in parallel across cells) and
-// shared by every tuple of the cell, keeping coordinate-keyed map probing
-// out of the per-tuple loop.
+// the occupied cells to scan and the segment tuples in CanNeighbor cells —
+// is computed once (in parallel across cells) and shared by every tuple of
+// the cell, keeping coordinate-keyed map probing out of the per-tuple
+// loop.
 type segCell struct {
 	coord grid.Coord
+	// c is the materialized cell: found in phase 0, or created in phase 2
+	// for a fresh cell (nil until then).
+	c     *cell
 	idxs  []int32 // segment tuple indices located in this cell (ascending)
-	scan  []*cell // occupied existing cells reachable from this cell
 	cands []int32 // segment tuple indices in CanNeighbor cells (incl. own)
+	// links and segLinks are a fresh cell's probeFresh result: the window
+	// state's occupied neighbor cells, and the segment cells created
+	// before it.
+	links    []*cell
+	segLinks []segLink
 }
+
+// discoveryRun is the number of consecutive tuples one phase-1b work item
+// covers; they share one neighbor-list buffer.
+const discoveryRun = 32
 
 // PushBatch feeds a batch of tuples with semantics identical to calling
 // Push for each tuple in order, returning the results of all windows the
@@ -186,58 +214,54 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 		if !ok {
 			ci = int32(len(cells))
 			cellIdx[coord] = ci
-			cells = append(cells, segCell{coord: coord})
+			cells = append(cells, segCell{coord: coord, c: e.cells[coord]})
 			coords = append(coords, coord)
 		}
 		cells[ci].idxs = append(cells[ci].idxs, int32(k))
 		tupCell[k] = ci
 	}
 
-	// Phase 1a (parallel over cells): resolve each occupied segment cell's
-	// existing-state scan set and intra-segment candidate set once.
+	// Phase 1a (parallel over cells): probe each fresh cell's
+	// neighborhood once and resolve each cell's intra-segment candidates.
 	par.For(workers, len(cells), func(i int) {
 		sc := &cells[i]
-		e.scanCells(sc.coord, func(c *cell) {
-			sc.scan = append(sc.scan, c)
-		})
+		if sc.c == nil {
+			sc.links, sc.segLinks = e.probeFresh(sc.coord, cellIdx, int32(i))
+		}
 		for _, j := range e.geo.NeighborIndices(coords, cellIdx, i) {
 			sc.cands = append(sc.cands, cells[j].idxs...)
 		}
 	})
 
-	// Phase 1b (parallel over tuples): the range query searches over the
-	// frozen state + private career/neighbor-list construction.
+	// Phase 1b (parallel over runs of tuples): the range query searches
+	// over the frozen state + private career/neighbor-list construction.
+	// Each run of discoveryRun tuples collects neighbors in one reused
+	// buffer, so o.nbrs is allocated once, at its exact size. The
+	// existing neighbors come first in o.nbrs, and existing[k] is that
+	// prefix: phase 2 appends only to pre-segment objects' lists, and
+	// phase 3 compacts o.nbrs only after phase 2 is done.
 	r2 := e.cfg.ThetaR * e.cfg.ThetaR
-	par.For(workers, n, func(k int) {
-		o := objs[k]
-		p := seg[k].p
-		sc := &cells[tupCell[k]]
-		var ex []*object
-		for _, c := range sc.scan {
-			for _, q := range c.objs {
-				if geom.DistSq(p, q.p) <= r2 {
-					ex = append(ex, q)
+	par.ForEach(workers, (n+discoveryRun-1)/discoveryRun, func(run int) {
+		var buf []*object
+		for k := run * discoveryRun; k < min(n, (run+1)*discoveryRun); k++ {
+			o := objs[k]
+			p := seg[k].p
+			sc := &cells[tupCell[k]]
+			buf = e.discoverInto(p, sc.c, sc.links, buf[:0])
+			nex := len(buf)
+			for _, m := range sc.cands {
+				if int(m) != k && geom.DistSq(p, seg[m].p) <= r2 {
+					buf = append(buf, objs[m])
 				}
 			}
-		}
-		existing[k] = ex
-		var local []int32
-		for _, m := range sc.cands {
-			if int(m) != k && geom.DistSq(p, seg[m].p) <= r2 {
-				local = append(local, m)
+			o.nbrs = make([]*object, len(buf))
+			copy(o.nbrs, buf)
+			for _, q := range o.nbrs {
+				o.tracker.Add(q.last)
 			}
+			o.coreLast = o.tracker.CoreLast(o.last)
+			existing[k] = o.nbrs[:nex:nex]
 		}
-		o.nbrs = make([]*object, 0, len(ex)+len(local))
-		for _, q := range ex {
-			o.nbrs = append(o.nbrs, q)
-			o.tracker.Add(q.last)
-		}
-		for _, m := range local {
-			q := objs[m]
-			o.nbrs = append(o.nbrs, q)
-			o.tracker.Add(q.last)
-		}
-		o.coreLast = o.tracker.CoreLast(o.last)
 	})
 	metricDiscoverySeconds.Observe(time.Since(discoveryStart))
 	discoverySpan.SetInt("tuples", int64(n))
@@ -246,26 +270,34 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	applySpan := e.tr.Start("apply")
 	applyStart := time.Now()
 
-	// Phase 2 (sequential): cell membership and shared-state career
-	// updates, in arrival order.
+	// Phase 2 (sequential): cell creation, cell membership and
+	// shared-state career updates, in arrival order.
 	var grown []*object
 	for k := range seg {
 		o := objs[k]
-		coord := cells[tupCell[k]].coord
-		c := e.cells[coord]
-		if c == nil {
-			c = &cell{coord: coord, coreLast: window.Never}
-			e.cells[coord] = c
-			for _, off := range e.geo.NeighborOffsets() {
-				if off.IsZero() {
-					continue
+		sc := &cells[tupCell[k]]
+		if sc.c == nil {
+			links := sc.links
+			if len(sc.segLinks) > 0 {
+				// Grow the list one append at a time, as Push's walk
+				// does, so it gets the same capacity: an exact-size list
+				// would double on the first reverse link a later cell
+				// adds, and the list lives as long as the cell.
+				links = nil
+				at := int32(0)
+				for _, l := range sc.segLinks {
+					for ; at < l.at; at++ {
+						links = append(links, sc.links[at])
+					}
+					links = append(links, cells[l.j].c)
 				}
-				if nc, ok := e.cells[coord.Add(off)]; ok {
-					c.nbrCells = append(c.nbrCells, nc)
-					nc.nbrCells = append(nc.nbrCells, c)
+				for ; at < int32(len(sc.links)); at++ {
+					links = append(links, sc.links[at])
 				}
 			}
+			sc.c = e.materialize(sc.coord, links)
 		}
+		c := sc.c
 		o.cell = c
 		o.cellIdx = len(c.objs)
 		c.objs = append(c.objs, o)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"streamsum/internal/geom"
-	"streamsum/internal/grid"
 	"streamsum/internal/par"
 	"streamsum/internal/window"
 )
@@ -33,9 +32,13 @@ func BenchmarkParallelDiscovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch := pts[win:]
-	coords := make([]grid.Coord, len(batch))
+	cells := make([]*cell, len(batch))
+	links := make([][]*cell, len(batch))
 	for k, p := range batch {
-		coords[k] = ex.geo.CoordOf(p)
+		coord := ex.geo.CoordOf(p)
+		if cells[k] = ex.cells[coord]; cells[k] == nil {
+			links[k], _ = ex.probeFresh(coord, nil, 0)
+		}
 	}
 	bufs := make([][]*object, len(batch))
 
@@ -43,7 +46,7 @@ func BenchmarkParallelDiscovery(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				par.For(workers, len(batch), func(k int) {
-					bufs[k] = ex.discoverInto(coords[k], batch[k], bufs[k][:0])
+					bufs[k] = ex.discoverInto(batch[k], cells[k], links[k], bufs[k][:0])
 				})
 			}
 			b.ReportMetric(float64(b.N)*slide/b.Elapsed().Seconds(), "lookups/sec")

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamsum/internal/geom"
+	"streamsum/internal/grid"
 	"streamsum/internal/window"
 )
 
@@ -119,6 +121,188 @@ func TestPushBatchMatchesSequential(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("batch=%d: batched output differs from sequential", batch)
 		}
+	}
+}
+
+// TestPushBatchMatchesSequentialDim4 repeats the guarantee in dimension
+// 4, where a fresh cell's neighborhood is 5^4 = 625 offsets.
+func TestPushBatchMatchesSequentialDim4(t *testing.T) {
+	pts := batchStream(5000, 4, 11)
+	cfg := Config{
+		Dim: 4, ThetaR: 0.9, ThetaC: 5,
+		Window:  window.Spec{Win: 1500, Slide: 500},
+		Workers: 4,
+	}
+	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
+	for _, batch := range []int{9, 500, 1700} {
+		got := encodeWindows(t, runBatched(t, cfg, pts, nil, batch))
+		if string(got) != string(want) {
+			t.Errorf("batch=%d: batched output differs from sequential (dim 4)", batch)
+		}
+	}
+}
+
+// sparseBurstStream is batchStream with every other slide of width slide
+// replaced by uniform noise over a wide box: bursts that scatter one
+// segment over many more cells than a cell has neighbor offsets.
+func sparseBurstStream(n, dim, slide int, seed int64) []geom.Point {
+	pts := batchStream(n, dim, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	for i := range pts {
+		if (i/slide)%2 == 1 {
+			for d := range pts[i] {
+				pts[i][d] = rng.Float64() * 40
+			}
+		}
+	}
+	return pts
+}
+
+// TestPushBatchMatchesSequentialSparseBurst covers segments holding more
+// cells than len(NeighborOffsets()), where the intra-segment candidates
+// are found by probing offsets instead of by the pairwise cell scan.
+func TestPushBatchMatchesSequentialSparseBurst(t *testing.T) {
+	const slide = 800
+	pts := sparseBurstStream(4800, 3, slide, 5)
+	cfg := Config{
+		Dim: 3, ThetaR: 0.9, ThetaC: 3,
+		Window:  window.Spec{Win: 2 * slide, Slide: slide},
+		Workers: 4,
+	}
+	ex, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := make(map[grid.Coord]bool)
+	for _, p := range pts[slide : 2*slide] {
+		burst[ex.Geometry().CoordOf(p)] = true
+	}
+	if offs := len(ex.Geometry().NeighborOffsets()); len(burst) <= offs {
+		t.Fatalf("burst segment holds %d cells, want more than %d", len(burst), offs)
+	}
+	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
+	got := encodeWindows(t, runBatched(t, cfg, pts, nil, slide))
+	if string(got) != string(want) {
+		t.Error("batched output differs from sequential (sparse bursts)")
+	}
+}
+
+// cellLinks renders every materialized cell's nbrCells as an ordered
+// coordinate list.
+func cellLinks(e *Extractor) map[grid.Coord][]grid.Coord {
+	out := make(map[grid.Coord][]grid.Coord, len(e.cells))
+	for coord, c := range e.cells {
+		links := make([]grid.Coord, len(c.nbrCells))
+		for i, nc := range c.nbrCells {
+			links[i] = nc.coord
+		}
+		out[coord] = links
+	}
+	return out
+}
+
+// TestPushBatchCellLinksMatchPush checks the links PushBatch wires from
+// its one probe per fresh cell: after every slide, each cell's nbrCells
+// must list the same cells in the same order as under a Push loop,
+// including cells that emptied and were materialized again.
+func TestPushBatchCellLinksMatchPush(t *testing.T) {
+	const slide = 400
+	pts := sparseBurstStream(8000, 3, slide, 17)
+	cfg := Config{
+		Dim: 3, ThetaR: 0.9, ThetaC: 3,
+		Window:  window.Spec{Win: 3 * slide, Slide: slide},
+		Workers: 4,
+	}
+	seq, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bat, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[grid.Coord]bool) // materialized after some slide
+	gone := make(map[grid.Coord]bool) // seen, then absent after a slide
+	rematerialized := 0
+	for lo := 0; lo < len(pts); lo += slide {
+		for _, p := range pts[lo : lo+slide] {
+			if _, _, err := seq.Push(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := bat.PushBatch(pts[lo:lo+slide], nil); err != nil {
+			t.Fatal(err)
+		}
+		want, got := cellLinks(seq), cellLinks(bat)
+		if len(got) != len(want) {
+			t.Fatalf("slide %d: %d cells under PushBatch, %d under Push", lo/slide, len(got), len(want))
+		}
+		for coord, wl := range want {
+			gl, ok := got[coord]
+			if !ok {
+				t.Fatalf("slide %d: cell %v missing under PushBatch", lo/slide, coord)
+			}
+			if !slices.Equal(gl, wl) {
+				t.Fatalf("slide %d: cell %v links %v under PushBatch, %v under Push", lo/slide, coord, gl, wl)
+			}
+		}
+		for coord := range seen {
+			if _, ok := want[coord]; !ok {
+				gone[coord] = true
+			}
+		}
+		for coord := range want {
+			if gone[coord] {
+				rematerialized++
+				delete(gone, coord)
+			}
+			seen[coord] = true
+		}
+	}
+	if rematerialized == 0 {
+		t.Fatal("no cell emptied and was materialized again; the stream does not cover re-creation")
+	}
+}
+
+// TestPushBatchAllocs bounds the allocations of one slide pushed into a
+// warm dimension-4 extractor (insert plus the window it closes): the
+// batched insert allocates one neighbor list per tuple and no discovery
+// temporaries.
+func TestPushBatchAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count needs a warm window")
+	}
+	const (
+		slide = 500
+		win   = 4 * slide
+	)
+	pts := batchStream(win+16*slide, 4, 23)
+	ex, err := New(Config{
+		Dim: 4, ThetaR: 0.9, ThetaC: 5,
+		Window:  window.Spec{Win: win, Slide: slide},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.PushBatch(pts[:win], nil); err != nil {
+		t.Fatal(err)
+	}
+	next := win
+	allocs := testing.AllocsPerRun(8, func() {
+		if next+slide > len(pts) {
+			next = win
+		}
+		if _, err := ex.PushBatch(pts[next:next+slide], nil); err != nil {
+			t.Fatal(err)
+		}
+		next += slide
+	})
+	// 16631 measured on amd64 (go1.24); the bound is that plus 25%.
+	const bound = 20789
+	t.Logf("%.0f allocations per slide of %d tuples", allocs, slide)
+	if allocs > bound {
+		t.Errorf("PushBatch allocated %.0f times per slide, bound %d", allocs, bound)
 	}
 }
 

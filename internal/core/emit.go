@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"streamsum/internal/conntab"
@@ -74,8 +74,8 @@ func (e *Extractor) emit() *WindowResult {
 			coreCells = append(coreCells, c)
 		}
 	}
-	sort.Slice(coreCells, func(i, j int) bool {
-		return sgs.CoordLess(coreCells[i].coord, coreCells[j].coord)
+	slices.SortFunc(coreCells, func(a, b *cell) int {
+		return sgs.CoordCompare(a.coord, b.coord)
 	})
 
 	comp := make(map[*cell]int, len(coreCells))
@@ -273,8 +273,8 @@ func (e *Extractor) buildCluster(n, id int64, group []*cell, edges []clusterEdge
 		cl.Members = append(cl.Members, ge.members...)
 	}
 
-	sort.Slice(cl.Members, func(i, j int) bool { return cl.Members[i] < cl.Members[j] })
-	sort.Slice(cl.Cores, func(i, j int) bool { return cl.Cores[i] < cl.Cores[j] })
+	slices.Sort(cl.Members)
+	slices.Sort(cl.Cores)
 
 	if !e.cfg.SkipSummaries {
 		cl.Summary = e.buildSummary(n, group, edges, id)

@@ -10,9 +10,9 @@ import (
 // The "Handling Insertions" stage of C-SGS (§5.4) is split into two halves
 // so the batched ingest path (batch.go) can fan the first across cores:
 //
-//   - discoverInto — the range query search: a pure read of the current
-//     window state that collects the new object's neighbors. Safe to run
-//     concurrently with other discoverInto calls over frozen state.
+//   - probeFresh and discoverInto — the range query search: a pure read of
+//     the current window state that collects the new object's neighbors.
+//     Safe to run concurrently with other calls over frozen state.
 //   - applyInsert — lifespan analysis and the status/connection updates on
 //     the skeletal grid cells. Single-writer; mutates everything.
 //
@@ -23,60 +23,98 @@ import (
 // or promotes, and the corresponding status/connection updates.
 func (e *Extractor) insert(id int64, p geom.Point, pos int64) {
 	coord := e.geo.CoordOf(p)
-	e.applyInsert(id, p, pos, coord, e.discoverInto(coord, p, nil))
+	c := e.cells[coord]
+	var links []*cell
+	if c == nil {
+		links, _ = e.probeFresh(coord, nil, 0)
+	}
+	e.applyInsert(id, p, pos, coord, c, links, e.discoverInto(p, c, links, nil))
 }
 
-// scanCells visits every occupied cell that can contain neighbors of a
-// point in cell coord: the materialized cell plus its occupied-cell
-// links, or — when the cell itself is unoccupied — the occupied cells at
-// the neighbor offsets (the links only exist on materialized cells).
-// Read-only; both the sequential range query search and the batch
-// pipeline's per-cell scan resolution go through here so the two paths
-// cannot diverge.
-func (e *Extractor) scanCells(coord grid.Coord, visit func(*cell)) {
-	if c := e.cells[coord]; c != nil {
-		visit(c)
-		for _, nc := range c.nbrCells {
-			visit(nc)
-		}
-		return
-	}
+// segLink is a neighbor cell of a fresh batch-segment cell that the
+// segment itself creates first: segment cell j, which goes before
+// links[at] in the new cell's offset-ordered link list.
+type segLink struct {
+	at, j int32
+}
+
+// probeFresh is the one neighborhood probe an unmaterialized cell costs: a
+// single walk over the neighbor offsets of coord. It returns, in offset
+// order, the occupied cells found — the cells that can hold neighbors of a
+// point in coord, and the links the cell gets when it is materialized.
+// seg, when non-nil, maps a batch segment's cell coordinates to their
+// first-touch indices; an offset that misses the window state but hits a
+// segment cell j < self is a cell the segment creates before self, and is
+// returned in segLinks at its place among links. Read-only, like
+// discoverInto.
+func (e *Extractor) probeFresh(coord grid.Coord, seg map[grid.Coord]int32, self int32) (links []*cell, segLinks []segLink) {
 	for _, off := range e.geo.NeighborOffsets() {
 		if off.IsZero() {
 			continue
 		}
-		if nc, ok := e.cells[coord.Add(off)]; ok {
-			visit(nc)
+		at := coord.Add(off)
+		if nc, ok := e.cells[at]; ok {
+			links = append(links, nc)
+		} else if j, ok := seg[at]; ok && j < self {
+			segLinks = append(segLinks, segLink{at: int32(len(links)), j: j})
 		}
 	}
+	return links, segLinks
 }
 
 // discoverInto appends to buf every live object within θr of p — the
 // single range query search of §5.3 ("we only run one rqs for each new
-// object and never re-run rqs for existing objects"), visiting p's own
-// cell plus the occupied cells linked to it. It reads but never writes the
-// extractor state, so any number of discoverInto calls may run
-// concurrently as long as no mutation (applyInsert, emit) overlaps — the
-// contract the parallel discovery phase of PushBatch is built on.
-func (e *Extractor) discoverInto(coord grid.Coord, p geom.Point, buf []*object) []*object {
+// object and never re-run rqs for existing objects"). c is p's
+// materialized cell, whose own links name the occupied cells to visit; for
+// an unmaterialized cell c is nil and links, from probeFresh, name them.
+// It reads but never writes the extractor state, so any number of
+// discoverInto calls may run concurrently as long as no mutation
+// (applyInsert, emit) overlaps — the contract the parallel discovery phase
+// of PushBatch is built on.
+func (e *Extractor) discoverInto(p geom.Point, c *cell, links []*cell, buf []*object) []*object {
 	r2 := e.cfg.ThetaR * e.cfg.ThetaR
-	e.scanCells(coord, func(nc *cell) {
-		for _, q := range nc.objs {
-			if geom.DistSq(p, q.p) <= r2 {
-				buf = append(buf, q)
-			}
-		}
-	})
+	if c != nil {
+		buf = appendWithin(buf, c.objs, p, r2)
+		links = c.nbrCells
+	}
+	for _, nc := range links {
+		buf = appendWithin(buf, nc.objs, p, r2)
+	}
 	return buf
 }
 
-// applyInsert wires one tuple with pre-discovered neighbors cands into the
-// window state: cell membership, neighbor references on both sides, career
-// (re)computation, and propagation of every career growth to cell statuses
-// and connections. It must see cands exactly as a fresh range query over
-// the current state would produce them (order is immaterial: all
-// downstream lifespan updates are max-accumulations).
-func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Coord, cands []*object) *object {
+// appendWithin appends to buf the objects of objs within squared distance
+// r2 of p.
+func appendWithin(buf, objs []*object, p geom.Point, r2 float64) []*object {
+	for _, q := range objs {
+		if geom.DistSq(p, q.p) <= r2 {
+			buf = append(buf, q)
+		}
+	}
+	return buf
+}
+
+// materialize creates the cell at coord with the given links — the
+// occupied cells within its neighbor offsets, in offset order — and links
+// each of them back to it.
+func (e *Extractor) materialize(coord grid.Coord, links []*cell) *cell {
+	c := &cell{coord: coord, coreLast: window.Never, nbrCells: links}
+	e.cells[coord] = c
+	for _, nc := range links {
+		nc.nbrCells = append(nc.nbrCells, c)
+	}
+	return c
+}
+
+// applyInsert wires one tuple with pre-discovered neighbors cands (which
+// become its neighbor list) into the window state: cell membership,
+// neighbor references on both sides, career (re)computation, and
+// propagation of every career growth to cell statuses and connections. c
+// is the tuple's cell, or nil if it is not materialized yet, in which case
+// links are its links from probeFresh. It must see cands exactly as a
+// fresh range query over the current state would produce them (order is
+// immaterial: all downstream lifespan updates are max-accumulations).
+func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Coord, c *cell, links []*cell, cands []*object) *object {
 	o := &object{
 		id:       id,
 		p:        p,
@@ -85,19 +123,8 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Co
 		tracker:  window.NewCoreTracker(e.cfg.ThetaC),
 	}
 
-	c := e.cells[coord]
 	if c == nil {
-		c = &cell{coord: coord, coreLast: window.Never}
-		e.cells[coord] = c
-		for _, off := range e.geo.NeighborOffsets() {
-			if off.IsZero() {
-				continue
-			}
-			if nc, ok := e.cells[coord.Add(off)]; ok {
-				c.nbrCells = append(c.nbrCells, nc)
-				nc.nbrCells = append(nc.nbrCells, c)
-			}
-		}
+		c = e.materialize(coord, links)
 	}
 	o.cell = c
 	o.cellIdx = len(c.objs)
@@ -105,11 +132,11 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Co
 	e.objCount++
 	e.expiry[o.last] = append(e.expiry[o.last], o)
 
+	// Record the neighborships on both sides (Observation 5.3: their
+	// lifespans are the min of the two expiries, implicit in the refs).
+	o.nbrs = cands
 	var affected []*object
 	for _, q := range cands {
-		// Record the neighborship on both sides (Observation 5.3: its
-		// lifespan is min of the two expiries, implicit in the refs).
-		o.nbrs = append(o.nbrs, q)
 		q.nbrs = append(q.nbrs, o)
 		o.tracker.Add(q.last)
 		// The arrival may promote q to core or prolong q's core career

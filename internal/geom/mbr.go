@@ -155,9 +155,32 @@ func (m MBR) Union(o MBR) MBR {
 }
 
 // Enlargement returns how much m's volume would grow to also cover o.
-// This is the R-tree ChooseLeaf criterion.
+// This is the R-tree ChooseLeaf criterion. It equals
+// m.Union(o).Volume() - m.Volume() bit for bit — the same extents
+// multiplied in the same order — without building the union.
 func (m MBR) Enlargement(o MBR) float64 {
-	return m.Union(o).Volume() - m.Volume()
+	if m.IsEmpty() {
+		return o.Volume()
+	}
+	extend := !o.IsEmpty()
+	u, v := 1.0, 1.0
+	for i := range m.Min {
+		lo, hi := m.Min[i], m.Max[i]
+		v = float64(v * (hi - lo))
+		if extend {
+			// Extend's order: o.Min, then o.Max, each against both bounds.
+			for _, x := range [2]float64{o.Min[i], o.Max[i]} {
+				if x < lo {
+					lo = x
+				}
+				if x > hi {
+					hi = x
+				}
+			}
+		}
+		u = float64(u * (hi - lo))
+	}
+	return u - v
 }
 
 // OverlapVolume returns the volume of the intersection of m and o.

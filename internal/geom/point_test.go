@@ -196,6 +196,46 @@ func TestMBRUnionEnlargement(t *testing.T) {
 	}
 }
 
+// TestMBREnlargementMatchesUnion checks Enlargement against its
+// definition, the union's volume minus m's, bit for bit, and that it
+// allocates nothing.
+func TestMBREnlargementMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	box := func(dim int) MBR {
+		m := EmptyMBR(dim)
+		for k := 0; k < 2; k++ {
+			p := make(Point, dim)
+			for i := range p {
+				p[i] = rng.NormFloat64() * 100
+			}
+			m.ExtendPoint(p)
+		}
+		return m
+	}
+	for trial := 0; trial < 2000; trial++ {
+		dim := 1 + rng.Intn(5)
+		m, o := box(dim), box(dim)
+		switch trial % 8 {
+		case 0:
+			m = MBR{}
+		case 1:
+			o = MBR{}
+		case 2:
+			o = EmptyMBR(dim)
+		case 3:
+			o = m.Clone()
+		}
+		want := m.Union(o).Volume() - m.Volume()
+		if got := m.Enlargement(o); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Enlargement(%v, %v) = %v, want %v", m, o, got, want)
+		}
+	}
+	m, o := box(4), box(4)
+	if n := testing.AllocsPerRun(100, func() { m.Enlargement(o) }); n != 0 {
+		t.Errorf("Enlargement allocated %v times per call", n)
+	}
+}
+
 func TestMBRMinDist(t *testing.T) {
 	m := MBR{Min: Point{0, 0}, Max: Point{2, 2}}
 	if got := m.MinDist(Point{1, 1}); got != 0 {

@@ -3,7 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"streamsum/internal/geom"
 )
@@ -222,8 +222,8 @@ func (g *Geometry) Reach() int32 {
 // NeighborIndices returns, in ascending order, the indices j of the
 // occupied cells whose coords[j] can contain points within radius θr of
 // points in cell coords[i], including i itself. idx must be the inverse
-// of coords (idx[coords[j]] == j for every j). The batched ingest
-// pipelines use it to relate a segment's occupied cells: for few cells a
+// of coords (idx[coords[j]] == j for every j). C-SGS's batched ingest
+// (PushBatch) uses it to relate a segment's occupied cells: for few cells a
 // pairwise CanNeighbor scan is cheapest, but past |NeighborOffsets| cells
 // (sparse bursts) the offsets are probed through idx instead, bounding
 // the per-cell cost at O(|offsets|) rather than O(cells).
@@ -242,7 +242,7 @@ func (g *Geometry) NeighborIndices(coords []Coord, idx map[Coord]int32, i int) [
 			nbr = append(nbr, j)
 		}
 	}
-	sort.Slice(nbr, func(a, b int) bool { return nbr[a] < nbr[b] })
+	slices.Sort(nbr)
 	return nbr
 }
 

@@ -230,7 +230,9 @@ func quadraticSeeds(boxes []geom.MBR) (int, int) {
 	s1, s2, worst := 0, 1, -1.0
 	for i := 0; i < len(boxes); i++ {
 		for j := i + 1; j < len(boxes); j++ {
-			d := boxes[i].Union(boxes[j]).Volume() - boxes[i].Volume() - boxes[j].Volume()
+			// The union's volume minus both volumes, without building
+			// the union.
+			d := boxes[i].Enlargement(boxes[j]) - boxes[j].Volume()
 			if d > worst {
 				worst, s1, s2 = d, i, j
 			}

@@ -38,27 +38,31 @@ var magic = [4]byte{'S', 'G', 'S', '1'}
 // ErrCorrupt is returned when decoding fails structurally.
 var ErrCorrupt = errors.New("sgs: corrupt encoding")
 
-// nearOffsets returns the canonical ordering of the 3^dim-1 nonzero offsets
-// in {-1,0,1}^dim, lexicographic by component.
-func nearOffsets(dim int) []grid.Coord {
-	var out []grid.Coord
-	cur := make([]int32, dim)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == dim {
-			c := grid.CoordOf(cur...)
-			if !c.IsZero() {
-				out = append(out, c)
-			}
-			return
-		}
-		for v := int32(-1); v <= 1; v++ {
-			cur[i] = v
-			rec(i + 1)
-		}
+// nearCount returns the number of nonzero offsets in {-1,0,1}^dim, the
+// bits of a cell's near-connection mask.
+func nearCount(dim int) int {
+	n := 1
+	for i := 0; i < dim; i++ {
+		n *= 3
 	}
-	rec(0)
-	return out
+	return n - 1
+}
+
+// nearOffset returns the offset with bitmask index ni: the ni-th nonzero
+// offset in {-1,0,1}^dim, lexicographic by component. It is the inverse
+// of nearIndex.
+func nearOffset(dim, ni int) grid.Coord {
+	idx := ni
+	if idx >= nearCount(dim)/2 {
+		idx++ // step over the zero offset in the middle
+	}
+	var off grid.Coord
+	off.D = uint8(dim)
+	for i := dim - 1; i >= 0; i-- {
+		off.C[i] = int32(idx%3) - 1
+		idx /= 3
+	}
+	return off
 }
 
 // nearIndex maps an offset to its bitmask index, or -1 if not a near
@@ -102,8 +106,8 @@ func Marshal(s *Summary) []byte {
 	buf = append(buf, f8[:]...)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Cells)))
 
-	near := nearOffsets(s.Dim)
-	maskBytes := (len(near) + 7) / 8
+	mask := make([]byte, (nearCount(s.Dim)+7)/8)
+	var far []grid.Coord
 	var prev grid.Coord
 	prev.D = uint8(s.Dim)
 	for i := range s.Cells {
@@ -113,8 +117,8 @@ func Marshal(s *Summary) []byte {
 		}
 		prev = c.Coord
 
-		mask := make([]byte, maskBytes)
-		var far []grid.Coord
+		clear(mask)
+		far = far[:0]
 		hasNear := false
 		for _, t := range c.Conns {
 			off := t.Sub(c.Coord)
@@ -232,8 +236,8 @@ func Unmarshal(b []byte) (*Summary, error) {
 	if n > uint64(len(b)) { // cheap sanity bound: >= 1 byte per cell
 		return nil, fmt.Errorf("%w: cell count %d too large", ErrCorrupt, n)
 	}
-	near := nearOffsets(dim)
-	maskBytes := (len(near) + 7) / 8
+	near := nearCount(dim)
+	maskBytes := (near + 7) / 8
 	var prev grid.Coord
 	prev.D = uint8(dim)
 	s.Cells = make([]Cell, 0, n)
@@ -262,9 +266,9 @@ func Unmarshal(b []byte) (*Summary, error) {
 			if r.err != nil {
 				return nil, r.err
 			}
-			for ni, off := range near {
+			for ni := 0; ni < near; ni++ {
 				if mask[ni/8]&(1<<(ni%8)) != 0 {
-					c.Conns = append(c.Conns, coord.Add(off))
+					c.Conns = append(c.Conns, coord.Add(nearOffset(dim, ni)))
 				}
 			}
 		}

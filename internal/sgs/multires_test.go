@@ -248,20 +248,20 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 }
 
 // Property: nearIndex is a bijection between the 3^d-1 near offsets and
-// [0, 3^d-1), matching the enumeration order of nearOffsets.
+// [0, 3^d-1), whose inverse nearOffset enumerates the nonzero offsets of
+// {-1,0,1}^d in lexicographic order.
 func TestNearIndexBijection(t *testing.T) {
-	for dim := 1; dim <= 4; dim++ {
-		offs := nearOffsets(dim)
-		seen := make(map[int]bool)
-		for want, off := range offs {
-			got := nearIndex(off)
-			if got != want {
-				t.Fatalf("dim %d: nearIndex(%v) = %d, want %d", dim, off, got, want)
+	for dim := 1; dim <= grid.MaxDim; dim++ {
+		var prev grid.Coord
+		for ni := 0; ni < nearCount(dim); ni++ {
+			off := nearOffset(dim, ni)
+			if got := nearIndex(off); got != ni {
+				t.Fatalf("dim %d: nearIndex(%v) = %d, want %d", dim, off, got, ni)
 			}
-			if seen[got] {
-				t.Fatalf("dim %d: duplicate index %d", dim, got)
+			if ni > 0 && !CoordLess(prev, off) {
+				t.Fatalf("dim %d: offset %v at %d not after %v", dim, off, ni, prev)
 			}
-			seen[got] = true
+			prev = off
 		}
 		var zero grid.Coord
 		zero.D = uint8(dim)

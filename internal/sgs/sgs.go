@@ -11,7 +11,10 @@
 package sgs
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"streamsum/internal/geom"
@@ -82,27 +85,31 @@ type Summary struct {
 }
 
 // CoordLess is the canonical (lexicographic) order on cell coordinates.
-func CoordLess(a, b grid.Coord) bool {
+func CoordLess(a, b grid.Coord) bool { return CoordCompare(a, b) < 0 }
+
+// CoordCompare is CoordLess as a three-way comparison (negative, zero or
+// positive), for slices.SortFunc.
+func CoordCompare(a, b grid.Coord) int {
 	d := a.D
 	if b.D < d {
 		d = b.D
 	}
 	for i := uint8(0); i < d; i++ {
 		if a.C[i] != b.C[i] {
-			return a.C[i] < b.C[i]
+			return cmp.Compare(a.C[i], b.C[i])
 		}
 	}
-	return a.D < b.D
+	return cmp.Compare(a.D, b.D)
 }
 
 // Normalize sorts cells and each cell's connection list into canonical
 // order and removes duplicate connections. Builders call it once after
 // construction; all other methods assume normalized input.
 func (s *Summary) Normalize() {
-	sort.Slice(s.Cells, func(i, j int) bool { return CoordLess(s.Cells[i].Coord, s.Cells[j].Coord) })
+	slices.SortFunc(s.Cells, func(a, b Cell) int { return CoordCompare(a.Coord, b.Coord) })
 	for i := range s.Cells {
 		c := &s.Cells[i]
-		sort.Slice(c.Conns, func(a, b int) bool { return CoordLess(c.Conns[a], c.Conns[b]) })
+		slices.SortFunc(c.Conns, CoordCompare)
 		// Compact duplicates in place (Connect may blind-append).
 		out := c.Conns[:0]
 		for _, t := range c.Conns {
@@ -232,16 +239,21 @@ func FeaturesFromVector(v [4]float64) Features {
 	return Features{Volume: v[0], StatusCount: v[1], AvgDensity: v[2], AvgConnectivity: v[3]}
 }
 
-// Validate checks structural invariants of a summary: sorted unique cells,
-// edge cells with no connections, connections referencing existing cells,
-// and core-core connection symmetry. Used by tests and after decoding
-// untrusted bytes.
+// maxSide bounds a summary's cell side so that the corners of any cell
+// (an int32 cell index times the side) and the sums and differences of
+// corners that MBR centers and alignments are computed from stay finite.
+const maxSide = math.MaxFloat64 / (1 << 34)
+
+// Validate checks structural invariants of a summary: a cell side in
+// (0, maxSide], sorted unique cells, edge cells with no connections,
+// connections referencing existing cells, and core-core connection
+// symmetry. Used by tests and after decoding untrusted bytes.
 func (s *Summary) Validate() error {
 	if s.Dim < 1 || s.Dim > grid.MaxDim {
 		return fmt.Errorf("sgs: bad dimension %d", s.Dim)
 	}
-	if s.Side <= 0 {
-		return fmt.Errorf("sgs: non-positive side %g", s.Side)
+	if !(s.Side > 0 && s.Side <= maxSide) {
+		return fmt.Errorf("sgs: side %g out of range (0,%g]", s.Side, maxSide)
 	}
 	for i := range s.Cells {
 		c := &s.Cells[i]
