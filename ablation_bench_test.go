@@ -11,8 +11,6 @@ package streamsum
 //     the mean distance found (lower = better alignment).
 //   - BenchmarkCodec — encoding/decoding throughput and per-cell bytes of
 //     the SGS codec (§8.2's 23 B/cell figure).
-//   - BenchmarkRTreeVsScan — the locational index against a linear scan at
-//     archive scale (why the pattern base has indices at all).
 
 import (
 	"fmt"
@@ -24,7 +22,6 @@ import (
 	"streamsum/internal/geom"
 	"streamsum/internal/grid"
 	"streamsum/internal/match"
-	"streamsum/internal/rtree"
 	"streamsum/internal/sgs"
 )
 
@@ -117,39 +114,6 @@ func BenchmarkCodec(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			if _, err := sgs.Unmarshal(blobs[n%len(blobs)]); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkRTreeVsScan(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 10000
-	boxes := make([]geom.MBR, n)
-	tree := rtree.New(2)
-	for i := range boxes {
-		lo := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		hi := geom.Point{lo[0] + 2 + rng.Float64()*8, lo[1] + 2 + rng.Float64()*8}
-		boxes[i] = geom.MBR{Min: lo, Max: hi}
-		if err := tree.Insert(int64(i), boxes[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query := func(i int) geom.MBR { return boxes[i%n] }
-	b.Run("rtree", func(b *testing.B) {
-		hits := 0
-		for n := 0; n < b.N; n++ {
-			tree.SearchIntersect(query(n), func(rtree.Item) bool { hits++; return true })
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		hits := 0
-		for n := 0; n < b.N; n++ {
-			q := query(n)
-			for i := range boxes {
-				if boxes[i].Intersects(q) {
-					hits++
-				}
 			}
 		}
 	})

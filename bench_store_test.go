@@ -22,9 +22,8 @@ import (
 
 // BenchmarkFilterSegments mirrors BenchmarkMatchRun but over a base
 // whose memory tier is capped at a fraction of the history, so the
-// filter phase probes one R-tree/feature-grid pair per segment (in
-// parallel across workers) and the refine phase preads candidate
-// summaries from disk. StoreSegmentBytes 1 pins the segment layout by
+// filter phase scans the columns of every segment (in parallel across
+// workers) and the refine phase reads candidate summaries from disk. StoreSegmentBytes 1 pins the segment layout by
 // disabling merges. Compare against BenchmarkMatchRun at equal workers
 // for the cost of serving the same query from disk instead of RAM.
 func BenchmarkFilterSegments(b *testing.B) {

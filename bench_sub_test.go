@@ -6,9 +6,9 @@
 //	    evaluated against N standing subscriptions across K workers;
 //	    events_per_sec is the delivery rate implied by the eval time
 //	    alone (delivery itself is asynchronous).
-//	BenchmarkSubScanAll/subsN — the indexless baseline: every
+//	BenchmarkSubScanAll/subsN — the probe-free baseline: every
 //	    (subscription, new cluster) pair pays the cluster-feature gate,
-//	    what a registry without the inverted index would do per window.
+//	    what a registry without the range probe would do per window.
 package streamsum
 
 import (
@@ -146,9 +146,9 @@ func BenchmarkSubOffer(b *testing.B) {
 	}
 }
 
-// BenchmarkSubScanAll is the indexless per-window cost: every
+// BenchmarkSubScanAll is the probe-free per-window cost: every
 // (subscription, cluster) pair pays the exact cluster-feature gate (and
-// survivors the refine), i.e. inverted matching with the index pruning
+// survivors the refine), i.e. inverted matching with the range pruning
 // turned off.
 func BenchmarkSubScanAll(b *testing.B) {
 	targets, windows := subBenchFixture(b)

@@ -41,7 +41,7 @@
 // default, Server-Sent Events with "Accept: text/event-stream"; add
 // &track=1 for cluster evolution events on the same stream);
 // evaluation is inverted and incremental, so each live subscription
-// costs index probes per window, not a history scan. Error hygiene: a
+// costs one probe of the window's new clusters, not a history scan. Error hygiene: a
 // malformed query is a 400 carrying the parse error, an unknown archive
 // id is a 404.
 package main
@@ -252,7 +252,7 @@ Flags:
 		if err != nil {
 			fatal("binding -http listener", "addr", *httpAddr, "err", err)
 		}
-		srv = &http.Server{Handler: mux}
+		srv = newHTTPServer(mux)
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fatal("http server failed", "err", err)
@@ -436,6 +436,26 @@ Flags:
 // on stderr (stdout carries the window output stream, so logs must not
 // share it). Callers tag it per component — the engine's subsystems add
 // component=archive / component=sub themselves.
+// Connection bounds of the HTTP server: a client gets this long to send
+// its request headers, and an idle keep-alive connection is closed after
+// this long.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server around h. WriteTimeout
+// stays 0 (none): /subscribe streams events and /debug/pprof/profile
+// streams a profile for as long as the client asks, past any fixed
+// bound.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 func newLogger(format string) (*slog.Logger, error) {
 	var h slog.Handler
 	switch format {

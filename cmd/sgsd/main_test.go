@@ -236,3 +236,23 @@ func TestHTTPSubscribeStream(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerBounds: the daemon's server bounds header reads and idle
+// connections, and sets no write timeout, which would cut /subscribe and
+// /debug/pprof/profile streams short.
+func TestHTTPServerBounds(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(h)
+	if srv.Handler != h {
+		t.Error("server does not serve the given handler")
+	}
+	if srv.ReadHeaderTimeout != httpReadHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, httpReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != httpIdleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, httpIdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 for the streaming endpoints", srv.WriteTimeout)
+	}
+}

@@ -130,8 +130,8 @@ func (b *Base) LoadAppended(r io.Reader) (recovered int, torn bool, err error) {
 		if size > 1<<30 {
 			return recovered, true, nil // corrupt length: treat as torn tail
 		}
-		blob := make([]byte, size)
-		if _, err := io.ReadFull(br, blob); err != nil {
+		blob, err := readRecord(br, uint64(size))
+		if err != nil {
 			return recovered, true, nil // torn payload
 		}
 		s, err := sgs.Unmarshal(blob)

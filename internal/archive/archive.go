@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
-	"streamsum/internal/featidx"
 	"streamsum/internal/geom"
-	"streamsum/internal/rtree"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 	"streamsum/internal/sumcache"
@@ -139,38 +137,16 @@ func (e *Entry) WithSummary(sum *sgs.Summary) *Entry {
 	return &c
 }
 
-// generation is the frozen, fully indexed portion of the base. A
-// generation is immutable once published: its indices are only ever
-// traversed after publication, never mutated, so any number of snapshot
-// readers may search them concurrently without synchronization (the
-// read-only traversal contract documented in internal/rtree and
-// internal/featidx).
-type generation struct {
-	entries map[int64]*Entry
-	order   []int64 // FIFO
-	loc     *rtree.Tree
-	feat    *featidx.Index
-}
-
-func newGeneration(dim int) *generation {
-	return &generation{
-		entries: make(map[int64]*Entry),
-		loc:     rtree.New(dim),
-		feat:    featidx.New(),
-	}
-}
-
 // Base is the pattern base. It is safe for concurrent use: any number of
 // extractor shards append (Put/PutBatch/Remove) while analysts run
 // matching queries against read-only snapshots.
 //
-// Internally the base is generational: a frozen, index-backed generation
-// absorbs the bulk of the archive, recent mutations accumulate in a small
-// unindexed delta (appends) plus a tombstone set (removals), and the
-// writer folds both into a fresh generation once they outgrow an
-// amortized threshold. Queries never traverse live indices — they pin a
-// Snapshot, so a mutation never blocks on a reader and a reader never
-// observes a half-applied write.
+// The memory tier is one append-only FIFO of entries with their filter
+// features in parallel flat columns (see columns). Live entries are
+// mem[head:]; eviction and demotion advance head, and compactLocked
+// copies the live rows into fresh arrays once the dead prefix grows.
+// Queries never see a half-applied write: a Snapshot holds slice
+// headers over rows the writer never writes again.
 type Base struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -178,18 +154,15 @@ type Base struct {
 	logger *slog.Logger
 	nextID int64
 
-	frozen      *generation
-	frozenEvict int                // frozen.order index of the next FIFO eviction/demotion candidate
-	delta       []*Entry           // archived since the last rebuild, FIFO, unindexed
-	dead        map[int64]struct{} // frozen ids removed (or demoted to disk) since the last rebuild
-	count       int                // live entries across both tiers
-	bytes       int                // live encoded bytes across both tiers
-	memCount    int                // live entries in the memory tier (excluding in-flight demotions)
-	memBytes    int                // live encoded bytes in the memory tier (excluding in-flight demotions)
-	memBudget   int                // memory-tier byte bound: MaxMemBytes minus the cache's share (0 = unbounded)
-	store       *segstore.Store    // disk tier; nil when StorePath is unset
-	cache       *sumcache.Cache    // decoded-summary residency layer; nil when disabled
-	snap        *Snapshot          // cached read view; nil after any mutation
+	mem       columns         // memory tier, FIFO; live rows are [head:]
+	head      int             // first live row of mem
+	count     int             // live entries across both tiers
+	bytes     int             // live encoded bytes across both tiers
+	memBytes  int             // live encoded bytes in the memory tier (excluding in-flight demotions)
+	memBudget int             // memory-tier byte bound: MaxMemBytes minus the cache's share (0 = unbounded)
+	store     *segstore.Store // disk tier; nil when StorePath is unset
+	cache     *sumcache.Cache // decoded-summary residency layer; nil when disabled
+	snap      *Snapshot       // cached read view; nil after any mutation
 
 	// Background demoter state (store-backed bases only). Batches queue
 	// in demotePending; the demoter goroutine writes and fsyncs each
@@ -236,8 +209,7 @@ func New(cfg Config) (*Base, error) {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		logger: logger,
-		frozen: newGeneration(cfg.Dim),
-		dead:   make(map[int64]struct{}),
+		mem:    columns{dim: cfg.Dim},
 	}
 	if cfg.StorePath != "" {
 		// The cache share is carved out of MaxMemBytes up front (not
@@ -408,13 +380,6 @@ func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 	if e.MBR.IsEmpty() {
 		return 0, false, fmt.Errorf("archive: summary has empty MBR")
 	}
-	// Fold before committing the entry: a fold error then reports a
-	// genuinely un-archived summary (the error path is unreachable for
-	// entries that passed the validation above, but the contract — Put
-	// fails means not archived — must not depend on that).
-	if err := b.maybeRebuildLocked(); err != nil {
-		return 0, false, err
-	}
 	// Hand overflow to the demoter before committing the entry: the
 	// batch leaves the memory-tier accounting here, the flush itself
 	// happens in the background (a flush failure surfaces on a LATER
@@ -422,10 +387,9 @@ func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 	if err := b.demoteLocked(e.Bytes); err != nil {
 		return 0, false, err
 	}
-	b.delta = append(b.delta, e)
+	b.mem.push(e)
 	b.count++
 	b.bytes += e.Bytes
-	b.memCount++
 	b.memBytes += e.Bytes
 	b.snap = nil
 
@@ -451,7 +415,7 @@ func (b *Base) demoteLocked(incoming int) error {
 		return nil
 	}
 	overBytes := b.memBudget > 0 && b.memBytes+incoming > b.memBudget
-	overCount := b.cfg.Capacity > 0 && b.memCount+1 > b.cfg.Capacity
+	overCount := b.cfg.Capacity > 0 && b.memLen()+1 > b.cfg.Capacity
 	if !overBytes && !overCount {
 		return nil
 	}
@@ -490,58 +454,29 @@ func (b *Base) demoteLocked(incoming int) error {
 // preserving the tier invariant that every disk entry predates every
 // memory entry. It returns nil when nothing needs to move.
 func (b *Base) collectDemotionLocked(byteGoal, countGoal int) *demoteBatch {
-	batch := &demoteBatch{frozenEvictBefore: b.frozenEvict}
-	cur := b.frozenEvict
-	deltaTaken := 0
-	over := func() bool {
-		if byteGoal >= 0 && b.memBytes-batch.bytes > byteGoal {
-			return true
-		}
-		if countGoal >= 0 && b.memCount-batch.count > countGoal {
-			return true
-		}
-		return false
-	}
-	for over() && batch.count < b.memCount {
-		var e *Entry
-		for cur < len(b.frozen.order) {
-			id := b.frozen.order[cur]
-			cur++
-			if _, gone := b.dead[id]; gone {
-				continue
-			}
-			e = b.frozen.entries[id]
-			batch.frozenIDs = append(batch.frozenIDs, id)
+	memCount := b.memLen()
+	n, bytes := 0, 0
+	for n < memCount {
+		overBytes := byteGoal >= 0 && b.memBytes-bytes > byteGoal
+		overCount := countGoal >= 0 && memCount-n > countGoal
+		if !overBytes && !overCount {
 			break
-		}
-		if e == nil {
-			if deltaTaken >= len(b.delta) {
-				break
-			}
-			e = b.delta[deltaTaken]
-			deltaTaken++
 		}
 		// Only the selection happens here; serializing the summaries
 		// (flushEntries) is deferred to the flusher, off this lock —
 		// entries are immutable, so the encoding needs no protection.
-		batch.entries = append(batch.entries, e)
-		batch.count++
-		batch.bytes += e.Bytes
+		bytes += b.mem.ents[b.head+n].Bytes
+		n++
 	}
-	if batch.count == 0 {
+	if n == 0 {
 		return nil
 	}
-	batch.deltaEnts = b.delta[:deltaTaken]
-	for _, id := range batch.frozenIDs {
-		b.dead[id] = struct{}{}
-	}
-	b.frozenEvict = cur
-	b.delta = b.delta[deltaTaken:]
-	b.memCount -= batch.count
-	b.memBytes -= batch.bytes
+	// Totals are unchanged: the entries are moving tiers, not dying.
+	batch := &demoteBatch{cols: b.mem.slice(b.head, b.head+n), bytes: bytes}
+	b.head += n
+	b.memBytes -= bytes
+	b.compactLocked()
 	b.snap = nil
-	// Totals are unchanged: the entries are moving tiers, not dying. The
-	// tombstones above are memory-tier bookkeeping only.
 	return batch
 }
 
@@ -570,7 +505,7 @@ func (b *Base) FlushMem() error {
 		b.restoreDemotionsLocked([]*demoteBatch{batch}, nil)
 		return err
 	}
-	return b.maybeRebuildLocked()
+	return nil
 }
 
 // selectResolution applies §6.1: fixed level, or finest level fitting the
@@ -596,32 +531,34 @@ func (b *Base) selectResolution(s *sgs.Summary) (*sgs.Summary, error) {
 }
 
 // evictOldestLocked removes the oldest live entry (FIFO) — the
-// memory-only capacity policy; store-backed bases demote instead. All
-// frozen entries predate all delta entries, so the candidate is the
-// first non-tombstoned frozen id, falling back to the delta head once
-// the frozen generation is exhausted.
+// memory-only capacity policy; store-backed bases demote instead.
 func (b *Base) evictOldestLocked() {
-	for b.frozenEvict < len(b.frozen.order) {
-		id := b.frozen.order[b.frozenEvict]
-		b.frozenEvict++
-		if _, gone := b.dead[id]; gone {
-			continue
-		}
-		e := b.frozen.entries[id]
-		b.dead[id] = struct{}{}
-		b.count--
-		b.bytes -= e.Bytes
-		b.memCount--
-		b.memBytes -= e.Bytes
+	if b.memLen() == 0 {
 		return
 	}
-	if len(b.delta) > 0 {
-		e := b.delta[0]
-		b.delta = b.delta[1:]
-		b.count--
-		b.bytes -= e.Bytes
-		b.memCount--
-		b.memBytes -= e.Bytes
+	e := b.mem.ents[b.head]
+	b.head++
+	b.count--
+	b.bytes -= e.Bytes
+	b.memBytes -= e.Bytes
+	b.compactLocked()
+}
+
+// memLen returns the number of live memory-tier entries (excluding
+// in-flight demotions).
+func (b *Base) memLen() int { return b.mem.Len() - b.head }
+
+// compactLocked copies the live rows into fresh arrays once the dead
+// prefix mem[:head] that eviction and demotion leave behind outgrows 32
+// rows plus an eighth of the live ones. Dead rows still point at their
+// entries, so the bound is what keeps evicted summaries from staying
+// resident; scaling it with the live population bounds the copying at
+// eight rows per eviction. Snapshots and demotion batches keep the old
+// arrays for as long as they hold them.
+func (b *Base) compactLocked() {
+	if b.head > 32+b.memLen()/8 {
+		b.mem = cloneColumns(b.cfg.Dim, b.mem.slice(b.head, b.mem.Len()))
+		b.head = 0
 	}
 }
 
@@ -643,35 +580,22 @@ func (b *Base) Remove(id int64) bool {
 	for b.pendingDemotionHasLocked(id) {
 		b.demoteCond.Wait()
 	}
-	if _, gone := b.dead[id]; gone {
-		// Dead in the memory tier means removed or demoted; a demoted id
-		// lives on in the store and can still be removed from there.
+	live := b.mem.slice(b.head, b.mem.Len())
+	i := live.find(id)
+	if i < 0 {
+		// Not in the memory tier: removed, never archived, or demoted to
+		// the store, where it can still be removed.
 		return b.removeFromStoreLocked(id)
 	}
-	if e, ok := b.frozen.entries[id]; ok {
-		b.dead[id] = struct{}{}
-		b.count--
-		b.bytes -= e.Bytes
-		b.memCount--
-		b.memBytes -= e.Bytes
-		b.snap = nil
-		// A failed fold here would only delay compaction, never lose the
-		// removal (the tombstone is already recorded).
-		_ = b.maybeRebuildLocked()
-		return true
-	}
-	for i, e := range b.delta {
-		if e.ID == id {
-			b.delta = append(b.delta[:i], b.delta[i+1:]...)
-			b.count--
-			b.bytes -= e.Bytes
-			b.memCount--
-			b.memBytes -= e.Bytes
-			b.snap = nil
-			return true
-		}
-	}
-	return b.removeFromStoreLocked(id)
+	e := live.ents[i]
+	// Copy into fresh arrays: the rows a snapshot holds are never written.
+	b.mem = cloneColumns(b.cfg.Dim, live.slice(0, i), live.slice(i+1, live.Len()))
+	b.head = 0
+	b.count--
+	b.bytes -= e.Bytes
+	b.memBytes -= e.Bytes
+	b.snap = nil
+	return true
 }
 
 func (b *Base) removeFromStoreLocked(id int64) bool {
@@ -694,73 +618,6 @@ func (b *Base) removeFromStoreLocked(id int64) bool {
 	b.bytes -= int(rec.Len)
 	b.snap = nil
 	return true
-}
-
-// rebuildLimitLocked is the pending-mutation threshold beyond which the
-// writer folds delta + tombstones into a fresh frozen generation. Scaling
-// with the live population amortizes the O(n) fold to O(1) index work per
-// mutation; the cap bounds the linear delta scan every query pays. The
-// scan checks one MBR or feature vector per delta entry — microseconds
-// even at the cap, noise next to the refine phase — so the threshold
-// leans generous to keep the append path cheap (a capacity-bounded base
-// generates two pending mutations per Put: the append and the eviction
-// tombstone).
-func (b *Base) rebuildLimitLocked() int {
-	limit := 64 + b.memCount/2
-	if limit > 4096 {
-		limit = 4096
-	}
-	return limit
-}
-
-func (b *Base) maybeRebuildLocked() error {
-	// Never fold while demotion batches are in flight: the failure path
-	// restores frozen-origin entries by un-tombstoning their ids, which
-	// requires the frozen generation to still be the one they were
-	// collected from. The demoter retries the fold once the queue drains.
-	if len(b.demotePending) > 0 {
-		return nil
-	}
-	if len(b.delta)+len(b.dead) <= b.rebuildLimitLocked() {
-		return nil
-	}
-	return b.rebuildLocked()
-}
-
-// rebuildLocked publishes a fresh generation holding every live entry in
-// FIFO order. The old generation is never mutated — snapshots pinned to
-// it stay valid and simply age.
-func (b *Base) rebuildLocked() error {
-	g := newGeneration(b.cfg.Dim)
-	g.order = make([]int64, 0, b.memCount)
-	add := func(e *Entry) error {
-		if err := g.loc.Insert(e.ID, e.MBR); err != nil {
-			return err
-		}
-		g.feat.Insert(e.ID, e.Features.Vector())
-		g.entries[e.ID] = e
-		g.order = append(g.order, e.ID)
-		return nil
-	}
-	for _, id := range b.frozen.order {
-		if _, gone := b.dead[id]; gone {
-			continue
-		}
-		if err := add(b.frozen.entries[id]); err != nil {
-			return err
-		}
-	}
-	for _, e := range b.delta {
-		if err := add(e); err != nil {
-			return err
-		}
-	}
-	b.frozen = g
-	b.frozenEvict = 0
-	b.delta = nil
-	b.dead = make(map[int64]struct{})
-	b.snap = nil
-	return nil
 }
 
 // SearchLocation visits archived entries whose MBR intersects the query
@@ -849,9 +706,9 @@ type TierStats struct {
 // TierStats returns the current tier split.
 func (b *Base) TierStats() TierStats {
 	b.mu.Lock()
-	ts := TierStats{MemEntries: b.memCount, MemBytes: b.memBytes}
+	ts := TierStats{MemEntries: b.memLen(), MemBytes: b.memBytes}
 	for _, batch := range b.demotePending {
-		ts.DemotingEntries += batch.count
+		ts.DemotingEntries += batch.cols.Len()
 		ts.DemotingBytes += batch.bytes
 	}
 	ts.DemotingBatches = len(b.demotePending)

@@ -13,7 +13,7 @@ import (
 )
 
 // fixtureSummaries builds n valid summaries from random clustered data.
-func fixtureSummaries(t *testing.T, n int, seed int64) []*sgs.Summary {
+func fixtureSummaries(t testing.TB, n int, seed int64) []*sgs.Summary {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	thetaR := 0.5

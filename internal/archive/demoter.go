@@ -15,21 +15,13 @@ import (
 const maxPendingDemotions = 4
 
 // demoteBatch is one segment's worth of entries handed to the background
-// demoter. Until the segment commits, the entries remain visible to
-// snapshots through the pending queue (they have already left the
-// memory-tier accounting); on failure they are restored exactly where
-// they came from.
+// demoter: the memory tier's oldest rows, taken off its head. Until the
+// segment commits, the entries remain visible to snapshots through the
+// pending queue (they have already left the memory-tier accounting); on
+// failure they are restored to the front of the memory tier.
 type demoteBatch struct {
-	entries []*Entry // FIFO
-	count   int
-	bytes   int
-
-	// Restore bookkeeping: which entries came from the frozen generation
-	// (marked dead at collection) vs the delta (spliced out of its
-	// front), and where the FIFO eviction cursor stood before.
-	frozenIDs         []int64
-	deltaEnts         []*Entry
-	frozenEvictBefore int
+	cols  columns // FIFO
+	bytes int
 }
 
 // flushEntries serializes the batch for the store. Entries are immutable
@@ -38,8 +30,8 @@ type demoteBatch struct {
 // would otherwise stall writers exactly like the write+fsync it
 // accompanies.
 func (batch *demoteBatch) flushEntries() []segstore.FlushEntry {
-	fl := make([]segstore.FlushEntry, 0, len(batch.entries))
-	for _, e := range batch.entries {
+	fl := make([]segstore.FlushEntry, 0, batch.cols.Len())
+	for _, e := range batch.cols.ents {
 		fl = append(fl, segstore.FlushEntry{
 			ID: e.ID, Blob: sgs.Marshal(e.Summary), MBR: e.MBR, Feat: e.Features.Vector(),
 		})
@@ -73,7 +65,7 @@ func (b *Base) demoteLoop() {
 
 		tr := trace.Default.Start(trace.Demote, "archive.demote")
 		root := tr.Root()
-		root.SetInt("entries", int64(batch.count))
+		root.SetInt("entries", int64(batch.cols.Len()))
 		root.SetInt("bytes", int64(batch.bytes))
 		start := time.Now()
 		sp := tr.Start("flush") // serialize + write + fsync, off the base lock
@@ -87,12 +79,12 @@ func (b *Base) demoteLoop() {
 		metricDemoteSeconds.Observe(time.Since(start))
 		if err == nil {
 			metricDemoteBatches.Inc()
-			metricDemoteEntries.Add(uint64(batch.count))
+			metricDemoteEntries.Add(uint64(batch.cols.Len()))
 		} else {
 			metricDemoteFailures.Inc()
 			root.SetStr("error", err.Error())
 			b.logger.Error("demotion flush failed; restoring queued batches to the memory tier",
-				"err", err, "entries", batch.count, "bytes", batch.bytes,
+				"err", err, "entries", batch.cols.Len(), "bytes", batch.bytes,
 				"trace", tr.ID().String())
 		}
 		tr.Finish()
@@ -108,20 +100,15 @@ func (b *Base) demoteLoop() {
 			b.demotePending = b.demotePending[1:]
 		}
 		b.snap = nil
-		// Fold only once the queue is idle (maybeRebuildLocked refuses
-		// while demotions pend, so failure restore can rely on the frozen
-		// generation being exactly as it was at collection time).
-		_ = b.maybeRebuildLocked()
 		b.demoteCond.Broadcast()
 	}
 }
 
-// restoreDemotionsLocked puts the batches' entries back where they came
-// from — frozen ids are un-tombstoned, delta entries spliced back onto
-// the delta's front, counters and the eviction cursor rewound — and
-// latches err (when non-nil) so subsequent Puts fail instead of growing
-// past the memory bound. Batches must be in queue (age) order; they are
-// restored back-to-front so the reassembled delta stays FIFO.
+// restoreDemotionsLocked puts the batches' entries back at the front of
+// the memory tier, in fresh arrays (the live rows may be pinned by
+// snapshots), and latches err (when non-nil) so subsequent Puts fail
+// instead of growing past the memory bound. Batches must be in queue
+// (age) order, so the reassembled tier stays FIFO.
 func (b *Base) restoreDemotionsLocked(batches []*demoteBatch, err error) {
 	if len(batches) == 0 {
 		return
@@ -129,19 +116,14 @@ func (b *Base) restoreDemotionsLocked(batches []*demoteBatch, err error) {
 	if err != nil && b.demoteErr == nil {
 		b.demoteErr = err
 	}
-	for i := len(batches) - 1; i >= 0; i-- {
-		batch := batches[i]
-		for _, id := range batch.frozenIDs {
-			delete(b.dead, id)
-		}
-		if len(batch.deltaEnts) > 0 {
-			b.delta = append(append([]*Entry(nil), batch.deltaEnts...), b.delta...)
-		}
-		b.memCount += batch.count
+	runs := make([]columns, 0, len(batches)+1)
+	for _, batch := range batches {
+		runs = append(runs, batch.cols)
 		b.memBytes += batch.bytes
 	}
-	// The oldest batch's cursor predates every other batch's.
-	b.frozenEvict = batches[0].frozenEvictBefore
+	runs = append(runs, b.mem.slice(b.head, b.mem.Len()))
+	b.mem = cloneColumns(b.cfg.Dim, runs...)
+	b.head = 0
 	b.snap = nil
 }
 
@@ -165,10 +147,8 @@ func (b *Base) DrainDemotions() error {
 // in-flight demotion batch.
 func (b *Base) pendingDemotionHasLocked(id int64) bool {
 	for _, batch := range b.demotePending {
-		for _, e := range batch.entries {
-			if e.ID == id {
-				return true
-			}
+		if batch.cols.find(id) >= 0 {
+			return true
 		}
 	}
 	return false

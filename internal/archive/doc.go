@@ -4,25 +4,36 @@
 // The archiver decides which extracted clusters enter the pattern base
 // (selective archiving: sampling and feature predicates, §6.2) and at
 // which resolution they are stored (budget- and accuracy-aware resolution
-// selection over the multi-resolution SGS hierarchy, §6.1). The pattern
-// base organizes the archived summaries under two indices: an R-tree over
-// cluster MBRs (locational feature index) and a 4-D grid over the
-// non-locational features (volume, status count, average density, average
-// connectivity), so matching queries can locate candidates without
-// scanning the archive (§7.1).
+// selection over the multi-resolution SGS hierarchy, §6.1).
+//
+// The paper (§7.1) indexes the pattern base twice: an R-tree over
+// cluster MBRs and a 4-D grid over the non-locational features (volume,
+// status count, average density, average connectivity). This package
+// keeps neither. The memory tier stores each entry's MBR and feature
+// vector in flat columns beside the entries, and a filter-phase search
+// is one sequential pass that applies the exact range test (MBR overlap,
+// or the inclusive feature box) and then the matcher's gate. The memory
+// tier holds at most a few thousand entries (Config.Capacity, or
+// MaxMemBytes once a disk tier takes the rest), and over histories that
+// small a pass over contiguous columns answers as fast as either index
+// probe and returns the same candidates. Histories larger than that live
+// on the disk tier, whose segments answer the same question with the
+// same kind of columnar scan and skip a whole segment on its zone (the
+// per-segment MBR and feature bounds).
 //
 // # Concurrency: snapshot isolation
 //
 // The base separates the archiver's append path from the analyzer's query
-// path. Writers (Put, PutBatch, Remove) mutate only generational
-// bookkeeping under a single mutex: appends go to a small unindexed
-// delta, removals to a tombstone set, and both fold into a fresh
-// immutable generation — entries, FIFO order, R-tree, feature grid —
-// once they outgrow an amortized threshold. Readers call Snapshot, which
-// pins the current generation plus a private copy of the delta and
-// tombstones, and then search entirely without locks: a matching query
-// in the refine phase never blocks a shard's Put, and a Put never
-// invalidates an iteration in progress.
+// path. Writers (Put, PutBatch, Remove) mutate the memory tier under a
+// single mutex, and only in ways no published reader can observe: Put
+// appends past the end of the columns (or into a fresh, larger array);
+// eviction and demotion advance the head of the FIFO; Remove, the
+// restore of a failed demotion, and the compaction that drops a dead
+// head prefix copy the live rows into fresh arrays. Readers call
+// Snapshot, which takes slice headers over the live rows and then
+// searches entirely without locks: a matching query in the refine phase
+// never blocks a shard's Put, and a Put never invalidates an iteration
+// in progress.
 //
 // Consequences callers rely on:
 //
@@ -41,12 +52,12 @@
 // # The disk tier
 //
 // With Config.StorePath set, the base becomes two-tiered: beneath the
-// in-memory generation sits an internal/segstore directory of immutable
+// memory tier sits an internal/segstore directory of immutable
 // on-disk segments. Memory pressure (MaxMemBytes) and capacity pressure
 // (Capacity) demote the oldest entries — always the oldest, so every
 // disk entry predates every memory entry and FIFO order spans the tiers
 // — as one segment per demotion batch. Snapshots pin the segment set
-// along with the generation, and FilterShards exposes the tiers as
+// along with the memory tier's rows, and FilterShards exposes the tiers as
 // disjoint Searchers (the memory tier plus one per segment) so the
 // matcher's filter phase can probe them in parallel. Disk-resident
 // entries surface with their footer-indexed features only (nil Summary);
@@ -88,17 +99,20 @@
 // accounting at collection but remain snapshot-visible — via the pending
 // queue until the segment commits, via the pinned store view after — so
 // every entry is readable in exactly one place at all times. If a flush
-// fails, the batch's entries are restored where they came from and the
-// error latches (Put fail-stops rather than silently growing past the
-// bound). Blocking callers exist only at the edges: DrainDemotions and
-// FlushMem wait for the queue; Remove of an id mid-demotion waits for
-// its batch; a writer outrunning the disk blocks once the queue hits its
-// small bound (backpressure — and note the yielded lock means a
-// concurrent writer's PutBatch may interleave at that boundary).
+// fails, the batch's entries are restored to the front of the memory
+// tier and the error latches (Put fail-stops rather than silently
+// growing past the bound). Blocking callers exist only at the edges:
+// DrainDemotions and FlushMem wait for the queue; Remove of an id
+// mid-demotion waits for its batch; a writer outrunning the disk blocks
+// once the queue hits its small bound (backpressure — and note the
+// yielded lock means a concurrent writer's PutBatch may interleave at
+// that boundary).
 //
 // # Persistence
 //
-// Save/Load write and rebuild the whole base (indices are derived data);
+// Save/Load write and reload the whole base (ids and filter columns are
+// recomputed on load, and nothing is sized from a header field, so a
+// corrupt file costs no more memory than it holds);
 // Appender/LoadAppended stream per-window records to a crash-safe log
 // whose damaged tail is detected and discarded on replay. The Appender
 // is fail-stop: after any write error it latches the error and refuses

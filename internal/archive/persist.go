@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"streamsum/internal/sgs"
 )
@@ -13,7 +14,7 @@ import (
 // Persistence: the pattern base constitutes the queryable Stream History
 // (§3.3), so it must survive process restarts. The on-disk format is a
 // small header followed by length-prefixed sgs.Marshal blobs in archive
-// (FIFO) order. Indices are rebuilt on load — they are derived data.
+// (FIFO) order. Ids and filter features are recomputed on load.
 
 var fileMagic = [8]byte{'S', 'G', 'S', 'B', 'A', 'S', 'E', '1'}
 
@@ -79,8 +80,11 @@ func (b *Base) Load(r io.Reader) error {
 	if _, err := io.ReadFull(br, n8[:]); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadFile, err)
 	}
+	// The header's count and each record's length are untrusted: nothing
+	// is sized from them, so a corrupt header costs no more memory than
+	// the file actually holds.
 	count := binary.LittleEndian.Uint64(n8[:])
-	entries := make([]*Entry, 0, count)
+	mem := columns{dim: b.cfg.Dim}
 	bytes := 0
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, n8[:]); err != nil {
@@ -90,8 +94,8 @@ func (b *Base) Load(r io.Reader) error {
 		if size > 1<<30 {
 			return fmt.Errorf("%w: record %d size %d", ErrBadFile, i, size)
 		}
-		blob := make([]byte, size)
-		if _, err := io.ReadFull(br, blob); err != nil {
+		blob, err := readRecord(br, size)
+		if err != nil {
 			return fmt.Errorf("%w: truncated record %d", ErrBadFile, i)
 		}
 		s, err := sgs.Unmarshal(blob)
@@ -104,13 +108,13 @@ func (b *Base) Load(r io.Reader) error {
 		if s.Dim != b.cfg.Dim {
 			return fmt.Errorf("%w: record %d dimension %d != base dimension %d", ErrBadFile, i, s.Dim, b.cfg.Dim)
 		}
-		id := int64(len(entries))
+		id := int64(mem.Len())
 		s.ID = id
 		e := &Entry{ID: id, Summary: s, MBR: s.MBR(), Features: s.Features(), Bytes: len(blob)}
 		if e.MBR.IsEmpty() {
 			return fmt.Errorf("%w: record %d has an invalid MBR", ErrBadFile, i)
 		}
-		entries = append(entries, e)
+		mem.push(e)
 		bytes += len(blob)
 	}
 	b.mu.Lock()
@@ -118,21 +122,30 @@ func (b *Base) Load(r io.Reader) error {
 	if b.count != 0 {
 		return fmt.Errorf("archive: Load requires an empty base")
 	}
-	b.delta = entries
-	b.count = len(entries)
+	b.mem, b.head = mem, 0
+	b.count = mem.Len()
 	b.bytes = bytes
-	b.memCount = len(entries)
 	b.memBytes = bytes
-	b.nextID = int64(len(entries))
+	b.nextID = int64(mem.Len())
 	b.snap = nil
-	if err := b.rebuildLocked(); err != nil {
-		// Keep the "corrupt file leaves the base empty" guarantee.
-		b.delta, b.count, b.bytes, b.nextID = nil, 0, 0, 0
-		b.memCount, b.memBytes = 0, 0
-		b.frozen = newGeneration(b.cfg.Dim)
-		return err
-	}
 	// A store-backed base re-establishes its memory bound after the bulk
 	// load (demotion is otherwise amortized across Puts).
 	return b.demoteLocked(0)
+}
+
+// readRecord reads an n-byte record in chunks of at most 64 KiB, so its
+// allocation grows with the bytes actually read, never from n up front:
+// a corrupt length prefix cannot make a short file allocate what it
+// claims.
+func readRecord(r io.Reader, n uint64) ([]byte, error) {
+	var blob []byte
+	for uint64(len(blob)) < n {
+		k := int(min(n-uint64(len(blob)), 64<<10))
+		blob = slices.Grow(blob, k)
+		if _, err := io.ReadFull(r, blob[len(blob):len(blob)+k]); err != nil {
+			return nil, err
+		}
+		blob = blob[:len(blob)+k]
+	}
+	return blob, nil
 }

@@ -2,103 +2,67 @@ package archive
 
 import (
 	"path/filepath"
-	"sync"
 
-	"streamsum/internal/featidx"
 	"streamsum/internal/geom"
-	"streamsum/internal/rtree"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 	"streamsum/internal/sumcache"
 )
 
-// Snapshot is an immutable point-in-time view of the pattern base: the
-// frozen generation's indices (shared, never mutated after publication),
-// a private copy of the delta, the tombstone set as of the snapshot, and
-// — for store-backed bases — a pinned view of the disk tier's segment
-// set. Any number of goroutines may search one snapshot concurrently,
-// and no snapshot operation ever takes the base lock — matching queries
-// run entirely off the archiver's append path.
+// Snapshot is an immutable point-in-time view of the pattern base: slice
+// headers over the memory tier's columns (rows the writer never writes
+// again), the in-flight demotion batches not yet visible on disk, and —
+// for store-backed bases — a pinned view of the disk tier's segment set.
+// Any number of goroutines may search one snapshot concurrently, and no
+// snapshot operation ever takes the base lock — matching queries run
+// entirely off the archiver's append path.
 //
 // A snapshot does not see mutations made after it was taken; pin one
 // snapshot per query when the filter phases must agree on a single
 // archive state, or go through the Base convenience wrappers when
 // per-call freshness is enough.
 type Snapshot struct {
-	dim      int
-	gen      *generation
-	demoting []*Entry // in-flight demotions not yet visible in view, oldest first
-	delta    []*Entry
-	dead     map[int64]struct{}
-	view     *segstore.View  // disk tier; nil for memory-only bases
-	cache    *sumcache.Cache // decoded-summary residency layer; nil when disabled
-	count    int             // live entries across both tiers
-	bytes    int             // live encoded bytes across both tiers
-
-	// unindexed maps the delta + demoting entries by id, built lazily on
-	// the first Get so per-id lookups (the standing-query wiring resolves
-	// every newly archived id per window) cost O(1) instead of a delta
-	// scan. Searches keep scanning: they need range predicates anyway.
-	idxOnce   sync.Once
-	unindexed map[int64]*Entry
-}
-
-// memByID resolves an id in the snapshot's unindexed memory portion
-// (delta + in-flight demotions).
-func (s *Snapshot) memByID(id int64) (*Entry, bool) {
-	s.idxOnce.Do(func() {
-		m := make(map[int64]*Entry, len(s.delta)+len(s.demoting))
-		for _, e := range s.delta {
-			m[e.ID] = e
-		}
-		for _, e := range s.demoting {
-			m[e.ID] = e
-		}
-		s.unindexed = m
-	})
-	e, ok := s.unindexed[id]
-	return e, ok
+	dim   int
+	mem   []columns       // in-flight demotions oldest first, then the live memory tier; ids ascend across them
+	view  *segstore.View  // disk tier; nil for memory-only bases
+	cache *sumcache.Cache // decoded-summary residency layer; nil when disabled
+	count int             // live entries across both tiers
+	bytes int             // live encoded bytes across both tiers
 }
 
 // Snapshot returns a read-only view of the base's current contents. The
 // view is cached: repeated calls between mutations return the same
-// Snapshot, and taking one after a mutation costs O(delta + tombstones)
-// — the frozen generation and the disk segments are shared, not copied.
+// Snapshot, and taking one after a mutation costs O(pending demotion
+// batches) — the memory tier's columns and the disk segments are shared,
+// not copied.
 func (b *Base) Snapshot() *Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.snap != nil {
 		return b.snap
 	}
-	s := &Snapshot{dim: b.cfg.Dim, gen: b.frozen, cache: b.cache, count: b.count, bytes: b.bytes}
-	if len(b.delta) > 0 {
-		s.delta = append(make([]*Entry, 0, len(b.delta)), b.delta...)
-	}
-	if len(b.dead) > 0 {
-		s.dead = make(map[int64]struct{}, len(b.dead))
-		for id := range b.dead {
-			s.dead[id] = struct{}{}
-		}
-	}
+	s := &Snapshot{dim: b.cfg.Dim, cache: b.cache, count: b.count, bytes: b.bytes}
 	if b.store != nil {
 		s.view = b.store.View()
 	}
 	// Entries in flight to the disk tier stay visible exactly once: via
 	// the pinned store view when their segment committed before the view
-	// was taken, via the snapshot's demoting list otherwise (the demoter
+	// was taken, via the snapshot's memory runs otherwise (the demoter
 	// commits outside b.mu, so a batch can be committed but not yet
 	// dequeued — both the view and the queue are captured here, under
-	// b.mu, making the membership test race-free).
+	// b.mu, making the membership test race-free). A batch commits as one
+	// segment, and Remove waits out a pending batch, so its first entry
+	// stands for all of it.
+	s.mem = make([]columns, 0, len(b.demotePending)+1)
 	for _, batch := range b.demotePending {
-		for _, e := range batch.entries {
-			if s.view != nil {
-				if _, _, ok := s.view.Get(e.ID); ok {
-					continue
-				}
+		if s.view != nil {
+			if _, _, ok := s.view.Get(batch.cols.ids[0]); ok {
+				continue
 			}
-			s.demoting = append(s.demoting, e)
 		}
+		s.mem = append(s.mem, batch.cols)
 	}
+	s.mem = append(s.mem, b.mem.slice(b.head, b.mem.Len()))
 	b.snap = s
 	return s
 }
@@ -114,11 +78,6 @@ func (s *Snapshot) Len() int { return s.count }
 // Bytes returns the total encoded size of the snapshot's summaries
 // (both tiers).
 func (s *Snapshot) Bytes() int { return s.bytes }
-
-func (s *Snapshot) isDead(id int64) bool {
-	_, gone := s.dead[id]
-	return gone
-}
 
 // segEntry wraps one disk-resident record as an Entry: the filter-phase
 // features come from the segment footer; the summary loads lazily
@@ -146,19 +105,11 @@ func segEntry(cache *sumcache.Cache, seg *segstore.Segment, r segstore.Record) *
 // read fails, Get reports the entry absent — run a matching query when
 // the I/O error itself matters, its refine phase surfaces it.
 func (s *Snapshot) Get(id int64) *Entry {
-	if !s.isDead(id) {
-		if e, ok := s.gen.entries[id]; ok {
-			return e
+	for i := range s.mem {
+		if j := s.mem[i].find(id); j >= 0 {
+			return s.mem[i].ents[j]
 		}
 	}
-	// Delta and in-flight demotions (frozen-origin demoting ids are in
-	// the dead set, so the gen lookup above skipped them; neither delta
-	// nor demoting entries are ever in the dead set themselves).
-	if e, ok := s.memByID(id); ok {
-		return e
-	}
-	// The memory tier marks demoted ids dead, so a dead id may still be
-	// live on disk.
 	if s.view != nil {
 		if seg, r, ok := s.view.Get(id); ok {
 			e := segEntry(s.cache, seg, r)
@@ -172,8 +123,8 @@ func (s *Snapshot) Get(id int64) *Entry {
 	return nil
 }
 
-// memShard is the memory tier as a filter shard: the frozen generation's
-// indices plus linear scans of the in-flight demotions and the delta.
+// memShard is the memory tier as a filter shard: one pass over each of
+// the snapshot's memory runs.
 type memShard struct{ s *Snapshot }
 
 // SearchLocation visits memory-tier entries whose MBR intersects the
@@ -186,42 +137,15 @@ func (m memShard) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
 // the query box and whose feature vector passes gate; it returns the
 // number of live intersecting entries regardless of the gate.
 func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	s := m.s
-	probed := 0
-	stopped := false
-	s.gen.loc.SearchIntersect(q, func(it rtree.Item) bool {
-		if s.isDead(it.ID) {
-			return true
-		}
-		probed++
-		e := s.gen.entries[it.ID]
-		if gate != nil && !gate(e.Features.Vector()) {
-			return true
-		}
-		if !visit(e) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return probed
-	}
-	for _, list := range [2][]*Entry{s.demoting, s.delta} {
-		for _, e := range list {
-			if !e.MBR.Intersects(q) {
-				continue
-			}
-			probed++
-			if gate != nil && !gate(e.Features.Vector()) {
-				continue
-			}
-			if !visit(e) {
-				return probed
-			}
+	total := 0
+	for i := range m.s.mem {
+		n, stopped := m.s.mem[i].gatedSearchLocation(q, gate, visit)
+		total += n
+		if stopped {
+			break
 		}
 	}
-	return probed
+	return total
 }
 
 // SearchFeatures visits memory-tier entries whose feature vector lies
@@ -234,51 +158,15 @@ func (m memShard) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
 // lies inside [lo, hi] and passes gate; it returns the number of live
 // in-range entries regardless of the gate.
 func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	s := m.s
-	probed := 0
-	stopped := false
-	s.gen.feat.Search(lo, hi, func(fe featidx.Entry) bool {
-		if s.isDead(fe.ID) {
-			return true
-		}
-		probed++
-		e := s.gen.entries[fe.ID]
-		if gate != nil && !gate(e.Features.Vector()) {
-			return true
-		}
-		if !visit(e) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return probed
-	}
-	inRange := func(v [4]float64) bool {
-		for d := 0; d < 4; d++ {
-			if v[d] < lo[d] || v[d] > hi[d] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, list := range [2][]*Entry{s.demoting, s.delta} {
-		for _, e := range list {
-			v := e.Features.Vector()
-			if !inRange(v) {
-				continue
-			}
-			probed++
-			if gate != nil && !gate(v) {
-				continue
-			}
-			if !visit(e) {
-				return probed
-			}
+	total := 0
+	for i := range m.s.mem {
+		n, stopped := m.s.mem[i].gatedSearchFeatures(lo, hi, gate, visit)
+		total += n
+		if stopped {
+			break
 		}
 	}
-	return probed
+	return total
 }
 
 // segShard is one disk segment as a filter shard, masked by the store
@@ -427,9 +315,8 @@ func (s *Snapshot) segShards() []segShard {
 }
 
 // SearchLocation visits entries whose MBR intersects the query box: the
-// disk segments (oldest history first), then the frozen generation via
-// its R-tree, then the delta by linear scan. Iteration stops early if
-// visit returns false.
+// disk segments (oldest history first), then the memory tier. Iteration
+// stops early if visit returns false.
 func (s *Snapshot) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
 	stopped := false
 	wrapped := func(e *Entry) bool {
@@ -465,8 +352,8 @@ func (s *Snapshot) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
 
 // All visits every entry in FIFO order: the disk segments (all disk
 // entries predate all memory entries — demotion always takes the oldest),
-// then in-flight demotions (the oldest memory entries), then the frozen
-// generation's order minus tombstones, then the delta. Disk-resident
+// then in-flight demotions (the oldest memory entries), then the live
+// memory tier. Disk-resident
 // entries are visited summary-free; call LoadSummary on them when the
 // cells are needed. Iteration stops early if visit returns false.
 func (s *Snapshot) All(visit func(*Entry) bool) {
@@ -482,22 +369,11 @@ func (s *Snapshot) All(visit func(*Entry) bool) {
 			}
 		}
 	}
-	for _, e := range s.demoting {
-		if !visit(e) {
-			return
-		}
-	}
-	for _, id := range s.gen.order {
-		if s.isDead(id) {
-			continue
-		}
-		if !visit(s.gen.entries[id]) {
-			return
-		}
-	}
-	for _, e := range s.delta {
-		if !visit(e) {
-			return
+	for _, run := range s.mem {
+		for _, e := range run.ents {
+			if !visit(e) {
+				return
+			}
 		}
 	}
 }

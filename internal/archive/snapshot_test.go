@@ -166,10 +166,11 @@ func TestPutBatchMatchesSequentialPut(t *testing.T) {
 	}
 }
 
-// TestGenerationFoldConsistency drives the base across several
-// delta-fold rebuilds with interleaved removals and capacity evictions,
-// checking the visible state against a mirror model after every phase.
-func TestGenerationFoldConsistency(t *testing.T) {
+// TestCompactionConsistency drives a capacity-bounded base through
+// capacity evictions (which advance the FIFO head) interleaved with
+// removals (which copy the live rows into fresh arrays), checking the
+// visible state against a mirror model after every phase.
+func TestCompactionConsistency(t *testing.T) {
 	sums := fixtureSummaries(t, 30, 34)
 	b, _ := New(Config{Dim: 2, Capacity: 120})
 
@@ -198,8 +199,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 		}
 	}
 
-	// 400 puts: crosses the fold threshold and the capacity bound many
-	// times (threshold at 120 live entries is 32+120/8 = 47 pending).
+	// 400 puts: crosses the capacity bound many times.
 	for i := 0; i < 400; i++ {
 		id, ok, err := b.Put(sums[i%len(sums)])
 		if err != nil || !ok {
@@ -226,7 +226,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 	}
 	check("final")
 
-	// Every live entry is findable through both indices.
+	// Every live entry is findable through both searches.
 	for _, l := range fifo[:20] {
 		e := b.Get(l.id)
 		found := false
@@ -238,7 +238,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 			return true
 		})
 		if !found {
-			t.Fatalf("entry %d missing from location search after folds", l.id)
+			t.Fatalf("entry %d missing from location search after compactions", l.id)
 		}
 		v := e.Features.Vector()
 		var lo, hi [4]float64
@@ -254,7 +254,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 			return true
 		})
 		if !found {
-			t.Fatalf("entry %d missing from feature search after folds", l.id)
+			t.Fatalf("entry %d missing from feature search after compactions", l.id)
 		}
 	}
 }

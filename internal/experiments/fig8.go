@@ -87,7 +87,7 @@ type Fig8Result struct {
 type MatchStores struct {
 	Dim     int
 	Params  ParamCase
-	Base    *archive.Base // SGS + indices
+	Base    *archive.Base // SGS
 	CRDs    []*crd.Summary
 	RSPs    []*rsp.Summary
 	SkPSs   []*skps.Summary

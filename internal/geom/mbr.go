@@ -109,6 +109,21 @@ func (m MBR) Intersects(o MBR) bool {
 	return true
 }
 
+// IntersectsFlat reports whether a box stored flat — its Min
+// coordinates, then its Max coordinates — intersects q. For a non-empty
+// box and a non-empty q it is exactly MBR{Min: box[:d], Max:
+// box[d:]}.Intersects(q), without building the MBR; column scans over
+// many boxes test q for emptiness once and then call it per box.
+func IntersectsFlat(box []float64, q MBR) bool {
+	d := len(box) / 2
+	for i := 0; i < d; i++ {
+		if box[d+i] < q.Min[i] || q.Max[i] < box[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Volume returns the d-dimensional volume of the MBR (product of extents).
 // An empty MBR has volume 0.
 func (m MBR) Volume() float64 {
@@ -120,19 +135,6 @@ func (m MBR) Volume() float64 {
 		v *= m.Max[i] - m.Min[i]
 	}
 	return v
-}
-
-// Margin returns the sum of the edge lengths (used by R-tree split
-// heuristics).
-func (m MBR) Margin() float64 {
-	if m.IsEmpty() {
-		return 0
-	}
-	var s float64
-	for i := range m.Min {
-		s += m.Max[i] - m.Min[i]
-	}
-	return s
 }
 
 // Center returns the center point of the MBR.
@@ -152,66 +154,6 @@ func (m MBR) Union(o MBR) MBR {
 	u := m.Clone()
 	u.Extend(o)
 	return u
-}
-
-// Enlargement returns how much m's volume would grow to also cover o.
-// This is the R-tree ChooseLeaf criterion. It equals
-// m.Union(o).Volume() - m.Volume() bit for bit — the same extents
-// multiplied in the same order — without building the union.
-func (m MBR) Enlargement(o MBR) float64 {
-	if m.IsEmpty() {
-		return o.Volume()
-	}
-	extend := !o.IsEmpty()
-	u, v := 1.0, 1.0
-	for i := range m.Min {
-		lo, hi := m.Min[i], m.Max[i]
-		v = float64(v * (hi - lo))
-		if extend {
-			// Extend's order: o.Min, then o.Max, each against both bounds.
-			for _, x := range [2]float64{o.Min[i], o.Max[i]} {
-				if x < lo {
-					lo = x
-				}
-				if x > hi {
-					hi = x
-				}
-			}
-		}
-		u = float64(u * (hi - lo))
-	}
-	return u - v
-}
-
-// OverlapVolume returns the volume of the intersection of m and o.
-func (m MBR) OverlapVolume(o MBR) float64 {
-	if !m.Intersects(o) {
-		return 0
-	}
-	v := 1.0
-	for i := range m.Min {
-		lo := math.Max(m.Min[i], o.Min[i])
-		hi := math.Min(m.Max[i], o.Max[i])
-		v *= hi - lo
-	}
-	return v
-}
-
-// MinDist returns the minimum Euclidean distance from p to any point of the
-// MBR (0 if p is inside).
-func (m MBR) MinDist(p Point) float64 {
-	var s float64
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < m.Min[i]:
-			d = m.Min[i] - p[i]
-		case p[i] > m.Max[i]:
-			d = p[i] - m.Max[i]
-		}
-		s += float64(d * d)
-	}
-	return math.Sqrt(s)
 }
 
 // String renders the MBR as "[min .. max]".

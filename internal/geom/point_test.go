@@ -119,9 +119,6 @@ func TestMBRBasics(t *testing.T) {
 	if got := m.Volume(); got != 8 {
 		t.Errorf("Volume = %v, want 8", got)
 	}
-	if got := m.Margin(); got != 6 {
-		t.Errorf("Margin = %v, want 6", got)
-	}
 	if !m.Contains(Point{1, 1}) || m.Contains(Point{3, 0}) {
 		t.Error("Contains misbehaves")
 	}
@@ -139,8 +136,8 @@ func TestMBREmpty(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Error("EmptyMBR should be empty")
 	}
-	if e.Volume() != 0 || e.Margin() != 0 {
-		t.Error("empty MBR should have zero volume and margin")
+	if e.Volume() != 0 {
+		t.Error("empty MBR should have zero volume")
 	}
 	if e.Contains(Point{0, 0}) {
 		t.Error("empty MBR contains nothing")
@@ -171,81 +168,18 @@ func TestMBRIntersects(t *testing.T) {
 	if a.Intersects(c) {
 		t.Error("disjoint MBRs should not intersect")
 	}
-	if got := a.OverlapVolume(b); got != 0 {
-		t.Errorf("corner touch overlap volume = %v", got)
-	}
-	d := MBR{Min: Point{1, 1}, Max: Point{3, 3}}
-	if got := a.OverlapVolume(d); got != 1 {
-		t.Errorf("OverlapVolume = %v, want 1", got)
-	}
 }
 
-func TestMBRUnionEnlargement(t *testing.T) {
+func TestMBRUnion(t *testing.T) {
 	a := MBR{Min: Point{0, 0}, Max: Point{1, 1}}
 	b := MBR{Min: Point{2, 0}, Max: Point{3, 1}}
 	u := a.Union(b)
 	if !u.Min.Equal(Point{0, 0}) || !u.Max.Equal(Point{3, 1}) {
 		t.Fatalf("Union = %v", u)
 	}
-	if got := a.Enlargement(b); got != 2 {
-		t.Errorf("Enlargement = %v, want 2", got)
-	}
 	var zero MBR
 	if u2 := zero.Union(a); !u2.Min.Equal(a.Min) || !u2.Max.Equal(a.Max) {
 		t.Errorf("Union with empty = %v", u2)
-	}
-}
-
-// TestMBREnlargementMatchesUnion checks Enlargement against its
-// definition, the union's volume minus m's, bit for bit, and that it
-// allocates nothing.
-func TestMBREnlargementMatchesUnion(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	box := func(dim int) MBR {
-		m := EmptyMBR(dim)
-		for k := 0; k < 2; k++ {
-			p := make(Point, dim)
-			for i := range p {
-				p[i] = rng.NormFloat64() * 100
-			}
-			m.ExtendPoint(p)
-		}
-		return m
-	}
-	for trial := 0; trial < 2000; trial++ {
-		dim := 1 + rng.Intn(5)
-		m, o := box(dim), box(dim)
-		switch trial % 8 {
-		case 0:
-			m = MBR{}
-		case 1:
-			o = MBR{}
-		case 2:
-			o = EmptyMBR(dim)
-		case 3:
-			o = m.Clone()
-		}
-		want := m.Union(o).Volume() - m.Volume()
-		if got := m.Enlargement(o); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Enlargement(%v, %v) = %v, want %v", m, o, got, want)
-		}
-	}
-	m, o := box(4), box(4)
-	if n := testing.AllocsPerRun(100, func() { m.Enlargement(o) }); n != 0 {
-		t.Errorf("Enlargement allocated %v times per call", n)
-	}
-}
-
-func TestMBRMinDist(t *testing.T) {
-	m := MBR{Min: Point{0, 0}, Max: Point{2, 2}}
-	if got := m.MinDist(Point{1, 1}); got != 0 {
-		t.Errorf("inside MinDist = %v", got)
-	}
-	if got := m.MinDist(Point{5, 2}); got != 3 {
-		t.Errorf("MinDist = %v, want 3", got)
-	}
-	if got := m.MinDist(Point{5, 6}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("MinDist = %v, want 5", got)
 	}
 }
 
@@ -272,5 +206,39 @@ func TestMBRQuickProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIntersectsFlat: on non-empty boxes the flat test agrees with
+// MBR.Intersects, touching boundaries included.
+func TestIntersectsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	coord := func() float64 { return float64(rng.Intn(8)) } // small grid: many touching edges
+	box := func(dim int) MBR {
+		var m MBR
+		for k := 0; k < 2; k++ {
+			p := make(Point, dim)
+			for i := range p {
+				p[i] = coord()
+			}
+			m.ExtendPoint(p)
+		}
+		return m
+	}
+	hits := 0
+	for trial := 0; trial < 5000; trial++ {
+		dim := 1 + rng.Intn(4)
+		m, q := box(dim), box(dim)
+		flat := append(append([]float64(nil), m.Min...), m.Max...)
+		want := m.Intersects(q)
+		if got := IntersectsFlat(flat, q); got != want {
+			t.Fatalf("IntersectsFlat(%v, %v) = %v, Intersects = %v", m, q, got, want)
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits == 0 || hits == 5000 {
+		t.Fatalf("%d of 5000 pairs intersect; the comparison is vacuous", hits)
 	}
 }

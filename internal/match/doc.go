@@ -16,10 +16,12 @@
 // Query execution is filter-and-refine, organized as a three-phase
 // pipeline mirroring the extractor's output stage:
 //
-//  1. Filter — probe the pattern base's locational (R-tree) or
-//     non-locational (4-D grid) index with ranges derived from the
-//     distance threshold, collecting candidate entries (sequential; the
-//     probe is cheap).
+//  1. Filter — scan each filter shard of the pattern base (the memory
+//     tier's columns, each disk segment's columns) for entries whose MBR
+//     overlaps the target's (position-sensitive) or whose feature vector
+//     lies in the ranges derived from the distance threshold, applying
+//     the exact cluster-level feature distance as a gate in the same
+//     pass (one task per shard; the scan is cheap).
 //  2. Refine — evaluate the expensive grid-cell-level match (Refine) for
 //     every candidate surviving the exact cluster-level feature
 //     distance: the best alignment found by an A*-style anytime search

@@ -15,7 +15,7 @@ import (
 )
 
 // Source is the read view a matching query executes against. Both
-// *archive.Base (every index probe pins a fresh snapshot) and
+// *archive.Base (every search pins a fresh snapshot) and
 // *archive.Snapshot (one point-in-time view across the whole query)
 // satisfy it; pass a snapshot when the query must not observe concurrent
 // archiving.
@@ -110,7 +110,7 @@ type Match struct {
 }
 
 // Stats reports filter-and-refine effectiveness: how many filter shards
-// were probed, how many candidates the indexes returned, how many
+// were probed, how many candidates their range scans returned, how many
 // survived the cluster-level gate and were handed to the grid-cell-level
 // match (the paper reports ~6% reaching the grid level, §8.2), and how
 // many of those Refine's exact stages (the M* vote bound, then the scan of
@@ -180,8 +180,8 @@ func filterShards(src Source) []archive.Searcher {
 
 // filterOne probes one shard for the query's candidates, applying the
 // exact cluster-level gate during the probe, and returns the gate
-// survivors plus the raw index-candidate count. Shards that implement
-// archive.GatedSearcher (snapshot tiers) run the gate below the index —
+// survivors plus the raw range-candidate count. Shards that implement
+// archive.GatedSearcher (snapshot tiers) run the gate inside their scan —
 // a disk shard's columnar scan rejects candidates without materializing
 // an Entry; other shards get the same gate applied around a plain probe.
 func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targetMBR geom.MBR, lo, hi [4]float64) ([]*archive.Entry, int) {
@@ -219,7 +219,7 @@ func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targe
 }
 
 // Run executes the query against src and returns matches sorted by
-// ascending distance. Both the filter phase (one index probe per shard
+// ascending distance. Both the filter phase (one range scan per shard
 // of a ShardedSource) and the refine phase (one grid-cell-level match
 // per candidate) fan out across Query.Workers goroutines; results are
 // byte-identical at every worker count and every shard layout.
@@ -234,7 +234,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	targetMBR := q.Target.MBR()
 	lo, hi := FeatureRanges(targetFeat, w, q.Threshold)
 
-	// --- Phase 1: filter — parallel gated index probes across shards ------
+	// --- Phase 1: filter — parallel gated range scans across shards ------
 	// Shards are disjoint and independently searchable (the memory tier
 	// plus one per disk segment); each task probes one shard into its own
 	// slot, applying the exact cluster-level feature distance as a gate
@@ -413,7 +413,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 
 // FeatureDistance is the cluster-level metric Σ wi·di with
 // di = |x−f|/min(x,f) clamped to [0,1] (the location term is handled by
-// the caller's index probe). Each product is rounded on its own (no
+// the caller's MBR overlap test). Each product is rounded on its own (no
 // fused multiply-add), so distances are bit-identical on every GOARCH.
 func FeatureDistance(a, b [4]float64, w Weights) float64 {
 	ws := [4]float64{w.Volume, w.Status, w.Density, w.Connectivity}

@@ -309,8 +309,8 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunRejectsDimensionMismatch: a target of another dimensionality
 // than the source is a bad query, rejected before any probe — under a
-// position-sensitive metric the R-tree probe would otherwise index the
-// target's MBR out of range. Both source forms, Run and Any.
+// position-sensitive metric the MBR overlap scan would otherwise index
+// the target's MBR out of range. Both source forms, Run and Any.
 func TestRunRejectsDimensionMismatch(t *testing.T) {
 	b, _ := buildBase(t, 5, 7)
 	var origin [grid.MaxDim]int32

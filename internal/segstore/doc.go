@@ -1,6 +1,6 @@
 // Package segstore is the disk tier of the pattern base: an LSM-style
 // store of immutable on-disk segments beneath internal/archive's
-// in-memory generation, so a long-running archiver can serve matching
+// memory tier, so a long-running archiver can serve matching
 // queries over unbounded stream history with bounded resident memory
 // (the off-line analysis workload of §3.2 assumes the pattern base keeps
 // every archived summary; the memory tier alone cannot).

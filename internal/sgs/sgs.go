@@ -184,7 +184,8 @@ func (s *Summary) CellMBR(c grid.Coord) geom.MBR {
 }
 
 // MBR returns the minimum bounding rectangle of the summarized cluster —
-// the locational feature indexed by the pattern base's R-tree (§7.1).
+// the locational feature of §7.1, which position-sensitive matching
+// filters on.
 func (s *Summary) MBR() geom.MBR {
 	m := geom.EmptyMBR(s.Dim)
 	for i := range s.Cells {
@@ -194,7 +195,7 @@ func (s *Summary) MBR() geom.MBR {
 }
 
 // Features are the four non-locational features of §7.1, used by the
-// 4-dimensional feature grid index and the cluster distance metric.
+// filter phase's feature ranges and the cluster distance metric.
 type Features struct {
 	// Volume is the number of skeletal grid cells.
 	Volume float64

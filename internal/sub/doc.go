@@ -6,13 +6,13 @@
 //
 // # Inverted matching
 //
-// A one-shot matching query probes the archive's indices with one target.
-// A standing query inverts that relationship: the registry indexes the
+// A one-shot matching query scans the archive with one target. A
+// standing query inverts that relationship: the registry keeps the
 // *subscriptions* — grouped into classes by their metric weights, each
-// class holding a feature-grid index (internal/featidx) over the
-// subscription targets' feature vectors, or an R-tree (internal/rtree)
-// over their MBRs for position-sensitive metrics — and each newly
-// archived cluster is probed against those indices once. The probe range
+// class holding its targets' feature vectors (and, for
+// position-sensitive metrics, their MBRs) in flat columns computed once
+// at Subscribe — and each newly archived cluster is probed against each
+// class's columns once, in one sequential pass. The probe range
 // is the inversion of match.FeatureRanges: the relative feature distance
 // is symmetric, so a subscription within threshold t of a new cluster
 // with features v must have its target features inside the range computed

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"streamsum/internal/archive"
-	"streamsum/internal/featidx"
+	"streamsum/internal/geom"
 	"streamsum/internal/match"
 	"streamsum/internal/par"
-	"streamsum/internal/rtree"
 	"streamsum/internal/sgs"
 	"streamsum/internal/trace"
 	"streamsum/internal/track"
@@ -200,18 +200,50 @@ func (s *Subscription) pump() {
 	}
 }
 
-// class groups subscriptions sharing one metric weight vector. Within a
-// class the inverted index holds every member's target: the feature grid
-// for position-insensitive metrics, the R-tree for position-sensitive
-// ones. maxThresh bounds the probe range — any member within its own
-// threshold of a cluster necessarily falls inside the range computed at
-// the class maximum.
+// class groups subscriptions sharing one metric weight vector. Its
+// members' target feature vectors — and, for position-sensitive metrics,
+// their MBRs — sit in flat columns computed once at Subscribe, so the
+// probe is one sequential pass. maxThresh bounds the feature probe range
+// — any member within its own threshold of a cluster necessarily falls
+// inside the range computed at the class maximum.
 type class struct {
 	w         match.Weights
-	feat      *featidx.Index
-	loc       *rtree.Tree
-	subs      map[int64]*Subscription
+	subs      []*Subscription // members; row i of feat and mbr is subs[i]'s target
+	feat      [][4]float64
+	mbr       []float64 // 2·dim per member, Min then Max (position-sensitive classes only)
 	maxThresh float64
+}
+
+// add appends s as the class's last row.
+func (c *class) add(s *Subscription) {
+	c.subs = append(c.subs, s)
+	c.feat = append(c.feat, s.feat)
+	if c.w.PositionSensitive {
+		m := s.target.MBR()
+		c.mbr = append(c.mbr, m.Min...)
+		c.mbr = append(c.mbr, m.Max...)
+	}
+	c.maxThresh = max(c.maxThresh, s.thresh)
+}
+
+// remove deletes s's row, moving the last row into its place.
+func (c *class) remove(s *Subscription, dim int) {
+	i := slices.Index(c.subs, s)
+	last := len(c.subs) - 1
+	c.subs[i], c.feat[i] = c.subs[last], c.feat[last]
+	c.subs, c.feat = c.subs[:last], c.feat[:last]
+	if c.w.PositionSensitive {
+		w := 2 * dim
+		copy(c.mbr[i*w:(i+1)*w], c.mbr[last*w:])
+		c.mbr = c.mbr[:last*w]
+	}
+	if s.thresh >= c.maxThresh {
+		// The departing member may have set the class bound; rescan.
+		c.maxThresh = 0
+		for _, m := range c.subs {
+			c.maxThresh = max(c.maxThresh, m.thresh)
+		}
+	}
 }
 
 // Stats is a point-in-time snapshot of registry activity for monitoring
@@ -225,7 +257,7 @@ type Stats struct {
 	Windows uint64
 	// Entries offered across all windows.
 	Entries uint64
-	// Candidates that survived the index probe + feature gate (pairs).
+	// Candidates that survived the target-column probe + feature gate (pairs).
 	Candidates uint64
 	// Refined pairs handed to the grid-cell-level match (== Candidates).
 	Refined uint64
@@ -252,7 +284,7 @@ type Registry struct {
 	offerMu sync.Mutex // serializes Offer/OfferTrack; windows evaluate in call order
 	seq     uint64     // windows evaluated so far (last seq = seq-1)
 
-	mu        sync.RWMutex // guards the subscription set and inverted indices
+	mu        sync.RWMutex // guards the subscription set and the class columns
 	nextID    int64
 	subs      map[int64]*Subscription
 	classes   map[match.Weights]*class
@@ -264,8 +296,9 @@ type Registry struct {
 
 // Config configures a registry.
 type Config struct {
-	// Dim is the data-space dimensionality (required; position-sensitive
-	// subscriptions index their target MBRs in a Dim-dimensional R-tree).
+	// Dim is the data-space dimensionality (required; targets must have
+	// it, and position-sensitive classes keep their targets' MBRs in a
+	// flat column of 2·Dim values per member).
 	Dim int
 	// Workers bounds the parallel probe and refine fan-out per Offer:
 	// <= 0 means one worker per available CPU, 1 forces sequential
@@ -346,7 +379,7 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 	s.cond = sync.NewCond(&s.mu)
 	if o.Target != nil {
 		// The target is cloned so later caller mutations cannot skew the
-		// index (the archiver makes the same promise for Put).
+		// class columns (the archiver makes the same promise for Put).
 		s.target = o.Target.Clone()
 		s.feat = s.target.Features().Vector()
 	}
@@ -361,30 +394,10 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 	if s.matchEv {
 		c, ok := r.classes[w]
 		if !ok {
-			c = &class{w: w, subs: make(map[int64]*Subscription)}
-			if w.PositionSensitive {
-				c.loc = rtree.New(r.dim)
-			} else {
-				c.feat = featidx.New()
-			}
+			c = &class{w: w}
 			r.classes[w] = c
 		}
-		if c.loc != nil {
-			if err := c.loc.Insert(s.id, s.target.MBR()); err != nil {
-				delete(r.subs, s.id)
-				if s.trackEv {
-					r.trackSubs--
-				}
-				r.mu.Unlock()
-				return nil, err
-			}
-		} else {
-			c.feat.Insert(s.id, s.feat)
-		}
-		c.subs[s.id] = s
-		if s.thresh > c.maxThresh {
-			c.maxThresh = s.thresh
-		}
+		c.add(s)
 	}
 	r.mu.Unlock()
 
@@ -407,22 +420,9 @@ func (r *Registry) Unsubscribe(id int64) bool {
 	}
 	if s.matchEv {
 		c := r.classes[s.weights]
-		delete(c.subs, id)
-		if c.loc != nil {
-			c.loc.Delete(id, s.target.MBR())
-		} else {
-			c.feat.Remove(id, s.feat)
-		}
+		c.remove(s, r.dim)
 		if len(c.subs) == 0 {
 			delete(r.classes, s.weights)
-		} else if s.thresh >= c.maxThresh {
-			// The departing member may have set the class bound; rescan.
-			c.maxThresh = 0
-			for _, m := range c.subs {
-				if m.thresh > c.maxThresh {
-					c.maxThresh = m.thresh
-				}
-			}
 		}
 	}
 	r.mu.Unlock()
@@ -459,7 +459,7 @@ func (r *Registry) Stats() Stats {
 }
 
 // pair is one (subscription, new entry) combination that survived the
-// inverted index probe and the exact cluster-feature gate.
+// inverted probe and the exact cluster-feature gate.
 type pair struct {
 	s  *Subscription
 	ei int
@@ -626,11 +626,11 @@ func (r *Registry) QueueDepth() int {
 }
 
 // probeLocked runs the inverted filter phase under the registry read
-// lock: one task per (entry, class), each probing the class's index for
-// subscription candidates and applying the exact cluster-feature gate at
-// each candidate's own threshold. The surviving pairs are returned
-// sorted by (subscription id, entry index) — a deterministic order
-// whatever the probe timing or index iteration order was.
+// lock: one task per (entry, class), each scanning the class's target
+// columns for subscription candidates and applying the exact
+// cluster-feature gate at each candidate's own threshold. The surviving
+// pairs are returned sorted by (subscription id, entry index) — a
+// deterministic order whatever the probe timing was.
 func (r *Registry) probeLocked(entries []*archive.Entry) []pair {
 	classes := make([]*class, 0, len(r.classes))
 	for _, c := range r.classes {
@@ -643,29 +643,33 @@ func (r *Registry) probeLocked(entries []*archive.Entry) []pair {
 		e, c := entries[ei], classes[ci]
 		ev := e.Features.Vector()
 		var out []pair
-		if c.loc != nil {
+		if c.w.PositionSensitive {
 			// Position-sensitive: non-overlapping MBRs put the location
 			// term at its 1.0 maximum, so the overlap probe is exact for
 			// any threshold < 1 (the same bound match.Run relies on).
-			c.loc.SearchIntersect(e.MBR, func(it rtree.Item) bool {
-				s := c.subs[it.ID]
-				if match.FeatureDistance(s.feat, ev, c.w) <= s.thresh {
+			w, empty := 2*r.dim, e.MBR.IsEmpty()
+			for i, s := range c.subs {
+				if empty || !geom.IntersectsFlat(c.mbr[i*w:(i+1)*w], e.MBR) {
+					continue
+				}
+				if match.FeatureDistance(c.feat[i], ev, c.w) <= s.thresh {
 					out = append(out, pair{s, ei})
 				}
-				return true
-			})
+			}
 		} else {
 			// The relative feature distance is symmetric, so the range of
 			// target vectors within the class bound of this entry is the
 			// same inversion the one-shot filter uses for candidates.
 			lo, hi := match.FeatureRanges(ev, c.w, c.maxThresh)
-			c.feat.Search(lo, hi, func(fe featidx.Entry) bool {
-				s := c.subs[fe.ID]
-				if match.FeatureDistance(s.feat, ev, c.w) <= s.thresh {
-					out = append(out, pair{s, ei})
+			for i, v := range c.feat {
+				if v[0] < lo[0] || v[0] > hi[0] || v[1] < lo[1] || v[1] > hi[1] ||
+					v[2] < lo[2] || v[2] > hi[2] || v[3] < lo[3] || v[3] > hi[3] {
+					continue
 				}
-				return true
-			})
+				if match.FeatureDistance(v, ev, c.w) <= c.subs[i].thresh {
+					out = append(out, pair{c.subs[i], ei})
+				}
+			}
 		}
 		perTask[k] = out
 	})

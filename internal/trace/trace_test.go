@@ -388,3 +388,33 @@ func TestSpanDuration(t *testing.T) {
 		t.Fatalf("span duration %dns, want >= ~2ms", d)
 	}
 }
+
+// FuzzParseTraceparent: ParseTraceparent never panics; a header it
+// accepts has a non-zero trace id and parent, and the version-00 header
+// rebuilt from them parses back to the same values.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra",
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-00",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, parent, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if id.IsZero() || parent == 0 {
+			t.Fatalf("%q accepted with id %v parent %x", h, id, parent)
+		}
+		rebuilt := Traceparent(id, parent)
+		id2, parent2, ok := ParseTraceparent(rebuilt)
+		if !ok || id2 != id || parent2 != parent {
+			t.Fatalf("%q -> %q parses to %v %x %v", h, rebuilt, id2, parent2, ok)
+		}
+	})
+}

@@ -12,8 +12,8 @@
 //     summary preserving the cluster's location, shape, connectivity and
 //     density distribution, for archival and retrieval.
 //
-// Summaries can be archived into a pattern base (R-tree + feature indices)
-// and retrieved with cluster matching queries ("has a congestion like this
+// Summaries can be archived into a pattern base (flat columnar scans in
+// memory and on disk) and retrieved with cluster matching queries ("has a congestion like this
 // one been seen before?") using a filter-and-refine strategy.
 //
 // # Parallelism
@@ -49,7 +49,7 @@
 // MatchQuery) execute against an immutable read-only view and never
 // block archiving, so they are safe from any number of goroutines
 // concurrently with ingestion. The matcher mirrors the output stage's
-// structure: a parallel index-probe filter phase (one probe per tier
+// structure: a parallel column-scan filter phase (one scan per tier
 // shard), a parallel per-candidate refine phase, and a sequential
 // order/limit phase.
 //
@@ -58,8 +58,8 @@
 // With Options.StorePath the pattern base tiers to disk: summaries
 // evicted from the memory tier (bounded by Options.StoreMaxMemBytes
 // and/or the archive Capacity) demote into immutable on-disk segments
-// that remain fully matchable — the filter phase probes every segment's
-// footer indexes in parallel and the refine phase reads candidate cells
+// that remain fully matchable — the filter phase scans every segment's
+// columns in parallel and the refine phase reads candidate cells
 // lazily, so the archived history can grow far past RAM while query
 // results stay byte-identical to an all-in-memory base. Call Close at
 // shutdown to flush the memory tier and make the store directory a

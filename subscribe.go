@@ -12,7 +12,7 @@ import (
 // subscription registers the target once and is notified whenever a
 // *future* window archives a matching cluster. Evaluation is
 // incremental and inverted — each window's new summaries are probed
-// against an index of the registered subscriptions (internal/sub), so
+// against the registered subscriptions' targets (internal/sub), so
 // cost scales with the window's cluster count, not with the number of
 // subscriptions or the archive size.
 
