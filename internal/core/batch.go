@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"streamsum/internal/geom"
@@ -20,13 +21,15 @@ import (
 // sequentially between segments). Within one segment:
 //
 // Phase 0 (sequential): group the segment's tuples by cell, in first-touch
-// order, and look each cell up in the window state once.
+// order, look each cell up in the window state once, and index the
+// segment's own cells by block (grid.Blocks).
 //
-// Phase 1a (parallel over cells, read-only): each cell the window state
-// does not hold yet gets its one neighborhood probe (probeFresh), which
-// records the occupied cells to scan and the links the cell gets when
-// phase 2 creates it; each cell also resolves the segment tuples in
-// CanNeighbor cells.
+// Phase 1a (parallel over cells, read-only): each cell queries the
+// segment's blocks for the segment cells around it, which resolve the
+// segment tuples in CanNeighbor cells. Each cell the window state does not
+// hold yet also queries the window state's blocks once, which records the
+// occupied cells to scan and the links the cell gets when phase 2 creates
+// it.
 //
 // Phase 1b (parallel over tuples, read-only): per tuple, the range query
 // search — the dominant CPU cost of C-SGS per the paper's cost analysis —
@@ -46,12 +49,13 @@ import (
 // Phase 3 (sequential): one refresh per touched object — each new object
 // plus each existing object whose career grew — using final careers.
 //
-// Why phase 1a's links are exact: Push creates a cell with one walk over
-// its neighbor offsets, linking the cells that exist at that moment. Here
-// those are the window state's cells plus the segment cells created
-// before it, which are the fresh segment cells with a smaller first-touch
-// index; no cell is created or deleted between phases 1a and 2, so the
-// recorded walk yields the same cells in the same offset order.
+// Why phase 1a's links are exact: Push creates a cell with one block query,
+// linking the cells around it that exist at that moment, in coordinate
+// order. Here those are the window state's cells plus the segment cells
+// created before it, which are the fresh segment cells with a smaller
+// first-touch index; no cell is created or deleted between phases 1a and
+// 2, so merging the two queries by coordinate yields the same cells in the
+// same order.
 //
 // Why deferring refresh is exact: cell core-status and connection
 // lifespans are pure max-accumulations over career values (Lemmas
@@ -73,8 +77,7 @@ type batchEntry struct {
 // segCell is one occupied cell of a segment. The per-cell work — finding
 // the occupied cells to scan and the segment tuples in CanNeighbor cells —
 // is computed once (in parallel across cells) and shared by every tuple of
-// the cell, keeping coordinate-keyed map probing out of the per-tuple
-// loop.
+// the cell, keeping block queries out of the per-tuple loop.
 type segCell struct {
 	coord grid.Coord
 	// c is the materialized cell: found in phase 0, or created in phase 2
@@ -82,11 +85,18 @@ type segCell struct {
 	c     *cell
 	idxs  []int32 // segment tuple indices located in this cell (ascending)
 	cands []int32 // segment tuple indices in CanNeighbor cells (incl. own)
-	// links and segLinks are a fresh cell's probeFresh result: the window
-	// state's occupied neighbor cells, and the segment cells created
+	// links and segLinks are a fresh cell's neighbors at creation: the
+	// window state's occupied neighbor cells, and the segment cells created
 	// before it.
 	links    []*cell
 	segLinks []segLink
+}
+
+// segLink is a neighbor cell of a fresh segment cell that the segment
+// itself creates first: segment cell j, which goes before links[at] in the
+// new cell's coordinate-ordered link list.
+type segLink struct {
+	at, j int32
 }
 
 // discoveryRun is the number of consecutive tuples one phase-1b work item
@@ -102,10 +112,10 @@ const discoveryRun = 32
 // The batch is cut into emission-free segments at window boundaries (emit
 // runs between segments) and each segment goes through insertSegment as
 // one unit, whose neighbor-discovery phase fans out across Config.Workers
-// goroutines. Errors (dimension mismatch, out-of-order position) abort
-// the batch at the offending tuple, with every earlier tuple fully
-// applied — again matching a sequential Push loop that stops at the
-// first error.
+// goroutines. Errors (dimension mismatch, a point the grid cannot index,
+// out-of-order position) abort the batch at the offending tuple, with
+// every earlier tuple fully applied — again matching a sequential Push
+// loop that stops at the first error.
 func (e *Extractor) PushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, error) {
 	if tss != nil && len(tss) != len(pts) {
 		return nil, fmt.Errorf("core: PushBatch got %d timestamps for %d tuples", len(tss), len(pts))
@@ -135,9 +145,9 @@ func (e *Extractor) pushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, e
 		}
 	}
 	for i, p := range pts {
-		if len(p) != e.cfg.Dim {
+		if err := e.checkPoint(p); err != nil {
 			flush()
-			return out, fmt.Errorf("core: tuple dimension %d != query dimension %d", len(p), e.cfg.Dim)
+			return out, err
 		}
 		id := e.nextID
 		e.nextID++
@@ -199,8 +209,8 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	existing := make([][]*object, n)
 	tupCell := make([]int32, n)
 	var cells []segCell
-	var coords []grid.Coord
 	cellIdx := make(map[grid.Coord]int32, n)
+	segBlocks := grid.NewBlocks[int32](e.geo)
 	for k, t := range seg {
 		objs[k] = &object{
 			id:       t.id,
@@ -215,20 +225,36 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 			ci = int32(len(cells))
 			cellIdx[coord] = ci
 			cells = append(cells, segCell{coord: coord, c: e.cells[coord]})
-			coords = append(coords, coord)
+			segBlocks.Add(coord, ci)
 		}
 		cells[ci].idxs = append(cells[ci].idxs, int32(k))
 		tupCell[k] = ci
 	}
 
-	// Phase 1a (parallel over cells): probe each fresh cell's
-	// neighborhood once and resolve each cell's intra-segment candidates.
+	// Phase 1a (parallel over cells): resolve each cell's intra-segment
+	// candidates, and find each fresh cell's neighbor cells once.
 	par.For(workers, len(cells), func(i int) {
 		sc := &cells[i]
+		near := segBlocks.Near(sc.coord, nil)
 		if sc.c == nil {
-			sc.links, sc.segLinks = e.probeFresh(sc.coord, cellIdx, int32(i))
+			sc.links = e.blocks.Near(sc.coord, nil)
+			// The fresh segment cells created before this one, at their
+			// places among the window state's cells (both in coordinate
+			// order).
+			at := 0
+			for _, j := range near {
+				if j > int32(i) || cells[j].c != nil {
+					continue
+				}
+				for at < len(sc.links) && grid.Compare(sc.links[at].coord, cells[j].coord) < 0 {
+					at++
+				}
+				sc.segLinks = append(sc.segLinks, segLink{at: int32(at), j: j})
+			}
 		}
-		for _, j := range e.geo.NeighborIndices(coords, cellIdx, i) {
+		near = append(near, int32(i))
+		slices.Sort(near)
+		for _, j := range near {
 			sc.cands = append(sc.cands, cells[j].idxs...)
 		}
 	})

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -158,9 +160,10 @@ func sparseBurstStream(n, dim, slide int, seed int64) []geom.Point {
 	return pts
 }
 
-// TestPushBatchMatchesSequentialSparseBurst covers segments holding more
-// cells than len(NeighborOffsets()), where the intra-segment candidates
-// are found by probing offsets instead of by the pairwise cell scan.
+// TestPushBatchMatchesSequentialSparseBurst covers segments scattered over
+// many cells, most of them fresh and alone in their block neighborhood,
+// where nearly every cell queries both the window state's blocks and the
+// segment's own.
 func TestPushBatchMatchesSequentialSparseBurst(t *testing.T) {
 	const slide = 800
 	pts := sparseBurstStream(4800, 3, slide, 5)
@@ -177,8 +180,8 @@ func TestPushBatchMatchesSequentialSparseBurst(t *testing.T) {
 	for _, p := range pts[slide : 2*slide] {
 		burst[ex.Geometry().CoordOf(p)] = true
 	}
-	if offs := len(ex.Geometry().NeighborOffsets()); len(burst) <= offs {
-		t.Fatalf("burst segment holds %d cells, want more than %d", len(burst), offs)
+	if len(burst) <= slide/2 {
+		t.Fatalf("burst segment of %d tuples holds %d cells, want more than %d", slide, len(burst), slide/2)
 	}
 	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
 	got := encodeWindows(t, runBatched(t, cfg, pts, nil, slide))
@@ -202,14 +205,21 @@ func cellLinks(e *Extractor) map[grid.Coord][]grid.Coord {
 }
 
 // TestPushBatchCellLinksMatchPush checks the links PushBatch wires from
-// its one probe per fresh cell: after every slide, each cell's nbrCells
-// must list the same cells in the same order as under a Push loop,
-// including cells that emptied and were materialized again.
+// its block queries per fresh cell: after every slide, each cell's
+// nbrCells must list the same cells in the same order as under a Push
+// loop, including cells that emptied and were materialized again, in
+// dimension 3 and in dimension MaxDim.
 func TestPushBatchCellLinksMatchPush(t *testing.T) {
+	for _, dim := range []int{3, grid.MaxDim} {
+		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) { testPushBatchCellLinks(t, dim) })
+	}
+}
+
+func testPushBatchCellLinks(t *testing.T, dim int) {
 	const slide = 400
-	pts := sparseBurstStream(8000, 3, slide, 17)
+	pts := sparseBurstStream(8000, dim, slide, 17)
 	cfg := Config{
-		Dim: 3, ThetaR: 0.9, ThetaC: 3,
+		Dim: dim, ThetaR: 0.9, ThetaC: 3,
 		Window:  window.Spec{Win: 3 * slide, Slide: slide},
 		Workers: 4,
 	}
@@ -223,7 +233,7 @@ func TestPushBatchCellLinksMatchPush(t *testing.T) {
 	}
 	seen := make(map[grid.Coord]bool) // materialized after some slide
 	gone := make(map[grid.Coord]bool) // seen, then absent after a slide
-	rematerialized := 0
+	rematerialized, links := 0, 0
 	for lo := 0; lo < len(pts); lo += slide {
 		for _, p := range pts[lo : lo+slide] {
 			if _, _, err := seq.Push(p, 0); err != nil {
@@ -238,6 +248,7 @@ func TestPushBatchCellLinksMatchPush(t *testing.T) {
 			t.Fatalf("slide %d: %d cells under PushBatch, %d under Push", lo/slide, len(got), len(want))
 		}
 		for coord, wl := range want {
+			links += len(wl)
 			gl, ok := got[coord]
 			if !ok {
 				t.Fatalf("slide %d: cell %v missing under PushBatch", lo/slide, coord)
@@ -261,6 +272,9 @@ func TestPushBatchCellLinksMatchPush(t *testing.T) {
 	}
 	if rematerialized == 0 {
 		t.Fatal("no cell emptied and was materialized again; the stream does not cover re-creation")
+	}
+	if links == 0 {
+		t.Fatal("no cell has links; the stream compares nothing")
 	}
 }
 
@@ -396,5 +410,57 @@ func TestPushBatchErrors(t *testing.T) {
 	}
 	if got := tex.Stats().Objects; got != 1 {
 		t.Fatalf("prefix before order error not applied: %d objects, want 1", got)
+	}
+}
+
+// TestPushRejectsPointsOffTheGrid: a point whose cell index lies outside
+// the int32 range the grid admits, or with a NaN component, is refused
+// like a dimension mismatch. Without the check, every such point fell into
+// one false cell: 1e12, 1e12+0.1, 1e12+0.2, 5e12 and −7e12 came out as one
+// cluster. Both ends of the accepted range are themselves accepted.
+func TestPushRejectsPointsOffTheGrid(t *testing.T) {
+	cfg := Config{Dim: 1, ThetaR: 1, ThetaC: 2, Window: window.Spec{Win: 10, Slide: 10}, Workers: 2}
+	ex, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := float64(ex.Geometry().Reach()) // side is 1 in dimension 1
+	for _, x := range []float64{1e12, 1e12 + 0.1, 1e12 + 0.2, 5e12, -7e12, math.NaN(), math.Inf(1),
+		math.MinInt32 + reach - 0.5, math.MaxInt32 - reach + 1} {
+		if _, _, err := ex.Push(geom.Point{x}, 0); err == nil {
+			t.Errorf("Push(%g) accepted", x)
+		}
+	}
+	for _, x := range []float64{math.MinInt32 + reach, math.MaxInt32 - reach + 0.5} {
+		if _, _, err := ex.Push(geom.Point{x}, 0); err != nil {
+			t.Errorf("Push(%g): %v", x, err)
+		}
+	}
+	if got := ex.Stats().Objects; got != 2 {
+		t.Fatalf("%d objects after the accepted pushes, want 2", got)
+	}
+
+	// PushBatch stops at the offending tuple with every earlier one
+	// applied; the rejected tuple takes no id.
+	bex, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bex.PushBatch([]geom.Point{{0.1}, {0.2}, {0.3}, {1e12}, {0.4}}, nil); err == nil {
+		t.Fatal("PushBatch accepted 1e12")
+	}
+	if _, err := bex.PushBatch([]geom.Point{{math.NaN()}}, nil); err == nil {
+		t.Fatal("PushBatch accepted NaN")
+	}
+	id, _, err := bex.Push(geom.Point{0.5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 3 {
+		t.Errorf("next id %d, want 3", id)
+	}
+	res := bex.Flush()
+	if len(res.Clusters) != 1 || !slices.Equal(res.Clusters[0].Members, []int64{0, 1, 2, 3}) {
+		t.Fatalf("clusters %+v, want one of members [0 1 2 3]", res.Clusters)
 	}
 }

@@ -142,6 +142,7 @@ type Extractor struct {
 	segSeq  int64 // batch segment counter (career-growth dedup epoch)
 
 	cells  map[grid.Coord]*cell
+	blocks *grid.Blocks[*cell] // the cells again, for neighborhood queries
 	expiry map[int64][]*object // window n -> objects with last == n
 
 	objCount int
@@ -167,6 +168,7 @@ func New(cfg Config) (*Extractor, error) {
 		geo:     geo,
 		lastPos: -1,
 		cells:   make(map[grid.Coord]*cell),
+		blocks:  grid.NewBlocks[*cell](geo),
 		expiry:  make(map[int64][]*object),
 	}, nil
 }
@@ -196,8 +198,8 @@ func (e *Extractor) Stats() Stats {
 // by this tuple's arrival (a tuple positioned past a window's end proves
 // that window's content is complete).
 func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*WindowResult, error) {
-	if len(p) != e.cfg.Dim {
-		return 0, nil, fmt.Errorf("core: tuple dimension %d != query dimension %d", len(p), e.cfg.Dim)
+	if err := e.checkPoint(p); err != nil {
+		return 0, nil, err
 	}
 	id := e.nextID
 	e.nextID++
@@ -223,6 +225,18 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*WindowResult, error)
 	}
 	e.insert(id, p, pos)
 	return id, out, nil
+}
+
+// checkPoint rejects a tuple of the wrong dimension, or one the grid
+// cannot index (grid.Geometry.Check).
+func (e *Extractor) checkPoint(p geom.Point) error {
+	if len(p) != e.cfg.Dim {
+		return fmt.Errorf("core: tuple dimension %d != query dimension %d", len(p), e.cfg.Dim)
+	}
+	if err := e.geo.Check(p); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }
 
 // Flush force-emits the current (possibly still-filling) window, e.g. at

@@ -7,6 +7,7 @@ import (
 
 	"streamsum/internal/dbscan"
 	"streamsum/internal/geom"
+	"streamsum/internal/grid"
 	"streamsum/internal/sgs"
 	"streamsum/internal/window"
 )
@@ -308,14 +309,24 @@ func TestSlidingWindowMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestHighDimensionalMatchesOracle checks C-SGS against the DBSCAN oracle
+// up to MaxDim, where a cell has millions of neighbor offsets: both sides
+// find a new cell's neighbors through the block index.
 func TestHighDimensionalMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	cfg := Config{Dim: 4, ThetaR: 0.9, ThetaC: 4,
-		Window: window.Spec{Win: 150, Slide: 50}}
-	pts := clusteredStream(rng, 700, 4)
-	ex, log, results := runStream(t, cfg, pts, nil)
-	for _, r := range results {
-		verifyWindow(t, ex, log, r)
+	for _, dim := range []int{4, 6, grid.MaxDim} {
+		rng := rand.New(rand.NewSource(77))
+		cfg := Config{Dim: dim, ThetaR: 0.9, ThetaC: 4,
+			Window: window.Spec{Win: 150, Slide: 50}}
+		pts := clusteredStream(rng, 700, dim)
+		ex, log, results := runStream(t, cfg, pts, nil)
+		clusters := 0
+		for _, r := range results {
+			verifyWindow(t, ex, log, r)
+			clusters += len(r.Clusters)
+		}
+		if clusters == 0 {
+			t.Errorf("dim %d: no clusters in %d windows; the stream checks nothing", dim, len(results))
+		}
 	}
 }
 

@@ -19,9 +19,12 @@
 //   - Each arriving object triggers exactly one range query search; career
 //     prolongs discovered later reuse recorded neighbor references instead
 //     of re-running range queries (the paper's auxiliary meta-data, §5.3).
-//     A cell's neighbor offsets are probed once, when it is created: the
-//     one walk both feeds the creating object's range query and becomes
-//     the cell's links to the occupied cells around it.
+//     A cell's neighborhood is looked up once, when it is created: one
+//     query of the block index (grid.Blocks) scans the occupied cells of
+//     the at most 2^dim blocks around it, instead of probing each of its
+//     up to (2·reach+1)^dim neighbor offsets, and its result both feeds
+//     the creating object's range query and becomes the cell's links to
+//     the occupied cells around it.
 //   - The output stage (§5.4) runs a DFS over the currently-core cells and
 //     their live connections, yielding one connected cell group — one SGS —
 //     per cluster, from which the full representation is collected.
@@ -58,7 +61,8 @@
 //   - Ingest (batch.go): a batch is cut into emission-free segments; each
 //     segment's range query searches and new-object career constructions
 //     fan out across Config.Workers goroutines over the frozen window
-//     state (probeFresh and discoverInto perform no mutation of any kind),
+//     state (block queries and discoverInto perform no mutation of any
+//     kind),
 //     then all shared-state mutation replays sequentially in arrival
 //     order, with one deferred refresh per touched object.
 //   - Output (emit.go): connection pruning fans out across cells, edge

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streamsum/internal/conntab"
+	"streamsum/internal/grid"
 	"streamsum/internal/par"
 	"streamsum/internal/sgs"
 )
@@ -75,7 +76,7 @@ func (e *Extractor) emit() *WindowResult {
 		}
 	}
 	slices.SortFunc(coreCells, func(a, b *cell) int {
-		return sgs.CoordCompare(a.coord, b.coord)
+		return grid.Compare(a.coord, b.coord)
 	})
 
 	comp := make(map[*cell]int, len(coreCells))
@@ -365,5 +366,6 @@ func (e *Extractor) removeObject(o *object) {
 		}
 		c.nbrCells = nil
 		delete(e.cells, c.coord)
+		e.blocks.Remove(c.coord)
 	}
 }

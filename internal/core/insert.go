@@ -10,9 +10,10 @@ import (
 // The "Handling Insertions" stage of C-SGS (§5.4) is split into two halves
 // so the batched ingest path (batch.go) can fan the first across cores:
 //
-//   - probeFresh and discoverInto — the range query search: a pure read of
-//     the current window state that collects the new object's neighbors.
-//     Safe to run concurrently with other calls over frozen state.
+//   - the block query for a fresh cell (Blocks.Near) and discoverInto —
+//     the range query search: a pure read of the current window state
+//     that collects the new object's neighbors. Safe to run concurrently
+//     with other calls over frozen state.
 //   - applyInsert — lifespan analysis and the status/connection updates on
 //     the skeletal grid cells. Single-writer; mutates everything.
 //
@@ -26,47 +27,17 @@ func (e *Extractor) insert(id int64, p geom.Point, pos int64) {
 	c := e.cells[coord]
 	var links []*cell
 	if c == nil {
-		links, _ = e.probeFresh(coord, nil, 0)
+		links = e.blocks.Near(coord, nil)
 	}
 	e.applyInsert(id, p, pos, coord, c, links, e.discoverInto(p, c, links, nil))
-}
-
-// segLink is a neighbor cell of a fresh batch-segment cell that the
-// segment itself creates first: segment cell j, which goes before
-// links[at] in the new cell's offset-ordered link list.
-type segLink struct {
-	at, j int32
-}
-
-// probeFresh is the one neighborhood probe an unmaterialized cell costs: a
-// single walk over the neighbor offsets of coord. It returns, in offset
-// order, the occupied cells found — the cells that can hold neighbors of a
-// point in coord, and the links the cell gets when it is materialized.
-// seg, when non-nil, maps a batch segment's cell coordinates to their
-// first-touch indices; an offset that misses the window state but hits a
-// segment cell j < self is a cell the segment creates before self, and is
-// returned in segLinks at its place among links. Read-only, like
-// discoverInto.
-func (e *Extractor) probeFresh(coord grid.Coord, seg map[grid.Coord]int32, self int32) (links []*cell, segLinks []segLink) {
-	for _, off := range e.geo.NeighborOffsets() {
-		if off.IsZero() {
-			continue
-		}
-		at := coord.Add(off)
-		if nc, ok := e.cells[at]; ok {
-			links = append(links, nc)
-		} else if j, ok := seg[at]; ok && j < self {
-			segLinks = append(segLinks, segLink{at: int32(len(links)), j: j})
-		}
-	}
-	return links, segLinks
 }
 
 // discoverInto appends to buf every live object within θr of p — the
 // single range query search of §5.3 ("we only run one rqs for each new
 // object and never re-run rqs for existing objects"). c is p's
 // materialized cell, whose own links name the occupied cells to visit; for
-// an unmaterialized cell c is nil and links, from probeFresh, name them.
+// an unmaterialized cell c is nil and links, from the block index
+// (e.blocks.Near), name them.
 // It reads but never writes the extractor state, so any number of
 // discoverInto calls may run concurrently as long as no mutation
 // (applyInsert, emit) overlaps — the contract the parallel discovery phase
@@ -95,11 +66,12 @@ func appendWithin(buf, objs []*object, p geom.Point, r2 float64) []*object {
 }
 
 // materialize creates the cell at coord with the given links — the
-// occupied cells within its neighbor offsets, in offset order — and links
-// each of them back to it.
+// occupied cells within its neighbor offsets, in coordinate order — links
+// each of them back to it, and adds it to the block index.
 func (e *Extractor) materialize(coord grid.Coord, links []*cell) *cell {
 	c := &cell{coord: coord, coreLast: window.Never, nbrCells: links}
 	e.cells[coord] = c
+	e.blocks.Add(coord, c)
 	for _, nc := range links {
 		nc.nbrCells = append(nc.nbrCells, c)
 	}
@@ -111,7 +83,7 @@ func (e *Extractor) materialize(coord grid.Coord, links []*cell) *cell {
 // neighbor references on both sides, career (re)computation, and
 // propagation of every career growth to cell statuses and connections. c
 // is the tuple's cell, or nil if it is not materialized yet, in which case
-// links are its links from probeFresh. It must see cands exactly as a
+// links are its links from the block index. It must see cands exactly as a
 // fresh range query over the current state would produce them (order is
 // immaterial: all downstream lifespan updates are max-accumulations).
 func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Coord, c *cell, links []*cell, cands []*object) *object {

@@ -23,6 +23,7 @@
 package dbscan
 
 import (
+	"fmt"
 	"sort"
 
 	"streamsum/internal/geom"
@@ -65,6 +66,9 @@ func Run(pts []geom.Point, ids []int64, p Params) (*Result, error) {
 	}
 	ix := grid.NewPointIndex(geo)
 	for i, pt := range pts {
+		if err := geo.Check(pt); err != nil {
+			return nil, fmt.Errorf("dbscan: point %d: %w", i, err)
+		}
 		ix.Insert(int64(i), pt)
 	}
 

@@ -1,6 +1,7 @@
 package dbscan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,18 @@ func TestEmptyInput(t *testing.T) {
 	r := run(t, nil, Params{ThetaR: 1, ThetaC: 2})
 	if len(r.Clusters) != 0 || len(r.Noise) != 0 {
 		t.Fatalf("empty input produced %+v", r)
+	}
+}
+
+// TestRunRejectsPointsOffTheGrid: points whose cells the grid cannot index
+// (grid.Geometry.Check) are an error, not one false cell shared by points
+// 4e12 apart.
+func TestRunRejectsPointsOffTheGrid(t *testing.T) {
+	for _, x := range []float64{1e12, -7e12, math.NaN()} {
+		pts := []geom.Point{{0}, {0.1}, {x}}
+		if _, err := Run(pts, []int64{0, 1, 2}, Params{ThetaR: 1, ThetaC: 1}); err == nil {
+			t.Errorf("Run accepted %g", x)
+		}
 	}
 }
 

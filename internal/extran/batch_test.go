@@ -2,6 +2,7 @@ package extran
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,9 +97,9 @@ func TestPushBatchMatchesSequential(t *testing.T) {
 
 // TestPushBatchErrors: PushBatch keeps a Push loop's error contract. A
 // timestamp slice of the wrong length is refused before any tuple is
-// applied; a dimension or order error mid-batch stops at the offending
-// tuple and returns the windows the earlier tuples completed, with those
-// tuples applied.
+// applied; a dimension, order or off-the-grid (grid.Geometry.Check) error
+// mid-batch stops at the offending tuple and returns the windows the
+// earlier tuples completed, with those tuples applied.
 func TestPushBatchErrors(t *testing.T) {
 	cfg := Config{Dim: 1, ThetaR: 1, ThetaC: 2,
 		Window: window.Spec{Kind: window.TimeBased, Win: 10, Slide: 5}}
@@ -123,6 +124,8 @@ func TestPushBatchErrors(t *testing.T) {
 	}{
 		{"dimension", geom.Point{3, 3}, 17},
 		{"order", geom.Point{3}, 15},
+		{"off the grid", geom.Point{5e12}, 17},
+		{"NaN", geom.Point{math.NaN()}, 17},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			ref, err := New(cfg)

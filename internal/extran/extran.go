@@ -121,6 +121,9 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*core.WindowResult, e
 	if len(p) != e.cfg.Dim {
 		return 0, nil, errDim(len(p), e.cfg.Dim)
 	}
+	if err := e.geo.Check(p); err != nil {
+		return 0, nil, fmt.Errorf("extran: %w", err)
+	}
 	id := e.nextID
 	e.nextID++
 	pos := id

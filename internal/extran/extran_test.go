@@ -8,6 +8,7 @@ import (
 	"streamsum/internal/core"
 	"streamsum/internal/dbscan"
 	"streamsum/internal/geom"
+	"streamsum/internal/grid"
 	"streamsum/internal/window"
 )
 
@@ -165,10 +166,16 @@ func TestViewsReclaimed(t *testing.T) {
 func TestAgainstCSGSCores(t *testing.T) {
 	// Extra-N and C-SGS must agree on every window's core objects and on
 	// the partition of cores into clusters (the representations differ only
-	// in the cell-granularity edge-attachment corner case).
+	// in the cell-granularity edge-attachment corner case), in dimension 2
+	// and in dimension MaxDim.
+	testAgainstCSGSCores(t, 2, 0.5)
+	testAgainstCSGSCores(t, grid.MaxDim, 0.9)
+}
+
+func testAgainstCSGSCores(t *testing.T, dim int, thetaR float64) {
 	rng := rand.New(rand.NewSource(21))
-	pts := clusteredStream(rng, 1200, 2)
-	cfg := Config{Dim: 2, ThetaR: 0.5, ThetaC: 4,
+	pts := clusteredStream(rng, 1200, dim)
+	cfg := Config{Dim: dim, ThetaR: thetaR, ThetaC: 4,
 		Window: window.Spec{Win: 300, Slide: 100}}
 
 	exN, err := New(cfg)
@@ -195,11 +202,13 @@ func TestAgainstCSGSCores(t *testing.T) {
 	if len(rn) != len(rc) || len(rn) == 0 {
 		t.Fatalf("window counts differ: %d vs %d", len(rn), len(rc))
 	}
+	clusters := 0
 	for i := range rn {
 		a, b := rn[i], rc[i]
 		if len(a.Clusters) != len(b.Clusters) {
-			t.Fatalf("window %d: %d vs %d clusters", a.Window, len(a.Clusters), len(b.Clusters))
+			t.Fatalf("dim %d window %d: %d vs %d clusters", dim, a.Window, len(a.Clusters), len(b.Clusters))
 		}
+		clusters += len(a.Clusters)
 		sigA := make([][]int64, len(a.Clusters))
 		sigB := make([][]int64, len(b.Clusters))
 		for j := range a.Clusters {
@@ -209,8 +218,11 @@ func TestAgainstCSGSCores(t *testing.T) {
 		sort.Slice(sigA, func(x, y int) bool { return sigA[x][0] < sigA[y][0] })
 		sort.Slice(sigB, func(x, y int) bool { return sigB[x][0] < sigB[y][0] })
 		if !dbscan.EqualSignature(sigA, sigB) {
-			t.Fatalf("window %d: core partitions differ\nextra-n: %v\nc-sgs: %v", a.Window, sigA, sigB)
+			t.Fatalf("dim %d window %d: core partitions differ\nextra-n: %v\nc-sgs: %v", dim, a.Window, sigA, sigB)
 		}
+	}
+	if clusters == 0 {
+		t.Fatalf("dim %d: no clusters in %d windows; the stream checks nothing", dim, len(rn))
 	}
 }
 

@@ -1,9 +1,9 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"streamsum/internal/geom"
 )
@@ -48,18 +48,21 @@ func (c Coord) Sub(o Coord) Coord {
 	return r
 }
 
-// IsZero reports whether every component is zero.
-func (c Coord) IsZero() bool {
-	for i := uint8(0); i < c.D; i++ {
-		if c.C[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Slice returns the active components as an []int32.
 func (c Coord) Slice() []int32 { return c.C[:c.D] }
+
+// Compare is the canonical (lexicographic) order on cell coordinates as a
+// three-way comparison: the first dimension is most significant, and a
+// coordinate of fewer dimensions sorts before its extensions.
+func Compare(a, b Coord) int {
+	d := min(a.D, b.D)
+	for i := uint8(0); i < d; i++ {
+		if a.C[i] != b.C[i] {
+			return cmp.Compare(a.C[i], b.C[i])
+		}
+	}
+	return cmp.Compare(a.D, b.D)
+}
 
 // String renders the coordinate for diagnostics.
 func (c Coord) String() string {
@@ -75,13 +78,12 @@ func (c Coord) String() string {
 
 // Geometry captures the grid parameters for one resolution level: the
 // dimensionality, the cell side length, and the neighbor radius θr it
-// serves. It precomputes the set of relative cell offsets that can contain
-// points within θr of a point in the origin cell.
+// serves.
 type Geometry struct {
-	dim     int
-	side    float64
-	radius  float64
-	offsets []Coord // includes the zero offset
+	dim    int
+	side   float64
+	radius float64
+	reach  int32 // ⌈radius/side⌉
 }
 
 // NewGeometry returns the finest-resolution geometry of the paper: the cell
@@ -104,9 +106,7 @@ func NewGeometryWithSide(dim int, radius, side float64) (*Geometry, error) {
 	if side <= 0 || radius <= 0 {
 		return nil, fmt.Errorf("grid: side and radius must be positive (side=%g radius=%g)", side, radius)
 	}
-	g := &Geometry{dim: dim, side: side, radius: radius}
-	g.offsets = g.computeOffsets()
-	return g, nil
+	return &Geometry{dim: dim, side: side, radius: radius, reach: int32(math.Ceil(radius / side))}, nil
 }
 
 // Dim returns the dimensionality.
@@ -140,6 +140,28 @@ func (g *Geometry) CoordOf(p geom.Point) Coord {
 		c.C[i] = int32(math.Floor(p[i] / g.side))
 	}
 	return c
+}
+
+// Check reports whether p has a cell under CoordOf that the grid can
+// index: p must have the geometry's dimension, every component must be
+// finite, and its cell index must lie within [MinInt32+Reach(),
+// MaxInt32−Reach()], so that a cell's neighbor box c ± Reach() (and the
+// blocks of Blocks) never wraps around the int32 range. CoordOf maps any
+// other point to a false cell shared with unrelated points.
+func (g *Geometry) Check(p geom.Point) error {
+	if len(p) != g.dim {
+		return fmt.Errorf("grid: point dimension %d != geometry dimension %d", len(p), g.dim)
+	}
+	lo, hi := float64(math.MinInt32+g.reach), float64(math.MaxInt32-g.reach)
+	for i, x := range p {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("grid: component %d of the point is %g, not a finite number", i, x)
+		}
+		if f := math.Floor(x / g.side); f < lo || f > hi {
+			return fmt.Errorf("grid: component %d of the point, %g, lies outside the grid (cell %g, accepted [%g, %g])", i, x, f, lo, hi)
+		}
+	}
+	return nil
 }
 
 // CellMin returns the minimum corner of cell c — the "location vector" of a
@@ -181,20 +203,14 @@ func (g *Geometry) MinDistBetween(a, b Coord) float64 {
 	return math.Sqrt(s)
 }
 
-// NeighborOffsets returns the relative coordinates (including the zero
-// offset) of every cell that can contain a point within radius θr of some
-// point in the origin cell. C-SGS visits exactly these cells during the one
-// range query search it runs per arriving object.
-func (g *Geometry) NeighborOffsets() []Coord { return g.offsets }
-
 // CanNeighbor reports whether cells a and b can contain points within
-// radius θr of each other. It is exactly the membership rule behind
-// NeighborOffsets applied to an arbitrary coordinate pair, so
-// CanNeighbor(c, c.Add(off)) is true iff off is in NeighborOffsets. The
-// batched ingest path uses it to relate the occupied cells of a segment
-// pairwise instead of probing every offset through a map.
+// radius θr of each other: every per-dimension offset is at most Reach()
+// and the minimum distance between the two cells is at most θr. The
+// offsets b−a it admits are a cell's neighbor offsets, the cells C-SGS
+// visits during the one range query search it runs per arriving object;
+// Blocks finds the occupied ones.
 func (g *Geometry) CanNeighbor(a, b Coord) bool {
-	reach := g.Reach()
+	reach := g.reach
 	var s float64
 	for i := 0; i < g.dim; i++ {
 		d := a.C[i] - b.C[i]
@@ -215,63 +231,4 @@ func (g *Geometry) CanNeighbor(a, b Coord) bool {
 
 // Reach returns the maximum per-dimension cell offset that can contain
 // neighbors.
-func (g *Geometry) Reach() int32 {
-	return int32(math.Ceil(g.radius / g.side))
-}
-
-// NeighborIndices returns, in ascending order, the indices j of the
-// occupied cells whose coords[j] can contain points within radius θr of
-// points in cell coords[i], including i itself. idx must be the inverse
-// of coords (idx[coords[j]] == j for every j). C-SGS's batched ingest
-// (PushBatch) uses it to relate a segment's occupied cells: for few cells a
-// pairwise CanNeighbor scan is cheapest, but past |NeighborOffsets| cells
-// (sparse bursts) the offsets are probed through idx instead, bounding
-// the per-cell cost at O(|offsets|) rather than O(cells).
-func (g *Geometry) NeighborIndices(coords []Coord, idx map[Coord]int32, i int) []int32 {
-	var nbr []int32
-	if len(coords) <= len(g.offsets) {
-		for j := range coords {
-			if g.CanNeighbor(coords[i], coords[j]) {
-				nbr = append(nbr, int32(j))
-			}
-		}
-		return nbr
-	}
-	for _, off := range g.offsets {
-		if j, ok := idx[coords[i].Add(off)]; ok {
-			nbr = append(nbr, j)
-		}
-	}
-	slices.Sort(nbr)
-	return nbr
-}
-
-func (g *Geometry) computeOffsets() []Coord {
-	reach := g.Reach()
-	var out []Coord
-	cur := make([]int32, g.dim)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == g.dim {
-			// Minimum squared distance between origin cell and offset cell.
-			var s float64
-			for _, v := range cur {
-				gap := math.Abs(float64(v)) - 1
-				if gap > 0 {
-					d := gap * g.side
-					s += float64(d * d)
-				}
-			}
-			if s <= g.radius*g.radius*(1+1e-12) {
-				out = append(out, CoordOf(cur...))
-			}
-			return
-		}
-		for v := -reach; v <= reach; v++ {
-			cur[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return out
-}
+func (g *Geometry) Reach() int32 { return g.reach }

@@ -85,21 +85,21 @@ func TestCoordArithmetic(t *testing.T) {
 	if got := a.Sub(b); got != CoordOf(1, 3, -2) {
 		t.Errorf("Sub = %v", got)
 	}
-	if !CoordOf(0, 0).IsZero() || CoordOf(0, 1).IsZero() {
-		t.Error("IsZero misbehaves")
-	}
 	if got := len(CoordOf(4, 5).Slice()); got != 2 {
 		t.Errorf("Slice len = %d", got)
 	}
 }
 
 func TestNeighborOffsetsComplete(t *testing.T) {
-	// Brute-force check: for random point pairs within θr, the offset
-	// between their cells must be in NeighborOffsets.
+	// Brute-force check of the test-local offset walk the block index is
+	// checked against: for random point pairs within θr, the offset
+	// between their cells must be among the neighbor offsets, and the two
+	// cells must CanNeighbor.
 	for _, dim := range []int{1, 2, 3, 4} {
 		g := mustGeo(t, dim, 1.0)
-		offs := make(map[Coord]bool, len(g.NeighborOffsets()))
-		for _, o := range g.NeighborOffsets() {
+		offsets := neighborOffsets(g)
+		offs := make(map[Coord]bool, len(offsets))
+		for _, o := range offsets {
 			offs[o] = true
 		}
 		rng := rand.New(rand.NewSource(int64(dim)))
@@ -116,7 +116,10 @@ func TestNeighborOffsetsComplete(t *testing.T) {
 			}
 			off := g.CoordOf(q).Sub(g.CoordOf(p))
 			if !offs[off] {
-				t.Fatalf("dim %d: neighbor pair %v,%v in offset %v missing from NeighborOffsets", dim, p, q, off)
+				t.Fatalf("dim %d: neighbor pair %v,%v in offset %v missing from the neighbor offsets", dim, p, q, off)
+			}
+			if !g.CanNeighbor(g.CoordOf(p), g.CoordOf(q)) {
+				t.Fatalf("dim %d: neighbor pair %v,%v in cells that cannot neighbor", dim, p, q)
 			}
 		}
 	}
@@ -128,7 +131,7 @@ func TestNeighborOffsetsMinimal(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 5} {
 		g := mustGeo(t, dim, 1.0)
 		zero := CoordOf(make([]int32, dim)...)
-		for _, o := range g.NeighborOffsets() {
+		for _, o := range neighborOffsets(g) {
 			if d := g.MinDistBetween(zero, o); d > 1.0+1e-9 {
 				t.Errorf("dim %d: offset %v has min dist %g > θr", dim, o, d)
 			}
@@ -278,51 +281,4 @@ func frac(x float64) float64 {
 		return 0.5
 	}
 	return f
-}
-
-// TestNeighborIndicesBranchesAgree: NeighborIndices' two strategies — the
-// pairwise CanNeighbor scan for few cells and the offset-probing path for
-// many — must return the same ascending index lists.
-func TestNeighborIndicesBranchesAgree(t *testing.T) {
-	for _, dim := range []int{1, 2, 3} {
-		g, err := NewGeometry(dim, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(dim)))
-		// Enough distinct coords to force the offset-probing branch.
-		n := len(g.NeighborOffsets())*2 + 7
-		var coords []Coord
-		idx := make(map[Coord]int32)
-		for len(coords) < n {
-			c := make([]int32, dim)
-			for d := range c {
-				c[d] = rng.Int31n(20) - 10
-			}
-			co := CoordOf(c...)
-			if _, ok := idx[co]; ok {
-				continue
-			}
-			idx[co] = int32(len(coords))
-			coords = append(coords, co)
-		}
-		for i := range coords {
-			got := g.NeighborIndices(coords, idx, i)
-			// Reference: the pairwise definition.
-			var want []int32
-			for j := range coords {
-				if g.CanNeighbor(coords[i], coords[j]) {
-					want = append(want, int32(j))
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("dim=%d i=%d: got %v want %v", dim, i, got, want)
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("dim=%d i=%d: got %v want %v", dim, i, got, want)
-				}
-			}
-		}
-	}
 }

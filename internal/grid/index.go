@@ -11,10 +11,8 @@ type Entry struct {
 }
 
 // pcell is one occupied cell with cached links to the occupied cells in
-// its neighbor offsets. Maintaining the links costs one offset scan per
-// cell creation; range queries then visit only occupied cells, which in
-// high dimensions is far cheaper than probing all (2·reach+1)^dim offsets
-// per query.
+// its neighbor offsets. Maintaining the links costs one Blocks query per
+// cell creation; range queries then visit only the linked cells.
 type pcell struct {
 	coord   Coord
 	entries []Entry
@@ -29,14 +27,15 @@ type pcell struct {
 // PointIndex is single-writer with a read-only concurrent query path; see
 // the package documentation for the full concurrency contract.
 type PointIndex struct {
-	geo   *Geometry
-	cells map[Coord]*pcell
-	size  int
+	geo    *Geometry
+	cells  map[Coord]*pcell
+	blocks *Blocks[*pcell]
+	size   int
 }
 
 // NewPointIndex returns an empty index over the given geometry.
 func NewPointIndex(geo *Geometry) *PointIndex {
-	return &PointIndex{geo: geo, cells: make(map[Coord]*pcell)}
+	return &PointIndex{geo: geo, cells: make(map[Coord]*pcell), blocks: NewBlocks[*pcell](geo)}
 }
 
 // Geometry returns the geometry the index was built with.
@@ -50,17 +49,12 @@ func (ix *PointIndex) cellOf(c Coord, create bool) *pcell {
 	if pc != nil || !create {
 		return pc
 	}
-	pc = &pcell{coord: c}
-	ix.cells[c] = pc
-	for _, off := range ix.geo.NeighborOffsets() {
-		if off.IsZero() {
-			continue
-		}
-		if nb, ok := ix.cells[c.Add(off)]; ok {
-			pc.nbrs = append(pc.nbrs, nb)
-			nb.nbrs = append(nb.nbrs, pc)
-		}
+	pc = &pcell{coord: c, nbrs: ix.blocks.Near(c, nil)}
+	for _, nb := range pc.nbrs {
+		nb.nbrs = append(nb.nbrs, pc)
 	}
+	ix.cells[c] = pc
+	ix.blocks.Add(c, pc)
 	return pc
 }
 
@@ -75,6 +69,7 @@ func (ix *PointIndex) dropCell(pc *pcell) {
 		}
 	}
 	delete(ix.cells, pc.coord)
+	ix.blocks.Remove(pc.coord)
 }
 
 // Insert adds a point under the given id. Duplicate ids are the caller's
@@ -123,15 +118,12 @@ func (ix *PointIndex) RangeQuery(q geom.Point, visit func(Entry) bool) {
 	}
 	center := ix.cellOf(ix.geo.CoordOf(q), false)
 	if center == nil {
-		// The query point's own cell is unoccupied; fall back to probing
-		// the offsets (queries are usually for stored points, so this path
-		// is rare).
-		c := ix.geo.CoordOf(q)
-		for _, off := range ix.geo.NeighborOffsets() {
-			if pc, ok := ix.cells[c.Add(off)]; ok {
-				if !scan(pc) {
-					return
-				}
+		// The query point's own cell is unoccupied, so it has no links;
+		// find the occupied cells around it in the blocks (queries are
+		// usually for stored points, so this path is rare).
+		for _, pc := range ix.blocks.Near(ix.geo.CoordOf(q), nil) {
+			if !scan(pc) {
+				return
 			}
 		}
 		return

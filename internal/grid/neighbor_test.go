@@ -9,8 +9,8 @@ import (
 )
 
 // TestCanNeighborMatchesOffsets checks CanNeighbor agrees exactly with
-// NeighborOffsets membership over the full reach box (plus one ring
-// beyond it, which must always be excluded).
+// membership in the neighbor offsets (the test-local walk) over the full
+// reach box (plus one ring beyond it, which must always be excluded).
 func TestCanNeighborMatchesOffsets(t *testing.T) {
 	for _, tc := range []struct {
 		dim    int
@@ -27,7 +27,7 @@ func TestCanNeighborMatchesOffsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		inOffsets := make(map[Coord]bool)
-		for _, off := range geo.NeighborOffsets() {
+		for _, off := range neighborOffsets(geo) {
 			inOffsets[off] = true
 		}
 		origin := CoordOf(make([]int32, tc.dim)...)

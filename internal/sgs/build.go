@@ -90,6 +90,9 @@ func FromCluster(geo *grid.Geometry, pts []geom.Point, isCore []bool, id, window
 	ix := grid.NewPointIndex(geo)
 	coords := make([]grid.Coord, len(pts))
 	for i, p := range pts {
+		if err := geo.Check(p); err != nil {
+			return nil, fmt.Errorf("sgs: point %d: %w", i, err)
+		}
 		coords[i] = geo.CoordOf(p)
 		ix.Insert(int64(i), p)
 	}

@@ -11,7 +11,6 @@
 package sgs
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -85,31 +84,17 @@ type Summary struct {
 }
 
 // CoordLess is the canonical (lexicographic) order on cell coordinates.
-func CoordLess(a, b grid.Coord) bool { return CoordCompare(a, b) < 0 }
-
-// CoordCompare is CoordLess as a three-way comparison (negative, zero or
-// positive), for slices.SortFunc.
-func CoordCompare(a, b grid.Coord) int {
-	d := a.D
-	if b.D < d {
-		d = b.D
-	}
-	for i := uint8(0); i < d; i++ {
-		if a.C[i] != b.C[i] {
-			return cmp.Compare(a.C[i], b.C[i])
-		}
-	}
-	return cmp.Compare(a.D, b.D)
-}
+// grid.Compare is the same order as a three-way comparison.
+func CoordLess(a, b grid.Coord) bool { return grid.Compare(a, b) < 0 }
 
 // Normalize sorts cells and each cell's connection list into canonical
 // order and removes duplicate connections. Builders call it once after
 // construction; all other methods assume normalized input.
 func (s *Summary) Normalize() {
-	slices.SortFunc(s.Cells, func(a, b Cell) int { return CoordCompare(a.Coord, b.Coord) })
+	slices.SortFunc(s.Cells, func(a, b Cell) int { return grid.Compare(a.Coord, b.Coord) })
 	for i := range s.Cells {
 		c := &s.Cells[i]
-		slices.SortFunc(c.Conns, CoordCompare)
+		slices.SortFunc(c.Conns, grid.Compare)
 		// Compact duplicates in place (Connect may blind-append).
 		out := c.Conns[:0]
 		for _, t := range c.Conns {

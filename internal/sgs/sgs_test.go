@@ -190,6 +190,20 @@ func TestCloneIsDeep(t *testing.T) {
 
 // TestFromClusterFidelity verifies Lemmas 4.1–4.5 on summaries built from
 // real DBSCAN clusters over random data.
+// TestFromClusterRejectsPointsOffTheGrid: a member whose cell the grid
+// cannot index (grid.Geometry.Check) is an error.
+func TestFromClusterRejectsPointsOffTheGrid(t *testing.T) {
+	geo, err := grid.NewGeometry(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []geom.Point{{5e12, 0}, {0, math.NaN()}, {0}} {
+		if _, err := FromCluster(geo, []geom.Point{{0, 0}, p}, []bool{true, true}, 0, 0); err == nil {
+			t.Errorf("FromCluster accepted member %v", p)
+		}
+	}
+}
+
 func TestFromClusterFidelity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	thetaR := 0.4

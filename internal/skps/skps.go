@@ -68,6 +68,9 @@ func FromCluster(pts []geom.Point, isCore []bool, thetaR float64, id, window int
 	}
 	ix := grid.NewPointIndex(geo)
 	for i, p := range pts {
+		if err := geo.Check(p); err != nil {
+			return nil, fmt.Errorf("skps: point %d: %w", i, err)
+		}
 		ix.Insert(int64(i), p)
 	}
 	n := len(pts)

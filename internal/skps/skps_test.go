@@ -74,6 +74,9 @@ func TestFromClusterErrors(t *testing.T) {
 	if _, err := FromCluster([]geom.Point{{0, 0}}, []bool{true, false}, 1, 0, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
+	if _, err := FromCluster([]geom.Point{{0, 0}, {5e12, 0}}, []bool{true, true}, 1, 0, 0); err == nil {
+		t.Error("point off the grid accepted")
+	}
 }
 
 func TestSingleCoreCluster(t *testing.T) {
