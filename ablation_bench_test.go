@@ -1,6 +1,8 @@
 package streamsum
 
-// Ablation benchmarks for the paper's design choices:
+// Ablation benchmarks for the paper's design choices. Each sweeps a
+// setting the engine fixes, so neither the benchmark harness (benchmark/)
+// nor cmd/experiments can report it:
 //
 //   - BenchmarkGridSideAblation — the paper fixes the finest cell size at
 //     diagonal = θr (§4.3). Larger cells mean fewer cells but more false
@@ -9,8 +11,6 @@ package streamsum
 //   - BenchmarkAlignmentBudget — §7.2's anytime alignment search trades
 //     optimality for latency; this sweeps the expansion budget and reports
 //     the mean distance found (lower = better alignment).
-//   - BenchmarkCodec — encoding/decoding throughput and per-cell bytes of
-//     the SGS codec (§8.2's 23 B/cell figure).
 
 import (
 	"fmt"
@@ -22,7 +22,6 @@ import (
 	"streamsum/internal/geom"
 	"streamsum/internal/grid"
 	"streamsum/internal/match"
-	"streamsum/internal/sgs"
 )
 
 func BenchmarkGridSideAblation(b *testing.B) {
@@ -82,39 +81,4 @@ func BenchmarkAlignmentBudget(b *testing.B) {
 			b.ReportMetric(total/float64(pairs), "mean-distance")
 		})
 	}
-}
-
-func BenchmarkCodec(b *testing.B) {
-	clusters := gen.Clusters(gen.ClustersConfig{Seed: 78, MinPoints: 400, MaxPoints: 900}, 20)
-	var sums []*Summary
-	for _, gc := range clusters {
-		sc, err := SummarizeStatic(gc.Points, experiments.MatchParams.ThetaR, experiments.MatchParams.ThetaC)
-		if err != nil || len(sc) == 0 {
-			b.Fatal(err)
-		}
-		sums = append(sums, sc[0].Summary)
-	}
-	b.Run("Marshal", func(b *testing.B) {
-		cells, bytes := 0, 0
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			s := sums[n%len(sums)]
-			blob := sgs.Marshal(s)
-			cells += s.NumCells()
-			bytes += len(blob)
-		}
-		b.ReportMetric(float64(bytes)/float64(cells), "bytes/cell")
-	})
-	b.Run("Unmarshal", func(b *testing.B) {
-		blobs := make([][]byte, len(sums))
-		for i, s := range sums {
-			blobs[i] = sgs.Marshal(s)
-		}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := sgs.Unmarshal(blobs[n%len(blobs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,6 +1,7 @@
 // Standing-query benchmarks: per-window evaluation cost of the
 // subscription registry as the registered population and the worker
-// count grow. A recorded baseline lives in BENCH_sub.json.
+// count grow. They stay because they sweep 100–4 000 subscriptions, where
+// the benchmark harness's alerts_sub workload registers at most 64.
 //
 //	BenchmarkSubOffer/subsN/workersK — one window (8 new clusters)
 //	    evaluated against N standing subscriptions across K workers;
@@ -23,6 +24,11 @@ import (
 	"streamsum/internal/sub"
 )
 
+const (
+	subThetaR = 0.5
+	subThetaC = 3
+)
+
 // subBenchFixture builds the subscription targets and a rotating pool of
 // "newly archived" windows from 32 cluster families of widely varying
 // size and spread (so the feature index separates them) — window entries
@@ -32,7 +38,7 @@ import (
 func subBenchFixture(tb testing.TB) (targets []*sgs.Summary, windows [][]*archive.Entry) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(2011))
-	geo, err := grid.NewGeometry(2, matchThetaR)
+	geo, err := grid.NewGeometry(2, subThetaR)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -40,7 +46,7 @@ func subBenchFixture(tb testing.TB) (targets []*sgs.Summary, windows [][]*archiv
 	const fams = 32
 	clouds := make([][]Point, fams)
 	summaryOf := func(pts []Point, id int64) *sgs.Summary {
-		cls, err := SummarizeStatic(pts, matchThetaR, matchThetaC)
+		cls, err := SummarizeStatic(pts, subThetaR, subThetaC)
 		if err != nil || len(cls) == 0 {
 			tb.Fatalf("fixture cloud produced no cluster: %v", err)
 		}
@@ -116,9 +122,8 @@ func BenchmarkSubOffer(b *testing.B) {
 				}
 				for i := 0; i < nsubs; i++ {
 					s, err := reg.Subscribe(sub.Options{
-						Target:      targets[i%len(targets)],
-						Threshold:   0.08 + 0.04*float64(i%3),
-						AlignBudget: 16,
+						Target:    targets[i%len(targets)],
+						Threshold: 0.08 + 0.04*float64(i%3),
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -174,7 +179,7 @@ func BenchmarkSubScanAll(b *testing.B) {
 						if match.FeatureDistance(s.feat, ev, w) > s.thresh {
 							continue
 						}
-						if match.RefineDistance(s.target, e.Summary, w, 16) <= s.thresh {
+						if match.RefineDistance(s.target, e.Summary, w, match.DefaultAlignBudget) <= s.thresh {
 							events++
 						}
 					}

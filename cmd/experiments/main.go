@@ -11,8 +11,8 @@
 //	experiments all [-quick]
 //
 // Absolute numbers depend on the host; the shapes (who wins, by what
-// factor, where the crossovers are) reproduce the paper. See
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// factor, where the crossovers are) reproduce the paper. No
+// paper-vs-measured record is committed yet; ROADMAP.md item 12 plans one.
 package main
 
 import (

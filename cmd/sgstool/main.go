@@ -12,10 +12,6 @@
 //	sgstool inspect store.dir           # per-segment stats of a disk tier
 //	sgstool compact store.dir           # merge undersized segments, drop
 //	                                    # tombstoned summaries
-//	go test -bench=. ./... | sgstool bench-diff BENCH_ingest.json,BENCH_match.json
-//	                                    # compare a bench run against the
-//	                                    # recorded baselines; exit 1 on
-//	                                    # regression beyond -tolerance
 //
 // File subcommands read through one pattern-base snapshot, the same
 // read-only view matching queries use against a live archiver. inspect
@@ -43,16 +39,10 @@ import (
 
 func main() {
 	if len(os.Args) < 3 {
-		fmt.Fprintln(os.Stderr, "usage: sgstool <list|show|stats|match|inspect|compact|bench-diff> <file|storedir|baselines> [flags]")
+		fmt.Fprintln(os.Stderr, "usage: sgstool <list|show|stats|match|inspect|compact> <file|storedir> [flags]")
 		os.Exit(2)
 	}
 	cmd, path := os.Args[1], os.Args[2]
-	if cmd == "bench-diff" {
-		// Compares `go test -bench` output (stdin or -input) against the
-		// comma-separated BENCH_*.json baselines; exits 1 on regression
-		// beyond -tolerance unless -warn-only.
-		os.Exit(benchDiffCmd(path, os.Args[3:], os.Stdin, os.Stdout))
-	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	id := fs.Int64("id", 0, "archive id (show, match)")
 	threshold := fs.Float64("threshold", 0.3, "distance threshold (match)")

@@ -209,8 +209,8 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	existing := make([][]*object, n)
 	tupCell := make([]int32, n)
 	var cells []segCell
-	cellIdx := make(map[grid.Coord]int32, n)
-	segBlocks := grid.NewBlocks[int32](e.geo)
+	clear(e.segCells)
+	e.segBlocks.Reset()
 	for k, t := range seg {
 		objs[k] = &object{
 			id:       t.id,
@@ -220,42 +220,24 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 			tracker:  window.NewCoreTracker(e.cfg.ThetaC),
 		}
 		coord := e.geo.CoordOf(t.p)
-		ci, ok := cellIdx[coord]
+		ci, ok := e.segCells[coord]
 		if !ok {
 			ci = int32(len(cells))
-			cellIdx[coord] = ci
+			e.segCells[coord] = ci
 			cells = append(cells, segCell{coord: coord, c: e.cells[coord]})
-			segBlocks.Add(coord, ci)
+			e.segBlocks.Add(coord, ci)
 		}
 		cells[ci].idxs = append(cells[ci].idxs, int32(k))
 		tupCell[k] = ci
 	}
 
-	// Phase 1a (parallel over cells): resolve each cell's intra-segment
-	// candidates, and find each fresh cell's neighbor cells once.
-	par.For(workers, len(cells), func(i int) {
-		sc := &cells[i]
-		near := segBlocks.Near(sc.coord, nil)
-		if sc.c == nil {
-			sc.links = e.blocks.Near(sc.coord, nil)
-			// The fresh segment cells created before this one, at their
-			// places among the window state's cells (both in coordinate
-			// order).
-			at := 0
-			for _, j := range near {
-				if j > int32(i) || cells[j].c != nil {
-					continue
-				}
-				for at < len(sc.links) && grid.Compare(sc.links[at].coord, cells[j].coord) < 0 {
-					at++
-				}
-				sc.segLinks = append(sc.segLinks, segLink{at: int32(at), j: j})
-			}
-		}
-		near = append(near, int32(i))
-		slices.Sort(near)
-		for _, j := range near {
-			sc.cands = append(sc.cands, cells[j].idxs...)
+	// Phase 1a (parallel over runs of cells): resolve each cell's
+	// intra-segment candidates, and find each fresh cell's neighbor cells
+	// once. A run's cells share one buffer for their segment neighbors.
+	par.ForEach(workers, (len(cells)+discoveryRun-1)/discoveryRun, func(run int) {
+		var near []int32
+		for i := run * discoveryRun; i < min(len(cells), (run+1)*discoveryRun); i++ {
+			near = e.resolveSegCell(cells, i, near[:0])
 		}
 	})
 
@@ -359,4 +341,39 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	applySpan.SetInt("tuples", int64(n))
 	applySpan.SetInt("grown", int64(len(grown)))
 	applySpan.End()
+}
+
+// resolveSegCell is phase 1a for segment cell i: it fills the cell's
+// intra-segment candidates and, for a fresh cell, its links. near is
+// scratch for the cell's segment neighbors; the grown buffer is returned.
+func (e *Extractor) resolveSegCell(cells []segCell, i int, near []int32) []int32 {
+	sc := &cells[i]
+	near = e.segBlocks.Near(sc.coord, near)
+	if sc.c == nil {
+		sc.links = e.blocks.Near(sc.coord, nil)
+		// The fresh segment cells created before this one, at their
+		// places among the window state's cells (both in coordinate
+		// order).
+		at := 0
+		for _, j := range near {
+			if j > int32(i) || cells[j].c != nil {
+				continue
+			}
+			for at < len(sc.links) && grid.Compare(sc.links[at].coord, cells[j].coord) < 0 {
+				at++
+			}
+			sc.segLinks = append(sc.segLinks, segLink{at: int32(at), j: j})
+		}
+	}
+	near = append(near, int32(i))
+	slices.Sort(near)
+	size := 0
+	for _, j := range near {
+		size += len(cells[j].idxs)
+	}
+	sc.cands = make([]int32, 0, size)
+	for _, j := range near {
+		sc.cands = append(sc.cands, cells[j].idxs...)
+	}
+	return near
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"streamsum/internal/geom"
 	"streamsum/internal/window"
 )
 
@@ -32,8 +32,12 @@ func BenchmarkPushSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkOutputStage isolates the per-window output DFS + cluster
-// assembly (the summarization piggyback the ≤6% claim is about).
+// BenchmarkOutputStage isolates the per-window output stage (connection
+// pruning, the DFS, cluster and summary assembly): each iteration flushes
+// one full window of a freshly filled extractor. The sweep over
+// Config.Workers is the output stage's own fan-out — the fill uses Push,
+// whose single-tuple insert has nothing to fan out — so compare workers1
+// with workers2 on the same run to see what the parallel emit buys.
 func BenchmarkOutputStage(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pts := clusteredStream(rng, 10000, 2)
@@ -41,43 +45,29 @@ func BenchmarkOutputStage(b *testing.B) {
 		name string
 		v    bool
 	}{{"withSGS", false}, {"fullOnly", true}} {
-		b.Run(skip.name, func(b *testing.B) {
-			ex, err := New(Config{Dim: 2, ThetaR: 0.5, ThetaC: 4,
-				Window:        window.Spec{Win: 10000, Slide: 10000},
-				SkipSummaries: skip.v})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range pts {
-				if _, _, err := ex.Push(p, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				// Emit repeatedly on the same state: emit() advances the
-				// window, but with win == slide the content simply expires;
-				// rebuild state every iteration is too slow, so measure the
-				// emit of a full window once per fresh extractor.
-				b.StopTimer()
-				ex2, err := New(Config{Dim: 2, ThetaR: 0.5, ThetaC: 4,
-					Window:        window.Spec{Win: 10000, Slide: 10000},
-					SkipSummaries: skip.v})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range pts {
-					if _, _, err := ex2.Push(p, 0); err != nil {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers%d", skip.name, workers), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					// With win == slide a flush expires the whole window, so
+					// every iteration fills a fresh extractor (untimed).
+					b.StopTimer()
+					ex, err := New(Config{Dim: 2, ThetaR: 0.5, ThetaC: 4,
+						Window:        window.Spec{Win: 10000, Slide: 10000},
+						SkipSummaries: skip.v, Workers: workers})
+					if err != nil {
 						b.Fatal(err)
 					}
+					for _, p := range pts {
+						if _, _, err := ex.Push(p, 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					if r := ex.Flush(); len(r.Clusters) == 0 {
+						b.Fatal("no clusters")
+					}
 				}
-				b.StartTimer()
-				r := ex2.Flush()
-				if len(r.Clusters) == 0 {
-					b.Fatal("no clusters")
-				}
-			}
-		})
+			})
+		}
 	}
-	_ = geom.Point{}
 }

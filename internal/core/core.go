@@ -145,6 +145,12 @@ type Extractor struct {
 	blocks *grid.Blocks[*cell] // the cells again, for neighborhood queries
 	expiry map[int64][]*object // window n -> objects with last == n
 
+	// segCells and segBlocks index the cells of the batch segment being
+	// inserted, by coordinate and by block; each segment empties them and
+	// reuses their storage.
+	segCells  map[grid.Coord]int32
+	segBlocks *grid.Blocks[int32]
+
 	objCount int
 
 	// tr is the in-flight batch's span trace (flight recorder category
@@ -170,6 +176,9 @@ func New(cfg Config) (*Extractor, error) {
 		cells:   make(map[grid.Coord]*cell),
 		blocks:  grid.NewBlocks[*cell](geo),
 		expiry:  make(map[int64][]*object),
+
+		segCells:  make(map[grid.Coord]int32),
+		segBlocks: grid.NewBlocks[int32](geo),
 	}, nil
 }
 

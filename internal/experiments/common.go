@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction harness for the paper's
-// evaluation (§8): one runner per figure, shared by the `experiments`
-// command-line tool and the repository's benchmark suite. EXPERIMENTS.md
-// records paper-vs-measured results for each.
+// evaluation (§8): one runner per figure, driven by the `experiments`
+// command-line tool (cmd/experiments; its usage lists the figures). No
+// paper-vs-measured record is committed yet; ROADMAP.md item 12 plans one.
 package experiments
 
 import (

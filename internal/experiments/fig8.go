@@ -298,24 +298,6 @@ func RunFig8(cfg Fig8Config) ([]Fig8Result, error) {
 	return out, nil
 }
 
-// ReArchive copies the store's summaries into a fresh pattern base at the
-// given resolution level (used by the multi-resolution benches).
-func (st *MatchStores) ReArchive(level, theta int) (*archive.Base, error) {
-	base, err := archive.New(archive.Config{Dim: 2, Level: level, Theta: theta})
-	if err != nil {
-		return nil, err
-	}
-	var putErr error
-	st.Base.All(func(e *archive.Entry) bool {
-		if _, _, err := base.Put(e.Summary); err != nil {
-			putErr = err
-			return false
-		}
-		return true
-	})
-	return base, putErr
-}
-
 // CompressionRate returns the §8.2 headline metric for a store: 1 − SGS
 // bytes / full representation bytes (paper: ≈ 98%).
 func (st *MatchStores) CompressionRate() float64 {

@@ -21,6 +21,7 @@ type Blocks[V any] struct {
 	reach int64
 	side  int64 // block side in cells: 2·reach+1
 	m     map[Coord][]blockCell[V]
+	free  [][]blockCell[V] // emptied block lists Reset keeps for Add
 }
 
 type blockCell[V any] struct {
@@ -54,7 +55,24 @@ func (b *Blocks[V]) blockOf(c Coord) Coord {
 // Add records the occupied cell c with value v. c must not be present.
 func (b *Blocks[V]) Add(c Coord, v V) {
 	k := b.blockOf(c)
+	if n := len(b.free); n > 0 {
+		if _, ok := b.m[k]; !ok {
+			b.m[k] = append(b.free[n-1], blockCell[V]{coord: c, v: v})
+			b.free = b.free[:n-1]
+			return
+		}
+	}
 	b.m[k] = append(b.m[k], blockCell[V]{coord: c, v: v})
+}
+
+// Reset removes every cell and keeps the storage, so that refilling the
+// index allocates only where it outgrows an earlier fill.
+func (b *Blocks[V]) Reset() {
+	for _, l := range b.m {
+		clear(l) // drop the references the values may hold
+		b.free = append(b.free, l[:0])
+	}
+	clear(b.m)
 }
 
 // Remove deletes the cell c and reports whether it was present.

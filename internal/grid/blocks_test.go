@@ -116,10 +116,10 @@ func cellRange(g *Geometry) (lo, hi int64) {
 }
 
 // TestBlocksMatchBruteForce churns random occupied sets through Add and
-// Remove at every dimension, around the origin (negative coordinates
-// included) and at both ends of the accepted cell range, and checks the
-// block layout and every query after every step: against brute force, and
-// at dims ≤ 4 against the offset walk too.
+// Remove, with a Reset every 50 steps, at every dimension, around the
+// origin (negative coordinates included) and at both ends of the accepted
+// cell range, and checks the block layout and every query after every
+// step: against brute force, and at dims ≤ 4 against the offset walk too.
 func TestBlocksMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for dim := 1; dim <= MaxDim; dim++ {
@@ -150,6 +150,11 @@ func TestBlocksMatchBruteForce(t *testing.T) {
 				occ := make(map[Coord]int)
 				var cells []Coord
 				for step := 0; step < 150; step++ {
+					if step%50 == 49 { // refill from the lists Reset keeps
+						b.Reset()
+						clear(occ)
+						cells = cells[:0]
+					}
 					if len(cells) > 0 && rng.Intn(3) == 0 {
 						k := rng.Intn(len(cells))
 						c := cells[k]

@@ -25,7 +25,7 @@ func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	w, budget, err := prepare(src, q, targets...)
+	w, err := prepare(src, q, targets...)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
 			errs[i] = err
 			return
 		}
-		if _, within := Refine(targets[p.ti], sum, w, budget, q.Threshold); within {
+		if _, within := Refine(targets[p.ti], sum, w, DefaultAlignBudget, q.Threshold); within {
 			found[p.ti].Store(true)
 		}
 	})

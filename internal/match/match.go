@@ -37,8 +37,8 @@ type ShardedSource interface {
 	FilterShards() []archive.Searcher
 }
 
-// DefaultAlignBudget is the alignment-search budget used when
-// Query.AlignBudget is unset.
+// DefaultAlignBudget is the alignment-search budget of every query's
+// refine phase.
 const DefaultAlignBudget = 64
 
 // Weights configures the distance metric. The four feature weights must be
@@ -83,9 +83,6 @@ type Query struct {
 	// Limit, when positive, returns only the closest Limit matches
 	// (top-k); the threshold still applies.
 	Limit int
-	// AlignBudget bounds the number of alignments evaluated by the anytime
-	// search in the position-insensitive refine phase (default 64).
-	AlignBudget int
 	// Workers bounds the refine phase's parallel fan-out across
 	// candidates: <= 0 means one worker per available CPU, 1 forces the
 	// fully sequential pipeline. Results are byte-identical at every
@@ -137,34 +134,30 @@ func badQueryf(format string, args ...any) error {
 	return badQueryError(fmt.Sprintf(format, args...))
 }
 
-// prepare validates what Run and Any share — threshold, weights, budget,
-// and that every target is non-empty and of the source's dimensionality —
+// prepare validates what Run and Any share — threshold, weights, and
+// that every target is non-empty and of the source's dimensionality —
 // before anything is probed: a location probe with a target of another
 // dimensionality would index out of range.
-func prepare(src Source, q Query, targets ...*sgs.Summary) (Weights, int, error) {
+func prepare(src Source, q Query, targets ...*sgs.Summary) (Weights, error) {
 	w := EqualWeights()
 	if q.Weights != nil {
 		w = *q.Weights
 	}
 	for _, t := range targets {
 		if t == nil || t.NumCells() == 0 {
-			return w, 0, badQueryf("match: empty target")
+			return w, badQueryf("match: empty target")
 		}
 		if t.Dim != src.Dim() {
-			return w, 0, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
+			return w, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
 		}
 	}
 	if q.Threshold < 0 || q.Threshold > 1 {
-		return w, 0, badQueryf("match: threshold %g out of [0,1]", q.Threshold)
+		return w, badQueryf("match: threshold %g out of [0,1]", q.Threshold)
 	}
 	if err := w.Validate(); err != nil {
-		return w, 0, badQueryError(err.Error())
+		return w, badQueryError(err.Error())
 	}
-	budget := q.AlignBudget
-	if budget <= 0 {
-		budget = DefaultAlignBudget
-	}
-	return w, budget, nil
+	return w, nil
 }
 
 // filterShards resolves the source into its filter shards: one per tier
@@ -225,7 +218,7 @@ func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targe
 // byte-identical at every worker count and every shard layout.
 func Run(src Source, q Query) ([]Match, Stats, error) {
 	var st Stats
-	w, budget, err := prepare(src, q, q.Target)
+	w, err := prepare(src, q, q.Target)
 	if err != nil {
 		return nil, st, err
 	}
@@ -346,7 +339,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		}
 		sums[i] = sum
 		hits[i] = hit
-		dists[i], within[i] = Refine(q.Target, sum, w, budget, q.Threshold)
+		dists[i], within[i] = Refine(q.Target, sum, w, DefaultAlignBudget, q.Threshold)
 	})
 	for _, err := range errs {
 		if err != nil {

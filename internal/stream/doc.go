@@ -4,9 +4,9 @@
 //
 //   - Source yields tuples in arrival order; FromSlice wraps in-memory
 //     data, FromCSV reads one tuple per CSV record.
-//   - Processor is the single-tuple extractor interface;
-//     BatchProcessor adds whole-slide ingestion with semantics identical
-//     to pushing the tuples one by one.
+//   - Processor is the extractor interface: single-tuple Push, and
+//     whole-slide PushBatch with semantics identical to pushing the
+//     tuples one by one.
 //
 // # Concurrency
 //

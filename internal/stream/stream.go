@@ -24,20 +24,14 @@ type Source interface {
 
 // Processor is the streaming clustering interface implemented by both the
 // C-SGS extractor (internal/core) and the Extra-N baseline
-// (internal/extran).
+// (internal/extran). PushBatch ingests a whole slide batch with semantics
+// identical to pushing the tuples one by one: C-SGS runs its phased
+// pipeline (parallel read-only neighbor discovery, sequential state
+// update), Extra-N a Push loop.
 type Processor interface {
 	Push(p geom.Point, ts int64) (id int64, emitted []*core.WindowResult, err error)
-	Flush() *core.WindowResult
-}
-
-// BatchProcessor is a Processor that can additionally ingest whole slide
-// batches with semantics identical to pushing the tuples one by one. Both
-// extractors implement it: C-SGS through its two-phase pipeline (parallel
-// read-only neighbor discovery, sequential state update), Extra-N as a
-// Push loop.
-type BatchProcessor interface {
-	Processor
 	PushBatch(pts []geom.Point, tss []int64) ([]*core.WindowResult, error)
+	Flush() *core.WindowResult
 }
 
 // sliceSource iterates over in-memory points.

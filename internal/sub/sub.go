@@ -73,9 +73,6 @@ type Options struct {
 	Threshold float64
 	// Weights configures the metric; nil means match.EqualWeights.
 	Weights *match.Weights
-	// AlignBudget bounds the alignment search per refine (default
-	// match.DefaultAlignBudget).
-	AlignBudget int
 	// Track additionally delivers the engine's cluster evolution events
 	// (merged/split/appeared/vanished alerts) on the same channel.
 	Track bool
@@ -95,7 +92,6 @@ type Subscription struct {
 	feat    [4]float64
 	weights match.Weights
 	thresh  float64
-	budget  int
 	trackEv bool
 	matchEv bool // has a target: participates in inverted matching
 
@@ -358,10 +354,6 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 			return nil, fmt.Errorf("sub: target dimension %d != registry dimension %d", o.Target.Dim, r.dim)
 		}
 	}
-	budget := o.AlignBudget
-	if budget <= 0 {
-		budget = match.DefaultAlignBudget
-	}
 	buffer := o.Buffer
 	if buffer <= 0 {
 		buffer = 16
@@ -370,7 +362,6 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 		reg:     r,
 		weights: w,
 		thresh:  o.Threshold,
-		budget:  budget,
 		trackEv: o.Track,
 		matchEv: o.Target != nil,
 		ch:      make(chan Event, buffer),
@@ -530,7 +521,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 			return
 		}
 		sums[i] = sum
-		dists[i], within[i] = match.Refine(p.s.target, sum, p.s.weights, p.s.budget, p.s.thresh)
+		dists[i], within[i] = match.Refine(p.s.target, sum, p.s.weights, match.DefaultAlignBudget, p.s.thresh)
 	})
 	for _, err := range errs {
 		if err != nil {

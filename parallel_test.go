@@ -10,11 +10,11 @@ import (
 	"streamsum/internal/stream"
 )
 
-// Both extractors must stay batch-capable: the facade's PushBatch
-// dispatches through this interface.
+// Both extractors must implement the interface the facade drives them
+// through, batch ingestion included.
 var (
-	_ stream.BatchProcessor = (*core.Extractor)(nil)
-	_ stream.BatchProcessor = (*extran.Extractor)(nil)
+	_ stream.Processor = (*core.Extractor)(nil)
+	_ stream.Processor = (*extran.Extractor)(nil)
 )
 
 // TestEnginePushBatchMatchesPush is the facade-level determinism

@@ -416,24 +416,7 @@ func (e *Engine) PushBatch(pts []Point, tss []int64) ([]*WindowResult, error) {
 	if tss != nil && len(tss) != len(pts) {
 		return nil, fmt.Errorf("streamsum: PushBatch got %d timestamps for %d points", len(tss), len(pts))
 	}
-	bp, ok := e.proc.(stream.BatchProcessor)
-	if !ok {
-		// No batch-capable processor wired in: degrade to a Push loop.
-		var out []*WindowResult
-		for i, p := range pts {
-			var ts int64
-			if tss != nil {
-				ts = tss[i]
-			}
-			emitted, err := e.Push(p, ts)
-			out = append(out, emitted...)
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-	emitted, err := bp.PushBatch(pts, tss)
+	emitted, err := e.proc.PushBatch(pts, tss)
 	// Windows completed before a mid-batch error are still real output and
 	// get archived, exactly as a sequential Push loop would have done
 	// before hitting the bad tuple. An archive failure must not mask the
