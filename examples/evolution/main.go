@@ -60,7 +60,9 @@ func main() {
 	}
 	longest, lid := 0, int64(-1)
 	for id, n := range lifespan {
-		if n > longest {
+		// Ties go to the smallest id, so the line does not depend on map
+		// iteration order.
+		if n > longest || n == longest && id < lid {
 			longest, lid = n, id
 		}
 	}

@@ -30,8 +30,6 @@ type Config struct {
 	// MinPopulation drops clusters with fewer member objects (selective
 	// archiving by feature, §6.2). 0 keeps everything.
 	MinPopulation int
-	// MinCells drops clusters whose SGS has fewer cells. 0 keeps all.
-	MinCells int
 	// Capacity bounds the number of archived clusters; once full, the
 	// oldest archived cluster is evicted (0 = unlimited). With a disk
 	// tier attached (StorePath), eviction demotes to disk instead of
@@ -354,9 +352,6 @@ func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 	if b.cfg.MinPopulation > 0 && s.TotalPopulation() < b.cfg.MinPopulation {
 		return 0, false, nil
 	}
-	if b.cfg.MinCells > 0 && s.NumCells() < b.cfg.MinCells {
-		return 0, false, nil
-	}
 	if b.cfg.SampleRate > 0 && b.cfg.SampleRate < 1 && b.rng.Float64() >= b.cfg.SampleRate {
 		return 0, false, nil
 	}
@@ -643,29 +638,10 @@ func (b *Base) All(visit func(*Entry) bool) {
 	b.Snapshot().All(visit)
 }
 
-// Searcher is one filter-phase shard of the pattern base: something the
-// matcher can probe for location or feature candidates. A Snapshot's
-// FilterShards splits the base into one memory-tier shard plus one per
-// disk segment, each independently searchable, so the filter phase can
-// fan out across them in parallel.
-type Searcher interface {
-	SearchLocation(q geom.MBR, visit func(*Entry) bool)
-	SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool)
-}
-
-// GatedSearcher is a Searcher that can additionally run a cheap exact
-// gate over the candidate's feature vector between the range test and
-// the visit, and report how many live entries passed the range test
-// regardless of the gate (the filter-phase candidate count). Pushing the
-// gate below the visit lets disk shards reject candidates straight off
-// their columnar scan without materializing an Entry per rejection; the
-// matcher type-asserts for this and falls back to plain Search* plus an
-// outer gate otherwise. A nil gate admits everything. Iteration stops
-// early if visit returns false (the returned count is then partial).
-type GatedSearcher interface {
-	Searcher
-	GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int
-	GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int
+// FilterShards splits the base's current contents into filter shards;
+// each call pins one snapshot (see Snapshot.FilterShards).
+func (b *Base) FilterShards() []Shard {
+	return b.Snapshot().FilterShards()
 }
 
 // TierStats reports the split of the archived population across the

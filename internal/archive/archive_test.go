@@ -153,11 +153,6 @@ func TestSelectiveArchiving(t *testing.T) {
 	if kept < 100 || kept > 200 {
 		t.Fatalf("sampling kept %d of 300", kept)
 	}
-	// MinCells filter.
-	b3, _ := New(Config{Dim: 2, MinCells: 1 << 20})
-	if _, ok, _ := b3.Put(sums[0]); ok {
-		t.Fatal("cell filter failed")
-	}
 }
 
 func TestCapacityEviction(t *testing.T) {

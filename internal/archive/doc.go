@@ -58,8 +58,13 @@
 // disk entry predates every memory entry and FIFO order spans the tiers
 // — as one segment per demotion batch. Snapshots pin the segment set
 // along with the memory tier's rows, and FilterShards exposes the tiers as
-// disjoint Searchers (the memory tier plus one per segment) so the
-// matcher's filter phase can probe them in parallel. Disk-resident
+// disjoint Shards (the memory tier plus one per segment) so the matcher's
+// filter phase can probe them in parallel. A Shard has one gated search
+// per probe kind (MBR overlap, feature box): the range test and the
+// matcher's gate run in one pass, and the search returns the range
+// candidate count and, for a segment, its zone decision (whether the
+// segment's zone admitted the probe or let it skip the columns), so the
+// matcher's statistics and traces come from the probe itself. Disk-resident
 // entries surface with their footer-indexed features only (nil Summary);
 // the refine phase loads their cells lazily via Entry.LoadSummary, so a
 // query's resident cost is its candidates, not the history.

@@ -67,20 +67,23 @@ func randomQuery(rng *rand.Rand, all []*Entry) modelQuery {
 }
 
 // answer runs q on every filter shard of s and returns the visited ids
-// (sorted) and the summed gate-independent counts.
+// (sorted) and the summed gate-independent counts. Only the memory tier
+// (the first shard) has no zone, and a zone-skipped shard counts nothing.
 func answer(t *testing.T, s *Snapshot, q modelQuery) (visited []int64, count int) {
 	t.Helper()
 	visit := func(e *Entry) bool { visited = append(visited, e.ID); return true }
-	for _, sh := range s.FilterShards() {
-		gs, ok := sh.(GatedSearcher)
-		if !ok {
-			t.Fatalf("shard %T is not a GatedSearcher", sh)
-		}
+	for i, sh := range s.FilterShards() {
+		var n int
+		var zone Zone
 		if q.location {
-			count += gs.GatedSearchLocation(q.box, q.gate, visit)
+			n, zone = sh.GatedSearchLocation(q.box, q.gate, visit)
 		} else {
-			count += gs.GatedSearchFeatures(q.lo, q.hi, q.gate, visit)
+			n, zone = sh.GatedSearchFeatures(q.lo, q.hi, q.gate, visit)
 		}
+		if (zone == NoZone) != (i == 0) || zone == ZoneSkipped && n != 0 {
+			t.Fatalf("shard %d (%s): zone %d with %d candidates", i, sh.Label(), zone, n)
+		}
+		count += n
 	}
 	sort.Slice(visited, func(i, j int) bool { return visited[i] < visited[j] })
 	return visited, count

@@ -84,7 +84,7 @@ func (s *Snapshot) Bytes() int { return s.bytes }
 // through the decoded-summary cache (keyed by the segment — immutable,
 // so its decodes never go stale — and the record id). A nil cache means
 // every load decodes from the segment. This closure is the single
-// residency choke point: match refine, batch novelty probes, standing-
+// residency choke point: match refine, novelty probes, standing-
 // query evaluation, Snapshot.Get and base dumps all load through it.
 func segEntry(cache *sumcache.Cache, seg *segstore.Segment, r segstore.Record) *Entry {
 	return &Entry{
@@ -123,20 +123,45 @@ func (s *Snapshot) Get(id int64) *Entry {
 	return nil
 }
 
+// Shard is one filter-phase shard of a snapshot: the memory tier, or one
+// disk segment masked by the tombstones pinned in the snapshot. Shards
+// are disjoint (an id lives in exactly one) and each is safe for
+// concurrent probing, so a matcher may fan its filter phase out across
+// them. Both searches visit the live entries that pass the range test
+// and then gate (nil admits everything), stop early if visit returns
+// false (the count is then partial), and return the number of live
+// entries that passed the range test regardless of the gate together
+// with the shard's zone decision.
+type Shard interface {
+	// GatedSearchLocation probes for entries whose MBR intersects q.
+	GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone)
+	// GatedSearchFeatures probes for entries whose feature vector lies
+	// inside the inclusive box [lo, hi].
+	GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone)
+	// Label names the shard in traces: "mem" for the memory tier, the
+	// segment file's basename for a disk segment.
+	Label() string
+}
+
+// Zone is a shard's zone decision for one probe.
+type Zone int8
+
+const (
+	// NoZone: the shard has no zone (the memory tier) and was scanned.
+	NoZone Zone = iota
+	// ZoneAdmitted: the segment's zone admitted the probe and its
+	// columns were scanned.
+	ZoneAdmitted
+	// ZoneSkipped: the probe lies outside the segment's zone; its columns
+	// were never touched.
+	ZoneSkipped
+)
+
 // memShard is the memory tier as a filter shard: one pass over each of
 // the snapshot's memory runs.
 type memShard struct{ s *Snapshot }
 
-// SearchLocation visits memory-tier entries whose MBR intersects the
-// query box. Iteration stops early if visit returns false.
-func (m memShard) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	m.GatedSearchLocation(q, nil, visit)
-}
-
-// GatedSearchLocation visits memory-tier entries whose MBR intersects
-// the query box and whose feature vector passes gate; it returns the
-// number of live intersecting entries regardless of the gate.
-func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int {
+func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	total := 0
 	for i := range m.s.mem {
 		n, stopped := m.s.mem[i].gatedSearchLocation(q, gate, visit)
@@ -145,19 +170,10 @@ func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, vi
 			break
 		}
 	}
-	return total
+	return total, NoZone
 }
 
-// SearchFeatures visits memory-tier entries whose feature vector lies
-// inside [lo, hi]. Iteration stops early if visit returns false.
-func (m memShard) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	m.GatedSearchFeatures(lo, hi, nil, visit)
-}
-
-// GatedSearchFeatures visits memory-tier entries whose feature vector
-// lies inside [lo, hi] and passes gate; it returns the number of live
-// in-range entries regardless of the gate.
-func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int {
+func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	total := 0
 	for i := range m.s.mem {
 		n, stopped := m.s.mem[i].gatedSearchFeatures(lo, hi, gate, visit)
@@ -166,133 +182,63 @@ func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) b
 			break
 		}
 	}
-	return total
+	return total, NoZone
 }
 
-// segShard is one disk segment as a filter shard, masked by the store
-// tombstones pinned in the snapshot's view. Entries it surfaces load
-// their summaries through the snapshot's decoded-summary cache.
+func (m memShard) Label() string { return "mem" }
+
+// segShard is one disk segment as a filter shard. The range test and the
+// gate both run off the segment's columnar scan, so gate rejections never
+// materialize an Entry; entries it surfaces load their summaries through
+// the snapshot's decoded-summary cache.
 type segShard struct {
 	seg   *segstore.Segment
 	view  *segstore.View
 	cache *sumcache.Cache
 }
 
-// SearchLocation visits the segment's live records whose MBR intersects
-// the query box.
-func (g segShard) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	g.seg.SearchLocation(q, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
+func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
+	live := 0
+	_, admitted := g.seg.ZonedSearchLocation(q, nil, g.liveVisit(&live, gate, visit))
+	return live, zoneOf(admitted)
 }
 
-// SearchFeatures visits the segment's live records whose feature vector
-// lies inside [lo, hi].
-func (g segShard) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	g.seg.SearchFeatures(lo, hi, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
+func (g segShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
+	live := 0
+	_, admitted := g.seg.ZonedSearchFeatures(lo, hi, nil, g.liveVisit(&live, gate, visit))
+	return live, zoneOf(admitted)
 }
 
-// GatedSearchLocation visits the segment's live records whose MBR
-// intersects the query box and whose feature vector passes gate; it
-// returns the number of live intersecting records regardless of the
-// gate. On v3 segments the range test and the gate both run off the
-// columnar scan, and gate rejections never materialize an Entry.
-func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	probed := 0
-	g.seg.GatedSearchLocation(q, nil, func(r segstore.Record) bool {
+// liveVisit wraps a shard visit as a segment visit: it skips tombstoned
+// records, counts the live ones in *live, applies gate and materializes
+// an Entry only for the survivors.
+func (g segShard) liveVisit(live *int, gate func([4]float64) bool, visit func(*Entry) bool) func(segstore.Record) bool {
+	return func(r segstore.Record) bool {
 		if g.view.Dead(r.ID) {
 			return true
 		}
-		probed++
+		*live++
 		if gate != nil && !gate(r.Feat) {
 			return true
 		}
 		return visit(segEntry(g.cache, g.seg, r))
-	})
-	return probed
-}
-
-// GatedSearchFeatures visits the segment's live records whose feature
-// vector lies inside [lo, hi] and passes gate; it returns the number of
-// live in-range records regardless of the gate.
-func (g segShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	probed := 0
-	g.seg.GatedSearchFeatures(lo, hi, nil, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		probed++
-		if gate != nil && !gate(r.Feat) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
-	return probed
-}
-
-// ZoneIntersectsLocation reports whether the query box can intersect
-// the segment's zone (the union MBR of its records). A false answer is
-// exactly the condition under which the segment's own gated search
-// skips the whole scan; exposing it separately lets per-query tracing
-// attribute skips without re-running the probe.
-func (g segShard) ZoneIntersectsLocation(q geom.MBR) bool {
-	mbr, _, _ := g.seg.Zone()
-	return mbr.Intersects(q)
-}
-
-// ZoneIntersectsFeatures reports whether the feature range [lo, hi] can
-// intersect the segment's per-feature zone bounds; see
-// ZoneIntersectsLocation for the tracing contract.
-func (g segShard) ZoneIntersectsFeatures(lo, hi [4]float64) bool {
-	_, fmin, fmax := g.seg.Zone()
-	for d := 0; d < 4; d++ {
-		if hi[d] < fmin[d] || lo[d] > fmax[d] {
-			return false
-		}
 	}
-	return true
 }
 
-// ShardInfo identifies a filter shard for per-query span tracing by a
-// human-readable label: the segment file's basename, or "mem" for the
-// memory tier. Purely descriptive — it never affects matching.
-type ShardInfo interface {
-	ShardInfo() (label string)
+func (g segShard) Label() string { return filepath.Base(g.seg.Path()) }
+
+func zoneOf(admitted bool) Zone {
+	if admitted {
+		return ZoneAdmitted
+	}
+	return ZoneSkipped
 }
 
-// ShardInfo labels the memory-tier shard.
-func (m memShard) ShardInfo() string { return "mem" }
-
-// ShardInfo labels a disk-segment shard with its file basename.
-func (g segShard) ShardInfo() string { return filepath.Base(g.seg.Path()) }
-
-// ZoneSearcher is implemented by disk-segment filter shards: a cheap,
-// probe-free answer to "could this query touch the shard at all?",
-// mirroring the zone test the shard's own gated searches apply. The
-// matcher type-asserts for it to count segments probed vs skipped per
-// query; shards without zones (the memory tier) simply don't implement
-// it.
-type ZoneSearcher interface {
-	ZoneIntersectsLocation(q geom.MBR) bool
-	ZoneIntersectsFeatures(lo, hi [4]float64) bool
-}
-
-// FilterShards splits the snapshot into independently searchable filter
-// shards: the memory tier first, then one shard per disk segment in
-// archive order. Shards are disjoint (an id appears in exactly one) and
-// each is safe for concurrent probing, so a matcher may fan its filter
-// phase out across them — internal/match does exactly that.
-func (s *Snapshot) FilterShards() []Searcher {
+// FilterShards splits the snapshot into its filter shards: the memory
+// tier first, then one shard per disk segment in archive order.
+func (s *Snapshot) FilterShards() []Shard {
 	segs := s.segShards()
-	shards := make([]Searcher, 0, 1+len(segs))
+	shards := make([]Shard, 0, 1+len(segs))
 	shards = append(shards, memShard{s})
 	for _, sh := range segs {
 		shards = append(shards, sh)
@@ -318,36 +264,31 @@ func (s *Snapshot) segShards() []segShard {
 // disk segments (oldest history first), then the memory tier. Iteration
 // stops early if visit returns false.
 func (s *Snapshot) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	stopped := false
-	wrapped := func(e *Entry) bool {
-		stopped = !visit(e)
-		return !stopped
-	}
-	for _, sh := range s.segShards() {
-		sh.SearchLocation(q, wrapped)
-		if stopped {
-			return
-		}
-	}
-	memShard{s}.SearchLocation(q, wrapped)
+	s.searchOldestFirst(visit, func(sh Shard, v func(*Entry) bool) { sh.GatedSearchLocation(q, nil, v) })
 }
 
 // SearchFeatures visits entries whose feature vector lies inside the
 // inclusive hyper-rectangle [lo, hi], disk segments first, then the
 // memory tier. Iteration stops early if visit returns false.
 func (s *Snapshot) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
+	s.searchOldestFirst(visit, func(sh Shard, v func(*Entry) bool) { sh.GatedSearchFeatures(lo, hi, nil, v) })
+}
+
+// searchOldestFirst runs search over the disk shards in archive order,
+// then the memory tier, until visit asks to stop.
+func (s *Snapshot) searchOldestFirst(visit func(*Entry) bool, search func(Shard, func(*Entry) bool)) {
 	stopped := false
 	wrapped := func(e *Entry) bool {
 		stopped = !visit(e)
 		return !stopped
 	}
 	for _, sh := range s.segShards() {
-		sh.SearchFeatures(lo, hi, wrapped)
+		search(sh, wrapped)
 		if stopped {
 			return
 		}
 	}
-	memShard{s}.SearchFeatures(lo, hi, wrapped)
+	search(memShard{s}, wrapped)
 }
 
 // All visits every entry in FIFO order: the disk segments (all disk

@@ -139,7 +139,7 @@ func TestTieredEquivalence(t *testing.T) {
 	}
 	seen := map[int64]int{}
 	for _, sh := range shards {
-		sh.SearchFeatures([4]float64{0, 0, 0, 0}, probe.Features.Vector(), func(e *Entry) bool {
+		sh.GatedSearchFeatures([4]float64{0, 0, 0, 0}, probe.Features.Vector(), nil, func(e *Entry) bool {
 			seen[e.ID]++
 			return true
 		})

@@ -312,8 +312,8 @@ func TestPushBatchAllocs(t *testing.T) {
 		}
 		next += slide
 	})
-	// 13607 measured on amd64 (go1.24); the bound is that plus 25%.
-	const bound = 17009
+	// 8280 measured on amd64 (go1.24); the bound is that plus 25%.
+	const bound = 10350
 	t.Logf("%.0f allocations per slide of %d tuples", allocs, slide)
 	if allocs > bound {
 		t.Errorf("PushBatch allocated %.0f times per slide, bound %d", allocs, bound)

@@ -284,9 +284,12 @@ func (e *Extractor) buildCluster(n, id int64, group []*cell, edges []clusterEdge
 }
 
 // buildSummary assembles the SGS directly from the extractor's cell
-// structures (Definition 4.4): one pass over the group's live connections,
-// no intermediate builder maps — this is the "piggybacked" summarization
-// whose marginal cost the paper bounds at 6%.
+// structures (Definition 4.4): two passes over the group's live
+// connections, no intermediate builder maps — this is the "piggybacked"
+// summarization whose marginal cost the paper bounds at 6%. The first
+// pass counts the connections the summary keeps, so they all share one
+// exact-size arena; the second fills it, handing each core cell a
+// capacity-capped sub-slice.
 func (e *Extractor) buildSummary(n int64, group []*cell, edges []clusterEdge, id int64) *sgs.Summary {
 	s := &sgs.Summary{ID: id, Window: n, Dim: e.cfg.Dim, Side: e.geo.Side()}
 	s.Cells = make([]sgs.Cell, 0, len(group)+len(edges))
@@ -297,20 +300,32 @@ func (e *Extractor) buildSummary(n int64, group []*cell, edges []clusterEdge, id
 			isEdge[ge.cell] = true
 		}
 	}
+	// A connection is kept when it links two core cells (symmetric: the
+	// other core cell records the mirror entry from its own live list) or
+	// attaches an edge cell of this cluster.
+	keep := func(lc *liveConn) bool {
+		nc, ok := e.cells[lc.coord]
+		return ok && (lc.coreConn && nc.coreLast >= n || lc.attachOut && isEdge[nc])
+	}
+	total := 0
+	for _, c := range group {
+		for i := range c.live {
+			if keep(&c.live[i]) {
+				total++
+			}
+		}
+	}
+	arena := make([]grid.Coord, 0, total)
 	for _, c := range group {
 		sc := sgs.Cell{Coord: c.coord, Population: uint32(len(c.objs)), Status: sgs.CoreCell}
-		for _, lc := range c.live {
-			nc, ok := e.cells[lc.coord]
-			if !ok {
-				continue
+		lo := len(arena)
+		for i := range c.live {
+			if keep(&c.live[i]) {
+				arena = append(arena, c.live[i].coord)
 			}
-			if lc.coreConn && nc.coreLast >= n {
-				// Symmetric: the other core cell records the mirror entry
-				// from its own live list.
-				sc.Conns = append(sc.Conns, lc.coord)
-			} else if lc.attachOut && isEdge[nc] {
-				sc.Conns = append(sc.Conns, lc.coord)
-			}
+		}
+		if hi := len(arena); hi > lo {
+			sc.Conns = arena[lo:hi:hi]
 		}
 		s.Cells = append(s.Cells, sc)
 	}

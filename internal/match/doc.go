@@ -14,21 +14,31 @@
 // # Phased execution
 //
 // Query execution is filter-and-refine, organized as a three-phase
-// pipeline mirroring the extractor's output stage:
+// pipeline mirroring the extractor's output stage. Every read path runs
+// it: one-shot queries (Run), novelty archiving (Run with Limit 1, in the
+// facade) and standing queries (internal/sub, which replaces the filter
+// with its inverted probe of the subscription columns and shares the
+// refine stage).
 //
-//  1. Filter — scan each filter shard of the pattern base (the memory
-//     tier's columns, each disk segment's columns) for entries whose MBR
-//     overlaps the target's (position-sensitive) or whose feature vector
-//     lies in the ranges derived from the distance threshold, applying
-//     the exact cluster-level feature distance as a gate in the same
-//     pass (one task per shard; the scan is cheap).
-//  2. Refine — evaluate the expensive grid-cell-level match (Refine) for
-//     every candidate surviving the exact cluster-level feature
-//     distance: the best alignment found by an A*-style anytime search
-//     (position-insensitive case) or the identity alignment
-//     (position-sensitive case), unless an exact bound or a scan of the
-//     voted alignments shows first that none can come within the
-//     threshold. This phase fans out across Query.Workers goroutines;
+//  1. Filter — the source's FilterShards (an *archive.Base pins one
+//     snapshot per call) split the pattern base into the memory tier and
+//     one shard per disk segment. Each shard's gated search scans its
+//     columns for entries whose MBR overlaps the target's
+//     (position-sensitive) or whose feature vector lies in the ranges
+//     derived from the distance threshold, applying the exact
+//     cluster-level feature distance as a gate in the same pass (one
+//     task per shard; the scan is cheap). The search returns the range
+//     candidate count and the segment's zone decision, which feed Stats
+//     and the trace directly.
+//  2. Refine — RefinePairs evaluates the expensive grid-cell-level match
+//     (Refine) for every gate survivor: first the O(1) size bound, from
+//     the cell count the entry's features carry, so a pair it dismisses
+//     never loads a disk-resident summary; then the load (through the
+//     decoded-summary cache) and Refine — the best alignment found by an
+//     A*-style anytime search (position-insensitive case) or the identity
+//     alignment (position-sensitive case), unless an exact bound or a
+//     scan of the voted alignments shows first that none can come within
+//     the threshold. This phase fans out across Query.Workers goroutines;
 //     candidates are independent, so each worker writes only its own
 //     result slot.
 //  3. Order — keep survivors within the threshold, sort by (distance,
@@ -41,9 +51,9 @@
 //
 // # The refine kernel
 //
-// Refine is the one grid-cell-level entry point under Run, Any, the
-// standing-query registry (internal/sub) and the novelty archiver; there
-// is no second kernel, fallback or switch. Its three parts:
+// Refine is the one grid-cell-level entry point, reached through
+// RefinePairs from Run and the standing-query registry (internal/sub);
+// there is no second kernel, fallback or switch. Its three parts:
 //
 // Cell distance. Both summaries keep their cells in sgs.CoordLess order
 // and a translation preserves that order, so the distance under one
@@ -78,8 +88,9 @@
 // for every alignment whatsoever — reachable by the search or not — since
 // the middle term falls as m grows and m ≤ M*. The pair is dismissed when
 // the right-hand side exceeds the threshold: first with M* ≤ min(|a|,|b|),
-// which is O(1) and needs only the cell counts (Run applies it before it
-// loads a candidate's summary, from the cell count its features carry),
+// which is O(1) and needs only the cell counts (RefinePairs applies it
+// before it loads a candidate's summary, from the cell count its features
+// carry),
 // then with the true M*, found by letting each of the |a|·|b| cell pairs
 // vote for its difference vector in a pooled dense table.
 //
@@ -133,8 +144,9 @@
 // # Concurrency against the base
 //
 // Run executes against a Source — either a pinned *archive.Snapshot
-// (point-in-time view, the facade's choice) or a *archive.Base (each
-// probe takes a fresh snapshot). Either way the query never holds the
+// (point-in-time view, the facade's one-shot choice) or a *archive.Base
+// (one snapshot pinned per call, which novelty archiving uses so each
+// probe sees the previous Put). Either way the query never holds the
 // base's lock, so analysts can hammer the base while shards append; see
 // the internal/archive package comment for the isolation contract.
 package match

@@ -14,27 +14,15 @@ import (
 	"streamsum/internal/trace"
 )
 
-// Source is the read view a matching query executes against. Both
-// *archive.Base (every search pins a fresh snapshot) and
-// *archive.Snapshot (one point-in-time view across the whole query)
-// satisfy it; pass a snapshot when the query must not observe concurrent
-// archiving.
+// Source is the read view a matching query executes against: a pinned
+// *archive.Snapshot (one point-in-time view across the whole query) or an
+// *archive.Base (which pins one snapshot per call).
 type Source interface {
 	// Dim is the dimensionality of the archived summaries; a query's
 	// target must have it.
 	Dim() int
-	SearchLocation(q geom.MBR, visit func(*archive.Entry) bool)
-	SearchFeatures(lo, hi [4]float64, visit func(*archive.Entry) bool)
-}
-
-// ShardedSource is a Source that can split itself into independently
-// searchable filter shards (archive.Snapshot: the memory tier plus one
-// shard per disk segment). When a source implements it, the filter
-// phase probes the shards in parallel across Query.Workers instead of
-// sequentially — shards are disjoint, so the candidate set (and
-// therefore the result) is identical either way.
-type ShardedSource interface {
-	FilterShards() []archive.Searcher
+	// FilterShards splits the source into disjoint filter shards.
+	FilterShards() []archive.Shard
 }
 
 // DefaultAlignBudget is the alignment-search budget of every query's
@@ -120,7 +108,7 @@ type Stats struct {
 	Pruned          int
 }
 
-// ErrBadQuery is matched (errors.Is) by every error Run and Any return
+// ErrBadQuery is matched (errors.Is) by every error Run returns
 // because of the query itself — target, threshold, weights, dimension —
 // rather than the source: a caller's mistake, not a server fault.
 var ErrBadQuery = errors.New("match: bad query")
@@ -134,22 +122,19 @@ func badQueryf(format string, args ...any) error {
 	return badQueryError(fmt.Sprintf(format, args...))
 }
 
-// prepare validates what Run and Any share — threshold, weights, and
-// that every target is non-empty and of the source's dimensionality —
-// before anything is probed: a location probe with a target of another
-// dimensionality would index out of range.
-func prepare(src Source, q Query, targets ...*sgs.Summary) (Weights, error) {
+// prepare validates the query — threshold, weights, and that the target
+// is non-empty and of the source's dimensionality — before anything is
+// probed: a location probe with a target of another dimensionality would
+// index out of range.
+func prepare(src Source, q Query) (Weights, error) {
 	w := EqualWeights()
 	if q.Weights != nil {
 		w = *q.Weights
 	}
-	for _, t := range targets {
-		if t == nil || t.NumCells() == 0 {
-			return w, badQueryf("match: empty target")
-		}
-		if t.Dim != src.Dim() {
-			return w, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
-		}
+	if t := q.Target; t == nil || t.NumCells() == 0 {
+		return w, badQueryf("match: empty target")
+	} else if t.Dim != src.Dim() {
+		return w, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
 	}
 	if q.Threshold < 0 || q.Threshold > 1 {
 		return w, badQueryf("match: threshold %g out of [0,1]", q.Threshold)
@@ -160,65 +145,36 @@ func prepare(src Source, q Query, targets ...*sgs.Summary) (Weights, error) {
 	return w, nil
 }
 
-// filterShards resolves the source into its filter shards: one per tier
-// segment for a ShardedSource, the source itself otherwise.
-func filterShards(src Source) []archive.Searcher {
-	if ss, ok := src.(ShardedSource); ok {
-		if shards := ss.FilterShards(); len(shards) > 0 {
-			return shards
-		}
-	}
-	return []archive.Searcher{src}
-}
-
 // filterOne probes one shard for the query's candidates, applying the
-// exact cluster-level gate during the probe, and returns the gate
-// survivors plus the raw range-candidate count. Shards that implement
-// archive.GatedSearcher (snapshot tiers) run the gate inside their scan —
-// a disk shard's columnar scan rejects candidates without materializing
-// an Entry; other shards get the same gate applied around a plain probe.
-func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targetMBR geom.MBR, lo, hi [4]float64) ([]*archive.Entry, int) {
+// exact cluster-level gate inside the shard's scan (a disk shard rejects
+// candidates straight off its columns, without materializing an Entry).
+// It returns the gate survivors, the range-candidate count and the
+// shard's zone decision.
+func filterOne(sh archive.Shard, gate func([4]float64) bool, w Weights, targetMBR geom.MBR, lo, hi [4]float64) ([]*archive.Entry, int, archive.Zone) {
 	var out []*archive.Entry
 	visit := func(e *archive.Entry) bool {
 		out = append(out, e)
 		return true
 	}
-	if gs, ok := sh.(archive.GatedSearcher); ok {
-		var probed int
-		if w.PositionSensitive {
-			// Non-overlapping clusters have Dist_location = 1 ≥ any
-			// threshold < 1, so the overlap probe is exact for the
-			// location term.
-			probed = gs.GatedSearchLocation(targetMBR, gate, visit)
-		} else {
-			probed = gs.GatedSearchFeatures(lo, hi, gate, visit)
-		}
-		return out, probed
-	}
-	probed := 0
-	outer := func(e *archive.Entry) bool {
-		probed++
-		if gate(e.Features.Vector()) {
-			out = append(out, e)
-		}
-		return true
-	}
 	if w.PositionSensitive {
-		sh.SearchLocation(targetMBR, outer)
-	} else {
-		sh.SearchFeatures(lo, hi, outer)
+		// Non-overlapping clusters have Dist_location = 1 ≥ any
+		// threshold < 1, so the overlap probe is exact for the location
+		// term.
+		probed, zone := sh.GatedSearchLocation(targetMBR, gate, visit)
+		return out, probed, zone
 	}
-	return out, probed
+	probed, zone := sh.GatedSearchFeatures(lo, hi, gate, visit)
+	return out, probed, zone
 }
 
 // Run executes the query against src and returns matches sorted by
-// ascending distance. Both the filter phase (one range scan per shard
-// of a ShardedSource) and the refine phase (one grid-cell-level match
-// per candidate) fan out across Query.Workers goroutines; results are
-// byte-identical at every worker count and every shard layout.
+// ascending distance. Both the filter phase (one gated range scan per
+// filter shard) and the refine phase (RefinePairs, one grid-cell-level
+// match per candidate) fan out across Query.Workers goroutines; results
+// are byte-identical at every worker count and every shard layout.
 func Run(src Source, q Query) ([]Match, Stats, error) {
 	var st Stats
-	w, err := prepare(src, q, q.Target)
+	w, err := prepare(src, q)
 	if err != nil {
 		return nil, st, err
 	}
@@ -235,8 +191,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	// test and the gate run off one sequential scan, and only survivors
 	// materialize an Entry). Survivors are then merged in id order so
 	// every later phase is independent of the shard layout and probe
-	// timing; the reported candidate counts are gate-independent, so the
-	// fused path's statistics equal the probe-then-gate path's.
+	// timing; the reported candidate counts are gate-independent.
 	gate := func(v [4]float64) bool {
 		return FeatureDistance(targetFeat, v, w) <= q.Threshold
 	}
@@ -244,53 +199,22 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	tr := q.Trace
 	filterSpan := tr.Start("filter")
 	filterStart := time.Now()
-	shards := filterShards(src)
+	shards := src.FilterShards()
 	st.FilterShards = len(shards)
-	// Zone admission per shard (-1 no zone, 0 skipped, 1 probed), only
-	// resolved when tracing: these re-run the zone tests the disk shards'
-	// own searches apply, so the trace can say which segments the query
-	// actually scanned. The checks are probe-free and do not change what
-	// filterOne does.
-	var zone []int8
-	if tr != nil {
-		zone = make([]int8, len(shards))
-		segProbed, segSkipped := 0, 0
-		for i, sh := range shards {
-			zone[i] = -1
-			zs, ok := sh.(archive.ZoneSearcher)
-			if !ok {
-				continue
-			}
-			admitted := zs.ZoneIntersectsFeatures(lo, hi)
-			if w.PositionSensitive {
-				admitted = zs.ZoneIntersectsLocation(targetMBR)
-			}
-			if admitted {
-				zone[i] = 1
-				segProbed++
-			} else {
-				zone[i] = 0
-				segSkipped++
-			}
-		}
-		filterSpan.SetInt("segments_probed", int64(segProbed))
-		filterSpan.SetInt("segments_skipped", int64(segSkipped))
-	}
 	perShard := make([][]*archive.Entry, len(shards))
 	probed := make([]int, len(shards))
+	zones := make([]archive.Zone, len(shards))
 	par.ForEach(q.Workers, len(shards), func(i int) {
 		if tr == nil {
-			perShard[i], probed[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
+			perShard[i], probed[i], zones[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
 			return
 		}
 		sp := filterSpan.Child("shard")
-		if si, ok := shards[i].(archive.ShardInfo); ok {
-			sp.SetStr("segment", si.ShardInfo())
+		sp.SetStr("segment", shards[i].Label())
+		perShard[i], probed[i], zones[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
+		if zones[i] != archive.NoZone {
+			sp.SetBool("zone_skip", zones[i] == archive.ZoneSkipped)
 		}
-		if zone[i] >= 0 {
-			sp.SetBool("zone_skip", zone[i] == 0)
-		}
-		perShard[i], probed[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
 		sp.SetInt("candidates", int64(probed[i]))
 		sp.SetInt("kept", int64(len(perShard[i])))
 		sp.End()
@@ -306,74 +230,40 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	metricFilterSeconds.Observe(filterDur)
 	metricCandidates.Add(uint64(st.IndexCandidates))
 	metricRefined.Add(uint64(st.Refined))
+	if tr != nil {
+		segProbed, segSkipped := 0, 0
+		for _, z := range zones {
+			switch z {
+			case archive.ZoneAdmitted:
+				segProbed++
+			case archive.ZoneSkipped:
+				segSkipped++
+			}
+		}
+		filterSpan.SetInt("segments_probed", int64(segProbed))
+		filterSpan.SetInt("segments_skipped", int64(segSkipped))
+	}
 	filterSpan.SetInt("shards", int64(st.FilterShards))
 	filterSpan.SetInt("candidates", int64(st.IndexCandidates))
 	filterSpan.End()
 
 	// --- Phase 2: refine — parallel grid-cell-level cluster match ---------
-	// Candidates are independent: each worker reads the shared immutable
-	// summaries (loading disk-resident ones lazily) and writes only its
-	// own slots. Refine's size bound needs only the candidate's cell count,
-	// which its features carry, so a candidate it dismisses is never
-	// loaded.
 	refineSpan := tr.Start("refine")
 	refineStart := time.Now()
-	dists := make([]float64, len(refine))
-	within := make([]bool, len(refine))
-	sums := make([]*sgs.Summary, len(refine))
-	errs := make([]error, len(refine))
-	hits := make([]bool, len(refine))
-	sizeBound := !w.PositionSensitive && q.Threshold < 1
-	na := len(q.Target.Cells)
-	par.ForEach(q.Workers, len(refine), func(i int) {
-		if nb := int(refine[i].Features.Volume); sizeBound && nb > 0 &&
-			distanceFloor(na, nb, min(na, nb)) > q.Threshold {
-			metricPruned.Inc()
-			dists[i] = math.Inf(1)
-			return
-		}
-		sum, hit, err := refine[i].LoadSummaryTracked()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = sum
-		hits[i] = hit
-		dists[i], within[i] = Refine(q.Target, sum, w, DefaultAlignBudget, q.Threshold)
+	outs, rc, err := RefinePairs(q.Workers, len(refine), func(i int) Pair {
+		return Pair{Target: q.Target, Weights: w, Threshold: q.Threshold, Entry: refine[i]}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, st, err
-		}
+	if err != nil {
+		return nil, st, err
 	}
-	for _, d := range dists {
-		if math.IsInf(d, 1) {
-			st.Pruned++
-		}
-	}
-	refineDur := time.Since(refineStart)
-	metricRefineSeconds.Observe(refineDur)
+	st.Pruned = rc.Pruned
+	metricRefineSeconds.Observe(time.Since(refineStart))
 	if tr != nil {
-		cacheHits, diskLoads, sizePruned := 0, 0, 0
-		for i, e := range refine {
-			switch {
-			case sums[i] == nil:
-				sizePruned++ // dismissed before its load
-				continue
-			case e.Summary != nil:
-				continue // memory tier: no load happened
-			}
-			if hits[i] {
-				cacheHits++
-			} else {
-				diskLoads++
-			}
-		}
 		refineSpan.SetInt("refined", int64(st.Refined))
 		refineSpan.SetInt("pruned", int64(st.Pruned))
-		refineSpan.SetInt("size_pruned", int64(sizePruned))
-		refineSpan.SetInt("cache_hits", int64(cacheHits))
-		refineSpan.SetInt("disk_loads", int64(diskLoads))
+		refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
+		refineSpan.SetInt("cache_hits", int64(rc.CacheHits))
+		refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
 	}
 	refineSpan.End()
 
@@ -382,10 +272,10 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	orderStart := time.Now()
 	var matches []Match
 	for i, e := range refine {
-		if within[i] {
+		if outs[i].Within {
 			// Results carry materialized summaries even for disk-resident
 			// candidates (the refine phase read them anyway).
-			matches = append(matches, Match{ID: e.ID, Distance: dists[i], Entry: e.WithSummary(sums[i])})
+			matches = append(matches, Match{ID: e.ID, Distance: outs[i].Distance, Entry: e.WithSummary(outs[i].Summary)})
 		}
 	}
 	sort.Slice(matches, func(i, j int) bool {
@@ -397,11 +287,88 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	if q.Limit > 0 && len(matches) > q.Limit {
 		matches = matches[:q.Limit]
 	}
-	orderDur := time.Since(orderStart)
-	metricOrderSeconds.Observe(orderDur)
+	metricOrderSeconds.Observe(time.Since(orderStart))
 	orderSpan.SetInt("matches", int64(len(matches)))
 	orderSpan.End()
 	return matches, st, nil
+}
+
+// Pair is one (target, archived entry) combination for the refine stage.
+type Pair struct {
+	Target    *sgs.Summary
+	Weights   Weights
+	Threshold float64
+	Entry     *archive.Entry
+}
+
+// Outcome is one pair's refine result: Refine's distance and verdict, and
+// the entry's summary. A pair an exact bound dismissed has Distance +Inf;
+// Summary is nil when the size bound dismissed it before any load.
+type Outcome struct {
+	Distance float64
+	Within   bool
+	Summary  *sgs.Summary
+	cached   bool // a disk-resident summary the decoded-summary cache served
+	decoded  bool // a disk-resident summary decoded from its segment
+}
+
+// RefineCounts attributes one refine stage's pairs.
+type RefineCounts struct {
+	Pruned     int // dismissed by an exact bound without a search
+	SizePruned int // of Pruned, dismissed by the size bound before any load
+	CacheHits  int // disk-resident summaries the decoded-summary cache served
+	DiskLoads  int // disk-resident summaries decoded from their segment
+}
+
+// RefinePairs is the refine stage of every read path — one-shot queries
+// (Run) and standing queries (internal/sub). Each of the n pairs, fanned
+// out across workers, meets Refine's O(1) size bound first, which needs
+// only the entry's cell count (its volume feature), so a pair it
+// dismisses never loads a disk-resident summary; then the summary is
+// loaded (through the decoded-summary cache) and refined. Outcomes are in
+// pair order and identical at every worker count. The first load error,
+// in pair order, fails the stage.
+func RefinePairs(workers, n int, pair func(i int) Pair) ([]Outcome, RefineCounts, error) {
+	var rc RefineCounts
+	outs := make([]Outcome, n)
+	errs := make([]error, n)
+	par.ForEach(workers, n, func(i int) {
+		p, o := pair(i), &outs[i]
+		na, nb := len(p.Target.Cells), int(p.Entry.Features.Volume)
+		if !p.Weights.PositionSensitive && p.Threshold < 1 && na > 0 && nb > 0 &&
+			distanceFloor(na, nb, min(na, nb)) > p.Threshold {
+			metricPruned.Inc()
+			o.Distance = math.Inf(1)
+			return
+		}
+		sum, hit, err := p.Entry.LoadSummaryTracked()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		disk := p.Entry.Summary == nil
+		o.Summary, o.cached, o.decoded = sum, disk && hit, disk && !hit
+		o.Distance, o.Within = Refine(p.Target, sum, p.Weights, DefaultAlignBudget, p.Threshold)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, rc, err
+		}
+	}
+	for _, o := range outs {
+		switch {
+		case o.Summary == nil:
+			rc.SizePruned++
+		case o.cached:
+			rc.CacheHits++
+		case o.decoded:
+			rc.DiskLoads++
+		}
+		if math.IsInf(o.Distance, 1) {
+			rc.Pruned++
+		}
+	}
+	return outs, rc, nil
 }
 
 // FeatureDistance is the cluster-level metric Σ wi·di with

@@ -310,7 +310,7 @@ func TestRunValidation(t *testing.T) {
 // TestRunRejectsDimensionMismatch: a target of another dimensionality
 // than the source is a bad query, rejected before any probe — under a
 // position-sensitive metric the MBR overlap scan would otherwise index
-// the target's MBR out of range. Both source forms, Run and Any.
+// the target's MBR out of range. Both source forms.
 func TestRunRejectsDimensionMismatch(t *testing.T) {
 	b, _ := buildBase(t, 5, 7)
 	var origin [grid.MaxDim]int32
@@ -321,9 +321,6 @@ func TestRunRejectsDimensionMismatch(t *testing.T) {
 		for _, w := range []*Weights{nil, &ps} {
 			if _, _, err := Run(src, Query{Target: oneD, Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
 				t.Errorf("Run with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
-			}
-			if _, err := Any(src, []*sgs.Summary{oneD}, Query{Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
-				t.Errorf("Any with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
 			}
 		}
 	}

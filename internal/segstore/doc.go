@@ -28,8 +28,8 @@
 //	trailer  footerOff u64 | footerLen u32 | crc32(footer) u32 | "SGSEND1\n"
 //
 // OpenSegment maps the file read-only (mmap) and serves the filter
-// phase straight from the mapping: GatedSearchLocation and
-// GatedSearchFeatures are linear scans of the mbrs/feats columns that
+// phase straight from the mapping: ZonedSearchLocation and
+// ZonedSearchFeatures are linear scans of the mbrs/feats columns that
 // run the range test and the exact feature gate fused, with zero
 // allocation and no per-candidate syscall — only gate survivors
 // materialize anything, and only refine survivors decode a blob (Load

@@ -207,7 +207,7 @@ func TestV3PreadFallback(t *testing.T) {
 		}
 	}
 	got := 0
-	probed := seg.GatedSearchLocation(q, nil, func(Record) bool { got++; return true })
+	probed, _ := seg.ZonedSearchLocation(q, nil, func(Record) bool { got++; return true })
 	if got != want || probed != want {
 		t.Fatalf("pread location scan: got=%d probed=%d want=%d", got, probed, want)
 	}
@@ -243,7 +243,7 @@ func TestV3ScanZeroAlloc(t *testing.T) {
 		t.Fatalf("feature filter+gate scan allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if seg.GatedSearchLocation(q, gate, visit) != len(entries) {
+		if n, _ := seg.ZonedSearchLocation(q, gate, visit); n != len(entries) {
 			t.Fatal("location scan missed records")
 		}
 	}); n != 0 {

@@ -203,54 +203,47 @@ func (s *Segment) Zone() (mbr geom.MBR, featMin, featMax [4]float64) {
 	return s.zone.mbr, s.zone.featMin, s.zone.featMax
 }
 
-// SearchLocation visits records whose MBR intersects the query box.
-// Iteration stops early if visit returns false. A query box outside the
-// segment's zone returns immediately without touching the columns.
-func (s *Segment) SearchLocation(q geom.MBR, visit func(Record) bool) {
-	s.GatedSearchLocation(q, nil, visit)
-}
-
-// GatedSearchLocation visits records whose MBR intersects the query box
-// AND whose feature vector passes gate (nil means no gate); it returns
+// ZonedSearchLocation visits records whose MBR intersects the query box
+// AND whose feature vector passes gate (nil means no gate). It returns
 // the number of intersecting records regardless of the gate, so callers
-// can report index-candidate counts. The intersection test and the gate
-// run directly over the columnar region — zero allocation, no
-// per-record syscall. Iteration stops early if visit returns false (the
-// returned count is then partial). A query box outside the segment's
-// zone returns immediately.
-func (s *Segment) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) int {
+// can report index-candidate counts, and whether the segment's zone
+// admitted the query: a query box outside the zone returns (0, false)
+// without touching the columns. The intersection test and the gate run
+// directly over the columnar region — zero allocation, no per-record
+// syscall. Iteration stops early if visit returns false (the returned
+// count is then partial).
+func (s *Segment) ZonedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
 	if !s.zone.mbr.Intersects(q) {
 		metricZoneSkips.Inc()
-		return 0
+		return 0, false
 	}
 	metricScans.Inc()
-	return s.scanLocation(q, gate, visit)
+	return s.scanLocation(q, gate, visit), true
 }
 
-// SearchFeatures visits records whose feature vector lies inside the
-// inclusive hyper-rectangle [lo, hi]. Iteration stops early if visit
-// returns false. A range disjoint from the segment's feature zone
-// returns immediately without touching the columns.
-func (s *Segment) SearchFeatures(lo, hi [4]float64, visit func(Record) bool) {
-	s.GatedSearchFeatures(lo, hi, nil, visit)
-}
-
-// GatedSearchFeatures visits records whose feature vector lies inside
-// [lo, hi] AND passes gate (nil means no gate); it returns the number of
-// in-range records regardless of the gate. This is the fused
-// filter+gate pass: one sequential scan of the feats column from the
-// mapping, zero allocation. Iteration stops early if visit returns false
-// (the returned count is then partial). A range disjoint from the
-// segment's feature zone returns immediately.
-func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
+// ZonedSearchFeatures visits records whose feature vector lies inside
+// the inclusive hyper-rectangle [lo, hi] AND passes gate (nil means no
+// gate). It returns the number of in-range records regardless of the
+// gate, and whether the segment's feature zone admitted the range: a
+// range disjoint from the zone returns (0, false) without touching the
+// columns. This is the fused filter+gate pass: one sequential scan of
+// the feats column from the mapping, zero allocation. Iteration stops
+// early if visit returns false (the returned count is then partial).
+func (s *Segment) ZonedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
 	for d := 0; d < 4; d++ {
 		if hi[d] < s.zone.featMin[d] || lo[d] > s.zone.featMax[d] {
 			metricZoneSkips.Inc()
-			return 0
+			return 0, false
 		}
 	}
 	metricScans.Inc()
-	return s.scanFeatures(lo, hi, gate, visit)
+	return s.scanFeatures(lo, hi, gate, visit), true
+}
+
+// GatedSearchFeatures is ZonedSearchFeatures without the zone decision.
+func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
+	probed, _ := s.ZonedSearchFeatures(lo, hi, gate, visit)
+	return probed
 }
 
 // blobPool recycles pread scratch buffers so the fallback refine path

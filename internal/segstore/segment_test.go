@@ -106,9 +106,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got := 0
-	seg.SearchLocation(q, func(Record) bool { got++; return true })
+	seg.ZonedSearchLocation(q, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("SearchLocation: %d hits, linear scan %d", got, want)
+		t.Fatalf("ZonedSearchLocation: %d hits, linear scan %d", got, want)
 	}
 	lo := [4]float64{0, 0, 0, 0}
 	hi := entries[0].Feat
@@ -125,9 +125,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got = 0
-	seg.SearchFeatures(lo, hi, func(Record) bool { got++; return true })
+	seg.ZonedSearchFeatures(lo, hi, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("SearchFeatures: %d hits, linear scan %d", got, want)
+		t.Fatalf("ZonedSearchFeatures: %d hits, linear scan %d", got, want)
 	}
 }
 
@@ -539,21 +539,25 @@ func TestSegmentZone(t *testing.T) {
 	for d := 0; d < 4; d++ {
 		lo[d], hi[d] = fmax[d]+1, fmax[d]+2
 	}
-	seg.SearchFeatures(lo, hi, func(r Record) bool {
+	if _, admitted := seg.ZonedSearchFeatures(lo, hi, nil, func(r Record) bool {
 		t.Fatalf("disjoint feature range visited record %d", r.ID)
 		return false
-	})
+	}); admitted {
+		t.Fatal("zone admitted a disjoint feature range")
+	}
 	// A location box outside the union MBR must visit nothing.
 	far := geom.MBR{Min: geom.Point{mbr.Max[0] + 10, mbr.Max[1] + 10}, Max: geom.Point{mbr.Max[0] + 11, mbr.Max[1] + 11}}
-	seg.SearchLocation(far, func(r Record) bool {
+	if _, admitted := seg.ZonedSearchLocation(far, nil, func(r Record) bool {
 		t.Fatalf("disjoint location box visited record %d", r.ID)
 		return false
-	})
+	}); admitted {
+		t.Fatal("zone admitted a disjoint location box")
+	}
 	// In-zone queries still work: probing each record's own feature
 	// vector must find it.
 	for _, r := range seg.Records() {
 		found := false
-		seg.SearchFeatures(r.Feat, r.Feat, func(got Record) bool {
+		seg.ZonedSearchFeatures(r.Feat, r.Feat, nil, func(got Record) bool {
 			if got.ID == r.ID {
 				found = true
 				return false

@@ -32,9 +32,11 @@
 //
 // Offer evaluates one window in three phases, mirroring internal/match:
 // a parallel probe phase (one task per new-entry × class pair, fanned
-// across the registry's workers), a parallel refine phase (one
-// match.Refine call per surviving pair), and a sequential ordered
-// delivery phase. Candidate pairs are sorted by (subscription id, entry
+// across the registry's workers), a parallel refine phase
+// (match.RefinePairs, the refine stage one-shot queries use: a pair the
+// O(1) size bound dismisses never loads a disk-resident entry, the rest
+// load through the decoded-summary cache and meet match.Refine), and a
+// sequential ordered delivery phase. Candidate pairs are sorted by (subscription id, entry
 // id) between the phases, so the events each subscription receives — and
 // their order — are byte-identical at every worker count.
 //

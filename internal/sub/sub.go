@@ -3,7 +3,6 @@ package sub
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -501,39 +500,23 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	probeSpan.SetInt("candidates", int64(len(pairs)))
 	probeSpan.End()
 
-	// Refine: one grid-cell-level match per surviving pair, fanned across
-	// the workers; each task writes only its own slot. Pairs were sorted
-	// by (subscription id, entry index) after the probe, so slot order —
-	// and therefore delivery order — is independent of worker count.
-	// Disk-resident entries load through the archive's decoded-summary
-	// cache (sumcache), so an entry matched by several subscriptions —
-	// or by overlapping windows — still decodes once per residency.
+	// Refine: match.RefinePairs, the refine stage one-shot queries use,
+	// fanned across the workers. Pairs were sorted by (subscription id,
+	// entry index) after the probe, so outcome order — and therefore
+	// delivery order — is independent of worker count. A pair the size
+	// bound dismisses never loads its entry; the rest load through the
+	// archive's decoded-summary cache (sumcache), so an entry matched by
+	// several subscriptions — or by overlapping windows — still decodes
+	// once per residency.
 	refineSpan := tr.Start("refine")
-	dists := make([]float64, len(pairs))
-	within := make([]bool, len(pairs))
-	sums := make([]*sgs.Summary, len(pairs))
-	errs := make([]error, len(pairs))
-	par.ForEach(r.workers, len(pairs), func(i int) {
+	outs, rc, err := match.RefinePairs(r.workers, len(pairs), func(i int) match.Pair {
 		p := pairs[i]
-		sum, err := entries[p.ei].LoadSummary()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = sum
-		dists[i], within[i] = match.Refine(p.s.target, sum, p.s.weights, match.DefaultAlignBudget, p.s.thresh)
+		return match.Pair{Target: p.s.target, Weights: p.s.weights, Threshold: p.s.thresh, Entry: entries[p.ei]}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	var pruned uint64
-	for _, d := range dists {
-		if math.IsInf(d, 1) {
-			pruned++
-		}
-	}
+	pruned := uint64(rc.Pruned)
 	refineDur := time.Since(start) - probeDur
 	refineSpan.SetInt("pairs", int64(len(pairs)))
 	refineSpan.SetInt("pruned", int64(pruned))
@@ -548,7 +531,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 		j := i
 		var evs []Event
 		for ; j < len(pairs) && pairs[j].s == pairs[i].s; j++ {
-			if !within[j] {
+			if !outs[j].Within {
 				continue
 			}
 			e := entries[pairs[j].ei]
@@ -557,10 +540,10 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 				SubID:    pairs[j].s.id,
 				Seq:      seq,
 				EntryID:  e.ID,
-				Distance: dists[j],
+				Distance: outs[j].Distance,
 				// The refine phase read the summary anyway; events carry
 				// it materialized even for disk-resident entries.
-				Entry: e.WithSummary(sums[j]),
+				Entry: e.WithSummary(outs[j].Summary),
 			})
 		}
 		pairs[i].s.enqueue(evs)

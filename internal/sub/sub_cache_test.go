@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"streamsum/internal/archive"
+	"streamsum/internal/grid"
+	"streamsum/internal/match"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 )
@@ -146,4 +148,77 @@ func TestOfferDiskResidentPread(t *testing.T) {
 	prev := segstore.SetMmapEnabled(false)
 	defer segstore.SetMmapEnabled(prev)
 	runOfferDiskResident(t)
+}
+
+// TestOfferSizeBoundSkipsLoad: a disk-resident entry that passes a
+// standing query's feature gate but fails the O(1) size bound is
+// dismissed before its summary is loaded — the decoded-summary cache
+// sees no request for it — while it still counts as pruned, and a
+// matching entry in the same window is loaded and delivered as before.
+func TestOfferSizeBoundSkipsLoad(t *testing.T) {
+	// cells builds a summary of n core cells of population 4 in a row:
+	// every size has the same density and connectivity.
+	cells := func(n int) *sgs.Summary {
+		s := &sgs.Summary{Dim: 2, Side: 1}
+		for i := 0; i < n; i++ {
+			s.Cells = append(s.Cells, sgs.Cell{
+				Coord:      grid.CoordOf(int32(i), 0),
+				Population: 4,
+				Status:     sgs.CoreCell,
+			})
+		}
+		return s
+	}
+	base, err := archive.New(archive.Config{Dim: 2, StorePath: t.TempDir(), SummaryCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	// Entry 0 matches the one-cell target exactly; entry 1 has four
+	// cells, so no alignment can bring it within 0.5 of the target
+	// ((1+4−2)/(1+4−1) = 0.75).
+	for _, s := range []*sgs.Summary{cells(1), cells(4)} {
+		if _, ok, err := base.Put(s); err != nil || !ok {
+			t.Fatalf("put: ok=%v err=%v", ok, err)
+		}
+	}
+	if err := base.FlushMem(); err != nil {
+		t.Fatal(err)
+	}
+	var offer []*archive.Entry
+	base.Snapshot().All(func(e *archive.Entry) bool {
+		if e.Summary != nil {
+			t.Fatalf("entry %d is memory-resident after FlushMem", e.ID)
+		}
+		offer = append(offer, e)
+		return true
+	})
+
+	reg, err := NewRegistry(Config{Dim: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Volume and status carry no weight, so both entries pass the gate.
+	w := match.Weights{Density: 0.5, Connectivity: 0.5}
+	s, err := reg.Subscribe(Options{Target: cells(1), Threshold: 0.5, Weights: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(s)
+	if err := reg.Offer(offer); err != nil {
+		t.Fatal(err)
+	}
+	s.Sync()
+	s.Cancel()
+
+	evs := stripPayload(got())
+	if len(evs) != 1 || evs[0].EntryID != offer[0].ID || evs[0].Distance != 0 {
+		t.Fatalf("events %+v, want one exact match of entry %d", evs, offer[0].ID)
+	}
+	if st := reg.Stats(); st.Refined != 2 || st.Pruned != 1 {
+		t.Fatalf("stats %+v: want 2 pairs refined, 1 pruned", st)
+	}
+	if ts := base.TierStats(); ts.CacheMisses != 1 || ts.CacheHits != 0 {
+		t.Fatalf("cache hits %d, misses %d: want only the matching entry loaded", ts.CacheHits, ts.CacheMisses)
+	}
 }

@@ -3,7 +3,7 @@
 // (owner, record id), where the owner is the immutable container the
 // record was decoded from (a disk segment). Every disk-resident
 // Entry.LoadSummary in internal/archive consults it, so the refine phase
-// of one-shot matches, batch novelty probes, standing-query evaluation
+// of one-shot matches, novelty probes, standing-query evaluation
 // and base dumps all pay one sgs.Unmarshal per residency, not one per
 // query.
 //

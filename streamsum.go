@@ -186,9 +186,12 @@ type Options struct {
 	Archive *ArchiveOptions
 	// ArchiveNovelty, when positive, enables evolution-driven selective
 	// archiving (the future-work direction of §6.2): a summary is archived
-	// only if its matching distance to everything already archived exceeds
+	// only if its matching distance to everything already archived —
+	// including the summaries its own window archived before it — exceeds
 	// this threshold, so the pattern base stores each recurring pattern
-	// once instead of once per window.
+	// once instead of once per window. Each summary costs one matching
+	// query (Limit 1) under the default weights, counted in the match
+	// metrics like any other.
 	ArchiveNovelty float64
 	// Parallelism bounds every fan-out inside the engine: PushBatch's
 	// neighbor discovery, the output stage's per-cluster summary
@@ -476,65 +479,31 @@ func (e *Engine) offerTrack(w *WindowResult) {
 // archiveNovelWindow is evolution-driven archiving: a summary enters the
 // base only if nothing already archived matches it within the novelty
 // threshold, so the base stores each recurring pattern once instead of
-// once per window.
-//
-// The whole window is novelty-tested in one batched match.Any pass over
-// a single pre-window snapshot (one filter-and-refine pipeline for all
-// summaries, instead of one full query per summary), then a cheap
-// sequential pass resolves novelty among the window's own survivors —
-// summary i is also suppressed by a window-mate j < i that was archived,
-// exactly as the per-cluster probe loop would have seen it. The one
-// semantic difference from per-cluster probing: an old entry evicted by
-// capacity pressure mid-window still suppresses later window-mates here
-// (the pass pins the pre-window state), which matters only for
-// capacity-bounded bases and is the price of running one pass.
+// once per window. Each summary is probed with one match.Run (Limit 1)
+// against the base as it stands after the previous Put, so window-mates
+// archived earlier in the window suppress it exactly as older history
+// does. The probes are ordinary queries: they count in the match
+// metrics like any other.
 func (e *Engine) archiveNovelWindow(w *WindowResult) error {
-	sums := make([]*Summary, 0, len(w.Clusters))
+	var added []*ArchiveEntry
 	for _, c := range w.Clusters {
-		if c.Summary != nil {
-			sums = append(sums, c.Summary)
-		}
-	}
-	if len(sums) == 0 {
-		// Still one evaluated window: the registry's sequence counts
-		// windows (and tags this window's evolution events), not
-		// archivals.
-		return e.subs.Offer(nil)
-	}
-	matched := make([]bool, len(sums))
-	if e.base.Len() > 0 {
-		var err error
-		matched, err = match.Any(e.base.Snapshot(), sums, match.Query{
-			Threshold: e.opts.ArchiveNovelty,
-			Workers:   e.opts.Parallelism,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	// Intra-window novelty among the survivors, against the summaries as
-	// stored (the archiver may have re-compressed them): the same
-	// cluster-feature gate + grid-level distance the matcher applies.
-	ew := match.EqualWeights()
-	var added []*Summary
-	var newEntries []*ArchiveEntry
-	for i, s := range sums {
-		if matched[i] {
+		s := c.Summary
+		if s == nil {
 			continue
 		}
-		tf := s.Features().Vector()
-		novel := true
-		for _, a := range added {
-			if match.FeatureDistance(tf, a.Features().Vector(), ew) > e.opts.ArchiveNovelty {
+		if e.base.Len() > 0 {
+			known, _, err := match.Run(e.base, match.Query{
+				Target:    s,
+				Threshold: e.opts.ArchiveNovelty,
+				Limit:     1,
+				Workers:   e.opts.Parallelism,
+			})
+			if err != nil {
+				return err
+			}
+			if len(known) > 0 {
 				continue
 			}
-			if _, within := match.Refine(s, a, ew, match.DefaultAlignBudget, e.opts.ArchiveNovelty); within {
-				novel = false
-				break
-			}
-		}
-		if !novel {
-			continue
 		}
 		id, ok, err := e.base.Put(s)
 		if err != nil {
@@ -542,14 +511,16 @@ func (e *Engine) archiveNovelWindow(w *WindowResult) error {
 		}
 		if ok {
 			if en := e.base.Get(id); en != nil {
-				added = append(added, en.Summary)
-				newEntries = append(newEntries, en)
+				added = append(added, en)
 			}
 		}
 	}
 	// Standing queries see exactly what novelty archiving admitted — a
-	// recurring pattern alerts once, not once per window.
-	return e.subs.Offer(newEntries)
+	// recurring pattern alerts once, not once per window. A window with
+	// nothing admitted is still one evaluated window: the registry's
+	// sequence counts windows (and tags this window's evolution events),
+	// not archivals.
+	return e.subs.Offer(added)
 }
 
 // PatternBase returns the engine's archive, or nil if archiving is
@@ -571,7 +542,7 @@ type MatchOptions struct {
 	// cache hits vs disk loads) as spans and attributes. The caller owns
 	// the trace's lifetime (obtain one with NewMatchTrace, Finish it
 	// after the query). Tracing never changes the results; it only adds
-	// a few clock reads and zone re-checks.
+	// a few clock reads.
 	Trace *MatchTrace
 }
 

@@ -269,9 +269,9 @@ func TestTieredConcurrentMatch(t *testing.T) {
 	}
 }
 
-// TestNoveltyBatchEquivalence: the batched ArchiveNovelty pass (one
-// match.Any over the window + intra-window resolution) archives exactly
-// the same summaries as the per-cluster probe loop it replaced.
+// TestNoveltyBatchEquivalence: ArchiveNovelty archiving on the engine
+// archives exactly the same summaries as a per-cluster probe loop over a
+// plain base, checked against a scan that prunes nothing.
 func TestNoveltyBatchEquivalence(t *testing.T) {
 	// 0.4 is the original setting; at 0.2 most gate survivors are
 	// dismissed by bound instead of searched.
