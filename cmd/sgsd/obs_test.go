@@ -55,6 +55,7 @@ func TestHTTPMetrics(t *testing.T) {
 		"# TYPE sgs_match_filter_seconds histogram",
 		"sgs_match_refine_seconds_bucket",
 		"# TYPE sgs_match_pruned_pairs_total counter",
+		"# TYPE sgs_match_topk_skipped_total counter",
 		// store
 		"# TYPE sgs_segstore_segment_scans_total counter",
 		"sgs_segstore_record_loads_total{mode=\"mmap\"}",

@@ -615,25 +615,11 @@ func (b *Base) removeFromStoreLocked(id int64) bool {
 	return true
 }
 
-// SearchLocation visits archived entries whose MBR intersects the query
-// box (the position-sensitive filter phase). The callback runs against a
-// snapshot — never under the base lock — so it may freely call Put,
-// Remove, or further searches; mutations it makes are not reflected in
-// the iteration in progress.
-func (b *Base) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	b.Snapshot().SearchLocation(q, visit)
-}
-
-// SearchFeatures visits archived entries whose feature vector lies inside
-// [lo, hi] (the non-position-sensitive filter phase). The callback runs
-// against a snapshot; see SearchLocation for the reentrancy contract.
-func (b *Base) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	b.Snapshot().SearchFeatures(lo, hi, visit)
-}
-
 // All visits every archived entry in FIFO order (diagnostics,
 // persistence, linear-scan baselines). The callback runs against a
-// snapshot; see SearchLocation for the reentrancy contract.
+// snapshot — never under the base lock — so it may freely call Put,
+// Remove, or searches; mutations it makes are not reflected in the
+// iteration in progress. Searches go through Snapshot.
 func (b *Base) All(visit func(*Entry) bool) {
 	b.Snapshot().All(visit)
 }

@@ -39,9 +39,10 @@
 //
 //   - Entry values are immutable after Put returns; they are shared by
 //     reference across the base and all snapshots.
-//   - SearchLocation, SearchFeatures and All run their callbacks against
-//     a snapshot, never under the base lock, so a callback may call Put
-//     or Remove (the running iteration does not see the mutation).
+//   - Base.All and a Snapshot's SearchLocation, SearchFeatures and All
+//     run their callbacks against a snapshot, never under the base lock,
+//     so a callback may call Put or Remove (the running iteration does
+//     not see the mutation).
 //   - PutBatch archives one window's clusters under one lock
 //     acquisition; it is byte-for-byte equivalent to a sequential Put
 //     loop (same policy decisions, ids and evictions).

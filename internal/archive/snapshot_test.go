@@ -82,8 +82,8 @@ func TestMutateDuringVisit(t *testing.T) {
 		return true
 	}
 	b.All(put)
-	b.SearchLocation(b.Get(0).MBR, put)
-	b.SearchFeatures([4]float64{0, 0, 0, 0}, [4]float64{1e9, 1e9, 1e9, 1e9}, put)
+	b.Snapshot().SearchLocation(b.Get(0).MBR, put)
+	b.Snapshot().SearchFeatures([4]float64{0, 0, 0, 0}, [4]float64{1e9, 1e9, 1e9, 1e9}, put)
 	if b.Len() <= 10 {
 		t.Fatalf("Len = %d, puts from visits were lost", b.Len())
 	}
@@ -230,7 +230,7 @@ func TestCompactionConsistency(t *testing.T) {
 	for _, l := range fifo[:20] {
 		e := b.Get(l.id)
 		found := false
-		b.SearchLocation(e.MBR, func(x *Entry) bool {
+		b.Snapshot().SearchLocation(e.MBR, func(x *Entry) bool {
 			if x.ID == l.id {
 				found = true
 				return false
@@ -246,7 +246,7 @@ func TestCompactionConsistency(t *testing.T) {
 			lo[d], hi[d] = v[d]*0.99, v[d]*1.01+1e-9
 		}
 		found = false
-		b.SearchFeatures(lo, hi, func(x *Entry) bool {
+		b.Snapshot().SearchFeatures(lo, hi, func(x *Entry) bool {
 			if x.ID == l.id {
 				found = true
 				return false

@@ -36,21 +36,31 @@ type vec = [grid.MaxDim]int32
 // coordinates must carry the summary's dimensionality. Refine is safe for
 // concurrent use and allocates nothing once its pooled scratch is warm.
 func Refine(target, cand *sgs.Summary, w Weights, budget int, threshold float64) (dist float64, within bool) {
+	dist, _ = refineBounded(target, cand, w, budget, threshold, nil, 0)
+	return dist, dist <= threshold
+}
+
+// refineBounded is Refine under an optional running top-k bound kb, to
+// which the pair offers its distance bounds as pair number pair. A
+// position-insensitive pair that Refine's exact stages keep, but that
+// they show farther than the bound's τ < threshold, is skipped: it
+// reports dist = +Inf and skipped = true, and no search runs. With kb nil
+// it is exactly Refine.
+func refineBounded(target, cand *sgs.Summary, w Weights, budget int, threshold float64, kb *kBound, pair int) (dist float64, skipped bool) {
 	na, nb := len(target.Cells), len(cand.Cells)
 	switch {
 	case na == 0 && nb == 0:
-		dist = 0
+		return 0, false
 	case na == 0 || nb == 0 || target.Dim != cand.Dim:
-		dist = 1 // no cell can coincide at any alignment
+		return 1, false // no cell can coincide at any alignment
 	case w.PositionSensitive:
 		var identity vec
-		dist = cellDistance(target, cand, &identity)
-	default:
-		sc := scratchPool.Get().(*scratch)
-		dist = sc.refine(target, cand, budget, threshold)
-		scratchPool.Put(sc)
+		return cellDistance(target, cand, &identity), false
 	}
-	return dist, dist <= threshold
+	sc := scratchPool.Get().(*scratch)
+	dist, skipped = sc.refine(target, cand, budget, threshold, kb, pair)
+	scratchPool.Put(sc)
+	return dist, skipped
 }
 
 // RefineDistance is the exact, unpruned grid-cell-level distance of a
@@ -167,7 +177,12 @@ type scratch struct {
 	votes  []uint32           // dense table over cell-pair difference vectors
 	stride [grid.MaxDim]int64 // each axis's step in the table's index
 	ia, ib []int32            // each cell's share of its pairs' table index
+	mStar  int                // the current pair's M*: -1 if not voted, unvoted until maxCoincident runs
 }
+
+// unvoted marks a pair whose vote table maxCoincident has not yet tried
+// to fill.
+const unvoted = -2
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -176,28 +191,45 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // through int32 wrap-around can never land in different entries.
 const maxVoteTable = 1 << 16
 
-// refine is the position-insensitive case of Refine for two non-empty
-// summaries of one dimensionality.
-func (sc *scratch) refine(a, b *sgs.Summary, budget int, threshold float64) float64 {
+// refine is the position-insensitive case of refineBounded for two
+// non-empty summaries of one dimensionality.
+func (sc *scratch) refine(a, b *sgs.Summary, budget int, threshold float64, kb *kBound, pair int) (float64, bool) {
 	alo, ahi := extent(a)
 	blo, bhi := extent(b)
-	if threshold < 1 {
-		na, nb := len(a.Cells), len(b.Cells)
-		// No translation matches more cells than the smaller summary has.
-		pruned := distanceFloor(na, nb, min(na, nb)) > threshold
-		if !pruned {
-			if m := sc.maxCoincident(a, b, &alo, &ahi, &blo, &bhi, budget); m >= 0 {
-				pruned = distanceFloor(na, nb, m) > threshold ||
-					!sc.votedWithin(a, b, &ahi, &blo, m, minCoincident(na, nb, m, threshold), threshold)
-			}
-		}
-		if pruned {
-			metricPruned.Inc()
-			return math.Inf(1)
+	sc.mStar = unvoted
+	if threshold < 1 && sc.beyond(a, b, &alo, &ahi, &blo, &bhi, budget, threshold) {
+		metricPruned.Inc()
+		return math.Inf(1), false
+	}
+	start := centerAlign(a, b, &alo, &ahi, &blo, &bhi)
+	u := cellDistance(a, b, &start) // the search starts here, so it ends at or below u
+	if kb != nil {
+		if tau := min(threshold, kb.offer(pair, u)); tau < threshold && sc.beyond(a, b, &alo, &ahi, &blo, &bhi, budget, tau) {
+			return math.Inf(1), true
 		}
 	}
-	dist, _ := sc.bestAlignment(a, b, centerAlign(a, b, &alo, &ahi, &blo, &bhi), budget)
-	return dist
+	dist, _ := sc.bestAlignment(a, b, start, u, budget)
+	if kb != nil {
+		kb.offer(pair, dist)
+	}
+	return dist, false
+}
+
+// beyond reports whether the exact stages prove every alignment of a and
+// b farther than t < 1: the size floor (no translation matches more cells
+// than the smaller summary has), then M* and the voted scan. The vote
+// table is filled on the pair's first call and reused by later ones.
+func (sc *scratch) beyond(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, budget int, t float64) bool {
+	na, nb := len(a.Cells), len(b.Cells)
+	if distanceFloor(na, nb, min(na, nb)) > t {
+		return true
+	}
+	if sc.mStar == unvoted {
+		sc.mStar = sc.maxCoincident(a, b, alo, ahi, blo, bhi, budget)
+	}
+	m := sc.mStar
+	return m >= 0 && (distanceFloor(na, nb, m) > t ||
+		!sc.votedWithin(a, b, ahi, blo, m, minCoincident(na, nb, m, t), t))
 }
 
 // centerAlign computes the starting alignment: the cell-unit offset that
@@ -343,14 +375,15 @@ func (sc *scratch) scanVotes(a, b *sgs.Summary, ahi, blo *vec, lo, hi int, thres
 }
 
 // bestAlignment runs the A*-style anytime search of §7.2 for the alignment
-// minimizing cellDistance(a, b, align): starting from start, it repeatedly
+// minimizing cellDistance(a, b, align): starting from start, whose
+// distance startDist the caller has evaluated, it repeatedly
 // expands the most promising alignment's 2·dim axis neighbors, stopping
 // after budget distance evaluations. It returns the best distance found
 // and its alignment. Exhaustive optimality is not guaranteed — by design:
 // the paper trades optimality for bounded online latency. Every alignment
 // is evaluated in full: the expansion order depends on the exact
 // distances, so none can be abandoned early without changing the result.
-func (sc *scratch) bestAlignment(a, b *sgs.Summary, start vec, budget int) (float64, vec) {
+func (sc *scratch) bestAlignment(a, b *sgs.Summary, start vec, startDist float64, budget int) (float64, vec) {
 	sc.dim = a.Dim
 	sc.aligns, sc.heap = sc.aligns[:0], sc.heap[:0]
 	if sc.epoch++; sc.epoch == 0 {
@@ -358,7 +391,7 @@ func (sc *scratch) bestAlignment(a, b *sgs.Summary, start vec, budget int) (floa
 		sc.epoch = 1
 	}
 	sc.visit(&start)
-	best := alignItem{dist: cellDistance(a, b, &start)}
+	best := alignItem{dist: startDist}
 	sc.push(best)
 	for evals := 1; len(sc.heap) > 0 && evals < budget; {
 		cur := sc.aligns[sc.pop().idx]

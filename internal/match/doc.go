@@ -38,16 +38,19 @@
 //     A*-style anytime search (position-insensitive case) or the identity
 //     alignment (position-sensitive case), unless an exact bound or a
 //     scan of the voted alignments shows first that none can come within
-//     the threshold. This phase fans out across Query.Workers goroutines;
-//     candidates are independent, so each worker writes only its own
-//     result slot.
+//     the threshold. A query with a Limit k (position-insensitive) also
+//     hands the stage a running top-k bound, which lets a pair skip its
+//     search once k other pairs are known to be closer (see "Top-k
+//     bound"). This phase fans out across Query.Workers goroutines;
+//     each worker writes only its own result slot.
 //  3. Order — keep survivors within the threshold, sort by (distance,
 //     id), apply the top-k limit (sequential).
 //
 // Results are byte-identical at every worker count: the parallel phase
 // computes the same float (or the same dismissal) per candidate
-// regardless of scheduling, and the final total order normalizes
-// collection order.
+// regardless of scheduling — the top-k bound, whose skips do depend on
+// it, only ever skips a pair the order phase would cut — and the final
+// total order normalizes collection order.
 //
 // # The refine kernel
 //
@@ -140,6 +143,45 @@
 // |a|·|b| + entries/8 votes would cost more than the budget·(|a|+|b|)
 // cell visits of the search they might save. The rule is a function of
 // the pair and the budget alone: there is nothing to configure.
+//
+// # Top-k bound
+//
+// Every analyst query asks for the closest few matches, and with a loose
+// threshold the exact bounds above keep most gate survivors, each of which
+// would cost a full search only to be cut by the limit. So when Run has
+// a Limit k and a position-insensitive metric, RefinePairs shares one
+// running bound among its workers (Fagin's threshold algorithm, in the
+// refine loop's own order: no prepass, no waves, no second loop). A pair
+// that Refine's exact stages keep at the query threshold:
+//
+//  1. offers u, the cell distance at its start alignment, to the bound.
+//     The search starts there and returns the least distance it meets, so
+//     u bounds the pair's distance from above. The bound keeps the k
+//     smallest offers of distinct pairs (one entry per pair, in a
+//     mutex-guarded max-heap, O(log k) per offer) and returns τ, the
+//     lesser of the threshold and the k-th smallest entry;
+//  2. if τ is below the threshold, meets the size floor, M* and the voted
+//     scan again at τ (the vote table is still in its scratch). If they
+//     prove every alignment farther than τ, the search is skipped: the
+//     pair reports +Inf and is not within;
+//  3. otherwise searches from that start, reusing u, and lowers its own
+//     entry to the distance found.
+//
+// Why no result changes: at every moment k distinct pairs have a distance
+// at or below τ, and τ only falls. A skipped pair's distance exceeds τ
+// strictly, so k pairs beat it whatever the tie-break, and it cannot be in
+// the top k. A pair whose distance equals τ is never skipped (the stages
+// dismiss only what is strictly beyond), so ties at the k-th place still
+// go to the smaller id. Every pair that is searched gets exactly the
+// unbounded search's distance.
+//
+// Which pairs are skipped depends on the order in which workers reach
+// them, so skips are not counted in Stats: Stats.Pruned keeps its meaning
+// (dismissed at the query threshold) and Stats stays identical at every
+// worker count, with or without a Limit. Skips are counted by
+// sgs_match_topk_skipped_total and the refine span's topk_skipped
+// attribute. Standing queries (internal/sub) and queries without a Limit
+// pass no bound and run exactly the code above.
 //
 // # Concurrency against the base
 //

@@ -100,7 +100,10 @@ type Match struct {
 // match (the paper reports ~6% reaching the grid level, §8.2), and how
 // many of those Refine's exact stages (the M* vote bound, then the scan of
 // the voted alignments) dismissed without an alignment search. Refined
-// minus Pruned is the number of pairs searched.
+// minus Pruned is at most the number of pairs searched: a query with a
+// Limit also skips the searches its running top-k bound shows cannot
+// reach the top k, which depends on scheduling and so is not counted
+// here (see "Top-k bound" in the package comment).
 type Stats struct {
 	FilterShards    int
 	IndexCandidates int
@@ -250,7 +253,11 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	// --- Phase 2: refine — parallel grid-cell-level cluster match ---------
 	refineSpan := tr.Start("refine")
 	refineStart := time.Now()
-	outs, rc, err := RefinePairs(q.Workers, len(refine), func(i int) Pair {
+	limit := q.Limit
+	if w.PositionSensitive {
+		limit = 0 // one evaluation per pair: no search to skip
+	}
+	outs, rc, err := RefinePairs(q.Workers, len(refine), limit, func(i int) Pair {
 		return Pair{Target: q.Target, Weights: w, Threshold: q.Threshold, Entry: refine[i]}
 	})
 	if err != nil {
@@ -264,6 +271,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
 		refineSpan.SetInt("cache_hits", int64(rc.CacheHits))
 		refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
+		refineSpan.SetInt("topk_skipped", int64(rc.TopKSkipped))
 	}
 	refineSpan.End()
 
@@ -302,22 +310,25 @@ type Pair struct {
 }
 
 // Outcome is one pair's refine result: Refine's distance and verdict, and
-// the entry's summary. A pair an exact bound dismissed has Distance +Inf;
-// Summary is nil when the size bound dismissed it before any load.
+// the entry's summary. A pair an exact bound dismissed, or the top-k bound
+// skipped, has Distance +Inf; Summary is nil when the size bound dismissed
+// it before any load.
 type Outcome struct {
 	Distance float64
 	Within   bool
 	Summary  *sgs.Summary
 	cached   bool // a disk-resident summary the decoded-summary cache served
 	decoded  bool // a disk-resident summary decoded from its segment
+	skipped  bool // the top-k bound showed it cannot reach the top k
 }
 
 // RefineCounts attributes one refine stage's pairs.
 type RefineCounts struct {
-	Pruned     int // dismissed by an exact bound without a search
-	SizePruned int // of Pruned, dismissed by the size bound before any load
-	CacheHits  int // disk-resident summaries the decoded-summary cache served
-	DiskLoads  int // disk-resident summaries decoded from their segment
+	Pruned      int // dismissed by an exact bound at the threshold without a search
+	SizePruned  int // of Pruned, dismissed by the size bound before any load
+	CacheHits   int // disk-resident summaries the decoded-summary cache served
+	DiskLoads   int // disk-resident summaries decoded from their segment
+	TopKSkipped int // not Pruned, but shown by the top-k bound to miss the top k; depends on scheduling
 }
 
 // RefinePairs is the refine stage of every read path — one-shot queries
@@ -328,10 +339,22 @@ type RefineCounts struct {
 // loaded (through the decoded-summary cache) and refined. Outcomes are in
 // pair order and identical at every worker count. The first load error,
 // in pair order, fails the stage.
-func RefinePairs(workers, n int, pair func(i int) Pair) ([]Outcome, RefineCounts, error) {
+//
+// A limit k in (0, n) says the caller keeps only the k closest pairs
+// within the threshold, and gives the stage a running top-k bound: a
+// position-insensitive pair whose distance is shown to exceed that of k
+// other pairs, so that it is not among the k closest under any
+// tie-break, skips its search. Its outcome is then not Within; every
+// other outcome is exactly the unbounded stage's. Standing queries and
+// queries without a limit pass 0.
+func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, RefineCounts, error) {
 	var rc RefineCounts
 	outs := make([]Outcome, n)
 	errs := make([]error, n)
+	var kb *kBound
+	if limit > 0 && limit < n {
+		kb = newKBound(limit, n)
+	}
 	par.ForEach(workers, n, func(i int) {
 		p, o := pair(i), &outs[i]
 		na, nb := len(p.Target.Cells), int(p.Entry.Features.Volume)
@@ -348,7 +371,8 @@ func RefinePairs(workers, n int, pair func(i int) Pair) ([]Outcome, RefineCounts
 		}
 		disk := p.Entry.Summary == nil
 		o.Summary, o.cached, o.decoded = sum, disk && hit, disk && !hit
-		o.Distance, o.Within = Refine(p.Target, sum, p.Weights, DefaultAlignBudget, p.Threshold)
+		o.Distance, o.skipped = refineBounded(p.Target, sum, p.Weights, DefaultAlignBudget, p.Threshold, kb, i)
+		o.Within = o.Distance <= p.Threshold
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -364,10 +388,14 @@ func RefinePairs(workers, n int, pair func(i int) Pair) ([]Outcome, RefineCounts
 		case o.decoded:
 			rc.DiskLoads++
 		}
-		if math.IsInf(o.Distance, 1) {
+		switch {
+		case o.skipped:
+			rc.TopKSkipped++
+		case math.IsInf(o.Distance, 1):
 			rc.Pruned++
 		}
 	}
+	metricTopKSkipped.Add(uint64(rc.TopKSkipped))
 	return outs, rc, nil
 }
 

@@ -136,7 +136,8 @@ func bestAlignment(a, b *sgs.Summary, budget int) (float64, vec) {
 	var sc scratch
 	alo, ahi := extent(a)
 	blo, bhi := extent(b)
-	return sc.bestAlignment(a, b, centerAlign(a, b, &alo, &ahi, &blo, &bhi), budget)
+	start := centerAlign(a, b, &alo, &ahi, &blo, &bhi)
+	return sc.bestAlignment(a, b, start, cellDistance(a, b, &start), budget)
 }
 
 func TestCellDistanceIdentityAndBounds(t *testing.T) {
@@ -425,7 +426,7 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 		qf := q.Features().Vector()
 		lo, hi := FeatureRanges(qf, w, 0.15)
 		inIndex := make(map[int64]bool)
-		b.SearchFeatures(lo, hi, func(e *archive.Entry) bool {
+		b.Snapshot().SearchFeatures(lo, hi, func(e *archive.Entry) bool {
 			inIndex[e.ID] = true
 			return true
 		})

@@ -15,6 +15,8 @@ var (
 		"Candidates that survived the cluster-level gate into the refine phase.")
 	metricPruned = obs.NewCounter("sgs_match_pruned_pairs_total",
 		"Refine-phase pairs an exact distance bound dismissed without an alignment search (every caller of Refine).")
+	metricTopKSkipped = obs.NewCounter("sgs_match_topk_skipped_total",
+		"Refine-phase pairs a query's running top-k bound showed could not reach its top k, so their alignment search was skipped. Not counted as pruned; how many depends on scheduling.")
 	metricFilterSeconds = obs.NewHistogram("sgs_match_filter_seconds",
 		"Filter phase wall time (parallel gated index probes across shards).")
 	metricRefineSeconds = obs.NewHistogram("sgs_match_refine_seconds",

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -92,12 +93,13 @@ func oracleRun(b *archive.Base, q Query) []Match {
 	return out
 }
 
+// sameIDsAndDistances compares ids and distance bits.
 func sameIDsAndDistances(got, want []Match) bool {
 	if len(got) != len(want) {
 		return false
 	}
 	for i := range got {
-		if got[i].ID != want[i].ID || got[i].Distance != want[i].Distance {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
 			return false
 		}
 	}

@@ -311,14 +311,24 @@ func (s *Summary) ConnectedComponents() [][]grid.Coord {
 	return comps
 }
 
-// Clone returns a deep copy of the summary.
+// Clone returns a deep copy of the summary. All cells' connections share
+// one exact-size arena, each cell holding a capacity-capped sub-slice, so
+// a clone costs three allocations however many cells it has.
 func (s *Summary) Clone() *Summary {
 	c := *s
 	c.Cells = make([]Cell, len(s.Cells))
+	total := 0
+	for i := range s.Cells {
+		total += len(s.Cells[i].Conns)
+	}
+	arena := make([]grid.Coord, 0, total)
 	for i := range s.Cells {
 		c.Cells[i] = s.Cells[i]
-		if s.Cells[i].Conns != nil {
-			c.Cells[i].Conns = append([]grid.Coord(nil), s.Cells[i].Conns...)
+		c.Cells[i].Conns = nil
+		if conns := s.Cells[i].Conns; len(conns) > 0 {
+			lo := len(arena)
+			arena = append(arena, conns...)
+			c.Cells[i].Conns = arena[lo:len(arena):len(arena)]
 		}
 	}
 	return &c

@@ -188,6 +188,47 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneAllocs: a clone is the summary, its cell slice and one conn
+// arena, however many cells carry connections.
+func TestCloneAllocs(t *testing.T) {
+	b := NewBuilder(2, 1)
+	for x := int32(0); x < 8; x++ {
+		for y := int32(0); y < 8; y++ {
+			b.AddCell(grid.CoordOf(x, y), 3, CoreCell)
+			if x > 0 {
+				if err := b.Connect(grid.CoordOf(x-1, y), grid.CoordOf(x, y)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	s := b.Build(0, 0)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, func() { s.Clone() }); got > 3 {
+		t.Fatalf("Clone of %d connected cells: %v allocations, want at most 3", s.NumCells(), got)
+	}
+}
+
+// TestCloneConnsDoNotAlias: the cells of a clone share one conn arena, so
+// each holds a capacity-capped slice: appending to one cell's connections
+// must not overwrite its neighbour's or the source's.
+func TestCloneConnsDoNotAlias(t *testing.T) {
+	s := buildSimple(t)
+	c := s.Clone()
+	want := append([]grid.Coord(nil), c.Cells[1].Conns...)
+	c.Cells[0].Conns = append(c.Cells[0].Conns, grid.CoordOf(7, 7))
+	for i, x := range want {
+		if c.Cells[1].Conns[i] != x {
+			t.Fatalf("neighbour's conns changed: %v, want %v", c.Cells[1].Conns, want)
+		}
+	}
+	if err := s.Validate(); err != nil || len(s.Cells[0].Conns) != 1 {
+		t.Fatalf("source changed: conns %v, validate %v", s.Cells[0].Conns, err)
+	}
+}
+
 // TestFromClusterFidelity verifies Lemmas 4.1–4.5 on summaries built from
 // real DBSCAN clusters over random data.
 // TestFromClusterRejectsPointsOffTheGrid: a member whose cell the grid

@@ -509,7 +509,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	// several subscriptions — or by overlapping windows — still decodes
 	// once per residency.
 	refineSpan := tr.Start("refine")
-	outs, rc, err := match.RefinePairs(r.workers, len(pairs), func(i int) match.Pair {
+	outs, rc, err := match.RefinePairs(r.workers, len(pairs), 0, func(i int) match.Pair {
 		p := pairs[i]
 		return match.Pair{Target: p.s.target, Weights: p.s.weights, Threshold: p.s.thresh, Entry: entries[p.ei]}
 	})

@@ -191,7 +191,8 @@ type Options struct {
 	// this threshold, so the pattern base stores each recurring pattern
 	// once instead of once per window. Each summary costs one matching
 	// query (Limit 1) under the default weights, counted in the match
-	// metrics like any other.
+	// metrics like any other. It must lie in [0,1]; New rejects anything
+	// else, NaN included.
 	ArchiveNovelty float64
 	// Parallelism bounds every fan-out inside the engine: PushBatch's
 	// neighbor discovery, the output stage's per-cluster summary
@@ -254,6 +255,9 @@ type Engine struct {
 
 // New creates an engine.
 func New(opts Options) (*Engine, error) {
+	if n := opts.ArchiveNovelty; !(n >= 0 && n <= 1) {
+		return nil, fmt.Errorf("streamsum: ArchiveNovelty %g out of [0,1]", n)
+	}
 	spec := window.Spec{Win: opts.Win, Slide: opts.Slide}
 	if opts.TimeBased {
 		spec.Kind = window.TimeBased

@@ -2,6 +2,7 @@ package streamsum
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -243,6 +244,28 @@ func TestNewArchiveThetaValidation(t *testing.T) {
 	o.Archive = &ArchiveOptions{Level: 1, Theta: 3}
 	if _, err := New(o); err != nil {
 		t.Fatalf("valid compression config rejected: %v", err)
+	}
+}
+
+// TestNewRejectsBadArchiveNovelty: a novelty threshold outside [0,1], or
+// NaN, fails New instead of the first PushBatch (above 1) or silently
+// switching novelty archiving off (NaN).
+func TestNewRejectsBadArchiveNovelty(t *testing.T) {
+	for _, n := range []float64{1.5, math.NaN(), -0.1} {
+		o := Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,
+			Archive: &ArchiveOptions{}, ArchiveNovelty: n}
+		if _, err := New(o); err == nil {
+			t.Errorf("ArchiveNovelty %g accepted", n)
+		}
+	}
+	for _, n := range []float64{0, 0.4, 1} {
+		o := Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,
+			Archive: &ArchiveOptions{}, ArchiveNovelty: n}
+		eng, err := New(o)
+		if err != nil {
+			t.Fatalf("ArchiveNovelty %g rejected: %v", n, err)
+		}
+		eng.Close()
 	}
 }
 
