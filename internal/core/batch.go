@@ -41,10 +41,10 @@ import (
 // core career, all on private state.
 //
 // Phase 2 (sequential): cell creation from the links phase 1a recorded,
-// cell membership, reverse neighbor wiring, and the career growth of
-// *existing* objects (their trackers are shared, so the θc-order-statistic
-// updates replay in arrival order, exactly as the sequential path performs
-// them).
+// ring placement, cell membership, reverse neighbor wiring, and the career
+// growth of *existing* objects (their trackers are shared, so the
+// θc-order-statistic updates replay in arrival order, exactly as the
+// sequential path performs them).
 //
 // Phase 3 (sequential): one refresh per touched object — each new object
 // plus each existing object whose career grew — using final careers.
@@ -113,9 +113,10 @@ const discoveryRun = 32
 // runs between segments) and each segment goes through insertSegment as
 // one unit, whose neighbor-discovery phase fans out across Config.Workers
 // goroutines. Errors (dimension mismatch, a point the grid cannot index,
-// out-of-order position) abort the batch at the offending tuple, with
-// every earlier tuple fully applied — again matching a sequential Push
-// loop that stops at the first error.
+// out-of-order position, a live id span too wide for 32-bit neighbor refs)
+// abort the batch at the offending tuple, with every earlier tuple fully
+// applied — again matching a sequential Push loop that stops at the first
+// error.
 func (e *Extractor) PushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, error) {
 	if tss != nil && len(tss) != len(pts) {
 		return nil, fmt.Errorf("core: PushBatch got %d timestamps for %d tuples", len(tss), len(pts))
@@ -146,6 +147,14 @@ func (e *Extractor) pushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, e
 	}
 	for i, p := range pts {
 		if err := e.checkPoint(p); err != nil {
+			flush()
+			return out, err
+		}
+		first := int64(-1)
+		if len(seg) > 0 {
+			first = seg[0].id
+		}
+		if err := e.checkSpan(e.nextID, first); err != nil {
 			flush()
 			return out, err
 		}
@@ -204,10 +213,13 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 
 	// Phase 0: materialize the segment's objects (phase 1 reads them
 	// cross-tuple for intra-segment careers) and group the segment by
-	// occupied cell, in first-touch order. Index lists are ascending.
+	// occupied cell, in first-touch order. Index lists are ascending. The
+	// objects' trackers share one heap arena, θc values each.
 	objs := make([]*object, n)
-	existing := make([][]*object, n)
+	nex := make([]int32, n) // existing neighbors: a prefix of each o.nbrs
 	tupCell := make([]int32, n)
+	thetaC := e.cfg.ThetaC
+	heaps := make([]int64, n*thetaC)
 	var cells []segCell
 	clear(e.segCells)
 	e.segBlocks.Reset()
@@ -217,7 +229,7 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 			p:        t.p,
 			last:     e.cfg.Window.LastWindow(t.pos),
 			coreLast: window.Never,
-			tracker:  window.NewCoreTracker(e.cfg.ThetaC),
+			tracker:  window.NewCoreTrackerIn(thetaC, heaps[k*thetaC:(k+1)*thetaC]),
 		}
 		coord := e.geo.CoordOf(t.p)
 		ci, ok := e.segCells[coord]
@@ -233,21 +245,23 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 
 	// Phase 1a (parallel over runs of cells): resolve each cell's
 	// intra-segment candidates, and find each fresh cell's neighbor cells
-	// once. A run's cells share one buffer for their segment neighbors.
+	// once. A run's cells share one buffer for their segment neighbors and
+	// one scratch for their block queries.
 	par.ForEach(workers, (len(cells)+discoveryRun-1)/discoveryRun, func(run int) {
 		var near []int32
+		var s nearScratch
 		for i := run * discoveryRun; i < min(len(cells), (run+1)*discoveryRun); i++ {
-			near = e.resolveSegCell(cells, i, near[:0])
+			near = e.resolveSegCell(cells, i, near[:0], &s)
 		}
 	})
 
 	// Phase 1b (parallel over runs of tuples): the range query searches
 	// over the frozen state + private career/neighbor-list construction.
 	// Each run of discoveryRun tuples collects neighbors in one reused
-	// buffer, so o.nbrs is allocated once, at its exact size. The
-	// existing neighbors come first in o.nbrs, and existing[k] is that
-	// prefix: phase 2 appends only to pre-segment objects' lists, and
-	// phase 3 compacts o.nbrs only after phase 2 is done.
+	// buffer, so o.nbrs is allocated once, at its exact size. The refs of
+	// the existing neighbors come first in o.nbrs, and nex[k] is that
+	// prefix's length: phase 2 appends only to pre-segment objects' lists,
+	// and phase 3 compacts o.nbrs only after phase 2 is done.
 	r2 := e.cfg.ThetaR * e.cfg.ThetaR
 	par.ForEach(workers, (n+discoveryRun-1)/discoveryRun, func(run int) {
 		var buf []*object
@@ -256,19 +270,18 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 			p := seg[k].p
 			sc := &cells[tupCell[k]]
 			buf = e.discoverInto(p, sc.c, sc.links, buf[:0])
-			nex := len(buf)
+			nex[k] = int32(len(buf))
 			for _, m := range sc.cands {
 				if int(m) != k && geom.DistSq(p, seg[m].p) <= r2 {
 					buf = append(buf, objs[m])
 				}
 			}
-			o.nbrs = make([]*object, len(buf))
-			copy(o.nbrs, buf)
-			for _, q := range o.nbrs {
+			o.nbrs = make([]uint32, len(buf))
+			for i, q := range buf {
+				o.nbrs[i] = uint32(q.id)
 				o.tracker.Add(q.last)
 			}
 			o.coreLast = o.tracker.CoreLast(o.last)
-			existing[k] = o.nbrs[:nex:nex]
 		}
 	})
 	metricDiscoverySeconds.Observe(time.Since(discoveryStart))
@@ -278,8 +291,9 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	applySpan := e.tr.Start("apply")
 	applyStart := time.Now()
 
-	// Phase 2 (sequential): cell creation, cell membership and
-	// shared-state career updates, in arrival order.
+	// Phase 2 (sequential): cell creation, ring placement, cell membership
+	// and shared-state career updates, in arrival order. Each object is in
+	// the ring before its ref reaches an existing neighbor's list.
 	var grown []*object
 	for k := range seg {
 		o := objs[k]
@@ -309,14 +323,14 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 		o.cell = c
 		o.cellIdx = len(c.objs)
 		c.objs = append(c.objs, o)
-		e.objCount++
-		e.expiry[o.last] = append(e.expiry[o.last], o)
+		e.ring.put(o)
 
 		// Intra-segment pairs were fully handled in phase 1 (both sides'
 		// trackers and neighbor lists); only pre-existing neighbors carry
 		// shared trackers that must grow in arrival order.
-		for _, q := range existing[k] {
-			q.nbrs = append(q.nbrs, o)
+		for _, ref := range o.nbrs[:nex[k]] {
+			q := e.ring.resolve(ref) // live: the segment expires nothing
+			q.nbrs = append(q.nbrs, uint32(o.id))
 			if q.tracker.Add(o.last) {
 				if nl := q.tracker.CoreLast(q.last); nl > q.coreLast {
 					q.coreLast = nl
@@ -343,14 +357,21 @@ func (e *Extractor) insertSegment(seg []batchEntry) {
 	applySpan.End()
 }
 
+// nearScratch is one phase-1a run's scratch for its block queries, on the
+// segment's blocks and on the window state's.
+type nearScratch struct {
+	seg grid.NearScratch[int32]
+	win grid.NearScratch[*cell]
+}
+
 // resolveSegCell is phase 1a for segment cell i: it fills the cell's
 // intra-segment candidates and, for a fresh cell, its links. near is
 // scratch for the cell's segment neighbors; the grown buffer is returned.
-func (e *Extractor) resolveSegCell(cells []segCell, i int, near []int32) []int32 {
+func (e *Extractor) resolveSegCell(cells []segCell, i int, near []int32, s *nearScratch) []int32 {
 	sc := &cells[i]
-	near = e.segBlocks.Near(sc.coord, near)
+	near = e.segBlocks.Near(sc.coord, near, &s.seg)
 	if sc.c == nil {
-		sc.links = e.blocks.Near(sc.coord, nil)
+		sc.links = e.blocks.Near(sc.coord, nil, &s.win)
 		// The fresh segment cells created before this one, at their
 		// places among the window state's cells (both in coordinate
 		// order).

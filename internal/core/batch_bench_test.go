@@ -37,7 +37,7 @@ func BenchmarkParallelDiscovery(b *testing.B) {
 	for k, p := range batch {
 		coord := ex.geo.CoordOf(p)
 		if cells[k] = ex.cells[coord]; cells[k] == nil {
-			links[k] = ex.blocks.Near(coord, nil)
+			links[k] = ex.blocks.Near(coord, nil, nil)
 		}
 	}
 	bufs := make([][]*object, len(batch))

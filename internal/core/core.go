@@ -82,7 +82,82 @@ type object struct {
 	coreLast int64 // predicted last core window (window.Never if none)
 	grownSeg int64 // batch segment that last recorded a career growth (dedup)
 	tracker  window.CoreTracker
-	nbrs     []*object // neighbor refs; pruned lazily (see compactNbrs)
+	// nbrs holds one ref per neighbor: the low 32 bits of its id, resolved
+	// through the extractor's ring. refresh and resolveEdgeCell drop the
+	// refs of expired neighbors as they pass.
+	nbrs []uint32
+}
+
+// maxSpan bounds the ids of the window state: the oldest live id and the
+// id of any tuple admitted after it differ by less than maxSpan, so that
+// the 32-bit ref a live object holds — even one to a neighbor expired
+// since — names no other live object (doc.go, "Window state").
+const maxSpan = 1 << 31
+
+// ring holds the live objects in arrival order, indexed by tuple id: the
+// object with id i sits in slots[i&mask]. [lo, hi) is the live id span:
+// lo is the oldest live id (hi when the ring is empty) and hi is one past
+// the newest. Ids skipped by a rejected tuple leave nil slots inside the
+// span; every slot outside it is nil.
+type ring struct {
+	slots  []*object // power-of-two length
+	mask   int64
+	lo, hi int64
+	live   int // non-nil slots
+}
+
+// minRing is the ring's initial capacity.
+const minRing = 64
+
+func newRing() ring {
+	return ring{slots: make([]*object, minRing), mask: minRing - 1}
+}
+
+// resolve returns the live object the ref names, or nil if that object has
+// expired: its slot is empty, or holds a later object.
+func (r *ring) resolve(ref uint32) *object {
+	if o := r.slots[int64(ref)&r.mask]; o != nil && uint32(o.id) == ref {
+		return o
+	}
+	return nil
+}
+
+// put places o, whose id must exceed every id placed before, doubling the
+// capacity until the live span fits.
+func (r *ring) put(o *object) {
+	if r.live == 0 {
+		r.lo = o.id
+	}
+	for o.id-r.lo >= int64(len(r.slots)) {
+		slots := make([]*object, 2*len(r.slots))
+		mask := int64(len(slots) - 1)
+		for id := r.lo; id < r.hi; id++ {
+			slots[id&mask] = r.slots[id&r.mask]
+		}
+		r.slots, r.mask = slots, mask
+	}
+	r.slots[o.id&r.mask] = o
+	r.hi = o.id + 1
+	r.live++
+}
+
+// front returns the oldest live object, or nil if the ring is empty.
+func (r *ring) front() *object {
+	if r.live == 0 {
+		return nil
+	}
+	return r.slots[r.lo&r.mask]
+}
+
+// pop removes the oldest live object and moves lo past the empty slots
+// behind it.
+func (r *ring) pop() {
+	r.slots[r.lo&r.mask] = nil
+	r.live--
+	r.lo++
+	for r.lo < r.hi && r.slots[r.lo&r.mask] == nil {
+		r.lo++
+	}
 }
 
 // cell is a skeletal grid cell with its live objects and lifespans
@@ -143,15 +218,18 @@ type Extractor struct {
 
 	cells  map[grid.Coord]*cell
 	blocks *grid.Blocks[*cell] // the cells again, for neighborhood queries
-	expiry map[int64][]*object // window n -> objects with last == n
+	ring   ring                // the live objects, by id
+
+	// near and cands are Push's scratch for the block query and the range
+	// query search.
+	near  grid.NearScratch[*cell]
+	cands []*object
 
 	// segCells and segBlocks index the cells of the batch segment being
 	// inserted, by coordinate and by block; each segment empties them and
 	// reuses their storage.
 	segCells  map[grid.Coord]int32
 	segBlocks *grid.Blocks[int32]
-
-	objCount int
 
 	// tr is the in-flight batch's span trace (flight recorder category
 	// Ingest), set only for the duration of a PushBatch; nil otherwise
@@ -175,7 +253,7 @@ func New(cfg Config) (*Extractor, error) {
 		lastPos: -1,
 		cells:   make(map[grid.Coord]*cell),
 		blocks:  grid.NewBlocks[*cell](geo),
-		expiry:  make(map[int64][]*object),
+		ring:    newRing(),
 
 		segCells:  make(map[grid.Coord]int32),
 		segBlocks: grid.NewBlocks[int32](geo),
@@ -193,7 +271,7 @@ func (e *Extractor) CurrentWindow() int64 { return e.cur }
 
 // Stats returns live meta-data counts.
 func (e *Extractor) Stats() Stats {
-	s := Stats{Cells: len(e.cells), Objects: e.objCount}
+	s := Stats{Cells: len(e.cells), Objects: e.ring.live}
 	for _, c := range e.cells {
 		s.Connections += c.conns.Len()
 	}
@@ -208,6 +286,9 @@ func (e *Extractor) Stats() Stats {
 // that window's content is complete).
 func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*WindowResult, error) {
 	if err := e.checkPoint(p); err != nil {
+		return 0, nil, err
+	}
+	if err := e.checkSpan(e.nextID, -1); err != nil {
 		return 0, nil, err
 	}
 	id := e.nextID
@@ -244,6 +325,22 @@ func (e *Extractor) checkPoint(p geom.Point) error {
 	}
 	if err := e.geo.Check(p); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// checkSpan rejects the tuple that would take id if admitting it could
+// stretch the live id span to maxSpan. first is the id of the oldest tuple
+// admitted but not yet placed in the ring (PushBatch's pending segment),
+// or -1 if there is none. The span is measured before the tuple's
+// arrival expires anything, the same in Push and PushBatch.
+func (e *Extractor) checkSpan(id, first int64) error {
+	oldest := first
+	if e.ring.live > 0 {
+		oldest = e.ring.lo
+	}
+	if oldest >= 0 && id-oldest >= maxSpan {
+		return fmt.Errorf("core: tuple %d would span %d ids of window state from tuple %d; the limit is %d", id, id-oldest+1, oldest, maxSpan)
 	}
 	return nil
 }

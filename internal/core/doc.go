@@ -35,6 +35,33 @@
 // bucketed neighbor lists) so that every career growth refreshes the
 // affected cell connections.
 //
+// # Window state
+//
+// The live objects sit in a ring indexed by tuple id: the object with id i
+// in slot i mod the ring's capacity, a power of two that doubles whenever
+// the span of live ids outgrows it. A position never decreases with the
+// id, so neither does an object's last window, and objects expire in id
+// order: emitting window n pops the ring's oldest objects while their last
+// window is n. Ids of rejected tuples leave empty slots, which the pop
+// steps over.
+//
+// A neighbor list holds 32-bit refs — the low 32 bits of each neighbor's
+// id — instead of pointers, so the GC neither scans the lists nor pays a
+// write barrier to extend them, and an expired object is garbage as soon
+// as it leaves its cell and the ring. A ref resolves to the object in its
+// slot only if that object's low id bits equal the ref; otherwise the
+// neighbor has expired. The window state admits no tuple whose id is
+// 2^31 or more above the oldest live id (Push and PushBatch reject it,
+// like an out-of-order one), which keeps a ref from ever naming the wrong
+// object: a ref held by a live object a names an object b that was live
+// together with a, so b's id is within 2^31 of a's, and a's is within
+// 2^31 of every live id; b's id therefore differs from every live id other
+// than its own by less than 2^32, and its low 32 bits are its own. (A
+// bound of 2^32 on the live span alone would not do: once b expires, a
+// live id can lie 2^32 above b's, through a.) Liveness by ref agrees with
+// the window index: expiry empties a slot before the current window
+// advances past the object's last window.
+//
 // # Invariants
 //
 // Two monotonicity facts carry the whole implementation:

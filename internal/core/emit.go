@@ -172,11 +172,14 @@ func (e *Extractor) emit() *WindowResult {
 	// --- Expiration stage ---------------------------------------------------
 	// All structural impact of expiry was pre-computed at insertion; the
 	// only work left is dropping the raw tuples whose lifespan ends with
-	// this window (§5.4 "Handling Expirations").
-	for _, o := range e.expiry[n] {
+	// this window (§5.4 "Handling Expirations"). Last windows grow with
+	// ids, so those tuples are the oldest in the ring. Their slots empty
+	// before cur advances, so a ref resolves exactly while its object is
+	// in a window not yet emitted.
+	for o := e.ring.front(); o != nil && o.last == n; o = e.ring.front() {
+		e.ring.pop()
 		e.removeObject(o)
 	}
-	delete(e.expiry, n)
 	e.cur = n + 1
 	MetricEmitSeconds.Observe(time.Since(start))
 	MetricWindows.Inc()
@@ -217,11 +220,12 @@ func (e *Extractor) resolveEdgeCell(ec *emitEdgeCell, n int64, comp map[*cell]in
 	for _, o := range ec.cell.objs {
 		gset = gset[:0]
 		live := 0
-		for _, b := range o.nbrs {
-			if b.last < e.cur {
+		for _, ref := range o.nbrs {
+			b := e.ring.resolve(ref)
+			if b == nil {
 				continue
 			}
-			o.nbrs[live] = b
+			o.nbrs[live] = ref
 			live++
 			if b.coreLast < n {
 				continue
@@ -365,10 +369,8 @@ func (e *Extractor) removeObject(o *object) {
 	moved := c.objs[last]
 	c.objs[o.cellIdx] = moved
 	moved.cellIdx = o.cellIdx
+	c.objs[last] = nil
 	c.objs = c.objs[:last]
-	e.objCount--
-	o.nbrs = nil // break retention chains through expired objects
-	o.cell = nil
 	if len(c.objs) == 0 {
 		for _, nc := range c.nbrCells {
 			for i, x := range nc.nbrCells {

@@ -27,9 +27,11 @@ func (e *Extractor) insert(id int64, p geom.Point, pos int64) {
 	c := e.cells[coord]
 	var links []*cell
 	if c == nil {
-		links = e.blocks.Near(coord, nil)
+		links = e.blocks.Near(coord, nil, &e.near)
 	}
-	e.applyInsert(id, p, pos, coord, c, links, e.discoverInto(p, c, links, nil))
+	e.cands = e.discoverInto(p, c, links, e.cands[:0])
+	e.applyInsert(id, p, pos, coord, c, links, e.cands)
+	clear(e.cands) // hold no expired object past its window
 }
 
 // discoverInto appends to buf every live object within θr of p — the
@@ -78,9 +80,9 @@ func (e *Extractor) materialize(coord grid.Coord, links []*cell) *cell {
 	return c
 }
 
-// applyInsert wires one tuple with pre-discovered neighbors cands (which
-// become its neighbor list) into the window state: cell membership,
-// neighbor references on both sides, career (re)computation, and
+// applyInsert wires one tuple with pre-discovered neighbors cands (whose
+// refs become its neighbor list) into the window state: ring placement,
+// cell membership, neighbor refs on both sides, career (re)computation, and
 // propagation of every career growth to cell statuses and connections. c
 // is the tuple's cell, or nil if it is not materialized yet, in which case
 // links are its links from the block index. It must see cands exactly as a
@@ -101,15 +103,15 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Co
 	o.cell = c
 	o.cellIdx = len(c.objs)
 	c.objs = append(c.objs, o)
-	e.objCount++
-	e.expiry[o.last] = append(e.expiry[o.last], o)
+	e.ring.put(o)
 
 	// Record the neighborships on both sides (Observation 5.3: their
 	// lifespans are the min of the two expiries, implicit in the refs).
-	o.nbrs = cands
+	o.nbrs = make([]uint32, len(cands))
 	var affected []*object
-	for _, q := range cands {
-		q.nbrs = append(q.nbrs, o)
+	for i, q := range cands {
+		o.nbrs[i] = uint32(q.id)
+		q.nbrs = append(q.nbrs, uint32(o.id))
 		o.tracker.Add(q.last)
 		// The arrival may promote q to core or prolong q's core career
 		// (the "status promotion case 2"/"status prolong case 2" of
@@ -163,11 +165,12 @@ func (e *Extractor) refresh(a *object) {
 	// cell changes.
 	var memoCell *cell
 	var memoEA, memoEB *conntab.Entry
-	for _, b := range a.nbrs {
-		if b.last < e.cur { // expired neighbor: prune lazily
+	for _, ref := range a.nbrs {
+		b := e.ring.resolve(ref)
+		if b == nil { // expired neighbor: prune lazily
 			continue
 		}
-		a.nbrs[live] = b
+		a.nbrs[live] = ref
 		live++
 		cb := b.cell
 		if cb == ca {

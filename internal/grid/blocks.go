@@ -13,9 +13,9 @@ import "slices"
 // Coordinates must lie within [MinInt32+Reach(), MaxInt32−Reach()], the
 // range Geometry.Check admits, so c ± Reach() never wraps.
 //
-// Blocks is single-writer: Near performs no mutation, so any number of
-// goroutines may call it concurrently provided no Add or Remove overlaps
-// with them.
+// Blocks is single-writer: Near performs no mutation of the index, so any
+// number of goroutines may call it concurrently, each with its own
+// NearScratch, provided no Add or Remove overlaps with them.
 type Blocks[V any] struct {
 	geo   *Geometry
 	reach int64
@@ -96,11 +96,20 @@ func (b *Blocks[V]) Remove(c Coord) bool {
 	return false
 }
 
+// NearScratch is working storage for Near. A caller that keeps one and
+// passes it to every call stops allocating once it has grown to the
+// largest neighborhood met. It is not safe for concurrent use: concurrent
+// Near calls take one scratch each.
+type NearScratch[V any] struct {
+	hits []blockCell[V]
+}
+
 // Near appends to dst the values of the occupied cells other than c that
 // can hold points within θr of a point in c (CanNeighbor), in coordinate
 // order (Compare). For a cell c, coordinate order is the order of the
-// offsets c+off: ascending off, first dimension most significant.
-func (b *Blocks[V]) Near(c Coord, dst []V) []V {
+// offsets c+off: ascending off, first dimension most significant. s holds
+// the hits while they are sorted; a nil s costs an allocation per call.
+func (b *Blocks[V]) Near(c Coord, dst []V, s *NearScratch[V]) []V {
 	// The block of c − reach in every dimension, and the dimensions in
 	// which c + reach falls into the next block.
 	lo := Coord{D: c.D}
@@ -115,8 +124,10 @@ func (b *Blocks[V]) Near(c Coord, dst []V) []V {
 			ns++
 		}
 	}
-	var buf [32]blockCell[V] // keeps the usual few hits off the heap
-	hits := buf[:0]
+	if s == nil {
+		s = new(NearScratch[V])
+	}
+	hits := s.hits[:0]
 	for mask := 0; mask < 1<<ns; mask++ {
 		k := lo
 		for j := 0; j < ns; j++ {
@@ -134,5 +145,7 @@ func (b *Blocks[V]) Near(c Coord, dst []V) []V {
 	for _, h := range hits {
 		dst = append(dst, h.v)
 	}
+	clear(hits) // drop the references the values may hold
+	s.hits = hits[:0]
 	return dst
 }

@@ -149,6 +149,7 @@ func TestBlocksMatchBruteForce(t *testing.T) {
 				b := NewBlocks[int](g)
 				occ := make(map[Coord]int)
 				var cells []Coord
+				var scratch NearScratch[int]
 				for step := 0; step < 150; step++ {
 					if step%50 == 49 { // refill from the lists Reset keeps
 						b.Reset()
@@ -178,7 +179,7 @@ func TestBlocksMatchBruteForce(t *testing.T) {
 						queries = append(queries, cells[rng.Intn(len(cells))])
 					}
 					for _, q := range queries {
-						got := b.Near(q, nil)
+						got := b.Near(q, nil, &scratch)
 						if want := bruteNear(g, occ, q); !slices.Equal(got, want) {
 							t.Fatalf("%s step %d: Near(%v) = %v, brute force %v", name, step, q, got, want)
 						}
@@ -230,6 +231,7 @@ func FuzzBlocks(f *testing.F) {
 		}
 		b := NewBlocks[int](g)
 		occ := make(map[Coord]int)
+		var scratch NearScratch[int] // reused across queries, as core does
 		for n := 1; ; n++ {
 			if len(data) == 0 {
 				break
@@ -251,12 +253,12 @@ func FuzzBlocks(f *testing.F) {
 				occ[c] = n
 			}
 			checkLayout(t, b, occ)
-			if got, want := b.Near(c, nil), bruteNear(g, occ, c); !slices.Equal(got, want) {
+			if got, want := b.Near(c, nil, &scratch), bruteNear(g, occ, c); !slices.Equal(got, want) {
 				t.Fatalf("Near(%v) = %v, brute force %v", c, got, want)
 			}
 		}
 		if q, ok := next(); ok {
-			if got, want := b.Near(q, nil), bruteNear(g, occ, q); !slices.Equal(got, want) {
+			if got, want := b.Near(q, nil, &scratch), bruteNear(g, occ, q); !slices.Equal(got, want) {
 				t.Fatalf("Near(%v) = %v, brute force %v", q, got, want)
 			}
 		}
@@ -281,9 +283,10 @@ func TestBlocksConcurrentNear(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
+			var scratch NearScratch[int]
 			for i := w; i < 200; i += 4 {
 				q := CoordOf(int32(i%30-15), int32(i/7%30-15), int32(i/3%30-15))
-				if got, want := b.Near(q, nil), bruteNear(g, occ, q); !slices.Equal(got, want) {
+				if got, want := b.Near(q, nil, &scratch), bruteNear(g, occ, q); !slices.Equal(got, want) {
 					t.Errorf("Near(%v) = %v, brute force %v", q, got, want)
 					return
 				}
@@ -292,6 +295,37 @@ func TestBlocksConcurrentNear(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		<-done
+	}
+}
+
+// TestNearAllocs: with a warm scratch and room in dst, Near allocates
+// nothing, also when it finds far more occupied cells than a small stack
+// buffer would hold (common at dimension 4).
+func TestNearAllocs(t *testing.T) {
+	g := mustGeo(t, 4, 1)
+	b := NewBlocks[int](g)
+	r := g.Reach()
+	n := 0
+	for x := -r; x <= r; x++ {
+		for y := -r; y <= r; y++ {
+			for z := -r; z <= r; z++ {
+				for w := -r; w <= r; w++ {
+					n++
+					b.Add(CoordOf(x, y, z, w), n)
+				}
+			}
+		}
+	}
+	origin := CoordOf(0, 0, 0, 0)
+	var scratch NearScratch[int]
+	dst := b.Near(origin, nil, &scratch)
+	if len(dst) <= 32 {
+		t.Fatalf("only %d hits; the test needs more than 32", len(dst))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = b.Near(origin, dst[:0], &scratch)
+	}); allocs != 0 {
+		t.Errorf("Near allocated %.0f times per call with %d hits, want 0", allocs, len(dst))
 	}
 }
 
@@ -378,8 +412,9 @@ func BenchmarkNearVsOffsetWalk(b *testing.B) {
 		var sink int
 		b.Run(fmt.Sprintf("dim%d/near", dim), func(b *testing.B) {
 			var buf []int
+			var scratch NearScratch[int]
 			for i := 0; i < b.N; i++ {
-				buf = blocks.Near(queries[i%len(queries)], buf[:0])
+				buf = blocks.Near(queries[i%len(queries)], buf[:0], &scratch)
 				sink += len(buf)
 			}
 		})

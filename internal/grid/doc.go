@@ -24,9 +24,10 @@
 // concurrent use; it holds only the dimension, side, radius and reach, so
 // NewGeometry costs O(1) at every dimension.
 //
-// Blocks is single-writer; its Near query performs no mutation, so any
-// number of goroutines may call it concurrently provided no Add/Remove
-// overlaps with them.
+// Blocks is single-writer; its Near query performs no mutation of the
+// index, so any number of goroutines may call it concurrently, each with a
+// NearScratch of its own (or none), provided no Add/Remove overlaps with
+// them.
 //
 // PointIndex is single-writer. Its read path — RangeQuery, Neighbors,
 // CountNeighbors, Cells, Len, Geometry — performs no mutation of any kind

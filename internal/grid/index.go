@@ -30,6 +30,7 @@ type PointIndex struct {
 	geo    *Geometry
 	cells  map[Coord]*pcell
 	blocks *Blocks[*pcell]
+	near   NearScratch[*pcell] // Near's scratch on the single-writer path
 	size   int
 }
 
@@ -49,7 +50,7 @@ func (ix *PointIndex) cellOf(c Coord, create bool) *pcell {
 	if pc != nil || !create {
 		return pc
 	}
-	pc = &pcell{coord: c, nbrs: ix.blocks.Near(c, nil)}
+	pc = &pcell{coord: c, nbrs: ix.blocks.Near(c, nil, &ix.near)}
 	for _, nb := range pc.nbrs {
 		nb.nbrs = append(nb.nbrs, pc)
 	}
@@ -121,7 +122,7 @@ func (ix *PointIndex) RangeQuery(q geom.Point, visit func(Entry) bool) {
 		// The query point's own cell is unoccupied, so it has no links;
 		// find the occupied cells around it in the blocks (queries are
 		// usually for stored points, so this path is rare).
-		for _, pc := range ix.blocks.Near(ix.geo.CoordOf(q), nil) {
+		for _, pc := range ix.blocks.Near(ix.geo.CoordOf(q), nil, nil) {
 			if !scan(pc) {
 				return
 			}

@@ -27,10 +27,16 @@ type CoreTracker struct {
 
 // NewCoreTracker returns a tracker for count threshold thetaC (>= 1).
 func NewCoreTracker(thetaC int) CoreTracker {
-	if thetaC < 1 {
-		thetaC = 1
-	}
-	return CoreTracker{k: thetaC, heap: make([]int64, 0, thetaC)}
+	return NewCoreTrackerIn(thetaC, make([]int64, max(thetaC, 1)))
+}
+
+// NewCoreTrackerIn returns a tracker for count threshold thetaC (>= 1)
+// that keeps its heap in buf, which must hold at least thetaC values. The
+// tracker never writes past buf[thetaC-1], so one allocation can back the
+// trackers of many objects, each on its own thetaC-wide sub-slice.
+func NewCoreTrackerIn(thetaC int, buf []int64) CoreTracker {
+	thetaC = max(thetaC, 1)
+	return CoreTracker{k: thetaC, heap: buf[:0:thetaC]}
 }
 
 // Add records a neighbor whose last participating window is last.
