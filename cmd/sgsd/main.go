@@ -10,16 +10,20 @@
 //
 //	sgsd -query "..." -source csv -csv data.csv -cols 0,1,2,3 -tscol 4
 //
-// With -archive FILE, every emitted summary is archived and the pattern
-// base is saved on exit (inspect it with sgstool). With -store DIR the
-// pattern base gains a disk tier: summaries evicted from memory (cap it
-// with -store-mem) demote into immutable on-disk segments that stay
+// With -store DIR every emitted summary is archived into a pattern base
+// persisted as a segment store, the only on-disk form of the stream
+// history (inspect it with sgstool). Summaries evicted from memory (cap
+// it with -store-mem) demote into immutable on-disk segments that stay
 // matchable, so /match queries span the whole stream history while
-// resident memory stays bounded; on clean exit the memory tier is
-// flushed to the store, which then survives restarts. With -store-cache
-// BYTES, decoded summaries of disk-resident clusters are cached (the
-// budget is carved out of -store-mem), so repeated queries over the
-// same history decode each summary once; /stats reports the hit ratio.
+// resident memory stays bounded. A demoted segment is durable once it
+// commits (fsync, then the manifest rename); the memory tier is flushed
+// to the store at a clean exit; a crash loses at most the memory tier
+// (plus the few demotion batches not yet committed), which -store-mem
+// bounds. Restarting over the same DIR resumes the history, with
+// archive ids continuing past it. With -store-cache BYTES, decoded
+// summaries of disk-resident clusters are cached (the budget is carved
+// out of -store-mem), so repeated queries over the same history decode
+// each summary once; /stats reports the hit ratio.
 //
 // With -batch N (N = the query's slide is a good choice), tuples are fed
 // through the engine's batched ingest path. -parallelism P bounds every
@@ -67,7 +71,6 @@ import (
 	"time"
 
 	"streamsum"
-	"streamsum/internal/archive"
 	"streamsum/internal/gen"
 	"streamsum/internal/geom"
 	"streamsum/internal/obs"
@@ -105,13 +108,11 @@ func main() {
 	cols := flag.String("cols", "0,1", "coordinate columns (csv source)")
 	tsCol := flag.Int("tscol", -1, "timestamp column, -1 = row number (csv source)")
 	members := flag.Bool("members", false, "include member ids in output")
-	archivePath := flag.String("archive", "", "save the pattern base to this file on exit")
-	logPath := flag.String("log", "", "append summaries to this crash-safe log as windows complete")
 	parallelism := flag.Int("parallelism", 0, "goroutines for every fan-out inside the engine: batched neighbor discovery, output-stage summary construction, /match filter and refine, /subscribe evaluation (0 = one per CPU, 1 = sequential); windows, match results and events are byte-identical at every setting")
 	batch := flag.Int("batch", 0, "ingest batch size; 0 pushes tuple-by-tuple, otherwise tuples are fed through PushBatch in batches of this size (the query's slide is a good value)")
 	httpAddr := flag.String("http", "", "serve matching queries over HTTP on this address (e.g. :8080) concurrently with ingestion; implies archiving")
-	storePath := flag.String("store", "", "attach a disk tier to the pattern base under this directory; implies archiving. Evicted summaries demote into on-disk segments (inspect with sgstool inspect), stay matchable, and survive restarts — the memory tier is flushed to the store on clean exit")
-	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store); overflow demotes the oldest summaries to disk. 0 = no byte bound")
+	storePath := flag.String("store", "", "archive every summary into a pattern base persisted as a segment store under this directory (the only on-disk form; inspect with sgstool). Evicted summaries demote into on-disk segments that stay matchable; the memory tier is flushed to the store on clean exit, and a restart over the same directory resumes the history")
+	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store); overflow demotes the oldest summaries to disk, and it bounds what a crash can lose. 0 = no byte bound: nothing reaches disk before a clean exit")
 	storeCache := flag.Int("store-cache", 0, "decoded-summary cache budget in bytes (requires -store); carved out of -store-mem when both are set, so it must be smaller. Repeat queries over disk-resident summaries then decode once per residency. 0 = off")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -http server")
 	slowQuery := flag.Duration("slow-query", 0, "log any /match query or standing-query window evaluation whose wall time meets this threshold, with a per-phase breakdown (e.g. 50ms); 0 = off")
@@ -123,14 +124,23 @@ stream and emits one JSON line per window with the clusters in both
 representations (full member list and Skeletal Grid Summarization).
 
 The stream comes from a built-in synthetic workload (-source stt or gmti)
-or a CSV file (-source csv with -csv, -cols, -tscol). With -archive FILE
-every emitted summary is archived and the pattern base is saved on exit
-(inspect it with sgstool). With -log FILE summaries are appended to a
-crash-safe log as windows complete. With -store DIR the pattern base
-tiers to disk: summaries evicted from the in-memory tier (bounded by
--store-mem bytes) demote into on-disk segments that remain fully
-matchable, so the archived history outgrows RAM while /match latency
-and resident memory stay flat (inspect segments with sgstool inspect).
+or a CSV file (-source csv with -csv, -cols, -tscol).
+
+With -store DIR every emitted summary is archived and the pattern base
+persists as a segment store in DIR, its only on-disk form (inspect it
+with sgstool list, stats, show, match or inspect). Summaries evicted
+from the in-memory tier (bounded by -store-mem bytes) demote into
+on-disk segments that remain fully matchable, so the archived history
+outgrows RAM while /match latency and resident memory stay flat.
+Crash semantics:
+  - a demoted segment is durable once it commits (fsync, then the
+    manifest rename);
+  - the memory tier is flushed to the store at a clean exit;
+  - a crash loses at most the memory tier (plus the few demotion
+    batches not yet committed), which -store-mem bounds; with
+    -store-mem 0 nothing reaches disk before a clean exit.
+Restarting sgsd over the same DIR resumes the history; archive ids
+continue past it. One process at a time may hold DIR.
 
 With -http ADDR sgsd additionally serves cluster matching queries (the
 paper's Figure 3 syntax, GIVEN target = an archive id) over HTTP while
@@ -212,7 +222,7 @@ Flags:
 	if err != nil {
 		fatal("parsing -query", "err", err)
 	}
-	if *archivePath != "" || *httpAddr != "" || *storePath != "" {
+	if *httpAddr != "" || *storePath != "" {
 		opts.Archive = &streamsum.ArchiveOptions{}
 	}
 	opts.Parallelism = *parallelism
@@ -261,37 +271,11 @@ Flags:
 		logger.Info("serving matching queries", "addr", ln.Addr().String())
 	}
 
-	var appender *archive.Appender
-	if *logPath != "" {
-		lf, err := os.Create(*logPath)
-		if err != nil {
-			fatal("creating summary log", "path", *logPath, "err", err)
-		}
-		defer lf.Close()
-		appender, err = archive.NewAppender(lf)
-		if err != nil {
-			fatal("starting summary log", "path", *logPath, "err", err)
-		}
-	}
-
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	enc := json.NewEncoder(out)
 
 	emit := func(w *streamsum.WindowResult) {
-		if appender != nil {
-			for _, c := range w.Clusters {
-				if c.Summary == nil {
-					continue
-				}
-				if err := appender.Append(c.Summary); err != nil {
-					fatal("appending to summary log", "err", err)
-				}
-			}
-			if err := appender.Flush(); err != nil { // crash-consistency point
-				fatal("flushing summary log", "err", err)
-			}
-		}
 		wj := windowJSON{Window: w.Window, Clusters: make([]clusterJSON, 0, len(w.Clusters))}
 		for _, c := range w.Clusters {
 			cj := clusterJSON{ID: c.ID, Size: len(c.Members), Cores: len(c.Cores)}
@@ -379,7 +363,7 @@ Flags:
 	// Shutdown ordering: drain the HTTP server before touching the
 	// pattern base's persistence. A /match in flight at interrupt time
 	// holds a snapshot into the base (and, with -store, into its segment
-	// files), so the final Save and the store teardown must wait until
+	// files), so the final store flush and teardown must wait until
 	// Shutdown has returned — closing first would race the last queries
 	// against the final flush. The drain has no deadline (a deadline
 	// that fires would re-create exactly that race); a second interrupt
@@ -400,22 +384,6 @@ Flags:
 		if err := srv.Shutdown(context.Background()); err != nil {
 			logger.Warn("http drain failed", "err", err)
 		}
-	}
-
-	if *archivePath != "" {
-		f, err := os.Create(*archivePath)
-		if err != nil {
-			fatal("creating archive file", "path", *archivePath, "err", err)
-		}
-		if err := eng.PatternBase().Save(f); err != nil {
-			fatal("saving pattern base", "err", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("closing archive file", "err", err)
-		}
-		logger.Info("pattern base archived",
-			"tuples", tuples, "clusters", eng.PatternBase().Len(),
-			"path", *archivePath, "bytes", eng.PatternBase().Bytes())
 	}
 
 	// With -store this demotes the memory tier as one final segment and

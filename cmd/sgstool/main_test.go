@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"streamsum"
 	"streamsum/internal/dbscan"
 	"streamsum/internal/geom"
 	"streamsum/internal/grid"
@@ -69,7 +71,7 @@ func storeEntries(t *testing.T, n int) []segstore.FlushEntry {
 // dirs for writers).
 func TestOpenStoreRefusesNonexistent(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-store")
-	if _, err := openStore(missing, 2); err == nil {
+	if _, err := openStore(missing); err == nil {
 		t.Fatal("openStore accepted a nonexistent path")
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
@@ -80,15 +82,18 @@ func TestOpenStoreRefusesNonexistent(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openStore(file, 2); err == nil {
-		t.Fatal("openStore accepted a non-directory path")
+	if _, err := openStore(file); err == nil || !strings.Contains(err.Error(), "not a store directory") {
+		t.Fatalf("openStore(plain file): %v, want \"not a store directory\"", err)
+	}
+	// So is a directory without a MANIFEST.
+	if _, err := openStore(t.TempDir()); err == nil || !strings.Contains(err.Error(), "not a store directory") {
+		t.Fatalf("openStore(empty dir): %v, want \"not a store directory\"", err)
 	}
 }
 
-// TestOpenStoreReportsBadSegment: when the manifest fits but a listed
-// segment does not validate, openStore reports the segment error (here
-// the pre-v3 migration message) instead of giving up on the
-// dimensionality probe.
+// TestOpenStoreReportsBadSegment: when a segment the manifest lists does
+// not validate, openStore reports the segment error (here the pre-v3
+// migration message).
 func TestOpenStoreReportsBadSegment(t *testing.T) {
 	dir := t.TempDir()
 	st, err := segstore.Open(dir, segstore.Options{Dim: 2, NoBackgroundCompaction: true})
@@ -101,11 +106,12 @@ func TestOpenStoreReportsBadSegment(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("SGSLOG1\n"), make([]byte, 64)...)
+	// A v1/v2 segment header (segstore's preV3Head).
+	old := append([]byte{'S', 'G', 'S', 'L', 'O', 'G', '1', '\n'}, make([]byte, 64)...)
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000000.sgsseg"), old, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	_, err = openStore(dir, 0)
+	_, err = openStore(dir)
 	if !errors.Is(err, segstore.ErrBadSegment) || !strings.Contains(err.Error(), "sgstool compact") {
 		t.Fatalf("openStore: %v, want the pre-v3 segment error", err)
 	}
@@ -133,17 +139,19 @@ func TestInspectOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := openStore(dir, 2)
+	st2, err := openStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
 	var buf bytes.Buffer
-	printStore(&buf, st2)
+	if err := printStore(&buf, st2); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// Header, column header, two lines (stats + zone) per segment, then
-	// the sumcache smoke line.
+	// the decode line.
 	if len(lines) != 2+2*2+1 {
 		t.Fatalf("inspect printed %d lines:\n%s", len(lines), out)
 	}
@@ -166,10 +174,119 @@ func TestInspectOutput(t *testing.T) {
 	if !strings.Contains(lines[2], " 3 ") || !strings.Contains(lines[2], " 1 ") {
 		t.Fatalf("first segment should show 3 records 1 dead: %q", lines[2])
 	}
-	// The cache smoke pass decodes every live record twice: the warm pass
-	// hits for all of them (ratio 0.50) and they all stay resident.
-	cacheLine := lines[len(lines)-1]
-	if !strings.HasPrefix(cacheLine, "sumcache: warm hit ratio 0.50  resident 5 summaries") {
-		t.Fatalf("cache line: %q", cacheLine)
+	// The decode pass reads every live record once; none fails.
+	if last := lines[len(lines)-1]; last != "decode: 5 live summaries, 0 failed" {
+		t.Fatalf("decode line: %q", last)
 	}
+}
+
+// engineStore runs an engine with a store over a clustered dim-
+// dimensional stream, closes it, and returns the store directory and the
+// number of clusters archived. The memory tier is capped so the history
+// spans several segments.
+func engineStore(t *testing.T, dim int) (string, int) {
+	t.Helper()
+	dir := t.TempDir()
+	eng, err := streamsum.New(streamsum.Options{
+		Dim: dim, ThetaR: 1, ThetaC: 4, Win: 400, Slide: 200,
+		Archive: &streamsum.ArchiveOptions{}, StorePath: dir, StoreMaxMemBytes: 4 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(dim)))
+	centers := make([]geom.Point, 3)
+	for i := range centers {
+		centers[i] = make(geom.Point, dim)
+		for d := range centers[i] {
+			centers[i][d] = rng.Float64() * 40
+		}
+	}
+	for i := 0; i < 2400; i++ {
+		c := centers[rng.Intn(len(centers))]
+		p := make(geom.Point, dim)
+		for d := range p {
+			c[d] += 0.02
+			p[d] = c[d] + rng.NormFloat64()*0.3
+		}
+		if _, err := eng.Push(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := eng.PatternBase().Len()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n < 2 {
+		t.Fatalf("dim %d: engine archived %d clusters; the store checks nothing", dim, n)
+	}
+	return dir, n
+}
+
+// runOut runs one sgstool subcommand and returns its output.
+func runOut(t *testing.T, cmd, dir string, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(&buf, cmd, dir, args); err != nil {
+		t.Fatalf("sgstool %s %v: %v", cmd, args, err)
+	}
+	return buf.String()
+}
+
+// TestReadCommandsOnEngineStore: list, show, stats and match read a store
+// an engine wrote, at dimension 1 and 4, taking the dimensionality from
+// the MANIFEST. Every cluster lives on disk, so each command has to load
+// the summaries from their segments.
+func TestReadCommandsOnEngineStore(t *testing.T) {
+	for _, dim := range []int{1, 4} {
+		dir, n := engineStore(t, dim)
+		list := strings.Split(strings.TrimRight(runOut(t, "list", dir), "\n"), "\n")
+		if len(list) != n+1 {
+			t.Fatalf("dim %d: list printed %d lines for %d clusters", dim, len(list), n)
+		}
+		if f := strings.Fields(list[1]); f[0] != "0" {
+			t.Fatalf("dim %d: first list row %q", dim, list[1])
+		}
+		if out := runOut(t, "stats", dir); !strings.Contains(out, fmt.Sprintf("clusters:        %d\n", n)) {
+			t.Fatalf("dim %d: stats:\n%s", dim, out)
+		}
+		if out := runOut(t, "show", dir, "-id", "1"); !strings.HasPrefix(out, "cluster 1 (window ") {
+			t.Fatalf("dim %d: show:\n%s", dim, out)
+		}
+		out := runOut(t, "match", dir, "-id", "0", "-threshold", "1", "-limit", "3")
+		if !strings.HasPrefix(out, "filter: ") || !strings.Contains(out, "  cluster ") {
+			t.Fatalf("dim %d: match:\n%s", dim, out)
+		}
+		if out := runOut(t, "inspect", dir); !strings.Contains(out, fmt.Sprintf("decode: %d live summaries, 0 failed", n)) {
+			t.Fatalf("dim %d: inspect:\n%s", dim, out)
+		}
+	}
+	file := filepath.Join(t.TempDir(), "base")
+	if err := os.WriteFile(file, []byte("not a store"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"list", "stats", "inspect"} {
+		if err := run(&bytes.Buffer{}, cmd, file, nil); err == nil || !strings.Contains(err.Error(), "not a store directory") {
+			t.Fatalf("%s on a plain file: %v, want \"not a store directory\"", cmd, err)
+		}
+	}
+}
+
+// TestStoreHeldElsewhere: while another opener holds the store, every
+// subcommand fails with segstore.ErrLocked and touches nothing.
+func TestStoreHeldElsewhere(t *testing.T) {
+	dir, _ := engineStore(t, 2)
+	st, err := segstore.Open(dir, segstore.Options{Dim: 2, NoBackgroundCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"list", "inspect", "compact"} {
+		if err := run(&bytes.Buffer{}, cmd, dir, nil); !errors.Is(err, segstore.ErrLocked) {
+			t.Fatalf("%s on a held store: %v, want ErrLocked", cmd, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runOut(t, "list", dir)
 }

@@ -1,14 +1,13 @@
 // Offline analysis of an archived stream history: persist the pattern
-// base to disk during extraction, reload it later (raw tuples long gone),
-// then analyze the archived patterns — regenerate approximate full
-// representations, diff snapshots of the same tracked pattern, and run
-// matching queries against the reloaded history.
+// base to a segment store during extraction, reopen it later (raw tuples
+// long gone), then analyze the archived patterns — regenerate approximate
+// full representations and diff snapshots of the same tracked pattern.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	"streamsum"
 	"streamsum/internal/archive"
@@ -16,11 +15,18 @@ import (
 )
 
 func main() {
+	dir, err := os.MkdirTemp("", "offline-store-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+
 	// --- Online phase: extract, archive, persist --------------------------
 	feed := gen.GMTI(gen.GMTIConfig{Convoys: 5, Seed: 41}, 30000)
 	eng, err := streamsum.New(streamsum.Options{
 		Dim: 2, ThetaR: 1.2, ThetaC: 6, Win: 4000, Slide: 2000,
-		Archive: &streamsum.ArchiveOptions{MinPopulation: 20},
+		Archive:   &streamsum.ArchiveOptions{MinPopulation: 20},
+		StorePath: dir,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -30,30 +36,39 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var file bytes.Buffer // stands in for a file on disk
-	if err := eng.PatternBase().Save(&file); err != nil {
+	// Close flushes the memory tier to the store: the directory is now a
+	// complete record of the archived history.
+	if err := eng.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("online phase: archived %d clusters (%.1f KB persisted)\n",
-		eng.PatternBase().Len(), float64(file.Len())/1024)
+		eng.PatternBase().Len(), float64(eng.PatternBase().Bytes())/1024)
 
-	// --- Offline phase: reload and analyze --------------------------------
-	history, err := archive.New(archive.Config{Dim: 2})
+	// --- Offline phase: reopen and analyze --------------------------------
+	history, err := archive.New(archive.Config{Dim: 2, StorePath: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := history.Load(bytes.NewReader(file.Bytes())); err != nil {
+	defer history.Close()
+	fmt.Printf("offline phase: reopened %d clusters\n\n", history.Len())
+
+	// Disk-resident entries carry no summary until LoadSummary reads it.
+	var entries []*archive.Entry
+	history.All(func(e *archive.Entry) bool {
+		sum, lerr := e.LoadSummary()
+		if lerr != nil {
+			err = lerr
+			return false
+		}
+		entries = append(entries, e.WithSummary(sum))
+		return true
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("offline phase: reloaded %d clusters\n\n", history.Len())
 
 	// Pick two snapshots of (likely) the same drifting pattern: the pair of
 	// entries from different windows with the highest cell overlap.
-	var entries []*archive.Entry
-	history.All(func(e *archive.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
 	var a, b *archive.Entry
 	bestJ := -1.0
 	for i := 0; i < len(entries); i++ {

@@ -343,8 +343,8 @@ func (b *Base) PutBatch(ss []*sgs.Summary) (ids []int64, archived []bool, err er
 
 func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 	// A failed background demotion means the base can no longer honor its
-	// memory bound; like a failed Appender it latches and fail-stops
-	// rather than silently growing past the cap.
+	// memory bound; it latches and fail-stops rather than silently growing
+	// past the cap.
 	if b.demoteErr != nil {
 		return 0, false, b.demoteErr
 	}
@@ -616,7 +616,7 @@ func (b *Base) removeFromStoreLocked(id int64) bool {
 }
 
 // All visits every archived entry in FIFO order (diagnostics,
-// persistence, linear-scan baselines). The callback runs against a
+// inspection tools, linear-scan baselines). The callback runs against a
 // snapshot — never under the base lock — so it may freely call Put,
 // Remove, or searches; mutations it makes are not reflected in the
 // iteration in progress. Searches go through Snapshot.

@@ -1,8 +1,6 @@
 package archive
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -268,93 +266,6 @@ func TestSearchLocationAndFeatures(t *testing.T) {
 	})
 	if count != 20 {
 		t.Fatalf("All visited %d", count)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	b, _ := New(Config{Dim: 2})
-	sums := fixtureSummaries(t, 15, 7)
-	for _, s := range sums {
-		if _, ok, err := b.Put(s); err != nil || !ok {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := b.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := New(Config{Dim: 2})
-	if err := b2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if b2.Len() != b.Len() || b2.Bytes() != b.Bytes() {
-		t.Fatalf("loaded %d/%dB, want %d/%dB", b2.Len(), b2.Bytes(), b.Len(), b.Bytes())
-	}
-	// Same summaries, same indices (spot check via features).
-	b.All(func(e *Entry) bool {
-		e2 := b2.Get(e.ID)
-		if e2 == nil || e2.Summary.NumCells() != e.Summary.NumCells() {
-			t.Fatalf("entry %d differs after reload", e.ID)
-		}
-		return true
-	})
-	// Load into non-empty base fails.
-	if err := b2.Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("Load into non-empty base accepted")
-	}
-	// Corrupt file fails.
-	b3, _ := New(Config{Dim: 2})
-	if err := b3.Load(bytes.NewReader(buf.Bytes()[:10])); err == nil {
-		t.Fatal("truncated file accepted")
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	raw[0] = 'X'
-	b4, _ := New(Config{Dim: 2})
-	if err := b4.Load(bytes.NewReader(raw)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-// TestLoadCorruptRecordLeavesBaseEmpty: a record that parses but cannot
-// be indexed (invalid Side → empty MBR) must be rejected with the base
-// left empty, so a retry Load succeeds.
-func TestLoadCorruptRecordLeavesBaseEmpty(t *testing.T) {
-	bad := &sgs.Summary{Dim: 2, Side: -1, Cells: make([]sgs.Cell, 1)}
-	bad.Cells[0].Coord.D = 2
-	blob := sgs.Marshal(bad)
-	var buf bytes.Buffer
-	buf.Write(fileMagic[:])
-	var n8 [8]byte
-	binary.LittleEndian.PutUint64(n8[:], 1)
-	buf.Write(n8[:])
-	binary.LittleEndian.PutUint64(n8[:], uint64(len(blob)))
-	buf.Write(n8[:])
-	buf.Write(blob)
-
-	b, _ := New(Config{Dim: 2})
-	if err := b.Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("unindexable record accepted")
-	}
-	if b.Len() != 0 || b.Bytes() != 0 {
-		t.Fatalf("failed Load left Len=%d Bytes=%d", b.Len(), b.Bytes())
-	}
-	// The base is still usable: a good file loads afterwards.
-	good := fixtureSummaries(t, 2, 41)
-	src, _ := New(Config{Dim: 2})
-	for _, s := range good {
-		if _, ok, err := src.Put(s); err != nil || !ok {
-			t.Fatal(err)
-		}
-	}
-	var ok bytes.Buffer
-	if err := src.Save(&ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Load(bytes.NewReader(ok.Bytes())); err != nil {
-		t.Fatalf("retry Load failed: %v", err)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("retry loaded %d", b.Len())
 	}
 }
 

@@ -116,17 +116,14 @@
 //
 // # Persistence
 //
-// Save/Load write and reload the whole base (ids and filter columns are
-// recomputed on load, and nothing is sized from a header field, so a
-// corrupt file costs no more memory than it holds);
-// Appender/LoadAppended stream per-window records to a crash-safe log
-// whose damaged tail is detected and discarded on replay. The Appender
-// is fail-stop: after any write error it latches the error and refuses
-// further appends, so a torn record can never be followed by a
-// "successful" one that mis-frames the log. The disk tier persists
-// itself: segments and the manifest commit atomically (see
-// internal/segstore), FlushMem demotes the memory tier as one final
-// segment at shutdown, and reopening a base over the same StorePath
-// resumes with the history visible and id assignment continuing past
-// everything ever committed to the store.
+// The disk tier is the pattern base's only on-disk form. Segments and
+// the manifest commit atomically (see internal/segstore): a demoted
+// segment is durable once its file is fsynced and the manifest rename
+// lands. FlushMem demotes the memory tier as one final segment at
+// shutdown, and reopening a base over the same StorePath resumes with
+// the history visible and id assignment continuing past everything ever
+// committed to the store. A crash loses only what has not committed:
+// the memory tier, which MaxMemBytes or Capacity bounds (with neither,
+// nothing demotes before FlushMem), and the few demotion batches still queued behind
+// the demoter, each about an eighth of that bound.
 package archive

@@ -159,7 +159,6 @@ func (e *Extractor) pushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, e
 			return out, err
 		}
 		id := e.nextID
-		e.nextID++
 		pos := id
 		if e.cfg.Window.Kind == window.TimeBased {
 			pos = 0 // nil tss reads as all-zero timestamps, like Push(p, 0)
@@ -171,6 +170,7 @@ func (e *Extractor) pushBatch(pts []geom.Point, tss []int64) ([]*WindowResult, e
 			flush()
 			return out, fmt.Errorf("core: out-of-order position %d after %d", pos, e.lastPos)
 		}
+		e.nextID++
 		e.lastPos = pos
 		if pos >= e.cfg.Window.End(e.cur) {
 			flush()

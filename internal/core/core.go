@@ -292,7 +292,6 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*WindowResult, error)
 		return 0, nil, err
 	}
 	id := e.nextID
-	e.nextID++
 	pos := id
 	if e.cfg.Window.Kind == window.TimeBased {
 		pos = ts
@@ -300,6 +299,7 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*WindowResult, error)
 	if pos < e.lastPos {
 		return 0, nil, fmt.Errorf("core: out-of-order position %d after %d", pos, e.lastPos)
 	}
+	e.nextID++
 	e.lastPos = pos
 	MetricTuples.Inc()
 

@@ -42,8 +42,9 @@
 // the span of live ids outgrows it. A position never decreases with the
 // id, so neither does an object's last window, and objects expire in id
 // order: emitting window n pops the ring's oldest objects while their last
-// window is n. Ids of rejected tuples leave empty slots, which the pop
-// steps over.
+// window is n. A rejected tuple takes no id; a tuple dropped because it
+// falls before the current window (possible only after a mid-stream
+// Flush) takes one but leaves its slot empty, which the pop steps over.
 //
 // A neighbor list holds 32-bit refs — the low 32 bits of each neighbor's
 // id — instead of pointers, so the GC neither scans the lists nor pays a

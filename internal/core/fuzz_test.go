@@ -12,8 +12,9 @@ import (
 // streams and configurations: dimension 1–4, count or time windows (time
 // windows with bursts of tuples on one tick, which make the ring of live
 // objects grow), an optional mid-stream Flush (later tuples that fall
-// before the current window are dropped) and an optional out-of-order
-// tuple (rejected, so its id is a gap inside the live span). PushBatch at
+// before the current window are dropped, so their ids are gaps inside
+// the live span) and an optional out-of-order tuple (rejected without
+// taking an id). PushBatch at
 // Workers 2, in batches of a drawn size, must emit windows byte-identical
 // to a Push loop and end with the same Stats.
 func FuzzPushBatch(f *testing.F) {

@@ -125,7 +125,6 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*core.WindowResult, e
 		return 0, nil, fmt.Errorf("extran: %w", err)
 	}
 	id := e.nextID
-	e.nextID++
 	pos := id
 	if e.cfg.Window.Kind == window.TimeBased {
 		pos = ts
@@ -133,6 +132,7 @@ func (e *Extractor) Push(p geom.Point, ts int64) (int64, []*core.WindowResult, e
 	if pos < e.lastPos {
 		return 0, nil, errOrder(pos, e.lastPos)
 	}
+	e.nextID++
 	e.lastPos = pos
 	core.MetricTuples.Inc()
 	var out []*core.WindowResult

@@ -240,3 +240,90 @@ func TestPushErrors(t *testing.T) {
 		t.Error("out-of-order accepted")
 	}
 }
+
+// TestOutOfOrderRejectionKeepsIDs: a tuple rejected as out of order
+// takes no tuple id, like any other rejected tuple. Timestamps 0, 1, 2,
+// then 1 (rejected), then 3: the last tuple gets id 3 on all three
+// ingest paths (C-SGS Push, C-SGS PushBatch, Extra-N Push), and all
+// three emit identical windows.
+func TestOutOfOrderRejectionKeepsIDs(t *testing.T) {
+	pts := []geom.Point{{0}, {0.1}, {0.2}, {0.15}, {0.3}}
+	tss := []int64{0, 1, 2, 1, 3}
+	const rejected = 3
+	spec := window.Spec{Kind: window.TimeBased, Win: 4, Slide: 1}
+	type pusher func(geom.Point, int64) (int64, []*core.WindowResult, error)
+	// pushAll feeds the stream one tuple at a time and checks the ids.
+	pushAll := func(name string, push pusher) []*core.WindowResult {
+		var out []*core.WindowResult
+		next := int64(0)
+		for i, p := range pts {
+			id, ws, err := push(p, tss[i])
+			if i == rejected {
+				if err == nil {
+					t.Fatalf("%s: out-of-order tuple accepted", name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: tuple %d: %v", name, i, err)
+			}
+			if id != next {
+				t.Fatalf("%s: tuple %d got id %d, want %d", name, i, id, next)
+			}
+			next++
+			out = append(out, ws...)
+		}
+		return out
+	}
+
+	newCore := func() *core.Extractor {
+		ex, err := core.New(core.Config{Dim: 1, ThetaR: 1, ThetaC: 2, Window: spec, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	cex := newCore()
+	viaPush := append(pushAll("core Push", cex.Push), cex.Flush())
+
+	bex := newCore()
+	viaBatch, err := bex.PushBatch(pts, tss)
+	if err == nil {
+		t.Fatal("core PushBatch: out-of-order tuple accepted")
+	}
+	rest, err := bex.PushBatch(pts[rejected+1:], tss[rejected+1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaBatch = append(append(viaBatch, rest...), bex.Flush())
+
+	xex, err := New(Config{Dim: 1, ThetaR: 1, ThetaC: 2, Window: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaExtraN := append(pushAll("extran Push", xex.Push), xex.Flush())
+
+	sawLast := false
+	for _, other := range [][]*core.WindowResult{viaBatch, viaExtraN} {
+		if len(other) != len(viaPush) {
+			t.Fatalf("%d windows vs %d from core Push", len(other), len(viaPush))
+		}
+		for i := range viaPush {
+			a, b := signature(viaPush[i]), signature(other[i])
+			if viaPush[i].Window != other[i].Window || !dbscan.EqualSignature(a, b) {
+				t.Fatalf("window %d: %v vs %v from core Push", viaPush[i].Window, b, a)
+			}
+			for _, members := range a {
+				for _, id := range members {
+					if id > 3 {
+						t.Fatalf("window %d holds id %d: the rejected tuple took an id", viaPush[i].Window, id)
+					}
+					sawLast = sawLast || id == 3
+				}
+			}
+		}
+	}
+	if !sawLast {
+		t.Fatal("no window holds the last tuple; the stream checks nothing")
+	}
+}

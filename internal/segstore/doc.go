@@ -48,7 +48,8 @@
 //
 // # Pre-v3 formats
 //
-// v1/v2 segments ("SGSLOG1\n" header) are rejected with ErrBadSegment.
+// v1/v2 segments (the record-log header preV3Head, or a v2 footer) are
+// rejected with ErrBadSegment.
 // To migrate such a store, run `sgstool compact` on it with a build that
 // still reads them: compaction rewrites what it merges as v3.
 //
@@ -72,7 +73,11 @@
 // old store state or the new one, never a mix; segment files not listed
 // in the manifest are leftovers of an uncommitted flush (the entries
 // they hold were still owned by the memory tier when the crash hit) and
-// are removed on Open.
+// are removed on Open. Because Open deletes what its manifest does not
+// list, one Store at a time may hold a directory: Open takes an
+// exclusive flock on dir/LOCK (released by Close, or by the process
+// exiting) and fails with ErrLocked while another opener holds it.
+// ManifestDim reads a store's dimensionality without opening it.
 //
 // Flush appends a new segment; Tombstone marks an id deleted (the bytes
 // are reclaimed later); both commit by manifest rewrite. Flush is also

@@ -23,13 +23,13 @@ func footerOffOf(t *testing.T, raw []byte) int64 {
 }
 
 // preV3Segment hand-builds a one-record v2 segment, the record-log
-// format read before v3: an "SGSLOG1\n" header, a length-prefixed blob,
+// format read before v3: the preV3Head header, a length-prefixed blob,
 // an "SGSFTR2\n" footer (record directory plus zone block) and a trailer
 // whose footer CRC is valid.
 func preV3Segment() []byte {
 	le := binary.LittleEndian
 	blob := []byte("blob")
-	out := le.AppendUint32([]byte("SGSLOG1\n"), uint32(len(blob)))
+	out := le.AppendUint32(append([]byte(nil), preV3Head[:]...), uint32(len(blob)))
 	out = append(out, blob...)
 	footerOff := len(out)
 	footer := le.AppendUint32([]byte("SGSFTR2\n\x02"), 1) // dim 2, one record
@@ -64,8 +64,8 @@ func wantPreV3(t *testing.T, err error) {
 func TestPreV3SegmentRejected(t *testing.T) {
 	raw := preV3Segment()
 	path := filepath.Join(t.TempDir(), "old"+segSuffix)
-	for _, head := range []string{"SGSLOG1\n", "SGSSEG3\n"} {
-		bad := append([]byte(head), raw[8:]...)
+	for _, head := range [][8]byte{preV3Head, segMagicV3} {
+		bad := append(head[:], raw[8:]...)
 		if err := os.WriteFile(path, bad, 0o666); err != nil {
 			t.Fatal(err)
 		}

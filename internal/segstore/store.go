@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,6 +17,7 @@ var manifestMagic = [8]byte{'S', 'G', 'S', 'M', 'A', 'N', '1', '\n'}
 
 const (
 	manifestName = "MANIFEST"
+	lockName     = "LOCK"
 	segPrefix    = "seg-"
 	segSuffix    = ".sgsseg"
 )
@@ -25,6 +27,12 @@ const (
 // replaced atomically, so a damaged one signals external interference,
 // not a crash — recovery refuses to guess.
 var ErrBadManifest = errors.New("segstore: bad manifest")
+
+// ErrLocked is returned by Open when another Store, in this process or
+// another, holds the directory open. Open removes the files the manifest
+// it reads does not list, so a second opener could delete a segment the
+// first is about to commit; the directory's LOCK file admits one.
+var ErrLocked = errors.New("segstore: store directory is locked by another opener")
 
 // Options configures a store.
 type Options struct {
@@ -79,6 +87,7 @@ type Store struct {
 	maxID       int64
 	compactions uint64
 	closed      bool
+	lock        *os.File // holds the flock on dir/LOCK until Close
 
 	wake chan struct{} // buffered(1) compactor signal
 	done chan struct{} // closed when the compactor exits
@@ -87,7 +96,8 @@ type Store struct {
 // Open opens (or creates) the store rooted at dir. Segment files present
 // in the directory but not listed in the manifest are leftovers of an
 // uncommitted flush or compaction and are removed; a segment the
-// manifest does list must validate, or Open fails.
+// manifest does list must validate, or Open fails. One Store at a time
+// holds a directory: Open fails with ErrLocked until the holder Closes.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Dim < 1 {
 		return nil, fmt.Errorf("segstore: dimension required")
@@ -96,48 +106,23 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	st := &Store{
 		dir: dir, opts: opts,
 		maxID: -1,
-		tombs: make(map[int64]struct{}),
+		lock:  lock,
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
-	names, err := st.loadManifest()
-	if err != nil {
+	if err := st.load(); err != nil {
+		for _, seg := range st.segs {
+			_ = seg.close()
+		}
+		_ = unlockDir(lock)
 		return nil, err
-	}
-	listed := make(map[string]bool, len(names))
-	for _, name := range names {
-		listed[name] = true
-		seg, err := OpenSegment(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if seg.dim != opts.Dim {
-			return nil, fmt.Errorf("segstore: %s: dimension %d != store dimension %d", name, seg.dim, opts.Dim)
-		}
-		st.segs = append(st.segs, seg)
-		for _, r := range seg.recs {
-			if r.ID > st.maxID {
-				st.maxID = r.ID
-			}
-		}
-	}
-	// Remove uncommitted leftovers (their entries were still owned by the
-	// memory tier when the crash hit).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, de := range entries {
-		name := de.Name()
-		if listed[name] || name == manifestName {
-			continue
-		}
-		if strings.HasSuffix(name, segSuffix) || strings.HasSuffix(name, ".tmp") {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
 	}
 	if opts.NoBackgroundCompaction {
 		close(st.done)
@@ -147,16 +132,82 @@ func Open(dir string, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// loadManifest parses MANIFEST, returning the listed segment file names
-// in archive order. A missing manifest means a fresh store. Every listed
+// load reads the manifest, opens the segments it lists and removes the
+// uncommitted leftovers beside them.
+func (st *Store) load() error {
+	m, err := readManifest(st.dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		m = &manifest{dim: st.opts.Dim, tombs: make(map[int64]struct{})}
+	} else if err != nil {
+		return err
+	}
+	if m.dim != st.opts.Dim {
+		return fmt.Errorf("segstore: manifest dimension %d != store dimension %d", m.dim, st.opts.Dim)
+	}
+	st.seq, st.tombs = m.seq, m.tombs
+	listed := make(map[string]bool, len(m.names))
+	for _, name := range m.names {
+		listed[name] = true
+		seg, err := OpenSegment(filepath.Join(st.dir, name))
+		if err != nil {
+			return err
+		}
+		st.segs = append(st.segs, seg)
+		if seg.dim != st.opts.Dim {
+			return fmt.Errorf("segstore: %s: dimension %d != store dimension %d", name, seg.dim, st.opts.Dim)
+		}
+		for _, r := range seg.recs {
+			if r.ID > st.maxID {
+				st.maxID = r.ID
+			}
+		}
+	}
+	// Remove uncommitted leftovers (their entries were still owned by the
+	// memory tier when the crash hit).
+	entries, err := os.ReadDir(st.dir)
+	if err != nil {
+		return err
+	}
+	for _, de := range entries {
+		name := de.Name()
+		if listed[name] || name == manifestName {
+			continue
+		}
+		if strings.HasSuffix(name, segSuffix) || strings.HasSuffix(name, ".tmp") {
+			_ = os.Remove(filepath.Join(st.dir, name))
+		}
+	}
+	return nil
+}
+
+// ManifestDim returns the dimensionality recorded in the MANIFEST of the
+// store at dir, without opening the store or taking its lock. A
+// directory without a MANIFEST (no store, or one that never committed a
+// flush) yields an error wrapping fs.ErrNotExist.
+func ManifestDim(dir string) (int, error) {
+	m, err := readManifest(dir)
+	if err != nil {
+		return 0, err
+	}
+	return m.dim, nil
+}
+
+// manifest is a decoded MANIFEST.
+type manifest struct {
+	dim   int
+	seq   uint64             // next segment file number
+	names []string           // listed segment files, archive order
+	tombs map[int64]struct{} // tombstoned ids
+}
+
+// readManifest parses dir/MANIFEST. A missing manifest yields an error
+// wrapping fs.ErrNotExist (Open reads it as a fresh store). Every listed
 // name must be a distinct bare seg-*.sgsseg basename: compaction later
 // unlinks listed files, so a name reaching outside the store directory,
 // or one file listed twice, is refused rather than trusted.
-func (st *Store) loadManifest() ([]string, error) {
-	b, err := os.ReadFile(filepath.Join(st.dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	} else if err != nil {
+func readManifest(dir string) (*manifest, error) {
+	b, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
 		return nil, err
 	}
 	if len(b) < len(manifestMagic)+1+8+4+4+4 || [8]byte(b[:8]) != manifestMagic {
@@ -166,16 +217,13 @@ func (st *Store) loadManifest() ([]string, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadManifest)
 	}
 	p := b[8 : len(b)-4]
-	if int(p[0]) != st.opts.Dim {
-		return nil, fmt.Errorf("segstore: manifest dimension %d != store dimension %d", p[0], st.opts.Dim)
-	}
-	st.seq = binary.LittleEndian.Uint64(p[1:])
+	m := &manifest{dim: int(p[0]), seq: binary.LittleEndian.Uint64(p[1:]), tombs: make(map[int64]struct{})}
 	p = p[9:]
 	nsegs := binary.LittleEndian.Uint32(p)
 	p = p[4:]
 	// Each name costs at least its 2-byte length, so the remaining bytes
 	// bound the count whatever the header claims.
-	names := make([]string, 0, min(uint64(nsegs), uint64(len(p)/2)))
+	m.names = make([]string, 0, min(uint64(nsegs), uint64(len(p)/2)))
 	seen := make(map[string]bool)
 	for i := uint32(0); i < nsegs; i++ {
 		if len(p) < 2 {
@@ -195,7 +243,7 @@ func (st *Store) loadManifest() ([]string, error) {
 			return nil, fmt.Errorf("%w: segment %q listed twice", ErrBadManifest, name)
 		}
 		seen[name] = true
-		names = append(names, name)
+		m.names = append(m.names, name)
 	}
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadManifest)
@@ -206,9 +254,9 @@ func (st *Store) loadManifest() ([]string, error) {
 		return nil, fmt.Errorf("%w: tombstone list size", ErrBadManifest)
 	}
 	for i := uint32(0); i < ntombs; i++ {
-		st.tombs[int64(binary.LittleEndian.Uint64(p[i*8:]))] = struct{}{}
+		m.tombs[int64(binary.LittleEndian.Uint64(p[i*8:]))] = struct{}{}
 	}
-	return names, nil
+	return m, nil
 }
 
 // commitManifestLocked atomically replaces MANIFEST with one describing
@@ -534,8 +582,8 @@ func (v *View) Get(id int64) (*Segment, Record, bool) {
 	return nil, Record{}, false
 }
 
-// Close stops the compactor and closes every live segment. Views pinned
-// before Close must not be used afterwards.
+// Close stops the compactor, closes every live segment and releases the
+// directory lock. Views pinned before Close must not be used afterwards.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	if st.closed {
@@ -553,6 +601,9 @@ func (st *Store) Close() error {
 		if cerr := seg.close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	}
+	if lerr := unlockDir(st.lock); lerr != nil && err == nil {
+		err = lerr
 	}
 	// The segment list stays: Stats keeps answering from the in-memory
 	// footers after Close (shutdown reporting); reads do not.

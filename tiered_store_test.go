@@ -3,6 +3,8 @@ package streamsum
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -387,5 +389,93 @@ func testNoveltyBatchEquivalence(t *testing.T, novelty float64) {
 		if !bytes.Equal(refBlobs[i], gotBlobs[i]) {
 			t.Fatalf("archived summary %d differs from sequential reference", i)
 		}
+	}
+}
+
+// TestStoreReopenRoundTrip: the segment store is the engine's on-disk
+// form of the pattern base. An engine archives a GMTI stream into a
+// store and is closed; a new engine over the same directory answers the
+// same Match queries with identical ids and distance bits, and archives
+// its next cluster under the id after the old maximum.
+func TestStoreReopenRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{StorePath: dir, StoreMaxMemBytes: 6 << 10}
+	data := gen.GMTI(gen.GMTIConfig{Seed: 13}, 12000)
+	push := func(eng *Engine, lo, hi int) {
+		for ; lo < hi; lo += 1000 {
+			if _, err := eng.PushBatch(data.Points[lo:min(lo+1000, hi)], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng := tieredEngine(t, opts)
+	push(eng, 0, 6000)
+	if err := eng.PatternBase().DrainDemotions(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ids []int64
+	eng.PatternBase().All(func(e *archive.Entry) bool { ids = append(ids, e.ID); return true })
+	if len(ids) < 8 || eng.PatternBase().TierStats().SegEntries == 0 {
+		t.Fatalf("setup: %d clusters archived, %+v", len(ids), eng.PatternBase().TierStats())
+	}
+	maxID := ids[len(ids)-1]
+	var targets []*sgs.Summary
+	for _, id := range []int64{ids[0], ids[len(ids)/2], maxID} {
+		sum, err := eng.PatternBase().Get(id).LoadSummary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, sum)
+	}
+	type hit struct {
+		id   int64
+		bits uint64
+	}
+	results := func(eng *Engine) [][]hit {
+		var out [][]hit
+		for _, target := range targets {
+			ms, _, err := eng.Match(MatchOptions{Target: target, Threshold: 0.4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hs []hit
+			for _, m := range ms {
+				hs = append(hs, hit{m.ID, math.Float64bits(m.Distance)})
+			}
+			out = append(out, hs)
+		}
+		return out
+	}
+	before := results(eng)
+	if n := len(before[0]) + len(before[1]) + len(before[2]); n <= len(targets) {
+		t.Fatalf("only %d hits for %d targets; the queries check nothing", n, len(targets))
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2 := tieredEngine(t, opts)
+	defer eng2.Close()
+	if n := eng2.PatternBase().Len(); n != len(ids) {
+		t.Fatalf("reopened base holds %d clusters, %d were archived", n, len(ids))
+	}
+	after := results(eng2)
+	for i := range before {
+		if !slices.Equal(before[i], after[i]) {
+			t.Fatalf("target %d: matches after reopen %v, before %v", i, after[i], before[i])
+		}
+	}
+
+	push(eng2, 6000, len(data.Points))
+	var fresh []int64
+	eng2.PatternBase().All(func(e *archive.Entry) bool {
+		if e.ID > maxID {
+			fresh = append(fresh, e.ID)
+		}
+		return true
+	})
+	if len(fresh) == 0 || fresh[0] != maxID+1 {
+		t.Fatalf("ids archived after reopen %v, want a run starting at %d", fresh, maxID+1)
 	}
 }
