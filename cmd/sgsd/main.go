@@ -20,10 +20,7 @@
 // to the store at a clean exit; a crash loses at most the memory tier
 // (plus the few demotion batches not yet committed), which -store-mem
 // bounds. Restarting over the same DIR resumes the history, with
-// archive ids continuing past it. With -store-cache BYTES, decoded
-// summaries of disk-resident clusters are cached (the budget is carved
-// out of -store-mem), so repeated queries over the same history decode
-// each summary once; /stats reports the hit ratio.
+// archive ids continuing past it.
 //
 // With -batch N (N = the query's slide is a good choice), tuples are fed
 // through the engine's batched ingest path. -parallelism P bounds every
@@ -112,8 +109,7 @@ func main() {
 	batch := flag.Int("batch", 0, "ingest batch size; 0 pushes tuple-by-tuple, otherwise tuples are fed through PushBatch in batches of this size (the query's slide is a good value)")
 	httpAddr := flag.String("http", "", "serve matching queries over HTTP on this address (e.g. :8080) concurrently with ingestion; implies archiving")
 	storePath := flag.String("store", "", "archive every summary into a pattern base persisted as a segment store under this directory (the only on-disk form; inspect with sgstool). Evicted summaries demote into on-disk segments that stay matchable; the memory tier is flushed to the store on clean exit, and a restart over the same directory resumes the history")
-	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store); overflow demotes the oldest summaries to disk, and it bounds what a crash can lose. 0 = no byte bound: nothing reaches disk before a clean exit")
-	storeCache := flag.Int("store-cache", 0, "decoded-summary cache budget in bytes (requires -store); carved out of -store-mem when both are set, so it must be smaller. Repeat queries over disk-resident summaries then decode once per residency. 0 = off")
+	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store), counted in encoded summary bytes; resident heap is roughly 30 times it (a GMTI summary takes about 27 heap bytes per encoded byte in memory). Overflow demotes the oldest summaries to disk, and it bounds what a crash can lose. 0 = no byte bound: nothing reaches disk before a clean exit; negative is an error")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -http server")
 	slowQuery := flag.Duration("slow-query", 0, "log any /match query or standing-query window evaluation whose wall time meets this threshold, with a per-phase breakdown (e.g. 50ms); 0 = off")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json (logs go to stderr)")
@@ -228,7 +224,6 @@ Flags:
 	opts.Parallelism = *parallelism
 	opts.StorePath = *storePath
 	opts.StoreMaxMemBytes = *storeMem
-	opts.SummaryCacheBytes = *storeCache
 	opts.SlowQuery = *slowQuery
 	opts.Logger = baseLogger
 	eng, err := streamsum.New(opts)
@@ -446,10 +441,9 @@ type matchRespJSON struct {
 
 // matchPhasesJSON is the per-query trace summary: phase wall times plus
 // the pruning detail that explains them (zone-skipped segments never
-// paid a probe; cache hits never paid a disk read; pruned pairs never
-// paid an alignment search). It is derived from
-// the query's span tree; Trace is the trace id, retrievable at
-// /debug/traces?trace=ID while the flight recorder still holds it.
+// paid a probe; pruned pairs never paid an alignment search). It is
+// derived from the query's span tree; Trace is the trace id, retrievable
+// at /debug/traces?trace=ID while the flight recorder still holds it.
 type matchPhasesJSON struct {
 	Trace           string `json:"trace"`
 	FilterNS        int64  `json:"filter_ns"`
@@ -457,7 +451,6 @@ type matchPhasesJSON struct {
 	OrderNS         int64  `json:"order_ns"`
 	SegmentsProbed  int    `json:"segments_probed"`
 	SegmentsSkipped int    `json:"segments_skipped"`
-	CacheHits       int    `json:"cache_hits"`
 	DiskLoads       int    `json:"disk_loads"`
 	Pruned          int    `json:"pruned"`
 }
@@ -474,10 +467,9 @@ func phasesFromTrace(td trace.TraceData) matchPhasesJSON {
 	}
 	if sd := td.Span("refine"); sd != nil {
 		p.RefineNS = sd.DurNS
-		hits, _ := sd.Int("cache_hits")
 		loads, _ := sd.Int("disk_loads")
 		pruned, _ := sd.Int("pruned")
-		p.CacheHits, p.DiskLoads, p.Pruned = int(hits), int(loads), int(pruned)
+		p.DiskLoads, p.Pruned = int(loads), int(pruned)
 	}
 	if sd := td.Span("order"); sd != nil {
 		p.OrderNS = sd.DurNS
@@ -592,7 +584,6 @@ func serveMatch(eng *streamsum.Engine, slow time.Duration, logger *slog.Logger, 
 			"order", time.Duration(phases.OrderNS),
 			"segments_probed", phases.SegmentsProbed,
 			"segments_skipped", phases.SegmentsSkipped,
-			"cache_hits", phases.CacheHits,
 			"disk_loads", phases.DiskLoads,
 			"candidates", stats.IndexCandidates,
 			"refined", stats.Refined,
@@ -769,8 +760,8 @@ func subscribeHandler(eng *streamsum.Engine, shutdown <-chan struct{}) http.Hand
 }
 
 // registerEngineGauges binds this engine's instance state — base sizes,
-// tier occupancy, cache budget, standing-query registry — into the
-// process-wide metrics registry as gauge funcs read at scrape time.
+// tier occupancy, standing-query registry — into the process-wide
+// metrics registry as gauge funcs read at scrape time.
 // Registration replaces any previous binding, so the gauges always
 // describe the engine currently serving (obs.RegisterGaugeFunc's
 // replace semantics exist for exactly this).
@@ -806,15 +797,6 @@ func registerEngineGauges(eng *streamsum.Engine) {
 	obs.RegisterGaugeFunc("sgs_store_segment_bytes",
 		"Segment file bytes in the disk tier.",
 		func() float64 { return float64(base.TierStats().SegBytes) })
-	obs.RegisterGaugeFunc("sgs_sumcache_entries",
-		"Decoded summaries resident in the summary cache.",
-		func() float64 { return float64(base.TierStats().CacheEntries) })
-	obs.RegisterGaugeFunc("sgs_sumcache_bytes",
-		"Approximate bytes held by the summary cache.",
-		func() float64 { return float64(base.TierStats().CacheBytes) })
-	obs.RegisterGaugeFunc("sgs_sumcache_budget_bytes",
-		"Summary cache byte budget (0 = cache disabled).",
-		func() float64 { return float64(base.TierStats().CacheBudget) })
 	obs.RegisterGaugeFunc("sgs_sub_subscriptions",
 		"Standing-query subscriptions currently registered.",
 		func() float64 { return float64(eng.SubscriptionStats().Subscriptions) })
@@ -936,18 +918,9 @@ func registerBuildGauges() {
 		func() float64 { return time.Since(processStart).Seconds() })
 }
 
-// cacheHitRatio is the decoded-summary cache's hit fraction, 0 when the
-// cache is disabled or untouched.
-func cacheHitRatio(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // statsHandler reports the pattern base's current size (split across the
-// memory and disk tiers), the decoded-summary cache, the standing-query
-// registry's activity, and the process's build and runtime identity.
+// memory and disk tiers), the standing-query registry's activity, and the
+// process's build and runtime identity.
 func statsHandler(eng *streamsum.Engine) http.HandlerFunc {
 	goVersion, revision := buildIdentity()
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -974,13 +947,6 @@ func statsHandler(eng *streamsum.Engine) http.HandlerFunc {
 			"segment_bytes":        ts.SegBytes,
 			"segment_dead":         ts.SegDead,
 			"segment_compactions":  ts.Compactions,
-			"cache_hits":           ts.CacheHits,
-			"cache_misses":         ts.CacheMisses,
-			"cache_hit_ratio":      cacheHitRatio(ts.CacheHits, ts.CacheMisses),
-			"cache_evicted":        ts.CacheEvicted,
-			"cache_entries":        ts.CacheEntries,
-			"cache_bytes":          ts.CacheBytes,
-			"cache_budget":         ts.CacheBudget,
 			"subscriptions":        ss.Subscriptions,
 			"sub_queue_depth":      eng.SubscriptionQueueDepth(),
 			"sub_windows":          ss.Windows,

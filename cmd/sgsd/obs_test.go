@@ -12,7 +12,7 @@ import (
 )
 
 // TestHTTPMetrics: /metrics serves the Prometheus text exposition format
-// and covers every instrumented subsystem — ingest, match, store, cache,
+// and covers every instrumented subsystem — ingest, match, store,
 // subscriptions — plus the engine gauges bound at startup. The families
 // are registered at init / server setup, so they must be present (if
 // zero-valued) on the very first scrape.
@@ -60,9 +60,6 @@ func TestHTTPMetrics(t *testing.T) {
 		"# TYPE sgs_segstore_segment_scans_total counter",
 		"sgs_segstore_record_loads_total{mode=\"mmap\"}",
 		"sgs_archive_demote_flush_seconds_bucket",
-		// cache
-		"# TYPE sgs_sumcache_hits_total counter",
-		"sgs_sumcache_evictions_total",
 		// subscriptions
 		"# TYPE sgs_sub_windows_total counter",
 		"# TYPE sgs_sub_eval_seconds histogram",
@@ -91,7 +88,7 @@ func TestHTTPMetrics(t *testing.T) {
 	}
 }
 
-// TestHTTPStatsFields: /stats carries the tier/cache/subscription fields
+// TestHTTPStatsFields: /stats carries the tier/subscription fields
 // monitoring relies on, including the ones folded in alongside /metrics
 // (demotion queue depth, mapped segments, subscription queue depth).
 func TestHTTPStatsFields(t *testing.T) {
@@ -114,13 +111,16 @@ func TestHTTPStatsFields(t *testing.T) {
 		"demoting_clusters", "demoting_bytes", "demote_queue_batches",
 		"segments", "segments_mapped",
 		"segment_clusters", "segment_bytes", "segment_dead", "segment_compactions",
-		"cache_hits", "cache_misses", "cache_hit_ratio", "cache_evicted",
-		"cache_entries", "cache_bytes", "cache_budget",
 		"subscriptions", "sub_queue_depth", "sub_windows", "sub_candidates",
 		"sub_events", "sub_eval_last_us", "sub_eval_total_us",
 	} {
 		if _, ok := st[key]; !ok {
 			t.Errorf("/stats missing %q", key)
+		}
+	}
+	for key := range st {
+		if strings.HasPrefix(key, "cache_") {
+			t.Errorf("/stats carries %q, but there is no decoded-summary cache", key)
 		}
 	}
 	if st["clusters"].(float64) == 0 {
@@ -130,7 +130,7 @@ func TestHTTPStatsFields(t *testing.T) {
 
 // TestHTTPMatchPhases: every /match response carries the query's phase
 // trace — wall times per phase plus the pruning detail (segments probed
-// vs zone-skipped, cache hits vs disk loads).
+// vs zone-skipped, disk loads).
 func TestHTTPMatchPhases(t *testing.T) {
 	eng := testEngine(t)
 	mux := http.NewServeMux()
@@ -159,7 +159,6 @@ func TestHTTPMatchPhases(t *testing.T) {
 			OrderNS   int64  `json:"order_ns"`
 			Probed    int    `json:"segments_probed"`
 			Skipped   int    `json:"segments_skipped"`
-			CacheHits int    `json:"cache_hits"`
 			DiskLoads int    `json:"disk_loads"`
 			Pruned    *int   `json:"pruned"`
 		} `json:"phases"`
@@ -174,8 +173,8 @@ func TestHTTPMatchPhases(t *testing.T) {
 		t.Errorf("phase timings not all positive: %+v", resp.Phases)
 	}
 	// All-memory fixture: every refined candidate is a memory-tier entry,
-	// so no segment probes and no cache/disk attribution.
-	if resp.Phases.Probed != 0 || resp.Phases.Skipped != 0 {
+	// so no segment probes and no disk loads.
+	if resp.Phases.Probed != 0 || resp.Phases.Skipped != 0 || resp.Phases.DiskLoads != 0 {
 		t.Errorf("memory-only base reports segment probes: %+v", resp.Phases)
 	}
 	// How many refined pairs a distance bound dismissed is part of the
@@ -219,7 +218,7 @@ func TestSlowQueryLog(t *testing.T) {
 			}
 			got := logBuf.String()
 			if tc.wantLog {
-				for _, want := range []string{"slow /match", "filter=", "refine=", "order=", "cache_hits=", "pruned=", "trace="} {
+				for _, want := range []string{"slow /match", "filter=", "refine=", "order=", "disk_loads=", "pruned=", "trace="} {
 					if !strings.Contains(got, want) {
 						t.Errorf("slow-query log %q missing %q", got, want)
 					}

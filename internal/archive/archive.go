@@ -9,7 +9,6 @@ import (
 	"streamsum/internal/geom"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 )
 
 // Config controls archiving policy.
@@ -31,10 +30,10 @@ type Config struct {
 	// archiving by feature, §6.2). 0 keeps everything.
 	MinPopulation int
 	// Capacity bounds the number of archived clusters; once full, the
-	// oldest archived cluster is evicted (0 = unlimited). With a disk
-	// tier attached (StorePath), eviction demotes to disk instead of
-	// deleting, so Capacity bounds the memory tier's entry count while
-	// the archived history keeps growing on disk.
+	// oldest archived cluster is evicted (0 = unlimited; negative is
+	// rejected). With a disk tier attached (StorePath), eviction demotes
+	// to disk instead of deleting, so Capacity bounds the memory tier's
+	// entry count while the archived history keeps growing on disk.
 	Capacity int
 	// Seed makes sampling reproducible.
 	Seed int64
@@ -45,24 +44,23 @@ type Config struct {
 	// Reopening a base over an existing store resumes with the on-disk
 	// history visible and id assignment continuing past it.
 	StorePath string
-	// MaxMemBytes bounds the memory tier's encoded summary bytes; when a
-	// Put would exceed it, the oldest entries are demoted to the disk
-	// tier (requires StorePath). 0 means no byte bound.
+	// MaxMemBytes bounds the memory tier's summary bytes, counted in
+	// encoded bytes (sgs.EncodedSize); when a Put would exceed it, the
+	// oldest entries are demoted to the disk tier (requires StorePath).
+	// A GMTI summary takes about 27 bytes of heap per encoded byte as the
+	// memory tier holds it (31 when decoded from disk), so the tier's
+	// resident heap is roughly 30 times this bound. 0 means no byte
+	// bound; negative is rejected.
 	MaxMemBytes int
 	// StoreSegmentBytes overrides the disk tier's compaction target
 	// segment size (0 = segstore default). Mostly for tests and
 	// benchmarks that need a specific segment layout.
 	StoreSegmentBytes int
-	// SummaryCacheBytes bounds the decoded-summary cache
-	// (internal/sumcache): disk-resident summaries decoded by
-	// Entry.LoadSummary stay resident — charged at their encoded size,
-	// the same unit as MaxMemBytes — until evicted LRU, so repeated
-	// queries decode each summary once per residency instead of once per
-	// query. Requires StorePath. With MaxMemBytes set the cache's budget
-	// is carved out of it (memory tier demotes down to MaxMemBytes -
-	// SummaryCacheBytes, so tier + cache together stay under the one
-	// bound) and must therefore be smaller than MaxMemBytes. 0 disables
-	// the cache; every load then decodes from disk.
+	// SummaryCacheBytes is accepted and ignored.
+	//
+	// Deprecated: disk-resident summaries decode on every load, and the
+	// memory tier gets all of MaxMemBytes. ROADMAP item 1 removes the
+	// field once the benchmark harness stops setting it.
 	SummaryCacheBytes int
 	// Logger receives background diagnostics (demotion flush failures,
 	// correlated with their flight-recorder trace ids). Nil discards
@@ -89,36 +87,22 @@ type Entry struct {
 	// report its exact storage footprint (Fig. 8's memory metric).
 	Bytes int
 
-	// load reads a disk-resident summary (nil for memory-tier entries);
-	// the bool reports whether the decoded-summary cache served it.
-	load func() (*sgs.Summary, bool, error)
+	// load reads a disk-resident summary (nil for memory-tier entries).
+	load func() (*sgs.Summary, error)
 }
 
-// LoadSummary returns the entry's summary, reading it from the disk tier
-// when the entry is disk-resident. With a decoded-summary cache
-// configured (Config.SummaryCacheBytes) the read consults the residency
-// layer first — concurrent loads of one record singleflight into one
-// decode, and repeated loads hit until eviction. Without one, repeated
-// calls repeat the read, keeping resident memory bounded by what callers
-// actually hold. Either way the returned summary is shared and immutable:
-// callers must never mutate it (the same contract memory-tier summaries
-// already carry).
+// LoadSummary returns the entry's summary, decoding it from the disk
+// tier when the entry is disk-resident. Each call on a disk-resident
+// entry decodes again, so resident memory stays bounded by what callers
+// actually hold. The returned summary is shared and immutable: callers
+// must never mutate it (the same contract memory-tier summaries already
+// carry).
 func (e *Entry) LoadSummary() (*sgs.Summary, error) {
-	sum, _, err := e.LoadSummaryTracked()
-	return sum, err
-}
-
-// LoadSummaryTracked is LoadSummary plus residency attribution: it
-// additionally reports whether the summary came from the decoded-summary
-// cache (true) rather than a disk decode or the memory tier (false).
-// Per-query tracing uses it to split refine-phase reads into cache hits
-// and disk loads.
-func (e *Entry) LoadSummaryTracked() (*sgs.Summary, bool, error) {
 	if e.Summary != nil {
-		return e.Summary, false, nil
+		return e.Summary, nil
 	}
 	if e.load == nil {
-		return nil, false, fmt.Errorf("archive: entry %d has no summary source", e.ID)
+		return nil, fmt.Errorf("archive: entry %d has no summary source", e.ID)
 	}
 	return e.load()
 }
@@ -152,15 +136,13 @@ type Base struct {
 	logger *slog.Logger
 	nextID int64
 
-	mem       columns         // memory tier, FIFO; live rows are [head:]
-	head      int             // first live row of mem
-	count     int             // live entries across both tiers
-	bytes     int             // live encoded bytes across both tiers
-	memBytes  int             // live encoded bytes in the memory tier (excluding in-flight demotions)
-	memBudget int             // memory-tier byte bound: MaxMemBytes minus the cache's share (0 = unbounded)
-	store     *segstore.Store // disk tier; nil when StorePath is unset
-	cache     *sumcache.Cache // decoded-summary residency layer; nil when disabled
-	snap      *Snapshot       // cached read view; nil after any mutation
+	mem      columns         // memory tier, FIFO; live rows are [head:]
+	head     int             // first live row of mem
+	count    int             // live entries across both tiers
+	bytes    int             // live encoded bytes across both tiers
+	memBytes int             // live encoded bytes in the memory tier (excluding in-flight demotions)
+	store    *segstore.Store // disk tier; nil when StorePath is unset
+	snap     *Snapshot       // cached read view; nil after any mutation
 
 	// Background demoter state (store-backed bases only). Batches queue
 	// in demotePending; the demoter goroutine writes and fsyncs each
@@ -189,15 +171,14 @@ func New(cfg Config) (*Base, error) {
 	if cfg.SampleRate < 0 || cfg.SampleRate > 1 {
 		return nil, fmt.Errorf("archive: sample rate %g out of [0,1]", cfg.SampleRate)
 	}
+	if cfg.Capacity < 0 {
+		return nil, fmt.Errorf("archive: negative Capacity %d (set 0 for no bound)", cfg.Capacity)
+	}
+	if cfg.MaxMemBytes < 0 {
+		return nil, fmt.Errorf("archive: negative MaxMemBytes %d (set 0 for no byte bound)", cfg.MaxMemBytes)
+	}
 	if cfg.MaxMemBytes > 0 && cfg.StorePath == "" {
 		return nil, fmt.Errorf("archive: MaxMemBytes requires StorePath")
-	}
-	if cfg.SummaryCacheBytes > 0 && cfg.StorePath == "" {
-		return nil, fmt.Errorf("archive: SummaryCacheBytes requires StorePath (memory-tier entries are already decoded)")
-	}
-	if cfg.MaxMemBytes > 0 && cfg.SummaryCacheBytes >= cfg.MaxMemBytes {
-		return nil, fmt.Errorf("archive: SummaryCacheBytes %d must be below MaxMemBytes %d (tier and cache share that bound)",
-			cfg.SummaryCacheBytes, cfg.MaxMemBytes)
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -210,27 +191,10 @@ func New(cfg Config) (*Base, error) {
 		mem:    columns{dim: cfg.Dim},
 	}
 	if cfg.StorePath != "" {
-		// The cache share is carved out of MaxMemBytes up front (not
-		// tracked live) so the sum of memory-tier bytes and cache
-		// residency is bounded at all times, not just at demotion points.
-		// With the cache disabled (zero budget) the memory tier gets the
-		// whole bound back.
-		b.cache = sumcache.New(cfg.SummaryCacheBytes)
-		if cfg.MaxMemBytes > 0 {
-			b.memBudget = cfg.MaxMemBytes - b.cache.Budget()
-		}
-		sopts := segstore.Options{
+		st, err := segstore.Open(cfg.StorePath, segstore.Options{
 			Dim:                cfg.Dim,
 			TargetSegmentBytes: cfg.StoreSegmentBytes,
-		}
-		if b.cache != nil {
-			// Compaction rewrites records into fresh segments; the retired
-			// sources' cached decodes are stale keys that would otherwise
-			// hold bytes (and pin mappings) until LRU pressure found them.
-			cache := b.cache
-			sopts.OnRetire = func(seg *segstore.Segment) { cache.InvalidateOwner(seg) }
-		}
-		st, err := segstore.Open(cfg.StorePath, sopts)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -398,9 +362,8 @@ func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 
 // demoteLocked hands the oldest memory-tier entries to the background
 // demoter when admitting an entry of incoming bytes would push the
-// memory tier past its byte budget (MaxMemBytes minus the decoded-
-// summary cache's share) or Capacity. It demotes down to 7/8 of the
-// violated bound (hysteresis: one segment absorbs many Puts). The
+// memory tier past MaxMemBytes or Capacity. It demotes down to 7/8 of
+// the violated bound (hysteresis: one segment absorbs many Puts). The
 // batch's entries leave the memory-tier accounting immediately but stay
 // snapshot-visible until their segment commits, so queries never observe
 // a gap; the segment write and fsync happen on the demoter goroutine,
@@ -409,17 +372,18 @@ func (b *Base) demoteLocked(incoming int) error {
 	if b.store == nil {
 		return nil
 	}
-	overBytes := b.memBudget > 0 && b.memBytes+incoming > b.memBudget
+	maxMem := b.cfg.MaxMemBytes
+	overBytes := maxMem > 0 && b.memBytes+incoming > maxMem
 	overCount := b.cfg.Capacity > 0 && b.memLen()+1 > b.cfg.Capacity
 	if !overBytes && !overCount {
 		return nil
 	}
 	byteGoal, countGoal := -1, -1
-	if b.memBudget > 0 {
+	if maxMem > 0 {
 		// Clamp at 0: an incoming entry near (or beyond) the whole budget
 		// must demote everything resident, not disable the bound — a
 		// negative goal would read as the "unbounded" sentinel below.
-		byteGoal = max(b.memBudget-b.memBudget/8-incoming, 0)
+		byteGoal = max(maxMem-maxMem/8-incoming, 0)
 	}
 	if b.cfg.Capacity > 0 {
 		countGoal = max(b.cfg.Capacity-b.cfg.Capacity/8-1, 0)
@@ -605,10 +569,6 @@ func (b *Base) removeFromStoreLocked(id int64) bool {
 	if err != nil || !ok {
 		return false
 	}
-	// A removed record is never legitimately loaded again; drop its
-	// cached decode now rather than letting it occupy budget until LRU
-	// pressure finds it.
-	b.cache.InvalidateID(id)
 	b.count--
 	b.bytes -= int(rec.Len)
 	b.snap = nil
@@ -653,16 +613,14 @@ type TierStats struct {
 	Compactions uint64
 	// Segments serving reads from a memory mapping (vs the pread fallback).
 	SegmentsMapped int
-	// Decoded-summary cache (internal/sumcache); all zero when the cache
-	// is disabled. CacheBytes is the resident encoded-size charge and,
-	// with MaxMemBytes set, shares that bound with MemBytes (the memory
-	// tier demotes down to MaxMemBytes - CacheBudget).
-	CacheHits    uint64
-	CacheMisses  uint64
+
+	// Deprecated: always 0; there is no decoded-summary cache. ROADMAP
+	// item 1 removes it once the benchmark harness stops reading it.
+	CacheHits uint64
+	// Deprecated: always 0, as CacheHits; removed by ROADMAP item 1.
+	CacheMisses uint64
+	// Deprecated: always 0, as CacheHits; removed by ROADMAP item 1.
 	CacheEvicted uint64
-	CacheEntries int
-	CacheBytes   int
-	CacheBudget  int
 }
 
 // TierStats returns the current tier split.
@@ -674,7 +632,7 @@ func (b *Base) TierStats() TierStats {
 		ts.DemotingBytes += batch.bytes
 	}
 	ts.DemotingBatches = len(b.demotePending)
-	store, cache := b.store, b.cache
+	store := b.store
 	b.mu.Unlock()
 	if store != nil {
 		s := store.Stats()
@@ -684,15 +642,6 @@ func (b *Base) TierStats() TierStats {
 		ts.SegDead = s.Records - s.LiveRecords
 		ts.Compactions = s.Compactions
 		ts.SegmentsMapped = s.SegmentsMapped
-	}
-	if cache != nil {
-		cs := cache.Stats()
-		ts.CacheHits = cs.Hits
-		ts.CacheMisses = cs.Misses
-		ts.CacheEvicted = cs.Evicted
-		ts.CacheEntries = cs.Entries
-		ts.CacheBytes = int(cs.Bytes)
-		ts.CacheBudget = cache.Budget()
 	}
 	return ts
 }

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streamsum/internal/dbscan"
@@ -109,17 +110,83 @@ func TestPutValidation(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("missing dim accepted")
+	dir := t.TempDir()
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" = accepted; otherwise a substring of the error
+	}{
+		{"missing dim", Config{}, "dimension"},
+		{"level without theta", Config{Dim: 2, Level: 1}, "theta"},
+		{"bad sample rate", Config{Dim: 2, SampleRate: 1.5}, "sample rate"},
+		{"negative level", Config{Dim: 2, Level: -1}, "level"},
+		{"negative capacity", Config{Dim: 2, Capacity: -1}, "Capacity"},
+		{"negative mem bound", Config{Dim: 2, StorePath: dir, MaxMemBytes: -1}, "MaxMemBytes"},
+		{"mem bound without store", Config{Dim: 2, MaxMemBytes: 1 << 10}, "StorePath"},
 	}
-	if _, err := New(Config{Dim: 2, Level: 1}); err == nil {
-		t.Error("level without theta accepted")
+	for _, c := range cases {
+		b, err := New(c.cfg)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case err != nil && !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.wantErr)
+		}
+		if b != nil {
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := New(Config{Dim: 2, SampleRate: 1.5}); err == nil {
-		t.Error("bad sample rate accepted")
+}
+
+// TestCacheConfigValidation: the deprecated SummaryCacheBytes is accepted
+// and ignored, with or without a store and at any size relative to
+// MaxMemBytes, and a base built with it reports no cache activity after
+// its disk tier is read back.
+func TestCacheConfigValidation(t *testing.T) {
+	for _, cfg := range []Config{
+		{Dim: 2, SummaryCacheBytes: 1 << 10},
+		{Dim: 2, StorePath: t.TempDir(), MaxMemBytes: 4 << 10, SummaryCacheBytes: 4 << 10},
+		{Dim: 2, StorePath: t.TempDir(), MaxMemBytes: 4 << 10, SummaryCacheBytes: 8 << 10},
+	} {
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%+v: rejected: %v", cfg, err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := New(Config{Dim: 2, Level: -1}); err == nil {
-		t.Error("negative level accepted")
+	b, err := New(Config{Dim: 2, StorePath: t.TempDir(), MaxMemBytes: 2 << 10, SummaryCacheBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i, s := range fixtureSummaries(t, 24, 97) {
+		if _, ok, err := b.Put(s); err != nil || !ok {
+			t.Fatalf("put %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := b.DrainDemotions(); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		b.Snapshot().All(func(e *Entry) bool {
+			if _, err := e.LoadSummary(); err != nil {
+				t.Fatalf("load %d: %v", e.ID, err)
+			}
+			return true
+		})
+	}
+	ts := b.TierStats()
+	if ts.SegEntries == 0 {
+		t.Fatalf("ingest never demoted: %+v", ts)
+	}
+	if ts.CacheHits != 0 || ts.CacheMisses != 0 || ts.CacheEvicted != 0 {
+		t.Fatalf("ignored cache budget shows activity: %+v", ts)
 	}
 }
 

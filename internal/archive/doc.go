@@ -72,31 +72,20 @@
 //
 // # The residency contract
 //
-// With Config.SummaryCacheBytes set, every Entry.LoadSummary of a
-// disk-resident entry consults a shared decoded-summary cache
-// (internal/sumcache), so a summary decodes once per residency rather
-// than once per query. The rules every caller relies on:
+// MaxMemBytes bounds the memory tier alone, in encoded summary bytes
+// (sgs.EncodedSize). Nothing else in the base holds decoded summaries:
+// every Entry.LoadSummary of a disk-resident entry decodes the record
+// from its segment again, so a query's resident cost is the candidates
+// it holds, and a repeat query pays its decodes again. The rules every
+// caller relies on:
 //
 //   - A *sgs.Summary returned by LoadSummary (or materialized on an
 //     Entry by Snapshot.Get) may be retained for any length of time by
-//     any caller, cached or not — summaries are immutable after decode
-//     and shared by reference, the same contract memory-tier entries
-//     have. Nobody may mutate one.
-//   - The cache's byte budget is carved out of MaxMemBytes: the memory
-//     tier is bounded by MaxMemBytes minus the cache budget, so tier
-//     plus cache never exceed the configured bound. The budget is
-//     denominated in encoded summary bytes, the same unit the tier
-//     accounts in.
-//   - Cached decodes are keyed by segment and pin it: a segment (and
-//     its mmap mapping) retired by compaction stays open until its last
-//     cached decode is invalidated, which happens synchronously at
-//     retirement (segstore.Options.OnRetire) — so the pin's lifetime in
-//     practice is the residency, not the cache's. Remove invalidates
-//     the removed id's decode the same way.
-//   - The cache changes when decodes happen, never what they yield:
-//     match and subscription results are byte-identical with the cache
-//     on, off (a zero budget), or pathologically small. Disabling it
-//     only changes repeated-query latency.
+//     any caller — summaries are immutable after decode and shared by
+//     reference, the same contract memory-tier entries have. Nobody may
+//     mutate one.
+//   - A decode copies everything it needs out of the segment, so a
+//     retained summary pins no segment or mapping.
 //
 // Demotion batches flush on a background demoter goroutine: the segment
 // payload write and fsync (segstore.PrepareFlush) run entirely outside

@@ -145,12 +145,10 @@ func TestModelRandomOps(t *testing.T) {
 		{name: "mem", cfg: Config{Dim: 2}},
 		{name: "mem-capacity", cfg: Config{Dim: 2, Capacity: 24}, evicts: true},
 		{name: "mem-capacity-no-remove", cfg: Config{Dim: 2, Capacity: 24}, evicts: true, noRemove: true},
-		{name: "store-capacity-no-remove", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10, SummaryCacheBytes: 1 << 20}, store: true, noRemove: true},
-		// The decoded-summary caches keep Get of every live disk entry
-		// after every step cheap; the memory tier's budget is 6 KiB.
-		{name: "store-capacity", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10, SummaryCacheBytes: 1 << 20}, store: true},
-		{name: "store-bytes", cfg: Config{Dim: 2, MaxMemBytes: 1<<20 + 6<<10, SummaryCacheBytes: 1 << 20, StoreSegmentBytes: 4 << 10}, store: true},
-		{name: "store-flush-fails", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10, SummaryCacheBytes: 1 << 20}, store: true, breakAt: 120},
+		{name: "store-capacity-no-remove", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10}, store: true, noRemove: true},
+		{name: "store-capacity", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10}, store: true},
+		{name: "store-bytes", cfg: Config{Dim: 2, MaxMemBytes: 6 << 10, StoreSegmentBytes: 4 << 10}, store: true},
+		{name: "store-flush-fails", cfg: Config{Dim: 2, Capacity: 16, StoreSegmentBytes: 4 << 10}, store: true, breakAt: 120},
 	}
 	const steps = 220
 	for si, su := range setups {

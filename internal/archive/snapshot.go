@@ -6,7 +6,6 @@ import (
 	"streamsum/internal/geom"
 	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
-	"streamsum/internal/sumcache"
 )
 
 // Snapshot is an immutable point-in-time view of the pattern base: slice
@@ -23,11 +22,10 @@ import (
 // per-call freshness is enough.
 type Snapshot struct {
 	dim   int
-	mem   []columns       // in-flight demotions oldest first, then the live memory tier; ids ascend across them
-	view  *segstore.View  // disk tier; nil for memory-only bases
-	cache *sumcache.Cache // decoded-summary residency layer; nil when disabled
-	count int             // live entries across both tiers
-	bytes int             // live encoded bytes across both tiers
+	mem   []columns      // in-flight demotions oldest first, then the live memory tier; ids ascend across them
+	view  *segstore.View // disk tier; nil for memory-only bases
+	count int            // live entries across both tiers
+	bytes int            // live encoded bytes across both tiers
 }
 
 // Snapshot returns a read-only view of the base's current contents. The
@@ -41,7 +39,7 @@ func (b *Base) Snapshot() *Snapshot {
 	if b.snap != nil {
 		return b.snap
 	}
-	s := &Snapshot{dim: b.cfg.Dim, cache: b.cache, count: b.count, bytes: b.bytes}
+	s := &Snapshot{dim: b.cfg.Dim, count: b.count, bytes: b.bytes}
 	if b.store != nil {
 		s.view = b.store.View()
 	}
@@ -80,23 +78,16 @@ func (s *Snapshot) Len() int { return s.count }
 func (s *Snapshot) Bytes() int { return s.bytes }
 
 // segEntry wraps one disk-resident record as an Entry: the filter-phase
-// features come from the segment footer; the summary loads lazily
-// through the decoded-summary cache (keyed by the segment — immutable,
-// so its decodes never go stale — and the record id). A nil cache means
-// every load decodes from the segment. This closure is the single
-// residency choke point: match refine, novelty probes, standing-
-// query evaluation, Snapshot.Get and base dumps all load through it.
-func segEntry(cache *sumcache.Cache, seg *segstore.Segment, r segstore.Record) *Entry {
+// features come from the segment footer; the summary decodes from the
+// segment on each load. Match refine, novelty probes, standing-query
+// evaluation, Snapshot.Get and base dumps all load through it.
+func segEntry(seg *segstore.Segment, r segstore.Record) *Entry {
 	return &Entry{
 		ID:       r.ID,
 		MBR:      r.MBR,
 		Features: sgs.FeaturesFromVector(r.Feat),
 		Bytes:    int(r.Len),
-		load: func() (*sgs.Summary, bool, error) {
-			return cache.GetOrLoadHit(seg, r.ID, int(r.Len), func() (*sgs.Summary, error) {
-				return seg.Load(r)
-			})
-		},
+		load:     func() (*sgs.Summary, error) { return seg.Load(r) },
 	}
 }
 
@@ -112,7 +103,7 @@ func (s *Snapshot) Get(id int64) *Entry {
 	}
 	if s.view != nil {
 		if seg, r, ok := s.view.Get(id); ok {
-			e := segEntry(s.cache, seg, r)
+			e := segEntry(seg, r)
 			sum, err := e.LoadSummary()
 			if err != nil {
 				return nil
@@ -189,12 +180,10 @@ func (m memShard) Label() string { return "mem" }
 
 // segShard is one disk segment as a filter shard. The range test and the
 // gate both run off the segment's columnar scan, so gate rejections never
-// materialize an Entry; entries it surfaces load their summaries through
-// the snapshot's decoded-summary cache.
+// materialize an Entry.
 type segShard struct {
-	seg   *segstore.Segment
-	view  *segstore.View
-	cache *sumcache.Cache
+	seg  *segstore.Segment
+	view *segstore.View
 }
 
 func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
@@ -221,7 +210,7 @@ func (g segShard) liveVisit(live *int, gate func([4]float64) bool, visit func(*E
 		if gate != nil && !gate(r.Feat) {
 			return true
 		}
-		return visit(segEntry(g.cache, g.seg, r))
+		return visit(segEntry(g.seg, r))
 	}
 }
 
@@ -255,7 +244,7 @@ func (s *Snapshot) segShards() []segShard {
 	segs := s.view.Segments()
 	out := make([]segShard, len(segs))
 	for i, seg := range segs {
-		out[i] = segShard{seg: seg, view: s.view, cache: s.cache}
+		out[i] = segShard{seg: seg, view: s.view}
 	}
 	return out
 }
@@ -304,7 +293,7 @@ func (s *Snapshot) All(visit func(*Entry) bool) {
 				if s.view.Dead(r.ID) {
 					continue
 				}
-				if !visit(segEntry(s.cache, seg, r)) {
+				if !visit(segEntry(seg, r)) {
 					return
 				}
 			}

@@ -399,3 +399,110 @@ func TestDemoterFailureRestores(t *testing.T) {
 	}
 	_ = b.Close()
 }
+
+// TestMemTierBound: during demotion-heavy ingest with interleaved disk
+// reads, the memory tier never holds more than MaxMemBytes once the
+// demoter has drained, and loading the whole disk tier adds nothing to
+// it (disk-resident summaries decode per load and are not retained).
+func TestMemTierBound(t *testing.T) {
+	const maxMem = 8 << 10
+	sums := fixtureSummaries(t, 48, 96)
+	b, err := New(Config{Dim: 2, StorePath: t.TempDir(), MaxMemBytes: maxMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i, s := range sums {
+		if _, ok, err := b.Put(s); err != nil || !ok {
+			t.Fatalf("put %d: ok=%v err=%v", i, ok, err)
+		}
+		if i%6 != 5 {
+			continue
+		}
+		if err := b.DrainDemotions(); err != nil {
+			t.Fatal(err)
+		}
+		b.Snapshot().All(func(e *Entry) bool {
+			if _, err := e.LoadSummary(); err != nil {
+				t.Fatalf("load %d: %v", e.ID, err)
+			}
+			return true
+		})
+		if ts := b.TierStats(); ts.MemBytes > maxMem {
+			t.Fatalf("after put %d: memory tier %d bytes exceeds MaxMemBytes %d", i, ts.MemBytes, maxMem)
+		}
+	}
+	if ts := b.TierStats(); ts.SegEntries == 0 {
+		t.Fatalf("ingest never demoted: %+v", ts)
+	}
+}
+
+// TestRemoveThenCompactReloads: removing most of a segment's records
+// makes it tombstone-heavy, the compactor rewrites it, and every
+// surviving entry then reloads from the rewritten segment byte-identical
+// to what it decoded to before.
+func TestRemoveThenCompactReloads(t *testing.T) {
+	sums := fixtureSummaries(t, 40, 98)
+	// A one-byte compaction target keeps every segment "full", so the
+	// background compactor never merges them behind the test's back; the
+	// only compaction that can fire is the tombstone-driven rewrite the
+	// test provokes below.
+	b, err := New(Config{Dim: 2, StorePath: t.TempDir(), StoreSegmentBytes: 1, MaxMemBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, s := range sums {
+		if _, ok, err := b.Put(s); err != nil || !ok {
+			t.Fatalf("put: ok=%v err=%v", ok, err)
+		}
+	}
+	if err := b.DrainDemotions(); err != nil {
+		t.Fatal(err)
+	}
+	if ts := b.TierStats(); ts.Segments < 2 {
+		t.Fatalf("setup: want multiple segments, got %d", ts.Segments)
+	}
+	blobs := map[int64][]byte{}
+	b.Snapshot().All(func(e *Entry) bool {
+		blobs[e.ID] = marshal(t, e)
+		return true
+	})
+
+	// Remove just over half of the first segment's bytes.
+	recs := b.store.View().Segments()[0].Records()
+	total, dead, removed := 0, 0, 0
+	for _, r := range recs {
+		total += int(r.Len)
+	}
+	for _, r := range recs {
+		if dead*2 > total {
+			break
+		}
+		if !b.Remove(r.ID) {
+			t.Fatalf("remove %d failed", r.ID)
+		}
+		dead += int(r.Len)
+		removed++
+	}
+	if removed == len(recs) {
+		t.Fatal("setup: removed the whole segment, nothing left to rewrite")
+	}
+	if err := b.store.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if ts := b.TierStats(); ts.Compactions == 0 {
+		t.Fatalf("tombstone-heavy segment was not rewritten: %+v", ts)
+	}
+	seen := 0
+	b.Snapshot().All(func(e *Entry) bool {
+		if !bytes.Equal(blobs[e.ID], marshal(t, e)) {
+			t.Fatalf("entry %d differs after compaction", e.ID)
+		}
+		seen++
+		return true
+	})
+	if seen != len(blobs)-removed {
+		t.Fatalf("reload visited %d entries, want %d", seen, len(blobs)-removed)
+	}
+}

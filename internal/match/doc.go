@@ -33,8 +33,8 @@
 //  2. Refine — RefinePairs evaluates the expensive grid-cell-level match
 //     (Refine) for every gate survivor: first the O(1) size bound, from
 //     the cell count the entry's features carry, so a pair it dismisses
-//     never loads a disk-resident summary; then the load (through the
-//     decoded-summary cache) and Refine — the best alignment found by an
+//     never loads a disk-resident summary; then the load (a decode from
+//     the entry's segment) and Refine — the best alignment found by an
 //     A*-style anytime search (position-insensitive case) or the identity
 //     alignment (position-sensitive case), unless an exact bound or a
 //     scan of the voted alignments shows first that none can come within

@@ -78,9 +78,9 @@ type Query struct {
 	Workers int
 	// Trace, when non-nil, receives the query's span tree: filter /
 	// refine / order phase spans with wall times, per-shard child spans
-	// under filter (segment label, format, zone admission), and pruning
-	// attribution (segment probe/skip counts, cache hits vs disk loads)
-	// as span attributes. Run records into the trace but neither
+	// under filter (segment label, zone admission), and pruning
+	// attribution (segment probe/skip counts, disk loads) as span
+	// attributes. Run records into the trace but neither
 	// finishes nor discards it — the caller owns its lifetime. Tracing
 	// never changes the result; it lives outside Stats so the
 	// deterministic statistics stay exactly comparable across runs.
@@ -269,7 +269,6 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		refineSpan.SetInt("refined", int64(st.Refined))
 		refineSpan.SetInt("pruned", int64(st.Pruned))
 		refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
-		refineSpan.SetInt("cache_hits", int64(rc.CacheHits))
 		refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
 		refineSpan.SetInt("topk_skipped", int64(rc.TopKSkipped))
 	}
@@ -317,7 +316,6 @@ type Outcome struct {
 	Distance float64
 	Within   bool
 	Summary  *sgs.Summary
-	cached   bool // a disk-resident summary the decoded-summary cache served
 	decoded  bool // a disk-resident summary decoded from its segment
 	skipped  bool // the top-k bound showed it cannot reach the top k
 }
@@ -326,7 +324,6 @@ type Outcome struct {
 type RefineCounts struct {
 	Pruned      int // dismissed by an exact bound at the threshold without a search
 	SizePruned  int // of Pruned, dismissed by the size bound before any load
-	CacheHits   int // disk-resident summaries the decoded-summary cache served
 	DiskLoads   int // disk-resident summaries decoded from their segment
 	TopKSkipped int // not Pruned, but shown by the top-k bound to miss the top k; depends on scheduling
 }
@@ -336,9 +333,9 @@ type RefineCounts struct {
 // out across workers, meets Refine's O(1) size bound first, which needs
 // only the entry's cell count (its volume feature), so a pair it
 // dismisses never loads a disk-resident summary; then the summary is
-// loaded (through the decoded-summary cache) and refined. Outcomes are in
-// pair order and identical at every worker count. The first load error,
-// in pair order, fails the stage.
+// loaded (a disk-resident one decodes from its segment) and refined.
+// Outcomes are in pair order and identical at every worker count. The
+// first load error, in pair order, fails the stage.
 //
 // A limit k in (0, n) says the caller keeps only the k closest pairs
 // within the threshold, and gives the stage a running top-k bound: a
@@ -364,13 +361,12 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 			o.Distance = math.Inf(1)
 			return
 		}
-		sum, hit, err := p.Entry.LoadSummaryTracked()
+		sum, err := p.Entry.LoadSummary()
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		disk := p.Entry.Summary == nil
-		o.Summary, o.cached, o.decoded = sum, disk && hit, disk && !hit
+		o.Summary, o.decoded = sum, p.Entry.Summary == nil
 		o.Distance, o.skipped = refineBounded(p.Target, sum, p.Weights, DefaultAlignBudget, p.Threshold, kb, i)
 		o.Within = o.Distance <= p.Threshold
 	})
@@ -383,8 +379,6 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 		switch {
 		case o.Summary == nil:
 			rc.SizePruned++
-		case o.cached:
-			rc.CacheHits++
 		case o.decoded:
 			rc.DiskLoads++
 		}

@@ -3,9 +3,9 @@
 // registry, a snapshot API (Gather), and a hand-rolled Prometheus text
 // exposition writer (WritePrometheus). It exists so every stage of the
 // pipeline — ingest batch phases, match filter/refine/order, segment
-// store reads, summary cache residency, demoter flushes, subscription
-// delivery — reports where time goes from inside the running process,
-// not only from offline benches.
+// store reads, demoter flushes, subscription delivery — reports where
+// time goes from inside the running process, not only from offline
+// benches.
 //
 // Concurrency contract:
 //
@@ -21,7 +21,7 @@
 //     misregistration is a programming error, surfaced immediately.
 //   - RegisterGaugeFunc is the exception: re-registering the same
 //     (name, labels) replaces the previous function. Gauge funcs read
-//     external state at scrape time (engine queue depths, cache
+//     external state at scrape time (engine queue depths, tier
 //     bytes), and that state is re-bound whenever a new engine starts
 //     — including every test that builds one.
 //   - Gather and WritePrometheus take the registry lock only to copy

@@ -250,7 +250,7 @@ func (r *Registry) NewHistogram(name, help string, labels ...L) *Histogram {
 // RegisterGaugeFunc registers a gauge whose value is read by fn at
 // snapshot time. Re-registering the same (name, labels) replaces the
 // previous function — the hook for process-lifetime series backed by
-// restartable state (an engine's queue depths, cache sizes).
+// restartable state (an engine's queue depths, tier sizes).
 func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64, labels ...L) {
 	r.register(&metric{name: name, labels: renderLabels(labels), kind: kindGauge, help: help, fn: fn})
 }

@@ -168,14 +168,9 @@ func (st *Store) compactGroup(group []*Segment, dead map[int64]struct{}, tr *tra
 	st.compactions++
 	metricCompactions.Inc()
 	// Retire the inputs: unlink now, close when the last pinned View
-	// lets go (the finalizer set at OpenSegment). OnRetire lets callers
-	// drop derived state keyed by the retired segments before any query
-	// can observe the new segment set without them.
+	// lets go (the finalizer set at OpenSegment).
 	for _, seg := range group {
 		_ = os.Remove(seg.path)
-		if st.opts.OnRetire != nil {
-			st.opts.OnRetire(seg)
-		}
 	}
 	return true, nil
 }

@@ -110,11 +110,5 @@
 //
 // Decoded summaries (Segment.Load) carry no such restriction: a decode
 // copies everything it needs out of the mapping, so holders may retain
-// them indefinitely. The archive's decoded-summary cache
-// (internal/sumcache) does exactly that, keying decodes by the *Segment
-// they came from — which pins the segment and its mapping like a View
-// does. Options.OnRetire tells such derived-state holders, under the
-// store lock, when compaction retires a segment, so they can drop their
-// decodes and release the pin promptly instead of waiting for the
-// finalizer.
+// them indefinitely without pinning the segment.
 package segstore

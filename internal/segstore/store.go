@@ -45,11 +45,6 @@ type Options struct {
 	// NoBackgroundCompaction disables the compactor goroutine; CompactNow
 	// still works (tools, deterministic tests).
 	NoBackgroundCompaction bool
-	// OnRetire, if set, is called once per source segment retired by a
-	// committed compaction, under the store lock — callers use it to drop
-	// derived state keyed by the segment (the archive's decoded-summary
-	// cache). It must not call back into the store.
-	OnRetire func(*Segment)
 }
 
 func (o *Options) fill() {

@@ -35,7 +35,7 @@
 // across the registry's workers), a parallel refine phase
 // (match.RefinePairs, the refine stage one-shot queries use: a pair the
 // O(1) size bound dismisses never loads a disk-resident entry, the rest
-// load through the decoded-summary cache and meet match.Refine), and a
+// load their summaries and meet match.Refine), and a
 // sequential ordered delivery phase. Candidate pairs are sorted by (subscription id, entry
 // id) between the phases, so the events each subscription receives — and
 // their order — are byte-identical at every worker count.

@@ -504,10 +504,10 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	// fanned across the workers. Pairs were sorted by (subscription id,
 	// entry index) after the probe, so outcome order — and therefore
 	// delivery order — is independent of worker count. A pair the size
-	// bound dismisses never loads its entry; the rest load through the
-	// archive's decoded-summary cache (sumcache), so an entry matched by
-	// several subscriptions — or by overlapping windows — still decodes
-	// once per residency.
+	// bound dismisses never loads its entry; the rest call LoadSummary.
+	// The engine offers entries with their summaries in hand (Snapshot.Get
+	// materializes a demoted one), so only a caller that offers
+	// summary-free disk entries pays a decode, once per pair.
 	refineSpan := tr.Start("refine")
 	outs, rc, err := match.RefinePairs(r.workers, len(pairs), 0, func(i int) match.Pair {
 		p := pairs[i]
@@ -520,6 +520,8 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	refineDur := time.Since(start) - probeDur
 	refineSpan.SetInt("pairs", int64(len(pairs)))
 	refineSpan.SetInt("pruned", int64(pruned))
+	refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
+	refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
 	refineSpan.End()
 
 	// Ordered delivery: pairs are grouped by subscription (the sort key's

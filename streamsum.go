@@ -123,7 +123,10 @@ type (
 	// WindowResult holds all clusters of one completed window.
 	WindowResult = core.WindowResult
 	// ArchiveOptions configures the pattern archiver (resolution and
-	// selective-archiving policy). The Dim field is filled in by New.
+	// selective-archiving policy). New fills in Dim, StorePath and
+	// MaxMemBytes from Options.Dim, Options.StorePath and
+	// Options.StoreMaxMemBytes, and rejects ArchiveOptions that set them
+	// to anything else.
 	ArchiveOptions = archive.Config
 	// ArchiveEntry is one archived cluster.
 	ArchiveEntry = archive.Entry
@@ -134,8 +137,8 @@ type (
 	// MatchStats reports filter-and-refine effectiveness.
 	MatchStats = match.Stats
 	// MatchTrace is a span-recording trace: MatchOptions.Trace records a
-	// query's phase spans (filter/refine/order, per-shard children, cache
-	// and zone attribution as attributes) into one. Obtain one with
+	// query's phase spans (filter/refine/order, per-shard children, disk
+	// load and zone attribution as attributes) into one. Obtain one with
 	// NewMatchTrace, run the query, then call Finish for the immutable
 	// MatchTraceData export.
 	MatchTrace = trace.Trace
@@ -208,10 +211,13 @@ type Options struct {
 	// Reopening an engine over an existing store resumes with the
 	// on-disk history visible.
 	StorePath string
-	// StoreMaxMemBytes bounds the pattern base's memory tier (encoded
-	// summary bytes); overflow demotes the oldest entries to the disk
-	// tier. Requires StorePath; 0 means no byte bound (demotion then
-	// happens only via Archive.Capacity pressure).
+	// StoreMaxMemBytes bounds the pattern base's memory tier, counted in
+	// encoded summary bytes; overflow demotes the oldest entries to the
+	// disk tier. A GMTI summary takes about 27 bytes of heap per encoded
+	// byte as the memory tier holds it (31 when decoded from disk), so the
+	// tier's resident heap is roughly 30 times this bound. Requires
+	// StorePath; 0 means no byte bound (demotion then happens only via
+	// Archive.Capacity pressure); negative is rejected.
 	StoreMaxMemBytes int
 	// SlowQuery, when positive, logs any standing-query window
 	// evaluation whose wall time meets it, with a per-phase breakdown
@@ -220,13 +226,11 @@ type Options struct {
 	// threshold only governs the engine-driven per-window evaluation.
 	// Zero disables slow-window logging.
 	SlowQuery time.Duration
-	// SummaryCacheBytes bounds the decoded-summary cache that serves the
-	// refine phase of queries over disk-resident entries: each summary
-	// decodes once per residency, not once per query. Requires StorePath.
-	// The budget is carved out of StoreMaxMemBytes (memory tier + cache
-	// share that bound), so when both are set it must be strictly
-	// smaller. 0 disables the cache; results are identical either way,
-	// only repeated-query latency changes.
+	// SummaryCacheBytes is accepted and ignored.
+	//
+	// Deprecated: disk-resident summaries decode on every load, and the
+	// memory tier gets all of StoreMaxMemBytes. ROADMAP item 1 removes
+	// the field once the benchmark harness stops setting it.
 	SummaryCacheBytes int
 	// Logger receives the engine's diagnostics (slow window evaluations,
 	// background demotion failures), with a "component" attribute naming
@@ -285,23 +289,31 @@ func New(opts Options) (*Engine, error) {
 	if opts.StorePath != "" && opts.Archive == nil {
 		return nil, fmt.Errorf("streamsum: StorePath requires archiving (set Options.Archive)")
 	}
+	if opts.StoreMaxMemBytes < 0 {
+		return nil, fmt.Errorf("streamsum: negative StoreMaxMemBytes %d (set 0 for no byte bound)", opts.StoreMaxMemBytes)
+	}
 	if opts.StoreMaxMemBytes > 0 && opts.StorePath == "" {
 		return nil, fmt.Errorf("streamsum: StoreMaxMemBytes requires StorePath")
-	}
-	if opts.SummaryCacheBytes > 0 && opts.StorePath == "" {
-		return nil, fmt.Errorf("streamsum: SummaryCacheBytes requires StorePath (memory-tier summaries are already decoded)")
 	}
 	if opts.Archive != nil {
 		// Theta is passed through as configured: a Level or ByteBudget
 		// that demands compression without a valid compression rate is a
 		// misconfiguration archive.New reports, not one to paper over
 		// (NewFromQuery, whose query language cannot express Theta,
-		// defaults it explicitly instead).
+		// defaults it explicitly instead). Dim, StorePath and MaxMemBytes
+		// are New's to set; a value there would be silently overwritten.
 		ac := *opts.Archive
+		switch {
+		case ac.Dim != 0 && ac.Dim != opts.Dim:
+			return nil, fmt.Errorf("streamsum: ArchiveOptions.Dim %d differs from Options.Dim %d (set Options.Dim)", ac.Dim, opts.Dim)
+		case ac.StorePath != "" && ac.StorePath != opts.StorePath:
+			return nil, fmt.Errorf("streamsum: ArchiveOptions.StorePath is not read (set Options.StorePath)")
+		case ac.MaxMemBytes != 0 && ac.MaxMemBytes != opts.StoreMaxMemBytes:
+			return nil, fmt.Errorf("streamsum: ArchiveOptions.MaxMemBytes is not read (set Options.StoreMaxMemBytes)")
+		}
 		ac.Dim = opts.Dim
 		ac.StorePath = opts.StorePath
 		ac.MaxMemBytes = opts.StoreMaxMemBytes
-		ac.SummaryCacheBytes = opts.SummaryCacheBytes
 		if opts.Logger != nil {
 			ac.Logger = opts.Logger.With("component", "archive")
 		}
@@ -352,7 +364,7 @@ func (e *Engine) Close() error {
 // (Figure 2) into engine Options. dim supplies the tuple dimensionality,
 // which the query language leaves to the schema. Execution-side knobs the
 // language does not cover (Parallelism, Archive, ArchiveNovelty,
-// StorePath, StoreMaxMemBytes, SummaryCacheBytes) can be set on the
+// StorePath, StoreMaxMemBytes) can be set on the
 // returned Options before calling New.
 func OptionsFromQuery(q string, dim int) (Options, error) {
 	cq, err := query.ParseCluster(q)
@@ -543,7 +555,7 @@ type MatchOptions struct {
 	Limit int
 	// Trace, when non-nil, records the query's span tree: per-phase wall
 	// times and pruning detail (segments probed vs zone-skipped, summary
-	// cache hits vs disk loads) as spans and attributes. The caller owns
+	// disk loads) as spans and attributes. The caller owns
 	// the trace's lifetime (obtain one with NewMatchTrace, Finish it
 	// after the query). Tracing never changes the results; it only adds
 	// a few clock reads.

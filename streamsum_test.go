@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamsum/internal/gen"
@@ -250,6 +251,52 @@ func TestNewArchiveThetaValidation(t *testing.T) {
 // TestNewRejectsBadArchiveNovelty: a novelty threshold outside [0,1], or
 // NaN, fails New instead of the first PushBatch (above 1) or silently
 // switching novelty archiving off (NaN).
+// TestNewArchiveSettingsValidation: New owns ArchiveOptions' Dim,
+// StorePath and MaxMemBytes, so a value set there that New would
+// overwrite is an error naming the Options field to set instead, as is a
+// negative bound that would otherwise read as "unbounded". The
+// deprecated cache budgets are accepted and ignored.
+func TestNewArchiveSettingsValidation(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name    string
+		store   string
+		maxMem  int
+		cache   int
+		archive ArchiveOptions
+		wantErr string // "" = accepted; otherwise a substring of the error
+	}{
+		{name: "store path on archive", archive: ArchiveOptions{StorePath: dir}, wantErr: "Options.StorePath"},
+		{name: "mem bound on archive", store: dir, archive: ArchiveOptions{MaxMemBytes: 4 << 10}, wantErr: "Options.StoreMaxMemBytes"},
+		{name: "dim on archive", archive: ArchiveOptions{Dim: 3}, wantErr: "Options.Dim"},
+		{name: "negative mem bound", store: dir, maxMem: -1, wantErr: "StoreMaxMemBytes"},
+		{name: "negative capacity", archive: ArchiveOptions{Capacity: -1}, wantErr: "Capacity"},
+		{name: "matching dim and store", store: dir, maxMem: 4 << 10, archive: ArchiveOptions{Dim: 2, StorePath: dir, MaxMemBytes: 4 << 10}},
+		{name: "cache budget without store", cache: 1 << 10},
+		{name: "archive cache budget", store: dir, maxMem: 4 << 10, archive: ArchiveOptions{SummaryCacheBytes: 8 << 10}},
+	}
+	for _, c := range cases {
+		a := c.archive
+		eng, err := New(Options{
+			Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,
+			Archive: &a, StorePath: c.store, StoreMaxMemBytes: c.maxMem, SummaryCacheBytes: c.cache,
+		})
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case err != nil && !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.wantErr)
+		}
+		if eng != nil {
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestNewRejectsBadArchiveNovelty(t *testing.T) {
 	for _, n := range []float64{1.5, math.NaN(), -0.1} {
 		o := Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 1000, Slide: 500,

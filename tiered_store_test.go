@@ -16,46 +16,26 @@ import (
 )
 
 // tieredStreamEngines feeds the same GMTI stream into a memory-only
-// engine and store-backed engines whose memory tiers are capped tightly
-// enough that most of the archived history lives on disk. The tiered
-// engines differ only in their decoded-summary cache: disabled, normal
-// and pathologically small. The cached engines' StoreMaxMemBytes is
-// raised by the cache budget — the cache's share is carved out of that
-// bound, so this keeps the effective memory-tier cap (and therefore the
-// tier split and segment layout) identical across all three.
-func tieredStreamEngines(t *testing.T, maxMem int) (memEng *Engine, tierEngs []*Engine) {
+// engine and a store-backed engine whose memory tier is capped tightly
+// enough that most of the archived history lives on disk.
+func tieredStreamEngines(t *testing.T, maxMem int) (memEng, tierEng *Engine) {
 	t.Helper()
 	memEng = tieredEngine(t, Options{})
-	for _, cache := range tieredCacheCfgs {
-		tierEngs = append(tierEngs, tieredEngine(t, Options{
-			StorePath:         t.TempDir(),
-			StoreMaxMemBytes:  maxMem + cache,
-			SummaryCacheBytes: cache,
-		}))
-	}
+	tierEng = tieredEngine(t, Options{StorePath: t.TempDir(), StoreMaxMemBytes: maxMem})
 	data := gen.GMTI(gen.GMTIConfig{Seed: 11}, 16000)
 	for lo := 0; lo < len(data.Points); lo += 1000 {
 		hi := lo + 1000
 		if hi > len(data.Points) {
 			hi = len(data.Points)
 		}
-		for _, eng := range append([]*Engine{memEng}, tierEngs...) {
+		for _, eng := range []*Engine{memEng, tierEng} {
 			if _, err := eng.PushBatch(data.Points[lo:hi], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return memEng, tierEngs
+	return memEng, tierEng
 }
-
-const (
-	tieredCacheBudget = 8 << 10
-	tieredCacheTiny   = 4 << 10 // a few entries per shard at most
-)
-
-// tieredCacheCfgs are the SummaryCacheBytes settings of the engines
-// tieredStreamEngines returns, in order.
-var tieredCacheCfgs = []int{0, tieredCacheBudget, tieredCacheTiny}
 
 func tieredEngine(t *testing.T, extra Options) *Engine {
 	t.Helper()
@@ -64,10 +44,9 @@ func tieredEngine(t *testing.T, extra Options) *Engine {
 	// 256 KiB target would merge this test's whole history into one).
 	opts := Options{
 		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 4000, Slide: 1000,
-		Archive:           &ArchiveOptions{StoreSegmentBytes: 8 << 10},
-		StorePath:         extra.StorePath,
-		StoreMaxMemBytes:  extra.StoreMaxMemBytes,
-		SummaryCacheBytes: extra.SummaryCacheBytes,
+		Archive:          &ArchiveOptions{StoreSegmentBytes: 8 << 10},
+		StorePath:        extra.StorePath,
+		StoreMaxMemBytes: extra.StoreMaxMemBytes,
 	}
 	eng, err := New(opts)
 	if err != nil {
@@ -98,41 +77,34 @@ func TestTieredMatchIdenticalPread(t *testing.T) {
 
 func runTieredMatchIdentical(t *testing.T) {
 	const maxMem = 32 << 10
-	memEng, tierEngs := tieredStreamEngines(t, maxMem)
+	memEng, tierEng := tieredStreamEngines(t, maxMem)
 	defer func() {
-		for _, eng := range tierEngs {
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if err := tierEng.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}()
 
-	memBase := memEng.PatternBase()
+	memBase, tierBase := memEng.PatternBase(), tierEng.PatternBase()
 	if memBase.Len() == 0 {
 		t.Fatal("empty pattern base")
 	}
-	for _, eng := range tierEngs {
-		tierBase := eng.PatternBase()
-		if memBase.Len() != tierBase.Len() {
-			t.Fatalf("base sizes: mem %d, tiered %d", memBase.Len(), tierBase.Len())
-		}
-		// Settle the background demoter so the tier split is deterministic.
-		if err := tierBase.DrainDemotions(); err != nil {
-			t.Fatal(err)
-		}
-		ts := tierBase.TierStats()
-		// The cache's budget is carved out of the configured bound, which
-		// tieredStreamEngines raised by it, so every tier is capped at maxMem.
-		if ts.MemBytes > maxMem {
-			t.Fatalf("memory tier %d bytes exceeds cap %d", ts.MemBytes, maxMem)
-		}
-		if ts.MemBytes+ts.SegBytes <= maxMem {
-			t.Fatalf("history (%d mem + %d disk bytes) did not grow past the cap %d",
-				ts.MemBytes, ts.SegBytes, maxMem)
-		}
-		if ts.Segments < 2 {
-			t.Fatalf("want multiple segments, got %d", ts.Segments)
-		}
+	if memBase.Len() != tierBase.Len() {
+		t.Fatalf("base sizes: mem %d, tiered %d", memBase.Len(), tierBase.Len())
+	}
+	// Settle the background demoter so the tier split is deterministic.
+	if err := tierBase.DrainDemotions(); err != nil {
+		t.Fatal(err)
+	}
+	ts := tierBase.TierStats()
+	if ts.MemBytes > maxMem {
+		t.Fatalf("memory tier %d bytes exceeds cap %d", ts.MemBytes, maxMem)
+	}
+	if ts.MemBytes+ts.SegBytes <= maxMem {
+		t.Fatalf("history (%d mem + %d disk bytes) did not grow past the cap %d",
+			ts.MemBytes, ts.SegBytes, maxMem)
+	}
+	if ts.Segments < 2 {
+		t.Fatalf("want multiple segments, got %d", ts.Segments)
 	}
 
 	type result struct {
@@ -169,7 +141,7 @@ func runTieredMatchIdentical(t *testing.T) {
 		}
 		want := runOne(memEng, e.Summary, 1)
 		for _, workers := range []int{1, 2, 8} {
-			for _, eng := range append([]*Engine{memEng}, tierEngs...) {
+			for _, eng := range []*Engine{memEng, tierEng} {
 				got := runOne(eng, e.Summary, workers)
 				if got.cand != want.cand || got.ref != want.ref {
 					t.Fatalf("target %d workers %d: stats %d/%d want %d/%d",
@@ -188,28 +160,6 @@ func runTieredMatchIdentical(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-
-	// The identical results above came from genuinely different residency
-	// paths: the uncached engine reports no cache, the cached engines
-	// served refine hits while staying inside their byte budgets.
-	for i, budget := range tieredCacheCfgs {
-		ts := tierEngs[i].PatternBase().TierStats()
-		if budget == 0 {
-			if ts.CacheBudget != 0 || ts.CacheHits+ts.CacheMisses != 0 {
-				t.Fatalf("uncached engine reports cache activity: %+v", ts)
-			}
-			continue
-		}
-		if ts.CacheBudget != budget {
-			t.Fatalf("engine %d: cache budget %d want %d", i, ts.CacheBudget, budget)
-		}
-		if ts.CacheMisses == 0 || ts.CacheHits == 0 {
-			t.Fatalf("engine %d: cache never exercised: %+v", i, ts)
-		}
-		if int64(ts.CacheBytes) > int64(budget) {
-			t.Fatalf("engine %d: resident cache bytes %d exceed budget %d", i, ts.CacheBytes, budget)
 		}
 	}
 }
