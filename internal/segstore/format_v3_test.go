@@ -250,3 +250,31 @@ func TestV3ScanZeroAlloc(t *testing.T) {
 		t.Fatalf("location filter+gate scan allocates %.1f/op", n)
 	}
 }
+
+// TestV3LoadAllocs: a record load from a mapped segment allocates only
+// what the decoded summary is made of (the summary, its cells and one
+// connection arena).
+func TestV3LoadAllocs(t *testing.T) {
+	entries := makeEntries(t, 16, 13, 0)
+	path := filepath.Join(t.TempDir(), "load"+segSuffix)
+	if err := writeSegment(path, 2, entries); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.close()
+	if !seg.Mapped() {
+		t.Skip("segment not mapped on this platform")
+	}
+	for _, r := range seg.Records() {
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := seg.Load(r); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 3 {
+			t.Fatalf("record %d: Load allocates %.1f/op, want at most 3", r.ID, n)
+		}
+	}
+}

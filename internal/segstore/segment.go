@@ -255,9 +255,9 @@ var blobPool = sync.Pool{
 
 // Load reads and decodes one record's summary. On the mmap path the blob
 // is decoded directly from the mapping (zero copy, no syscall); on the
-// pread fallback it is read into a pooled scratch buffer, so either way
-// the only allocation is the decoded summary itself. Safe for any number
-// of concurrent callers.
+// pread fallback it is read into a pooled scratch buffer. Either way the
+// only allocations are sgs.Unmarshal's: the summary, its cells and one
+// connection arena. Safe for any number of concurrent callers.
 func (s *Segment) Load(r Record) (*sgs.Summary, error) {
 	if s.mapped != nil {
 		metricLoadsMmap.Inc()

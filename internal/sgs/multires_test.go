@@ -175,38 +175,6 @@ func TestCompressNegativeCoordinates(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	for seed := int64(20); seed < 30; seed++ {
-		s := randomSummary(t, seed)
-		s.ID, s.Window = seed*100, seed
-		b := Marshal(s)
-		if EncodedSize(s) != len(b) {
-			t.Fatal("EncodedSize inconsistent with Marshal")
-		}
-		d, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if d.ID != s.ID || d.Window != s.Window || d.Dim != s.Dim || d.Side != s.Side || d.Level != s.Level {
-			t.Fatalf("header mismatch: %+v vs %+v", d, s)
-		}
-		if len(d.Cells) != len(s.Cells) {
-			t.Fatalf("cell count %d != %d", len(d.Cells), len(s.Cells))
-		}
-		for i := range s.Cells {
-			a, bb := &s.Cells[i], &d.Cells[i]
-			if a.Coord != bb.Coord || a.Population != bb.Population || a.Status != bb.Status || len(a.Conns) != len(bb.Conns) {
-				t.Fatalf("cell %d differs: %+v vs %+v", i, a, bb)
-			}
-			for j := range a.Conns {
-				if a.Conns[j] != bb.Conns[j] {
-					t.Fatalf("cell %d conn %d differs", i, j)
-				}
-			}
-		}
-	}
-}
-
 func TestCodecCompactness(t *testing.T) {
 	// The paper reports ~23 bytes per 4-d skeletal grid cell; our delta
 	// codec should stay in that ballpark (allow 2x headroom) and far below
@@ -215,35 +183,6 @@ func TestCodecCompactness(t *testing.T) {
 	perCell := float64(EncodedSize(s)-38) / float64(s.NumCells())
 	if perCell > 46 {
 		t.Errorf("per-cell encoding %0.1f bytes exceeds 2x the paper's figure", perCell)
-	}
-}
-
-func TestUnmarshalRejectsCorruption(t *testing.T) {
-	s := randomSummary(t, 40)
-	good := Marshal(s)
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("nil input accepted")
-	}
-	if _, err := Unmarshal(good[:3]); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	bad := append([]byte(nil), good...)
-	bad[0] = 'X'
-	if _, err := Unmarshal(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Unmarshal(good[:len(good)-2]); err == nil {
-		t.Error("truncated body accepted")
-	}
-	trailing := append(append([]byte(nil), good...), 0, 0)
-	if _, err := Unmarshal(trailing); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	// Corrupt the dimension byte.
-	bad2 := append([]byte(nil), good...)
-	bad2[4] = 99
-	if _, err := Unmarshal(bad2); err == nil {
-		t.Error("bad dimension accepted")
 	}
 }
 

@@ -233,7 +233,8 @@ const maxSide = math.MaxFloat64 / (1 << 34)
 // Validate checks structural invariants of a summary: a cell side in
 // (0, maxSide], sorted unique cells, edge cells with no connections,
 // connections referencing existing cells, and core-core connection
-// symmetry. Used by tests and after decoding untrusted bytes.
+// symmetry. Builders and tests use it; Unmarshal checks the same
+// invariants itself as it decodes.
 func (s *Summary) Validate() error {
 	if s.Dim < 1 || s.Dim > grid.MaxDim {
 		return fmt.Errorf("sgs: bad dimension %d", s.Dim)
