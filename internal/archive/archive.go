@@ -89,7 +89,15 @@ type Entry struct {
 
 	// load reads a disk-resident summary (nil for memory-tier entries).
 	load func() (*sgs.Summary, error)
+	// profile is the summary's cell-count profile, built once when a
+	// memory-tier entry is archived (nil for disk-resident entries and
+	// for summaries sgs.NewProfile declines).
+	profile *sgs.Profile
 }
+
+// ProfileOf returns e's cell-count profile, or nil when it has none: only
+// memory-tier entries carry one, and those always carry their Summary.
+func ProfileOf(e *Entry) *sgs.Profile { return e.profile }
 
 // LoadSummary returns the entry's summary, decoding it from the disk
 // tier when the entry is disk-resident. Each call on a disk-resident
@@ -335,6 +343,7 @@ func (b *Base) putLocked(s *sgs.Summary) (int64, bool, error) {
 		MBR:      stored.MBR(),
 		Features: stored.Features(),
 		Bytes:    sgs.EncodedSize(stored),
+		profile:  sgs.NewProfile(stored),
 	}
 	if e.MBR.IsEmpty() {
 		return 0, false, fmt.Errorf("archive: summary has empty MBR")

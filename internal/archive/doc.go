@@ -21,6 +21,16 @@
 // same kind of columnar scan and skip a whole segment on its zone (the
 // per-segment MBR and feature bounds).
 //
+// A memory-tier entry carries its summary, MBR, feature vector, encoded
+// size and the summary's cell-count profile (sgs.NewProfile, read through
+// ProfileOf): per axis, the extent of its cells and the number of cells
+// at each coordinate, about ten small counts for a GMTI summary. Put
+// builds the profile once, and the matcher's refine stage uses it to
+// dismiss pairs without walking their cells. A summary that spans 2^16
+// or more coordinates on some axis, or whose profile would hold more
+// than 16 counts per cell, gets none. Disk-resident entries carry no
+// profile: the segment format has no column for it.
+//
 // # Concurrency: snapshot isolation
 //
 // The base separates the archiver's append path from the analyzer's query

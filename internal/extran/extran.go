@@ -99,12 +99,6 @@ func New(cfg Config) (*Extractor, error) {
 	}, nil
 }
 
-// Config returns the extractor's configuration.
-func (e *Extractor) Config() Config { return e.cfg }
-
-// CurrentWindow returns the index of the next window to be emitted.
-func (e *Extractor) CurrentWindow() int64 { return e.cur }
-
 // Stats reports live meta-data sizes: objects, open views, and total
 // per-view membership entries (the view-dependent memory term).
 func (e *Extractor) Stats() (objects, views, viewEntries int) {

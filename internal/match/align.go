@@ -36,7 +36,9 @@ type vec = [grid.MaxDim]int32
 // coordinates must carry the summary's dimensionality. Refine is safe for
 // concurrent use and allocates nothing once its pooled scratch is warm.
 func Refine(target, cand *sgs.Summary, w Weights, budget int, threshold float64) (dist float64, within bool) {
-	dist, _ = refineBounded(target, cand, w, budget, threshold, nil, 0)
+	sc := scratchPool.Get().(*scratch)
+	dist, _ = sc.refineBounded(target, cand, nil, nil, w, budget, threshold, nil, 0)
+	scratchPool.Put(sc)
 	return dist, dist <= threshold
 }
 
@@ -45,8 +47,10 @@ func Refine(target, cand *sgs.Summary, w Weights, budget int, threshold float64)
 // position-insensitive pair that Refine's exact stages keep, but that
 // they show farther than the bound's τ < threshold, is skipped: it
 // reports dist = +Inf and skipped = true, and no search runs. With kb nil
-// it is exactly Refine.
-func refineBounded(target, cand *sgs.Summary, w Weights, budget int, threshold float64, kb *kBound, pair int) (dist float64, skipped bool) {
+// it is exactly Refine. The profiles tp and cp, when both are non-nil,
+// must be target's and cand's (sgs.NewProfile); they save the walk over
+// the cells for the pair's extents and change nothing else.
+func (sc *scratch) refineBounded(target, cand *sgs.Summary, tp, cp *sgs.Profile, w Weights, budget int, threshold float64, kb *kBound, pair int) (dist float64, skipped bool) {
 	na, nb := len(target.Cells), len(cand.Cells)
 	switch {
 	case na == 0 && nb == 0:
@@ -57,10 +61,7 @@ func refineBounded(target, cand *sgs.Summary, w Weights, budget int, threshold f
 		var identity vec
 		return cellDistance(target, cand, &identity), false
 	}
-	sc := scratchPool.Get().(*scratch)
-	dist, skipped = sc.refine(target, cand, budget, threshold, kb, pair)
-	scratchPool.Put(sc)
-	return dist, skipped
+	return sc.refine(target, cand, tp, cp, budget, threshold, kb, pair)
 }
 
 // RefineDistance is the exact, unpruned grid-cell-level distance of a
@@ -193,9 +194,14 @@ const maxVoteTable = 1 << 16
 
 // refine is the position-insensitive case of refineBounded for two
 // non-empty summaries of one dimensionality.
-func (sc *scratch) refine(a, b *sgs.Summary, budget int, threshold float64, kb *kBound, pair int) (float64, bool) {
-	alo, ahi := extent(a)
-	blo, bhi := extent(b)
+func (sc *scratch) refine(a, b *sgs.Summary, ap, bp *sgs.Profile, budget int, threshold float64, kb *kBound, pair int) (float64, bool) {
+	var alo, ahi, blo, bhi vec
+	if ap != nil && bp != nil {
+		alo, ahi, blo, bhi = ap.Lo, ap.Hi, bp.Lo, bp.Hi
+	} else {
+		alo, ahi = extent(a)
+		blo, bhi = extent(b)
+	}
 	sc.mStar = unvoted
 	if threshold < 1 && sc.beyond(a, b, &alo, &ahi, &blo, &bhi, budget, threshold) {
 		metricPruned.Inc()
@@ -265,26 +271,42 @@ func extent(s *sgs.Summary) (lo, hi vec) {
 	return lo, hi
 }
 
-// maxCoincident returns M*, the largest number of cells of a that one
-// translation brings into coincidence with cells of b: every cell pair
-// votes for its difference vector in a dense table spanning the possible
-// differences, and M* is the fullest entry. It returns -1 without voting
-// when the table would exceed maxVoteTable or when the |a|·|b| votes (plus
-// clearing the table, about eight entries per vote's cost) would cost more
-// than the budget·(|a|+|b|) cell visits of the search they might save.
-func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, budget int) int {
-	na, nb := len(a.Cells), len(b.Cells)
-	stride := &sc.stride
+// voteSize returns the number of entries of the dense vote table over the
+// cell-pair difference vectors of a pair with the given extents, or 0 when
+// it would exceed maxVoteTable, and stores each axis's step in the table's
+// index in stride.
+func voteSize(alo, ahi, blo, bhi *vec, dim int, stride *[grid.MaxDim]int64) int64 {
 	size := int64(1)
-	dim := a.Dim
 	for d := dim - 1; d >= 0; d-- {
 		stride[d] = size
 		size *= int64(ahi[d]) - int64(alo[d]) + int64(bhi[d]) - int64(blo[d]) + 1
 		if size > maxVoteTable {
-			return -1
+			return 0
 		}
 	}
-	if (int64(na)*int64(nb)+size/8)/int64(na+nb) >= int64(budget) {
+	return size
+}
+
+// voteWorth reports whether the |a|·|b| votes of an na-cell and an nb-cell
+// summary, plus clearing a table of size entries (about eight entries per
+// vote's cost), cost less than the budget·(|a|+|b|) cell visits of the
+// search they might save.
+func voteWorth(na, nb int, size int64, budget int) bool {
+	return (int64(na)*int64(nb)+size/8)/int64(na+nb) < int64(budget)
+}
+
+// maxCoincident returns M*, the largest number of cells of a that one
+// translation brings into coincidence with cells of b: every cell pair
+// votes for its difference vector in a dense table spanning the possible
+// differences, and M* is the fullest entry. It returns -1 without voting
+// when the table would exceed maxVoteTable or the votes are not worth
+// their cost (voteWorth).
+func (sc *scratch) maxCoincident(a, b *sgs.Summary, alo, ahi, blo, bhi *vec, budget int) int {
+	na, nb := len(a.Cells), len(b.Cells)
+	stride := &sc.stride
+	dim := a.Dim
+	size := voteSize(alo, ahi, blo, bhi, dim, stride)
+	if size == 0 || !voteWorth(na, nb, size, budget) {
 		return -1
 	}
 	// The pair (i, j) differs by b[j]−a[i], whose table index splits into
@@ -336,6 +358,56 @@ func minCoincident(na, nb, mStar int, threshold float64) int {
 		}
 	}
 	return hi
+}
+
+// profileBeyond reports whether the cell-count profiles pa and pb of an
+// na-cell and an nb-cell summary of dimensionality dim prove every
+// alignment of the pair farther than t. It decides only pairs that
+// maxCoincident would vote on — the same voteSize and voteWorth tests, on
+// the extents the profiles carry — and reports false for every other
+// pair, which then meets the kernel exactly as before. On each axis it
+// bounds M* by axisBound; the pair is dismissed when one axis's bound m
+// has distanceFloor(na, nb, m) > t. Since M* ≤ m and the floor falls as
+// m grows, the vote would dismiss the pair too (package comment, "Stage
+// zero"). The shift tables reuse the vote table's memory.
+func (sc *scratch) profileBeyond(na, nb int, pa, pb *sgs.Profile, dim, budget int, t float64) bool {
+	var stride [grid.MaxDim]int64
+	size := voteSize(&pa.Lo, &pa.Hi, &pb.Lo, &pb.Hi, dim, &stride)
+	if size == 0 || !voteWorth(na, nb, size, budget) {
+		return false
+	}
+	for d := 0; d < dim; d++ {
+		if distanceFloor(na, nb, sc.axisBound(pa.Axis(d), pb.Axis(d))) > t {
+			return true
+		}
+	}
+	return false
+}
+
+// axisBound bounds M* from one axis's profiles: ca[k] cells of a and
+// cb[k] cells of b lie at the k-th coordinate of their extents, and a
+// translation moving a's coordinate k onto b's k+s can make at most
+// min(ca[k], cb[k+s]) of them coincide there. It returns the largest
+// Σ_k min(ca[k], cb[k+s]) over all shifts s.
+func (sc *scratch) axisBound(ca, cb []uint32) int {
+	size := len(ca) + len(cb) - 1
+	if cap(sc.votes) < size {
+		sc.votes = make([]uint32, size)
+	}
+	shifts := sc.votes[:size]
+	clear(shifts)
+	var best uint32
+	for i, x := range ca {
+		if x == 0 {
+			continue
+		}
+		row := shifts[len(ca)-1-i:] // row[j] sums the shift j−i
+		for j, y := range cb {
+			row[j] += min(x, y)
+			best = max(best, row[j])
+		}
+	}
+	return int(best)
 }
 
 // votedWithin reports whether some alignment holding at least mMin votes

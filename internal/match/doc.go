@@ -33,8 +33,10 @@
 //  2. Refine — RefinePairs evaluates the expensive grid-cell-level match
 //     (Refine) for every gate survivor: first the O(1) size bound, from
 //     the cell count the entry's features carry, so a pair it dismisses
-//     never loads a disk-resident summary; then the load (a decode from
-//     the entry's segment) and Refine — the best alignment found by an
+//     never loads a disk-resident summary; then the profile stage, from
+//     the target's and a memory-tier entry's cell-count profiles (see
+//     "Stage zero"); then the load (a decode from the entry's segment)
+//     and Refine — the best alignment found by an
 //     A*-style anytime search (position-insensitive case) or the identity
 //     alignment (position-sensitive case), unless an exact bound or a
 //     scan of the voted alignments shows first that none can come within
@@ -77,8 +79,9 @@
 // Bounds. Only a few percent of gate survivors end up within the
 // threshold, and most of the rest can be dismissed without searching. A
 // position-insensitive pair at a threshold below 1 meets two exact stages
-// before the search runs; a pair either stage dismisses reports dist =
-// +Inf, and Stats.Pruned and sgs_match_pruned_pairs_total count it.
+// before the search runs, and RefinePairs puts a cheaper stage zero in
+// front of them; a pair any stage dismisses reports dist = +Inf, and
+// Stats.Pruned and sgs_match_pruned_pairs_total count it.
 //
 // Stage one, M*. Let M* be the largest number of target cells any
 // translation brings into coincidence with candidate cells. An alignment
@@ -96,6 +99,40 @@
 // carry),
 // then with the true M*, found by letting each of the |a|·|b| cell pairs
 // vote for its difference vector in a pooled dense table.
+//
+// Stage zero, the profile. The vote walks every cell of both summaries,
+// and most pairs it sees it dismisses. Memory-tier entries and query and
+// subscription targets carry a cell-count profile (sgs.Profile): per
+// axis, the extent of the cells and the number pa[k] of cells at the
+// extent's k-th coordinate — about ten small counts for a GMTI summary,
+// and the same for every whole-cell translate. A translation moves a's
+// coordinate k on axis d onto b's coordinate k+s for one shift s, and
+// there it can make at most min(pa[k], pb[k+s]) cells coincide, since
+// coincident cells pair up one to one. Summing over k,
+//
+//	M* ≤ m_d = max over s of Σ_k min(pa_d[k], pb_d[k+s])   for every axis d,
+//
+// and the stage dismisses the pair when distanceFloor(|a|, |b|, m_d)
+// exceeds the threshold on some axis. That is sound: the floor falls as
+// m grows (also as computed, by the monotone-division argument below),
+// so the floor at M* exceeds the threshold too, and stage one dismisses
+// the pair as well. The stage runs only where stage one would vote: the
+// same table-size and vote-cost tests, on the extents the profiles
+// carry, which are the summaries' own. A pair outside them goes on to
+// the kernel as before, where an unvoted pair would be searched, not
+// dismissed. So the stage dismisses exactly a subset of what the vote
+// dismisses, with the same +Inf: no distance, Stats, RefineCounts.Pruned
+// or top-k decision changes (a pair dismissed at the threshold never
+// offers to the top-k bound, in either stage). It costs at most
+// |pa|·|pb| steps per axis in the vote table's pooled memory, reads no
+// cell and allocates nothing; a dismissed entry still reports its
+// summary, which the memory tier holds anyway. RefineCounts.ProfilePruned and the refine
+// span's profile_pruned attribute count its dismissals. Disk-resident
+// entries have no profile (the segment format has no column for it), and
+// neither does a summary spanning 2^16 or more coordinates on an axis or
+// needing more than 16 counts per cell; their pairs skip the stage. For
+// pairs that reach Refine with both profiles, the kernel takes the
+// extents from them instead of walking the cells.
 //
 // Stage two, the voted alignments. An alignment no cell pair votes for
 // has no coincident cell: every one of the |a|+|b| cells is unmatched at

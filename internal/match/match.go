@@ -257,8 +257,9 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	if w.PositionSensitive {
 		limit = 0 // one evaluation per pair: no search to skip
 	}
+	tp := sgs.NewProfile(q.Target)
 	outs, rc, err := RefinePairs(q.Workers, len(refine), limit, func(i int) Pair {
-		return Pair{Target: q.Target, Weights: w, Threshold: q.Threshold, Entry: refine[i]}
+		return Pair{Target: q.Target, TargetProfile: tp, Weights: w, Threshold: q.Threshold, Entry: refine[i]}
 	})
 	if err != nil {
 		return nil, st, err
@@ -269,6 +270,7 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		refineSpan.SetInt("refined", int64(st.Refined))
 		refineSpan.SetInt("pruned", int64(st.Pruned))
 		refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
+		refineSpan.SetInt("profile_pruned", int64(rc.ProfilePruned))
 		refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
 		refineSpan.SetInt("topk_skipped", int64(rc.TopKSkipped))
 	}
@@ -301,11 +303,14 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 }
 
 // Pair is one (target, archived entry) combination for the refine stage.
+// TargetProfile is Target's cell-count profile (sgs.NewProfile), built
+// once per target by the caller; nil skips the profile stage.
 type Pair struct {
-	Target    *sgs.Summary
-	Weights   Weights
-	Threshold float64
-	Entry     *archive.Entry
+	Target        *sgs.Summary
+	TargetProfile *sgs.Profile
+	Weights       Weights
+	Threshold     float64
+	Entry         *archive.Entry
 }
 
 // Outcome is one pair's refine result: Refine's distance and verdict, and
@@ -313,29 +318,34 @@ type Pair struct {
 // skipped, has Distance +Inf; Summary is nil when the size bound dismissed
 // it before any load.
 type Outcome struct {
-	Distance float64
-	Within   bool
-	Summary  *sgs.Summary
-	decoded  bool // a disk-resident summary decoded from its segment
-	skipped  bool // the top-k bound showed it cannot reach the top k
+	Distance      float64
+	Within        bool
+	Summary       *sgs.Summary
+	decoded       bool // a disk-resident summary decoded from its segment
+	skipped       bool // the top-k bound showed it cannot reach the top k
+	profilePruned bool // dismissed by the profile stage
 }
 
 // RefineCounts attributes one refine stage's pairs.
 type RefineCounts struct {
-	Pruned      int // dismissed by an exact bound at the threshold without a search
-	SizePruned  int // of Pruned, dismissed by the size bound before any load
-	DiskLoads   int // disk-resident summaries decoded from their segment
-	TopKSkipped int // not Pruned, but shown by the top-k bound to miss the top k; depends on scheduling
+	Pruned        int // dismissed by an exact bound at the threshold without a search
+	SizePruned    int // of Pruned, dismissed by the size bound before any load
+	ProfilePruned int // of Pruned, dismissed by the profile stage before the vote
+	DiskLoads     int // disk-resident summaries decoded from their segment
+	TopKSkipped   int // not Pruned, but shown by the top-k bound to miss the top k; depends on scheduling
 }
 
 // RefinePairs is the refine stage of every read path — one-shot queries
 // (Run) and standing queries (internal/sub). Each of the n pairs, fanned
 // out across workers, meets Refine's O(1) size bound first, which needs
 // only the entry's cell count (its volume feature), so a pair it
-// dismisses never loads a disk-resident summary; then the summary is
-// loaded (a disk-resident one decodes from its segment) and refined.
-// Outcomes are in pair order and identical at every worker count. The
-// first load error, in pair order, fails the stage.
+// dismisses never loads a disk-resident summary; then the profile stage,
+// which needs only the target's and the entry's cell-count profiles
+// (memory-tier entries carry one) and dismisses only pairs the M* vote
+// would dismiss; then the summary is loaded (a disk-resident one decodes from its
+// segment) and refined. Outcomes are in pair order and identical at every
+// worker count, with or without profiles. The first load error, in pair
+// order, fails the stage.
 //
 // A limit k in (0, n) says the caller keeps only the k closest pairs
 // within the threshold, and gives the stage a running top-k bound: a
@@ -354,12 +364,24 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 	}
 	par.ForEach(workers, n, func(i int) {
 		p, o := pair(i), &outs[i]
-		na, nb := len(p.Target.Cells), int(p.Entry.Features.Volume)
-		if !p.Weights.PositionSensitive && p.Threshold < 1 && na > 0 && nb > 0 &&
-			distanceFloor(na, nb, min(na, nb)) > p.Threshold {
-			metricPruned.Inc()
-			o.Distance = math.Inf(1)
-			return
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		cp := archive.ProfileOf(p.Entry)
+		if !p.Weights.PositionSensitive && p.Threshold < 1 {
+			na, nb := len(p.Target.Cells), int(p.Entry.Features.Volume)
+			if na > 0 && nb > 0 && distanceFloor(na, nb, min(na, nb)) > p.Threshold {
+				metricPruned.Inc()
+				o.Distance = math.Inf(1)
+				return
+			}
+			// An entry with a profile is a memory-tier one: its summary is
+			// in hand, and the outcome reports it like the vote would.
+			if tp := p.TargetProfile; tp != nil && cp != nil && p.Target.Dim == p.Entry.Summary.Dim &&
+				sc.profileBeyond(na, nb, tp, cp, p.Target.Dim, DefaultAlignBudget, p.Threshold) {
+				metricPruned.Inc()
+				o.Distance, o.Summary, o.profilePruned = math.Inf(1), p.Entry.Summary, true
+				return
+			}
 		}
 		sum, err := p.Entry.LoadSummary()
 		if err != nil {
@@ -367,7 +389,7 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 			return
 		}
 		o.Summary, o.decoded = sum, p.Entry.Summary == nil
-		o.Distance, o.skipped = refineBounded(p.Target, sum, p.Weights, DefaultAlignBudget, p.Threshold, kb, i)
+		o.Distance, o.skipped = sc.refineBounded(p.Target, sum, p.TargetProfile, cp, p.Weights, DefaultAlignBudget, p.Threshold, kb, i)
 		o.Within = o.Distance <= p.Threshold
 	})
 	for _, err := range errs {
@@ -387,6 +409,9 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 			rc.TopKSkipped++
 		case math.IsInf(o.Distance, 1):
 			rc.Pruned++
+		}
+		if o.profilePruned {
+			rc.ProfilePruned++
 		}
 	}
 	metricTopKSkipped.Add(uint64(rc.TopKSkipped))

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"streamsum/internal/archive"
 	"streamsum/internal/grid"
 	"streamsum/internal/sgs"
 )
@@ -487,8 +488,77 @@ func fuzzPair(data []byte) (a, b *sgs.Summary, w Weights, budget int, threshold 
 	return summaryOf(dim, 0.75, cells[0]), summaryOf(dim, 0.75, cells[1]), w, budget, threshold, true
 }
 
+// checkProfileStage checks the profile stage on one pair. Where both
+// summaries have a profile, the stage decides exactly the pairs
+// maxCoincident votes on, each axis's bound is at least the vote's M*,
+// and a pair the stage dismisses Refine dismisses too. End to end,
+// RefinePairs over b archived in a memory-only base — with b's profile
+// when it gets one, on the profile-free path when it does not — returns
+// Refine's distance bits and counts the pair as Refine reports it.
+func checkProfileStage(t testing.TB, a, b *sgs.Summary, w Weights, budget int, threshold float64) {
+	t.Helper()
+	pa, pb := sgs.NewProfile(a), sgs.NewProfile(b)
+	if !w.PositionSensitive && pa != nil && pb != nil {
+		alo, ahi := extent(a)
+		blo, bhi := extent(b)
+		if pa.Lo != alo || pa.Hi != ahi || pb.Lo != blo || pb.Hi != bhi {
+			t.Fatalf("profile extents %v–%v, %v–%v; cells span %v–%v, %v–%v", pa.Lo, pa.Hi, pb.Lo, pb.Hi, alo, ahi, blo, bhi)
+		}
+		sc := new(scratch)
+		mStar := sc.maxCoincident(a, b, &alo, &ahi, &blo, &bhi, budget)
+		var stride [grid.MaxDim]int64
+		size := voteSize(&pa.Lo, &pa.Hi, &pb.Lo, &pb.Hi, a.Dim, &stride)
+		if votes := size != 0 && voteWorth(len(a.Cells), len(b.Cells), size, budget); votes != (mStar >= 0) {
+			t.Fatalf("profile extents say vote = %v, maxCoincident returned %d", votes, mStar)
+		}
+		for d := 0; mStar >= 0 && d < a.Dim; d++ {
+			if m := sc.axisBound(pa.Axis(d), pb.Axis(d)); m < mStar {
+				t.Fatalf("axis %d bound %d < M* %d", d, m, mStar)
+			}
+		}
+		if sc.profileBeyond(len(a.Cells), len(b.Cells), pa, pb, a.Dim, budget, threshold) {
+			if mStar < 0 {
+				t.Fatal("profile stage dismissed a pair the vote does not see")
+			}
+			if d, _ := Refine(a, b, w, budget, threshold); !math.IsInf(d, 1) {
+				t.Fatalf("profile stage dismissed a pair Refine keeps at %v (threshold %v)", d, threshold)
+			}
+		}
+	}
+	base, err := archive.New(archive.Config{Dim: b.Dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok, err := base.Put(b)
+	if err != nil || !ok {
+		t.Fatalf("put: archived %v, %v", ok, err)
+	}
+	e := base.Get(id)
+	if (archive.ProfileOf(e) == nil) != (pb == nil) {
+		t.Fatalf("archived entry has profile %v, sgs.NewProfile gives %v", archive.ProfileOf(e), pb)
+	}
+	outs, rc, err := RefinePairs(1, 1, 0, func(int) Pair {
+		return Pair{Target: a, TargetProfile: pa, Weights: w, Threshold: threshold, Entry: e}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Refine(a, b, w, DefaultAlignBudget, threshold)
+	if math.Float64bits(outs[0].Distance) != math.Float64bits(want) {
+		t.Fatalf("RefinePairs %v, Refine %v (threshold %v)", outs[0].Distance, want, threshold)
+	}
+	pruned := 0
+	if math.IsInf(want, 1) {
+		pruned = 1
+	}
+	if rc.Pruned != pruned || (rc.ProfilePruned > 0 && (pa == nil || pb == nil)) {
+		t.Fatalf("counts %+v for a pair Refine reports at %v (profiles %v, %v)", rc, want, pa != nil, pb != nil)
+	}
+}
+
 // FuzzRefine: whatever two summaries, budget and threshold the bytes
-// decode to, Refine agrees with the oracle (see checkAgainstOracle). The
+// decode to, Refine agrees with the oracle (see checkAgainstOracle), and
+// the profile stage agrees with the vote (see checkProfileStage). The
 // seed corpus runs in every ordinary `go test`.
 func FuzzRefine(f *testing.F) {
 	rng := rand.New(rand.NewSource(31))
@@ -503,6 +573,9 @@ func FuzzRefine(f *testing.F) {
 	}
 	f.Add([]byte{1, 63, 0xff, 0xff, 0, 9, 0, 0, 9, 1, 0})
 	f.Add([]byte{0, 0, 0, 0, 4, 3, 5, 3, 5})
+	// Budget 1, threshold 0: the vote is not worth its cost, so the
+	// profile stage must keep the pair although its profiles rule it out.
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 1, 2, 5, 2, 2, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b, w, budget, threshold, ok := fuzzPair(data)
 		if !ok {
@@ -510,5 +583,7 @@ func FuzzRefine(f *testing.F) {
 		}
 		checkAgainstOracle(t, a, b, w, budget, threshold)
 		checkAgainstOracle(t, b, a, w, budget, threshold)
+		checkProfileStage(t, a, b, w, budget, threshold)
+		checkProfileStage(t, b, a, w, budget, threshold)
 	})
 }

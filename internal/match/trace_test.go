@@ -193,3 +193,31 @@ func TestTraceDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceProfilePruned: the refine span's profile_pruned attribute
+// counts the pairs the profile stage dismissed — some of the pruned ones
+// over a memory-tier base, none over a disk-resident one, whose entries
+// carry no profile.
+func TestTraceProfilePruned(t *testing.T) {
+	mem, sums := buildBase(t, 40, 12)
+	disk, diskSums := buildTieredBase(t, 20, 11)
+	for _, c := range []struct {
+		name string
+		src  Source
+		sums []*sgs.Summary
+	}{{"memory", mem, sums}, {"disk", disk.Snapshot(), diskSums}} {
+		var stage int64
+		for _, target := range c.sums[:6] {
+			td, _, st := runTraced(t, c.src, Query{Target: target, Threshold: 0.2})
+			refine := td.Span("refine")
+			n, pruned, bySize := attr(t, refine, "profile_pruned"), attr(t, refine, "pruned"), attr(t, refine, "size_pruned")
+			if pruned != int64(st.Pruned) || n+bySize > pruned {
+				t.Fatalf("%s: profile_pruned %d + size_pruned %d > pruned %d (stats %+v)", c.name, n, bySize, pruned, st)
+			}
+			stage += n
+		}
+		if (stage > 0) != (c.name == "memory") {
+			t.Fatalf("%s base: profile stage dismissed %d pairs", c.name, stage)
+		}
+	}
+}

@@ -262,11 +262,6 @@ func NewCounter(name, help string, labels ...L) *Counter {
 	return Default.NewCounter(name, help, labels...)
 }
 
-// NewGauge registers a gauge series in the Default registry.
-func NewGauge(name, help string, labels ...L) *Gauge {
-	return Default.NewGauge(name, help, labels...)
-}
-
 // NewHistogram registers a histogram series in the Default registry.
 func NewHistogram(name, help string, labels ...L) *Histogram {
 	return Default.NewHistogram(name, help, labels...)

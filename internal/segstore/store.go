@@ -384,7 +384,7 @@ func (st *Store) PrepareFlush(entries []FlushEntry) (*PendingSegment, error) {
 // Commit renames the prepared file into place and commits it to the
 // manifest — the commit point. On error nothing is committed and the
 // pending file is cleaned up (or left as an orphan the next Open
-// removes). Commit or Abort must be called exactly once.
+// removes). Commit must be called exactly once.
 func (p *PendingSegment) Commit() error {
 	st := p.st
 	st.mu.Lock()
@@ -418,15 +418,6 @@ func (p *PendingSegment) Commit() error {
 	metricFlushes.Inc()
 	st.signalCompactLocked()
 	return nil
-}
-
-// Abort discards the prepared segment file.
-func (p *PendingSegment) Abort() {
-	if p.done {
-		return
-	}
-	p.done = true
-	_ = os.Remove(p.tmp)
 }
 
 // Tombstone marks an id deleted. It reports whether the id was live in

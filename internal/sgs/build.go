@@ -13,7 +13,6 @@ import (
 type Builder struct {
 	dim   int
 	side  float64
-	level int
 	cells map[grid.Coord]*Cell
 }
 
@@ -22,9 +21,6 @@ type Builder struct {
 func NewBuilder(dim int, side float64) *Builder {
 	return &Builder{dim: dim, side: side, cells: make(map[grid.Coord]*Cell)}
 }
-
-// SetLevel sets the resolution level recorded in the built summary.
-func (b *Builder) SetLevel(level int) *Builder { b.level = level; return b }
 
 // AddCell registers a cell. Adding the same coordinate twice accumulates
 // population and upgrades status to core if either registration is core.
@@ -68,7 +64,7 @@ func (b *Builder) Connect(a, c grid.Coord) error {
 
 // Build finalizes the summary.
 func (b *Builder) Build(id, window int64) *Summary {
-	s := &Summary{ID: id, Window: window, Dim: b.dim, Side: b.side, Level: b.level}
+	s := &Summary{ID: id, Window: window, Dim: b.dim, Side: b.side}
 	for _, c := range b.cells {
 		s.Cells = append(s.Cells, *c)
 	}

@@ -88,6 +88,7 @@ type Subscription struct {
 	id      int64
 	reg     *Registry
 	target  *sgs.Summary
+	profile *sgs.Profile // target's cell-count profile, for the refine stage
 	feat    [4]float64
 	weights match.Weights
 	thresh  float64
@@ -371,6 +372,7 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 		// The target is cloned so later caller mutations cannot skew the
 		// class columns (the archiver makes the same promise for Put).
 		s.target = o.Target.Clone()
+		s.profile = sgs.NewProfile(s.target)
 		s.feat = s.target.Features().Vector()
 	}
 
@@ -511,7 +513,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	refineSpan := tr.Start("refine")
 	outs, rc, err := match.RefinePairs(r.workers, len(pairs), 0, func(i int) match.Pair {
 		p := pairs[i]
-		return match.Pair{Target: p.s.target, Weights: p.s.weights, Threshold: p.s.thresh, Entry: entries[p.ei]}
+		return match.Pair{Target: p.s.target, TargetProfile: p.s.profile, Weights: p.s.weights, Threshold: p.s.thresh, Entry: entries[p.ei]}
 	})
 	if err != nil {
 		return err
@@ -521,6 +523,7 @@ func (r *Registry) OfferTraced(entries []*archive.Entry, tr *trace.Trace) error 
 	refineSpan.SetInt("pairs", int64(len(pairs)))
 	refineSpan.SetInt("pruned", int64(pruned))
 	refineSpan.SetInt("size_pruned", int64(rc.SizePruned))
+	refineSpan.SetInt("profile_pruned", int64(rc.ProfilePruned))
 	refineSpan.SetInt("disk_loads", int64(rc.DiskLoads))
 	refineSpan.End()
 

@@ -83,9 +83,6 @@ func (t *CoreTracker) Add(last int64) bool {
 	return true
 }
 
-// Count returns how many neighbors have been recorded, capped at θc.
-func (t *CoreTracker) Count() int { return len(t.heap) }
-
 // KthLast returns the θc-th largest neighbor last-window recorded so far,
 // or Never if fewer than θc neighbors exist.
 func (t *CoreTracker) KthLast() int64 {

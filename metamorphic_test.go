@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"streamsum/internal/archive"
+	"streamsum/internal/gen"
 	"streamsum/internal/grid"
 	"streamsum/internal/match"
 	"streamsum/internal/sgs"
@@ -140,4 +142,95 @@ func shiftSummary(s *sgs.Summary, offset grid.Coord) *sgs.Summary {
 		c.Cells[i] = cell
 	}
 	return &c
+}
+
+// TestDuplicatedHistory is the duplicated-history relation: archiving
+// every entry of a seeded GMTI history twice makes every hit of every
+// query come back twice, at the same distance bits. The copies of one
+// summary get consecutive ids, so in the (distance, id) order of a result
+// they stand together where the hit stood: at Limit 0 the doubled base
+// returns each hit of the single base twice in place, with twice the
+// Stats, and at Limit 5 the first five of that, so that wherever a query
+// has three hits or more the fifth place is a tie the top-k bound must
+// break by id. The queries are position-insensitive, at thresholds where
+// the profile stage, the vote and the search all decide pairs, on two
+// workers.
+func TestDuplicatedHistory(t *testing.T) {
+	eng, err := New(Options{Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 2000, Slide: 500, Archive: &ArchiveOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PushBatch(gen.GMTI(gen.GMTIConfig{Seed: 33}, 20000).Points, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var history []*Summary
+	eng.PatternBase().All(func(e *ArchiveEntry) bool { history = append(history, e.Summary); return true })
+	single, err := archive.New(archive.Config{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	double, err := archive.New(archive.Config{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range history {
+		for _, b := range []*archive.Base{single, double, double} {
+			if _, ok, err := b.Put(s); err != nil || !ok {
+				t.Fatalf("put: archived %v, %v", ok, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	hits, tiesAtFive := 0, 0
+	for qi := 0; qi < 24; qi++ {
+		q := match.Query{Target: history[rng.Intn(len(history))], Threshold: []float64{0.1, 0.25, 0.4}[qi%3], Workers: 2}
+		want, wantSt, err := match.Run(single, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotSt, err := match.Run(double, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2*len(want) || gotSt.IndexCandidates != 2*wantSt.IndexCandidates ||
+			gotSt.Refined != 2*wantSt.Refined || gotSt.Pruned != 2*wantSt.Pruned {
+			t.Fatalf("query %d: %d hits %+v on the doubled history, %d hits %+v on the single",
+				qi, len(got), gotSt, len(want), wantSt)
+		}
+		for i, m := range want {
+			for c := range 2 {
+				g := got[2*i+c]
+				if g.ID != 2*m.ID+int64(c) || math.Float64bits(g.Distance) != math.Float64bits(m.Distance) {
+					t.Fatalf("query %d: hit %d of the doubled history is (%d, %v), want copy %d of (%d, %v)",
+						qi, 2*i+c, g.ID, g.Distance, c, m.ID, m.Distance)
+				}
+			}
+		}
+		q.Limit = 5
+		top, _, err := match.Run(double, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTop := got[:min(5, len(got))]
+		if len(top) != len(wantTop) {
+			t.Fatalf("query %d: Limit 5 returns %d hits, want %d", qi, len(top), len(wantTop))
+		}
+		for i := range top {
+			if top[i].ID != wantTop[i].ID || math.Float64bits(top[i].Distance) != math.Float64bits(wantTop[i].Distance) {
+				t.Fatalf("query %d: Limit 5 hit %d is (%d, %v), want (%d, %v)",
+					qi, i, top[i].ID, top[i].Distance, wantTop[i].ID, wantTop[i].Distance)
+			}
+		}
+		hits += len(want)
+		if len(want) >= 3 {
+			tiesAtFive++
+		}
+	}
+	t.Logf("%d summaries, %d hits on the single history, %d queries with a tie at the fifth place", len(history), hits, tiesAtFive)
+	if hits < 20 || tiesAtFive < 3 {
+		t.Fatal("the history gives too few hits to exercise the relation")
+	}
 }
