@@ -192,3 +192,77 @@ func ExampleEngine_MatchQuery() {
 	// Output:
 	// archived=2 matches=1 distance=0.0
 }
+
+// ExampleRegenerate synthesizes an approximate full representation of a
+// cluster from its summary alone: every cell's exact population,
+// scattered inside the cell.
+func ExampleRegenerate() {
+	clusters, err := streamsum.SummarizeStatic(demoPoints(), 1.0, 4)
+	if err != nil {
+		panic(err)
+	}
+	s := clusters[0].Summary
+	pts := streamsum.Regenerate(s, streamsum.RegenOptions{Seed: 1})
+	again, err := streamsum.SummarizeStatic(pts, 1.0, 4)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("members=%d regenerated=%d reclustered=%d\n", len(clusters[0].Members), len(pts), len(again[0].Members))
+	// Output:
+	// members=200 regenerated=200 reclustered=200
+}
+
+// ExampleDiffSummaries compares two snapshots of one cluster: the clump
+// after 100 and after all 200 of its tuples.
+func ExampleDiffSummaries() {
+	summarize := func(pts []streamsum.Point) *streamsum.Summary {
+		clusters, err := streamsum.SummarizeStatic(pts, 1.0, 4)
+		if err != nil {
+			panic(err)
+		}
+		return clusters[0].Summary
+	}
+	pts := demoPoints()[:200]
+	d, err := streamsum.DiffSummaries(summarize(pts[:100]), summarize(pts))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("added=%d removed=%d promoted=%d population%+d jaccard=%.2f\n",
+		len(d.Added), len(d.Removed), len(d.Promoted), d.PopulationDelta, d.CellJaccard)
+	// Output:
+	// added=2 removed=0 promoted=0 population+100 jaccard=0.83
+}
+
+// ExampleNewMatchTrace records one query's span tree: the filter phase
+// with one child per shard, then refine and order, with their counts as
+// attributes (wall times, not printed here, ride on every span).
+func ExampleNewMatchTrace() {
+	eng, err := streamsum.New(streamsum.Options{
+		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 400, Slide: 400,
+		Archive: &streamsum.ArchiveOptions{}, Parallelism: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	if _, err := eng.PushBatch(demoPoints(), nil); err != nil {
+		panic(err)
+	}
+	w, err := eng.Flush()
+	if err != nil {
+		panic(err)
+	}
+	tr := streamsum.NewMatchTrace()
+	if _, _, err := eng.Match(streamsum.MatchOptions{Target: w.Clusters[0].Summary, Threshold: 0.2, Trace: tr}); err != nil {
+		panic(err)
+	}
+	td, _ := tr.Finish()
+	for _, sp := range td.Spans {
+		fmt.Println(sp.Name, sp.Attrs)
+	}
+	// Output:
+	// match map[]
+	// filter map[candidates:2 segments_probed:0 segments_skipped:0 shards:1]
+	// shard map[candidates:2 kept:1 segment:mem]
+	// refine map[disk_loads:0 profile_pruned:0 pruned:0 refined:1 size_pruned:0 topk_skipped:0]
+	// order map[matches:1]
+}

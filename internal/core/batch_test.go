@@ -79,71 +79,6 @@ func runSequential(t *testing.T, cfg Config, pts []geom.Point, tss []int64) []*W
 	return append(out, ex.Flush())
 }
 
-func runBatched(t *testing.T, cfg Config, pts []geom.Point, tss []int64, batch int) []*WindowResult {
-	t.Helper()
-	ex, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []*WindowResult
-	for lo := 0; lo < len(pts); lo += batch {
-		hi := lo + batch
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		var bt []int64
-		if tss != nil {
-			bt = tss[lo:hi]
-		}
-		emitted, err := ex.PushBatch(pts[lo:hi], bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, emitted...)
-	}
-	return append(out, ex.Flush())
-}
-
-// TestPushBatchMatchesSequential is the determinism guarantee of the
-// batched ingest path: PushBatch with parallel discovery must emit
-// byte-identical WindowResults (members, cores, summaries) to one-by-one
-// Push on the same fixed-seed stream, across batch sizes that do and
-// don't align with window boundaries. Run under -race this also verifies
-// the discovery fan-out is race-clean.
-func TestPushBatchMatchesSequential(t *testing.T) {
-	pts := batchStream(6000, 2, 42)
-	cfg := Config{
-		Dim: 2, ThetaR: 0.7, ThetaC: 4,
-		Window:  window.Spec{Win: 1500, Slide: 300},
-		Workers: 4,
-	}
-	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
-	for _, batch := range []int{1, 7, 300, 1000, 6000} {
-		got := encodeWindows(t, runBatched(t, cfg, pts, nil, batch))
-		if string(got) != string(want) {
-			t.Errorf("batch=%d: batched output differs from sequential", batch)
-		}
-	}
-}
-
-// TestPushBatchMatchesSequentialDim4 repeats the guarantee in dimension
-// 4, where a fresh cell's neighborhood is 5^4 = 625 offsets.
-func TestPushBatchMatchesSequentialDim4(t *testing.T) {
-	pts := batchStream(5000, 4, 11)
-	cfg := Config{
-		Dim: 4, ThetaR: 0.9, ThetaC: 5,
-		Window:  window.Spec{Win: 1500, Slide: 500},
-		Workers: 4,
-	}
-	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
-	for _, batch := range []int{9, 500, 1700} {
-		got := encodeWindows(t, runBatched(t, cfg, pts, nil, batch))
-		if string(got) != string(want) {
-			t.Errorf("batch=%d: batched output differs from sequential (dim 4)", batch)
-		}
-	}
-}
-
 // sparseBurstStream is batchStream with every other slide of width slide
 // replaced by uniform noise over a wide box: bursts that scatter one
 // segment over many more cells than a cell has neighbor offsets.
@@ -158,36 +93,6 @@ func sparseBurstStream(n, dim, slide int, seed int64) []geom.Point {
 		}
 	}
 	return pts
-}
-
-// TestPushBatchMatchesSequentialSparseBurst covers segments scattered over
-// many cells, most of them fresh and alone in their block neighborhood,
-// where nearly every cell queries both the window state's blocks and the
-// segment's own.
-func TestPushBatchMatchesSequentialSparseBurst(t *testing.T) {
-	const slide = 800
-	pts := sparseBurstStream(4800, 3, slide, 5)
-	cfg := Config{
-		Dim: 3, ThetaR: 0.9, ThetaC: 3,
-		Window:  window.Spec{Win: 2 * slide, Slide: slide},
-		Workers: 4,
-	}
-	ex, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst := make(map[grid.Coord]bool)
-	for _, p := range pts[slide : 2*slide] {
-		burst[ex.Geometry().CoordOf(p)] = true
-	}
-	if len(burst) <= slide/2 {
-		t.Fatalf("burst segment of %d tuples holds %d cells, want more than %d", slide, len(burst), slide/2)
-	}
-	want := encodeWindows(t, runSequential(t, cfg, pts, nil))
-	got := encodeWindows(t, runBatched(t, cfg, pts, nil, slide))
-	if string(got) != string(want) {
-		t.Error("batched output differs from sequential (sparse bursts)")
-	}
 }
 
 // cellLinks renders every materialized cell's nbrCells as an ordered
@@ -317,33 +222,6 @@ func TestPushBatchAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per slide of %d tuples", allocs, slide)
 	if allocs > bound {
 		t.Errorf("PushBatch allocated %.0f times per slide, bound %d", allocs, bound)
-	}
-}
-
-// TestPushBatchMatchesSequentialTimeBased repeats the guarantee for
-// time-based windows with bursty timestamps (many tuples sharing a tick).
-func TestPushBatchMatchesSequentialTimeBased(t *testing.T) {
-	pts := batchStream(4000, 3, 7)
-	rng := rand.New(rand.NewSource(99))
-	tss := make([]int64, len(pts))
-	tick := int64(0)
-	for i := range tss {
-		if rng.Float64() < 0.3 {
-			tick += int64(rng.Intn(3))
-		}
-		tss[i] = tick
-	}
-	cfg := Config{
-		Dim: 3, ThetaR: 0.9, ThetaC: 3,
-		Window:  window.Spec{Kind: window.TimeBased, Win: 90, Slide: 30},
-		Workers: 4,
-	}
-	want := encodeWindows(t, runSequential(t, cfg, pts, tss))
-	for _, batch := range []int{13, 500, 4000} {
-		got := encodeWindows(t, runBatched(t, cfg, pts, tss, batch))
-		if string(got) != string(want) {
-			t.Errorf("batch=%d: batched output differs from sequential (time-based)", batch)
-		}
 	}
 }
 

@@ -7,35 +7,6 @@ import (
 	"streamsum/internal/window"
 )
 
-// TestEmitParallelMatchesSequential is the determinism guarantee of the
-// parallel output stage: for every Workers setting the emitted
-// WindowResult sequence — members, cores, and summaries — must be
-// byte-identical to the fully sequential stage (Workers = 1), via
-// both the Push and the PushBatch ingest paths. Run under -race this also
-// verifies the prune / edge-resolution / cluster-build fan-outs are
-// race-clean.
-func TestEmitParallelMatchesSequential(t *testing.T) {
-	pts := batchStream(6000, 2, 99)
-	base := Config{
-		Dim: 2, ThetaR: 0.7, ThetaC: 4,
-		Window:  window.Spec{Win: 1500, Slide: 300},
-		Workers: 1,
-	}
-	wantPush := encodeWindows(t, runSequential(t, base, pts, nil))
-
-	for _, ew := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = ew
-
-		if got := encodeWindows(t, runSequential(t, cfg, pts, nil)); string(got) != string(wantPush) {
-			t.Errorf("workers=%d: Push output differs from sequential emit", ew)
-		}
-		if got := encodeWindows(t, runBatched(t, cfg, pts, nil, 700)); string(got) != string(wantPush) {
-			t.Errorf("workers=%d: PushBatch output differs from sequential emit", ew)
-		}
-	}
-}
-
 // TestEmitEmptyWindowClustersNil pins the serialized shape of a
 // cluster-less window: Clusters stays nil ("Clusters":null in JSON, as in
 // releases before the parallel output stage), not an empty slice.

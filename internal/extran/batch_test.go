@@ -3,97 +3,12 @@ package extran
 import (
 	"encoding/json"
 	"math"
-	"math/rand"
 	"testing"
 
 	"streamsum/internal/core"
 	"streamsum/internal/geom"
 	"streamsum/internal/window"
 )
-
-func batchStream(n, dim int, seed int64) []geom.Point {
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([]geom.Point, 3)
-	for i := range centers {
-		centers[i] = make(geom.Point, dim)
-		for d := range centers[i] {
-			centers[i][d] = rng.Float64() * 6
-		}
-	}
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		p := make(geom.Point, dim)
-		if rng.Float64() < 0.8 {
-			c := centers[rng.Intn(len(centers))]
-			for d := range p {
-				p[d] = c[d] + rng.NormFloat64()*0.4
-			}
-		} else {
-			for d := range p {
-				p[d] = rng.Float64() * 6
-			}
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
-// TestPushBatchMatchesSequential: the Extra-N batch path must emit
-// byte-identical WindowResults to one-by-one Push on a fixed-seed stream,
-// at every batch size.
-func TestPushBatchMatchesSequential(t *testing.T) {
-	pts := batchStream(5000, 2, 23)
-	cfg := Config{
-		Dim: 2, ThetaR: 0.6, ThetaC: 4,
-		Window: window.Spec{Win: 1200, Slide: 400},
-	}
-
-	seq, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*core.WindowResult
-	for _, p := range pts {
-		_, emitted, err := seq.Push(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, emitted...)
-	}
-	want = append(want, seq.Flush())
-
-	for _, batch := range []int{1, 11, 400, 5000} {
-		bex, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []*core.WindowResult
-		for lo := 0; lo < len(pts); lo += batch {
-			hi := lo + batch
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			emitted, err := bex.PushBatch(pts[lo:hi], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, emitted...)
-		}
-		got = append(got, bex.Flush())
-
-		wb, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wb) != string(gb) {
-			t.Errorf("batch=%d: batched Extra-N output differs from sequential", batch)
-		}
-	}
-}
 
 // TestPushBatchErrors: PushBatch keeps a Push loop's error contract. A
 // timestamp slice of the wrong length is refused before any tuple is

@@ -98,12 +98,13 @@ type Match struct {
 // were probed, how many candidates their range scans returned, how many
 // survived the cluster-level gate and were handed to the grid-cell-level
 // match (the paper reports ~6% reaching the grid level, §8.2), and how
-// many of those Refine's exact stages (the M* vote bound, then the scan of
-// the voted alignments) dismissed without an alignment search. Refined
-// minus Pruned is at most the number of pairs searched: a query with a
-// Limit also skips the searches its running top-k bound shows cannot
-// reach the top k, which depends on scheduling and so is not counted
-// here (see "Top-k bound" in the package comment).
+// many of those RefinePairs' exact stages dismissed without an alignment
+// search: the O(1) size bound, the cell-count profile stage (memory-tier
+// entries only), the M* vote bound and the scan of the voted alignments.
+// Refined minus Pruned is at most the number of pairs searched: a query
+// with a Limit also skips the searches its running top-k bound shows
+// cannot reach the top k, which depends on scheduling and so is not
+// counted here (see "Top-k bound" in the package comment).
 type Stats struct {
 	FilterShards    int
 	IndexCandidates int

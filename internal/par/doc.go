@@ -1,14 +1,17 @@
-// Package par provides the minimal data-parallel primitive the extractors'
-// internal fan-outs are built on: a bounded fork-join loop over an index
+// Package par provides the minimal data-parallel primitive every fan-out
+// inside the engine is built on: a bounded fork-join loop over an index
 // range.
 //
-// Both parallel stages of the system use it — the batched ingest
-// pipeline's neighbor-discovery phase (core.PushBatch, extran.PushBatch)
-// and the output stage's prune / edge-resolution / per-cluster
-// construction phases. It is deliberately tiny — no task stealing, no
-// futures — because the work items (one range query search, one cell
-// prune, one cluster build) are uniform enough that chunked scheduling
-// over an atomic cursor balances well.
+// Its callers are C-SGS's batched ingest (core.PushBatch's neighbor
+// discovery) and output stage (prune / edge resolution / per-cluster
+// construction), the matcher's filter (one gated scan per shard, in
+// match.Run) and refine (one pair per index, in match.RefinePairs), and
+// the standing-query registry's per-window probe and refine (internal/sub,
+// refining through match.RefinePairs). Extra-N runs sequentially. The
+// package is deliberately tiny — no task stealing, no futures: For claims
+// chunks of cheap, uniform items (one range query search, one cell
+// prune) off an atomic cursor, and ForEach single items where they are
+// few and skewed (one shard scan, one alignment search).
 //
 // # Concurrency
 //

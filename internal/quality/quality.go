@@ -90,9 +90,6 @@ func (o *Oracle) AddCluster(id int64, pts []geom.Point) {
 	o.full[id] = cp
 }
 
-// Len returns the number of registered clusters.
-func (o *Oracle) Len() int { return len(o.full) }
-
 // Similarity computes the centroid-aligned coverage similarity between a
 // target's full representation and archived cluster id, in [0,1].
 func (o *Oracle) Similarity(target []geom.Point, id int64) (float64, error) {

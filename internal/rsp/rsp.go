@@ -69,9 +69,6 @@ func (s *Summary) Size() int {
 	return len(s.Sample) * BytesPerPoint(len(s.Sample[0]))
 }
 
-// MBR returns the bounding box of the sample.
-func (s *Summary) MBR() geom.MBR { return geom.MBRFromPoints(s.Sample) }
-
 // Distance is the subset-matching distance between two samples: the
 // samples are centroid-aligned (matching, like the other summarization
 // formats, is position-insensitive by default), then the symmetric Chamfer

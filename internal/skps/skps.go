@@ -113,16 +113,6 @@ func FromCluster(pts []geom.Point, isCore []bool, thetaR float64, id, window int
 			covered[j] = true
 		}
 	}
-	uncovered := n
-
-	recount := func() {
-		uncovered = 0
-		for _, c := range covered {
-			if !c {
-				uncovered++
-			}
-		}
-	}
 
 	// Seed: the core covering the most objects (ties by index for
 	// determinism).
@@ -135,14 +125,17 @@ func FromCluster(pts []geom.Point, isCore []bool, thetaR float64, id, window int
 	}
 	selected[seed] = true
 	cover(seed)
-	recount()
+	uncovered := n - best
 	var skeletal []int
 	skeletal = append(skeletal, seed)
 
 	// Frontier growth: repeatedly select the unselected core adjacent to
-	// the selected set that covers the most uncovered objects; if the whole
-	// frontier is useless, walk the core graph toward the nearest useful
-	// core, selecting the path (keeps the set connected, as MG requires).
+	// the selected set that covers the most uncovered objects. Once no
+	// frontier core gains anything, no core does: a zero-gain frontier
+	// core has its whole neighborhood covered, so every core adjacent to
+	// it is already adjacent to the selected set, hence on the frontier
+	// with zero gain too. Any object still uncovered is then attached to
+	// no core of this cluster (bad input), and growth stops.
 	for uncovered > 0 {
 		bestGain, bestCore := 0, -1
 		for _, s := range skeletal {
@@ -155,30 +148,13 @@ func FromCluster(pts []geom.Point, isCore []bool, thetaR float64, id, window int
 				}
 			}
 		}
-		if bestCore >= 0 && bestGain > 0 {
-			selected[bestCore] = true
-			cover(bestCore)
-			uncovered -= bestGain
-			skeletal = append(skeletal, bestCore)
-			continue
-		}
-		// BFS through cores from the selected set to the nearest core with
-		// positive gain.
-		path := bfsToGain(skeletal, nbrs, isCore, selected, coverCount)
-		if path == nil {
-			// No reachable gain: remaining uncovered objects are not
-			// attached to this cluster's cores (cannot happen for a
-			// well-formed cluster, but guard against bad input).
+		if bestGain == 0 {
 			break
 		}
-		for _, c := range path {
-			if !selected[c] {
-				selected[c] = true
-				cover(c)
-				skeletal = append(skeletal, c)
-			}
-		}
-		recount()
+		selected[bestCore] = true
+		cover(bestCore)
+		uncovered -= bestGain
+		skeletal = append(skeletal, bestCore)
 	}
 
 	sort.Ints(skeletal)
@@ -202,45 +178,6 @@ func FromCluster(pts []geom.Point, isCore []bool, thetaR float64, id, window int
 		return s.Edges[i][1] < s.Edges[j][1]
 	})
 	return s, nil
-}
-
-// bfsToGain finds a shortest core-graph path from the selected set to a
-// core with positive coverage gain; it returns the path's cores (excluding
-// the already-selected start).
-func bfsToGain(skeletal []int, nbrs [][]int32, isCore, selected []bool, gain func(int) int) []int {
-	parent := make(map[int]int)
-	var queue []int
-	for _, s := range skeletal {
-		queue = append(queue, s)
-		parent[s] = -1
-	}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, j := range nbrs[x] {
-			c := int(j)
-			if !isCore[c] || selected[c] {
-				continue
-			}
-			if _, seen := parent[c]; seen {
-				continue
-			}
-			parent[c] = x
-			if gain(c) > 0 {
-				var path []int
-				for v := c; v != -1 && !selected[v]; v = parent[v] {
-					path = append(path, v)
-				}
-				// Reverse for root-to-leaf order.
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			queue = append(queue, c)
-		}
-	}
-	return nil
 }
 
 // Verify checks Definition 4.1 on a summary against the cluster it came

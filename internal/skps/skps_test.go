@@ -95,6 +95,24 @@ func TestSingleCoreCluster(t *testing.T) {
 	}
 }
 
+// TestStrayObjectStopsGrowth: an object within θr of no core (bad input)
+// leaves the frontier without gain while it is still uncovered; growth
+// stops there with the cores it has, and Verify reports the stray.
+func TestStrayObjectStopsGrowth(t *testing.T) {
+	pts := []geom.Point{{0}, {0.5}, {1}, {5}}
+	isCore := []bool{true, true, false, false}
+	s, err := FromCluster(pts, isCore, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Nodes) != 1 || s.Nodes[0][0] != 0 {
+		t.Fatalf("skeleton %v, want the seed core {0} alone", s.Nodes)
+	}
+	if err := s.Verify(pts, isCore, 1); err == nil {
+		t.Fatal("Verify accepts a summary that leaves {5} uncovered")
+	}
+}
+
 func TestChainClusterPath(t *testing.T) {
 	// A long chain needs multiple skeletal points forming a connected path.
 	var pts []geom.Point

@@ -257,9 +257,10 @@ type Stats struct {
 	Candidates uint64
 	// Refined pairs handed to the grid-cell-level match (== Candidates).
 	Refined uint64
-	// Pruned pairs among Refined that match.Refine's exact stages (the
-	// M* vote bound, then the scan of the voted alignments) dismissed
-	// without an alignment search; Refined − Pruned pairs were searched.
+	// Pruned pairs among Refined that match.RefinePairs' exact stages
+	// (the size bound, the profile stage, the M* vote bound and the scan
+	// of the voted alignments) dismissed without an alignment search;
+	// Refined − Pruned pairs were searched.
 	Pruned uint64
 	// Events delivered (match + evolution).
 	Events uint64

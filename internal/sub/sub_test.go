@@ -245,60 +245,6 @@ func TestOfferMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestOfferDeterministicAcrossWorkers: event streams and the registry's
-// pair counts are identical at Workers 1, 2 and 8, at thresholds low
-// enough that the refine phase dismisses pairs by bound (the streams are
-// checked against the unpruned distance by TestOfferMatchesBruteForce).
-func TestOfferDeterministicAcrossWorkers(t *testing.T) {
-	targets, windows := fixture(t, 16, 5, 4)
-	var reference [][]Event
-	var refStats Stats
-	for _, workers := range []int{1, 2, 8} {
-		reg, err := NewRegistry(Config{Dim: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gots []func() []Event
-		var ss []*Subscription
-		for i, tgt := range targets {
-			s, err := reg.Subscribe(Options{Target: tgt, Threshold: 0.1 + 0.05*float64(i%6)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss = append(ss, s)
-			gots = append(gots, collect(s))
-		}
-		for _, win := range windows {
-			if err := reg.Offer(win); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streams := make([][]Event, len(ss))
-		for i, s := range ss {
-			s.Sync()
-			s.Cancel()
-			streams[i] = stripPayload(gots[i]())
-		}
-		st := reg.Stats()
-		if reference == nil {
-			reference, refStats = streams, st
-			if st.Pruned == 0 || st.Pruned >= st.Refined {
-				t.Fatalf("pruned %d of %d refined pairs: fixture does not exercise both outcomes", st.Pruned, st.Refined)
-			}
-			continue
-		}
-		for i := range streams {
-			if !reflect.DeepEqual(streams[i], reference[i]) {
-				t.Fatalf("workers=%d sub %d: events diverge from workers=1:\n got %v\nwant %v",
-					workers, i, streams[i], reference[i])
-			}
-		}
-		if st.Refined != refStats.Refined || st.Pruned != refStats.Pruned || st.Events != refStats.Events {
-			t.Fatalf("workers=%d: stats %+v diverge from workers=1 %+v", workers, st, refStats)
-		}
-	}
-}
-
 func TestUnsubscribeAndClassMaintenance(t *testing.T) {
 	targets, windows := fixture(t, 4, 2, 3)
 	reg, err := NewRegistry(Config{Dim: 2, Workers: 2})

@@ -1,7 +1,6 @@
 package streamsum
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"streamsum/internal/gen"
-	"streamsum/internal/match"
 	"streamsum/internal/sgs"
 )
 
@@ -40,149 +38,6 @@ func subTargets(t *testing.T, n int) []*Summary {
 		out = append(out, e.Summary)
 	}
 	return out
-}
-
-type subRun struct {
-	ids    []int64
-	seqs   []uint64
-	dists  []float64
-	sums   [][]byte // marshaled entry summaries
-	target *Summary
-	thresh float64
-	w      *Weights
-}
-
-// runSubscribed ingests the fixture stream with the given subscriptions
-// registered up front and returns each one's delivered event stream.
-func runSubscribed(t *testing.T, workers int, targets []*Summary, threshs []float64, weights []*Weights) []subRun {
-	t.Helper()
-	eng, err := New(Options{
-		Dim: 2, ThetaR: 1.0, ThetaC: 4, Win: 4000, Slide: 1000,
-		Archive: &ArchiveOptions{}, Parallelism: workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := make([]subRun, len(targets))
-	subs := make([]*Subscription, len(targets))
-	var wg sync.WaitGroup
-	for i := range targets {
-		runs[i] = subRun{target: targets[i], thresh: threshs[i], w: weights[i]}
-		s, err := eng.Subscribe(SubscribeOptions{Target: targets[i], Threshold: threshs[i], Weights: weights[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs[i] = s
-		wg.Add(1)
-		go func(i int, s *Subscription) {
-			defer wg.Done()
-			for ev := range s.Events() {
-				runs[i].ids = append(runs[i].ids, ev.EntryID)
-				runs[i].seqs = append(runs[i].seqs, ev.Seq)
-				runs[i].dists = append(runs[i].dists, ev.Distance)
-				sum := ev.Entry.Summary
-				if sum == nil {
-					t.Errorf("event for entry %d carries no summary", ev.EntryID)
-					return
-				}
-				runs[i].sums = append(runs[i].sums, sgs.Marshal(sum))
-			}
-		}(i, s)
-	}
-	data := gen.GMTI(gen.GMTIConfig{Seed: 21}, 12000)
-	for lo := 0; lo+1000 <= len(data.Points); lo += 1000 {
-		if _, err := eng.PushBatch(data.Points[lo:lo+1000], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range subs {
-		s.Sync()
-		s.Cancel()
-	}
-	wg.Wait()
-	// The thresholds must be low enough for the refine phase to dismiss
-	// pairs by bound, or the equivalences below say nothing about pruning.
-	if st := eng.SubscriptionStats(); st.Pruned == 0 || st.Pruned >= st.Refined {
-		t.Fatalf("pruned %d of %d refined pairs: fixture does not exercise both outcomes", st.Pruned, st.Refined)
-	}
-
-	// Cross-check against a full scan of the final archive: exactly the
-	// entries within threshold (gate + the unpruned grid-level distance)
-	// must have produced events, in archive order.
-	snap := eng.PatternBase().Snapshot()
-	for i := range runs {
-		w := EqualWeights()
-		if runs[i].w != nil {
-			w = *runs[i].w
-		}
-		tf := runs[i].target.Features().Vector()
-		tmbr := runs[i].target.MBR()
-		var want []int64
-		snap.All(func(e *ArchiveEntry) bool {
-			if w.PositionSensitive && !tmbr.Intersects(e.MBR) {
-				return true
-			}
-			if match.FeatureDistance(tf, e.Features.Vector(), w) > runs[i].thresh {
-				return true
-			}
-			if match.RefineDistance(runs[i].target, e.Summary, w, match.DefaultAlignBudget) <= runs[i].thresh {
-				want = append(want, e.ID)
-			}
-			return true
-		})
-		if !reflect.DeepEqual(runs[i].ids, want) {
-			t.Fatalf("sub %d (workers=%d): events %v, full-scan expects %v", i, workers, runs[i].ids, want)
-		}
-		for j := 1; j < len(runs[i].seqs); j++ {
-			if runs[i].seqs[j] < runs[i].seqs[j-1] {
-				t.Fatalf("sub %d: window sequence went backwards at %d", i, j)
-			}
-		}
-	}
-	return runs
-}
-
-// TestSubscribeDeterministicAcrossParallelism: a standing query's event
-// stream — ids, window sequence, distances, and the summaries the events
-// carry — is byte-identical at Parallelism 1, 2 and 8, and always equals
-// what a one-shot full scan of the final archive would select.
-func TestSubscribeDeterministicAcrossParallelism(t *testing.T) {
-	targets := subTargets(t, 6)
-	threshs := make([]float64, len(targets))
-	weights := make([]*Weights, len(targets))
-	pos := Weights{PositionSensitive: true, Volume: 0.25, Status: 0.25, Density: 0.25, Connectivity: 0.25}
-	for i := range targets {
-		threshs[i] = 0.2 + 0.1*float64(i%3)
-		if i%3 == 2 {
-			weights[i] = &pos
-		}
-	}
-	ref := runSubscribed(t, 1, targets, threshs, weights)
-	total := 0
-	for _, r := range ref {
-		total += len(r.ids)
-	}
-	if total == 0 {
-		t.Fatal("fixture produced no subscription events; test is vacuous")
-	}
-	for _, workers := range []int{2, 8} {
-		got := runSubscribed(t, workers, targets, threshs, weights)
-		for i := range ref {
-			if !reflect.DeepEqual(got[i].ids, ref[i].ids) ||
-				!reflect.DeepEqual(got[i].seqs, ref[i].seqs) ||
-				!reflect.DeepEqual(got[i].dists, ref[i].dists) {
-				t.Fatalf("workers=%d sub %d: event stream diverges from workers=1", workers, i)
-			}
-			for j := range ref[i].sums {
-				if !bytes.Equal(got[i].sums[j], ref[i].sums[j]) {
-					t.Fatalf("workers=%d sub %d: event %d summary bytes differ", workers, i, j)
-				}
-			}
-		}
-	}
 }
 
 // TestSubscribeIncremental: a subscription registered mid-stream sees
