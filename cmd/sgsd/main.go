@@ -109,7 +109,7 @@ func main() {
 	batch := flag.Int("batch", 0, "ingest batch size; 0 pushes tuple-by-tuple, otherwise tuples are fed through PushBatch in batches of this size (the query's slide is a good value)")
 	httpAddr := flag.String("http", "", "serve matching queries over HTTP on this address (e.g. :8080) concurrently with ingestion; implies archiving")
 	storePath := flag.String("store", "", "archive every summary into a pattern base persisted as a segment store under this directory (the only on-disk form; inspect with sgstool). Evicted summaries demote into on-disk segments that stay matchable; the memory tier is flushed to the store on clean exit, and a restart over the same directory resumes the history")
-	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store), counted in encoded summary bytes; resident heap is roughly 30 times it (a GMTI summary takes about 27 heap bytes per encoded byte in memory). Overflow demotes the oldest summaries to disk, and it bounds what a crash can lose. 0 = no byte bound: nothing reaches disk before a clean exit; negative is an error")
+	storeMem := flag.Int("store-mem", 0, "memory-tier byte budget for the pattern base (requires -store), counted in encoded summary bytes; resident heap is roughly 30 times it (a GMTI summary takes about 27 heap bytes per encoded byte in memory). Overflow demotes the oldest summaries to disk, and it bounds what a crash can lose; a summary larger than it stays resident alone until the next one demotes it. 0 = no byte bound: nothing reaches disk before a clean exit; negative is an error")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -http server")
 	slowQuery := flag.Duration("slow-query", 0, "log any /match query or standing-query window evaluation whose wall time meets this threshold, with a per-phase breakdown (e.g. 50ms); 0 = off")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json (logs go to stderr)")

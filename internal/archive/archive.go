@@ -50,7 +50,9 @@ type Config struct {
 	// A GMTI summary takes about 27 bytes of heap per encoded byte as the
 	// memory tier holds it (31 when decoded from disk), so the tier's
 	// resident heap is roughly 30 times this bound. 0 means no byte
-	// bound; negative is rejected.
+	// bound; negative is rejected. An entry larger than the bound is
+	// still admitted and stays resident, alone, until the next Put
+	// demotes it (TestTieredOversizedEntries).
 	MaxMemBytes int
 	// StoreSegmentBytes overrides the disk tier's compaction target
 	// segment size (0 = segstore default). Mostly for tests and
@@ -196,7 +198,7 @@ func New(cfg Config) (*Base, error) {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		logger: logger,
-		mem:    columns{dim: cfg.Dim},
+		mem:    columns{Columns: segstore.Columns{Dim: cfg.Dim}},
 	}
 	if cfg.StorePath != "" {
 		st, err := segstore.Open(cfg.StorePath, segstore.Options{
@@ -549,7 +551,7 @@ func (b *Base) Remove(id int64) bool {
 		b.demoteCond.Wait()
 	}
 	live := b.mem.slice(b.head, b.mem.Len())
-	i := live.find(id)
+	i := live.Find(id)
 	if i < 0 {
 		// Not in the memory tier: removed, never archived, or demoted to
 		// the store, where it can still be removed.

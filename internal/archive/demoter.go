@@ -147,7 +147,7 @@ func (b *Base) DrainDemotions() error {
 // in-flight demotion batch.
 func (b *Base) pendingDemotionHasLocked(id int64) bool {
 	for _, batch := range b.demotePending {
-		if batch.cols.find(id) >= 0 {
+		if batch.cols.Find(id) >= 0 {
 			return true
 		}
 	}

@@ -9,17 +9,18 @@
 // The paper (§7.1) indexes the pattern base twice: an R-tree over
 // cluster MBRs and a 4-D grid over the non-locational features (volume,
 // status count, average density, average connectivity). This package
-// keeps neither. The memory tier stores each entry's MBR and feature
-// vector in flat columns beside the entries, and a filter-phase search
-// is one sequential pass that applies the exact range test (MBR overlap,
-// or the inclusive feature box) and then the matcher's gate. The memory
+// keeps neither. The memory tier stores each entry's id, MBR and feature
+// vector in segstore.Columns beside the entries, and a filter-phase
+// search is one sequential pass that applies the exact range test (MBR
+// overlap, or the inclusive feature box) and then the matcher's gate. The memory
 // tier holds at most a few thousand entries (Config.Capacity, or
 // MaxMemBytes once a disk tier takes the rest), and over histories that
 // small a pass over contiguous columns answers as fast as either index
 // probe and returns the same candidates. Histories larger than that live
-// on the disk tier, whose segments answer the same question with the
-// same kind of columnar scan and skip a whole segment on its zone (the
-// per-segment MBR and feature bounds).
+// on the disk tier, whose segments decode the same Columns once at open
+// and run the same scans over them, after skipping a whole segment on
+// its zone (the per-segment MBR and feature bounds); the segment's file
+// mapping serves only the blobs refine decodes.
 //
 // A memory-tier entry carries its summary, MBR, feature vector, encoded
 // size and the summary's cell-count profile (sgs.NewProfile, read through

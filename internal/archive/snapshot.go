@@ -54,7 +54,7 @@ func (b *Base) Snapshot() *Snapshot {
 	s.mem = make([]columns, 0, len(b.demotePending)+1)
 	for _, batch := range b.demotePending {
 		if s.view != nil {
-			if _, _, ok := s.view.Get(batch.cols.ids[0]); ok {
+			if _, _, ok := s.view.Get(batch.cols.IDs[0]); ok {
 				continue
 			}
 		}
@@ -97,7 +97,7 @@ func segEntry(seg *segstore.Segment, r segstore.Record) *Entry {
 // the I/O error itself matters, its refine phase surfaces it.
 func (s *Snapshot) Get(id int64) *Entry {
 	for i := range s.mem {
-		if j := s.mem[i].find(id); j >= 0 {
+		if j := s.mem[i].Find(id); j >= 0 {
 			return s.mem[i].ents[j]
 		}
 	}
@@ -155,7 +155,8 @@ type memShard struct{ s *Snapshot }
 func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	total := 0
 	for i := range m.s.mem {
-		n, stopped := m.s.mem[i].gatedSearchLocation(q, gate, visit)
+		run := &m.s.mem[i]
+		n, stopped := run.SearchLocation(q, gate, func(j int) bool { return visit(run.ents[j]) })
 		total += n
 		if stopped {
 			break
@@ -167,7 +168,8 @@ func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, vi
 func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	total := 0
 	for i := range m.s.mem {
-		n, stopped := m.s.mem[i].gatedSearchFeatures(lo, hi, gate, visit)
+		run := &m.s.mem[i]
+		n, stopped := run.SearchFeatures(lo, hi, gate, func(j int) bool { return visit(run.ents[j]) })
 		total += n
 		if stopped {
 			break
@@ -188,13 +190,13 @@ type segShard struct {
 
 func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	live := 0
-	_, admitted := g.seg.ZonedSearchLocation(q, nil, g.liveVisit(&live, gate, visit))
+	_, admitted := g.seg.ZonedSearchLocation(q, g.liveVisit(&live, gate, visit))
 	return live, zoneOf(admitted)
 }
 
 func (g segShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
 	live := 0
-	_, admitted := g.seg.ZonedSearchFeatures(lo, hi, nil, g.liveVisit(&live, gate, visit))
+	_, admitted := g.seg.ZonedSearchFeatures(lo, hi, g.liveVisit(&live, gate, visit))
 	return live, zoneOf(admitted)
 }
 

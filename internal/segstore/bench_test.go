@@ -35,12 +35,12 @@ func BenchmarkFlushSegment(b *testing.B) {
 	b.ReportMetric(float64(bytes*b.N)/b.Elapsed().Seconds()/(1<<20), "MB/sec")
 }
 
-// BenchmarkScanSegment measures the fused filter+gate scan over one
+// BenchmarkScanSegment measures the gated feature scan over one
 // segment — the per-segment cost of the disk tier's filter phase, a
-// linear scan of the mapped feats column. The gate rejects everything,
-// so allocs/op pins the zero-allocation property of the scan itself.
-// The sub-benchmark keeps its "v3" name so recorded baselines still
-// line up.
+// linear scan of the feature column decoded at open (the mapping serves
+// blob loads only). The gate rejects everything, so allocs/op pins the
+// zero-allocation property of the scan itself. The sub-benchmark keeps
+// its "v3" name so recorded baselines still line up.
 func BenchmarkScanSegment(b *testing.B) {
 	entries := makeEntries(b, 256, 7, 0)
 	b.Run("v3", func(b *testing.B) {
@@ -65,6 +65,33 @@ func BenchmarkScanSegment(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOpenSegment measures one open of a 256-record segment:
+// validation, the columnar-region CRC and the one decode of the columns,
+// on the mmap and pread read paths.
+func BenchmarkOpenSegment(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "open"+segSuffix)
+	if err := writeSegment(path, 2, makeEntries(b, 256, 7, 0)); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		on   bool
+	}{{"mmap", true}, {"pread", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			prev := SetMmapEnabled(mode.on)
+			defer SetMmapEnabled(prev)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seg, err := OpenSegment(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				seg.close()
+			}
+		})
+	}
 }
 
 // BenchmarkLoadRecord measures one refine-phase summary load from a

@@ -81,7 +81,8 @@ func (st *Store) compactGroup(group []*Segment, dead map[int64]struct{}, tr *tra
 	var merged []FlushEntry
 	dropped := make(map[int64]struct{})
 	for _, seg := range group {
-		for _, r := range seg.recs {
+		for i := range seg.Len() {
+			r := seg.record(i)
 			if _, gone := dead[r.ID]; gone {
 				dropped[r.ID] = struct{}{}
 				continue
@@ -191,11 +192,11 @@ func (st *Store) selectGroupLocked() ([]*Segment, map[int64]struct{}) {
 	live := make([]int, len(st.segs))
 	deadBytes := make([]int, len(st.segs))
 	for i, seg := range st.segs {
-		for _, r := range seg.recs {
-			if _, gone := st.tombs[r.ID]; gone {
-				deadBytes[i] += int(r.Len)
+		for j, id := range seg.cols.IDs {
+			if _, gone := st.tombs[id]; gone {
+				deadBytes[i] += int(seg.lens[j])
 			} else {
-				live[i] += int(r.Len)
+				live[i] += int(seg.lens[j])
 			}
 		}
 	}

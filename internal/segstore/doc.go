@@ -14,7 +14,7 @@
 // summary blobs follow in their own region:
 //
 //	header   "SGSSEG3\n"
-//	columns  ids   count×i64      — record ids, archive order
+//	columns  ids   count×i64      — record ids, archive (ascending) order
 //	         offs  count×u64      — absolute file offset of each blob
 //	         lens  count×u32
 //	         (pad to 8-byte alignment)
@@ -27,17 +27,22 @@
 //	         zone: union MBR min/max dim×f64 each | feature min 4×f64 | feature max 4×f64
 //	trailer  footerOff u64 | footerLen u32 | crc32(footer) u32 | "SGSEND1\n"
 //
-// OpenSegment maps the file read-only (mmap) and serves the filter
-// phase straight from the mapping: ZonedSearchLocation and
-// ZonedSearchFeatures are linear scans of the mbrs/feats columns that
-// run the range test and the exact feature gate fused, with zero
-// allocation and no per-candidate syscall — only gate survivors
-// materialize anything, and only refine survivors decode a blob (Load
-// decodes directly from the mapping). When mmap is unavailable or
-// disabled (SetMmapEnabled(false), or a platform without mmap) the
-// columns are read into one heap copy at open and blob loads fall back
-// to pread into a pooled scratch buffer; every result is bit-identical
-// either way.
+// OpenSegment maps the file read-only (mmap), checks the columnar
+// region's CRC and decodes the region once into typed Columns (ids,
+// MBRs, feature vectors) plus each record's blob offset and length; the
+// raw region is not kept, and the mapping then serves blob loads only.
+// Columns is the one filter-column layout of the system: the archive's
+// memory tier and the standing-query target classes keep the same type,
+// so ZonedSearchLocation and ZonedSearchFeatures run the same two scans
+// (Columns.SearchLocation, Columns.SearchFeatures) as every other filter
+// phase, with zero allocation and no per-candidate syscall. A Record is
+// built on demand from a row (its MBR views the decoded column), and
+// only refine survivors decode a blob (Load decodes directly from the
+// mapping). When mmap is unavailable or disabled (SetMmapEnabled(false),
+// or a platform without mmap) the region is read into a heap buffer for
+// the decode and blob loads fall back to pread into a pooled scratch
+// buffer; every result is bit-identical either way, and an open's
+// allocations do not depend on the record count on either path.
 //
 // The footer's zone block is the segment's filter zone — the union of
 // its records' MBRs and the per-dimension min/max of their feature
@@ -55,12 +60,15 @@
 //
 // Validity is all-or-nothing: OpenSegment verifies the header magic,
 // the end magic, the trailer's geometry (footerOff + footerLen + trailer
-// == file size), the footer CRC, the columnar-region CRC and every
-// record's byte range before exposing anything. A file truncated at any
-// byte offset fails one of those checks and is rejected whole — a torn
-// segment is never loaded (see the recovery sweep in segment_test.go,
-// which CI runs with mmap both on and off). FuzzOpenSegment and
-// FuzzManifest fuzz both decoders with their checksums resealed.
+// == file size), the footer CRC, the columnar-region CRC, every
+// record's byte range, that the ids strictly increase (Get and
+// Store.Find binary-search them; every writer emits archive order) and
+// that no MBR is empty and no MBR or feature holds a NaN, before
+// exposing anything. A file truncated at any byte offset fails one of
+// those checks and is rejected whole — a torn segment is never loaded
+// (see the recovery sweep in segment_test.go, which CI runs with mmap
+// both on and off). FuzzOpenSegment and FuzzManifest fuzz both decoders
+// with their checksums resealed.
 //
 // # Store, manifest, compaction
 //

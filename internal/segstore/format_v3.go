@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 
 	"streamsum/internal/geom"
 )
@@ -26,11 +27,10 @@ var (
 // block (union MBR + per-feature min/max).
 const footerV3Head = 8 + 1 + 4 + 8*4 + 4
 
-// colLayout describes the byte offsets of the six columns inside the
+// colLayout describes the byte offsets of the five columns inside the
 // columnar region for a given record count and dimensionality. Columns
-// are arrays, one value (or one fixed-width group) per record: scanning
-// the feature gate touches only the feats column, a location scan only
-// the mbrs column.
+// are arrays, one value (or one fixed-width group) per record; the mbrs
+// and feats columns have the row layout of Columns.
 type colLayout struct {
 	ids   int // count × i64
 	offs  int // count × u64 (absolute file offset of the record's blob)
@@ -55,7 +55,8 @@ func layoutV3(count, dim int) colLayout {
 
 // writeSegment writes a complete v3 segment file at path (no atomicity
 // — the caller writes to a temp name and renames). Entries must be in
-// archive (FIFO) order and share the store's dimensionality.
+// archive (FIFO) order, so their ids strictly increase, and share the
+// store's dimensionality.
 func writeSegment(path string, dim int, entries []FlushEntry) error {
 	count := len(entries)
 	l := layoutV3(count, dim)
@@ -65,6 +66,9 @@ func writeSegment(path string, dim int, entries []FlushEntry) error {
 	for i, e := range entries {
 		if e.MBR.Dim() != dim {
 			return fmt.Errorf("segstore: entry %d dimension %d != store dimension %d", e.ID, e.MBR.Dim(), dim)
+		}
+		if i > 0 && e.ID <= entries[i-1].ID {
+			return fmt.Errorf("segstore: entry id %d does not follow %d", e.ID, entries[i-1].ID)
 		}
 		binary.LittleEndian.PutUint64(col[l.ids+i*8:], uint64(e.ID))
 		binary.LittleEndian.PutUint64(col[l.offs+i*8:], uint64(off))
@@ -204,26 +208,28 @@ func zoneOfEntries(dim int, entries []FlushEntry) zone {
 	return z
 }
 
-// openSegmentV3 validates a v3 segment and builds its in-memory state:
-// the columnar region either as a sub-slice of the file mapping (zero
-// copy) or, on the pread fallback, as one heap copy read at open. The
-// caller has already verified the header magic, the trailer geometry
-// and the footer CRC.
+// openSegmentV3 validates a v3 segment and decodes its columnar region
+// once into typed columns. The region is read from the file mapping or,
+// on the pread fallback, into a heap copy that is dropped after the
+// decode; either way the mapping then serves blob loads only. The caller
+// has already verified the header magic, the trailer geometry and the
+// footer CRC.
 func openSegmentV3(path string, f *os.File, size, footerOff int64, footer []byte) (*Segment, error) {
 	if len(footer) < footerV3Head || [8]byte(footer[:8]) != footerMagicV3 {
 		return nil, fmt.Errorf("%w: %s: bad footer magic", ErrBadSegment, path)
 	}
+	le := binary.LittleEndian
 	p := footer[8:]
 	dim := int(p[0])
 	if dim < 1 || dim > 8 {
 		return nil, fmt.Errorf("%w: %s: footer dimension %d", ErrBadSegment, path, dim)
 	}
-	count := int(binary.LittleEndian.Uint32(p[1:]))
-	colOff := int64(binary.LittleEndian.Uint64(p[5:]))
-	colLen := int64(binary.LittleEndian.Uint64(p[13:]))
-	blobOff := int64(binary.LittleEndian.Uint64(p[21:]))
-	blobLen := int64(binary.LittleEndian.Uint64(p[29:]))
-	colCRC := binary.LittleEndian.Uint32(p[37:])
+	count := int(le.Uint32(p[1:]))
+	colOff := int64(le.Uint64(p[5:]))
+	colLen := int64(le.Uint64(p[13:]))
+	blobOff := int64(le.Uint64(p[21:]))
+	blobLen := int64(le.Uint64(p[29:]))
+	colCRC := le.Uint32(p[37:])
 	// blobLen >= 0 keeps the columnar region inside the file, which also
 	// bounds count by the file size before anything is sized from it.
 	l := layoutV3(count, dim)
@@ -236,157 +242,60 @@ func openSegmentV3(path string, f *os.File, size, footerOff int64, footer []byte
 		return nil, fmt.Errorf("%w: %s: v3 zone block", ErrBadSegment, path)
 	}
 
-	seg := &Segment{
-		path: path, f: f, dim: dim, zone: zone,
-		payload: int(blobLen),
-		byID:    make(map[int64]int, count),
-	}
+	seg := &Segment{path: path, f: f, zone: zone, payload: int(blobLen), colBytes: l.size}
+	var col []byte
 	if MmapEnabled() {
 		if m, err := mmapFile(f, size); err == nil {
 			seg.mapped = m
-			seg.col = m[colOff : colOff+colLen]
+			col = m[colOff : colOff+colLen]
 		}
 	}
-	if seg.col == nil {
-		col := make([]byte, colLen)
+	if col == nil {
+		col = make([]byte, colLen)
 		if _, err := f.ReadAt(col, colOff); err != nil {
 			return nil, fmt.Errorf("%w: %s: read columnar region: %v", ErrBadSegment, path, err)
 		}
-		seg.col = col
 	}
-	if crc32.ChecksumIEEE(seg.col) != colCRC {
+	fail := func(format string, args ...any) (*Segment, error) {
 		seg.release()
-		return nil, fmt.Errorf("%w: %s: columnar region CRC mismatch", ErrBadSegment, path)
+		return nil, fmt.Errorf("%w: %s: "+format, append([]any{ErrBadSegment, path}, args...)...)
 	}
-	seg.count = count
-	seg.lay = l
+	if crc32.ChecksumIEEE(col) != colCRC {
+		return fail("columnar region CRC mismatch")
+	}
 
-	// Materialize the record directory (Get, Records, compaction). The
-	// scans below never touch it for range tests — they read the columns —
-	// but survivors are surfaced as Records.
-	seg.recs = make([]Record, count)
+	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(col[off:])) }
+	c := MakeColumns(dim, count)
+	seg.offs = make([]int64, count)
+	seg.lens = make([]uint32, count)
 	next := blobOff
 	for i := 0; i < count; i++ {
-		r := &seg.recs[i]
-		r.ID = seg.idAt(i)
-		r.Off = seg.offAt(i)
-		r.Len = seg.lenAt(i)
-		if r.Off != next || r.Off+int64(r.Len) > footerOff {
-			seg.release()
-			return nil, fmt.Errorf("%w: %s: record %d byte range", ErrBadSegment, path, i)
+		id := int64(le.Uint64(col[l.ids+i*8:]))
+		if i > 0 && id <= c.IDs[i-1] {
+			return fail("record %d: id %d does not follow %d", i, id, c.IDs[i-1])
 		}
-		next = r.Off + int64(r.Len)
-		if _, dup := seg.byID[r.ID]; dup {
-			seg.release()
-			return nil, fmt.Errorf("%w: %s: duplicate id %d", ErrBadSegment, path, r.ID)
+		off, n := int64(le.Uint64(col[l.offs+i*8:])), le.Uint32(col[l.lens+i*4:])
+		if off != next || off+int64(n) > footerOff {
+			return fail("record %d byte range", i)
 		}
-		seg.byID[r.ID] = i
-		r.MBR = geom.MBR{Min: make(geom.Point, dim), Max: make(geom.Point, dim)}
-		for d := 0; d < dim; d++ {
-			r.MBR.Min[d] = seg.colF64(seg.lay.mbrs + (i*2*dim+d)*8)
-			r.MBR.Max[d] = seg.colF64(seg.lay.mbrs + (i*2*dim+dim+d)*8)
+		next = off + int64(n)
+		seg.offs[i], seg.lens[i] = off, n
+		c.IDs = append(c.IDs, id)
+		for k := 0; k < 2*dim; k++ {
+			c.MBR = append(c.MBR, f64(l.mbrs+(i*2*dim+k)*8))
 		}
-		if r.MBR.IsEmpty() {
-			seg.release()
-			return nil, fmt.Errorf("%w: %s: record %d has an empty MBR", ErrBadSegment, path, i)
-		}
-		for d := 0; d < 4; d++ {
-			r.Feat[d] = seg.colF64(seg.lay.feats + (i*4+d)*8)
+		ft := l.feats + i*32
+		c.Feat = append(c.Feat, [4]float64{f64(ft), f64(ft + 8), f64(ft + 16), f64(ft + 24)})
+		// A writer never stores a NaN (ingest rejects one), and a NaN
+		// would fall inside every range the scans test.
+		if c.RowMBR(i).IsEmpty() || slices.ContainsFunc(c.MBR[len(c.MBR)-2*dim:], math.IsNaN) ||
+			slices.ContainsFunc(c.Feat[i][:], math.IsNaN) {
+			return fail("record %d has an empty or NaN MBR or feature", i)
 		}
 	}
 	if next != footerOff {
-		seg.release()
-		return nil, fmt.Errorf("%w: %s: blob region does not meet footer", ErrBadSegment, path)
+		return fail("blob region does not meet footer")
 	}
+	seg.cols = c
 	return seg, nil
-}
-
-// Column accessors. The columnar region is a flat byte slice (mapped or
-// heap-resident); these are straight loads, no allocation.
-
-func (s *Segment) colF64(off int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(s.col[off:]))
-}
-
-func (s *Segment) idAt(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(s.col[s.lay.ids+i*8:]))
-}
-
-func (s *Segment) offAt(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(s.col[s.lay.offs+i*8:]))
-}
-
-func (s *Segment) lenAt(i int) uint32 {
-	return binary.LittleEndian.Uint32(s.col[s.lay.lens+i*4:])
-}
-
-// featAt reads record i's feature vector from the feats column.
-func (s *Segment) featAt(i int) [4]float64 {
-	ft := s.col[s.lay.feats+i*32:]
-	return [4]float64{
-		math.Float64frombits(binary.LittleEndian.Uint64(ft[0:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(ft[8:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(ft[16:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(ft[24:])),
-	}
-}
-
-// scanFeatures linearly scans the feats column for records inside
-// [lo, hi], applying gate (when non-nil) before visiting — the fused
-// filter+gate pass. It returns the number of in-range records (the index
-// candidates), the same count an index probe of the memory tier reports.
-// The scan reads only the mapped (or heap) columns: zero allocation, no
-// syscall.
-func (s *Segment) scanFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
-	probed := 0
-	for i := 0; i < s.count; i++ {
-		v := s.featAt(i)
-		if v[0] < lo[0] || v[0] > hi[0] || v[1] < lo[1] || v[1] > hi[1] ||
-			v[2] < lo[2] || v[2] > hi[2] || v[3] < lo[3] || v[3] > hi[3] {
-			continue
-		}
-		probed++
-		if gate != nil && !gate(v) {
-			continue
-		}
-		if !visit(s.recs[i]) {
-			break
-		}
-	}
-	return probed
-}
-
-// scanLocation linearly scans the mbrs column for records whose MBR
-// intersects q (inclusive bounds, exactly geom.MBR.Intersects), applying
-// gate before visiting. Returns the number of intersecting records.
-func (s *Segment) scanLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) int {
-	if q.IsEmpty() {
-		return 0
-	}
-	probed := 0
-	dim := s.dim
-	stride := 2 * dim * 8
-	for i := 0; i < s.count; i++ {
-		base := s.lay.mbrs + i*stride
-		hit := true
-		for d := 0; d < dim; d++ {
-			min := s.colF64(base + d*8)
-			max := s.colF64(base + (dim+d)*8)
-			if max < q.Min[d] || q.Max[d] < min {
-				hit = false
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		probed++
-		if gate != nil && !gate(s.featAt(i)) {
-			continue
-		}
-		if !visit(s.recs[i]) {
-			break
-		}
-	}
-	return probed
 }

@@ -3,6 +3,7 @@ package segstore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -207,15 +208,49 @@ func TestV3PreadFallback(t *testing.T) {
 		}
 	}
 	got := 0
-	probed, _ := seg.ZonedSearchLocation(q, nil, func(Record) bool { got++; return true })
+	probed, _ := seg.ZonedSearchLocation(q, func(Record) bool { got++; return true })
 	if got != want || probed != want {
 		t.Fatalf("pread location scan: got=%d probed=%d want=%d", got, probed, want)
 	}
 }
 
-// TestV3ScanZeroAlloc pins the headline property: a fused filter+gate
-// scan over a mapped v3 segment performs zero allocations when the gate
-// rejects every candidate.
+// TestOpenSegmentAllocs: OpenSegment decodes the columnar region once
+// into typed columns, so the number of allocations an open makes does
+// not depend on the record count, on either read path.
+func TestOpenSegmentAllocs(t *testing.T) {
+	dir := t.TempDir()
+	sizes := []int{16, 256}
+	for _, n := range sizes {
+		path := filepath.Join(dir, fmt.Sprintf("allocs%d%s", n, segSuffix))
+		if err := writeSegment(path, 2, makeEntries(t, n, 13, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mmap := range []bool{true, false} {
+		prev := SetMmapEnabled(mmap)
+		allocs := make([]float64, len(sizes))
+		for k, n := range sizes {
+			path := filepath.Join(dir, fmt.Sprintf("allocs%d%s", n, segSuffix))
+			allocs[k] = testing.AllocsPerRun(20, func() {
+				seg, err := OpenSegment(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg.close()
+			})
+		}
+		SetMmapEnabled(prev)
+		if allocs[0] != allocs[1] {
+			t.Errorf("mmap=%v: OpenSegment allocates %.0f times at %d records and %.0f at %d",
+				mmap, allocs[0], sizes[0], allocs[1], sizes[1])
+		}
+	}
+}
+
+// TestV3ScanZeroAlloc pins the headline property: a scan over a
+// segment's decoded columns performs zero allocations, both a gated
+// feature scan whose gate rejects every candidate and a location scan
+// that visits every record.
 func TestV3ScanZeroAlloc(t *testing.T) {
 	entries := makeEntries(t, 16, 13, 0)
 	path := filepath.Join(t.TempDir(), "alloc"+segSuffix)
@@ -243,7 +278,7 @@ func TestV3ScanZeroAlloc(t *testing.T) {
 		t.Fatalf("feature filter+gate scan allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if n, _ := seg.ZonedSearchLocation(q, gate, visit); n != len(entries) {
+		if n, _ := seg.ZonedSearchLocation(q, visit); n != len(entries) {
 			t.Fatal("location scan missed records")
 		}
 	}); n != 0 {

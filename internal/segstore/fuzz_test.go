@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,7 +78,9 @@ func resealSegment(b []byte) {
 
 // FuzzOpenSegment: OpenSegment never panics. A segment it accepts keeps
 // every record's blob inside the file, Load decodes or returns an error
-// for each record, and a full-range feature search visits all records.
+// for each record, the mmap and pread read paths open it to identical
+// records, and both column scans agree with a brute force over its
+// records.
 func FuzzOpenSegment(f *testing.F) {
 	dir := f.TempDir()
 	for _, c := range []struct{ dim, n int }{{1, 3}, {2, 0}, {2, 5}, {4, 3}} {
@@ -107,18 +111,85 @@ func FuzzOpenSegment(f *testing.F) {
 			return
 		}
 		defer seg.close()
-		for _, r := range seg.Records() {
+		recs := seg.Records()
+		for _, r := range recs {
 			if r.Off < 0 || r.Off+int64(r.Len) > int64(len(b)) {
 				t.Fatalf("record %d spans [%d, +%d) in a %d-byte file", r.ID, r.Off, r.Len, len(b))
 			}
 			_, _ = seg.Load(r) // decoded or an error; either is an answer
 		}
+
+		prev := SetMmapEnabled(!seg.Mapped())
+		other, err := OpenSegment(path)
+		SetMmapEnabled(prev)
+		if err != nil {
+			t.Fatalf("mapped=%v accepts the segment, the other read path rejects it: %v", seg.Mapped(), err)
+		}
+		defer other.close()
+		if got := other.Records(); !reflect.DeepEqual(recs, got) {
+			t.Fatalf("read paths disagree:\n%v\n%v", recs, got)
+		}
+
 		inf := math.Inf(1)
 		lo, hi := [4]float64{-inf, -inf, -inf, -inf}, [4]float64{inf, inf, inf, inf}
 		if n := seg.GatedSearchFeatures(lo, hi, nil, func(Record) bool { return true }); n != seg.Len() {
 			t.Fatalf("full-range search found %d of %d records", n, seg.Len())
 		}
+		// Query boxes drawn from the records themselves: each record's
+		// MBR and its Max corner as a point box, its feature vector as a
+		// point, and the box its feature vector spans with the next
+		// record's. The point boxes touch the record only at a boundary.
+		for k := range min(len(recs), 8) {
+			lo, hi := recs[k].Feat, recs[(k+1)%len(recs)].Feat
+			for d := range lo {
+				lo[d], hi[d] = min(lo[d], hi[d]), max(lo[d], hi[d])
+			}
+			corner := geom.MBR{Min: recs[k].MBR.Max, Max: recs[k].MBR.Max}
+			for _, q := range []geom.MBR{recs[k].MBR, corner} {
+				checkScan(t, seg, "location", recs, func(r Record) bool { return r.MBR.Intersects(q) },
+					func(visit func(int) bool) int { n, _ := seg.cols.SearchLocation(q, nil, visit); return n },
+					func(visit func(Record) bool) (int, bool) { return seg.ZonedSearchLocation(q, visit) })
+			}
+			for _, box := range [][2][4]float64{{recs[k].Feat, recs[k].Feat}, {lo, hi}} {
+				checkScan(t, seg, "feature", recs, func(r Record) bool { return inBox(r.Feat, box[0], box[1]) },
+					func(visit func(int) bool) int { n, _ := seg.cols.SearchFeatures(box[0], box[1], nil, visit); return n },
+					func(visit func(Record) bool) (int, bool) { return seg.ZonedSearchFeatures(box[0], box[1], visit) })
+			}
+		}
 	})
+}
+
+// checkScan compares one column scan with a brute force over recs: the
+// column scan must visit exactly the ids the predicate in selects, in
+// record order, and the zoned search must either skip the segment or
+// visit the same ids.
+func checkScan(t *testing.T, seg *Segment, name string, recs []Record, in func(Record) bool,
+	scan func(func(int) bool) int, zoned func(func(Record) bool) (int, bool)) {
+	t.Helper()
+	var want, got, zgot []int64
+	for _, r := range recs {
+		if in(r) {
+			want = append(want, r.ID)
+		}
+	}
+	n := scan(func(i int) bool { got = append(got, seg.cols.IDs[i]); return true })
+	if n != len(got) || !slices.Equal(got, want) {
+		t.Fatalf("%s scan visited %v (count %d), brute force %v", name, got, n, want)
+	}
+	zn, admitted := zoned(func(r Record) bool { zgot = append(zgot, r.ID); return true })
+	if admitted && (zn != len(want) || !slices.Equal(zgot, want)) || !admitted && zn+len(zgot) != 0 {
+		t.Fatalf("zoned %s search (admitted %v) visited %v (count %d), brute force %v", name, admitted, zgot, zn, want)
+	}
+}
+
+// inBox reports whether v lies in the inclusive box [lo, hi].
+func inBox(v, lo, hi [4]float64) bool {
+	for d := range v {
+		if !(lo[d] <= v[d] && v[d] <= hi[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzManifest: Store.Open never panics on a manifest, and a store it

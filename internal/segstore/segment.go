@@ -72,26 +72,24 @@ type zone struct {
 }
 
 // Segment is one immutable on-disk segment, opened for reading. All
-// methods are safe for concurrent use: the record directory is built
-// once at open time and never mutated, and blob reads go through the
-// read-only mapping (or pread on the fallback path).
+// methods are safe for concurrent use: the columns are decoded once at
+// open and never mutated, and blob reads go through the read-only
+// mapping (or pread on the fallback path).
 type Segment struct {
-	path    string
-	f       *os.File
-	dim     int
-	recs    []Record
-	byID    map[int64]int
-	payload int // sum of record blob lengths, cached at open
-	zone    zone
+	path     string
+	f        *os.File
+	payload  int // sum of record blob lengths, cached at open
+	colBytes int // size of the on-disk columnar region
+	zone     zone
 
-	// Columnar state. col is the raw columnar region: a sub-slice of
-	// mapped when the file is mmap'd, a heap copy read once at open on
-	// the pread fallback. mapped is the whole-file read-only mapping
-	// (nil on the fallback), which also serves zero-copy blob reads.
-	col    []byte
+	// cols holds the records' ids (ascending), MBRs and feature vectors;
+	// offs and lens the byte range of each record's blob. mapped is the
+	// whole-file read-only mapping (nil on the pread fallback), which
+	// serves zero-copy blob reads.
+	cols   Columns
+	offs   []int64
+	lens   []uint32
 	mapped []byte
-	count  int
-	lay    colLayout
 }
 
 // OpenSegment validates and opens a segment file. Validation is
@@ -167,34 +165,46 @@ func openSegmentFile(path string, f *os.File) (*Segment, error) {
 func (s *Segment) Path() string { return s.path }
 
 // Dim returns the data-space dimensionality.
-func (s *Segment) Dim() int { return s.dim }
+func (s *Segment) Dim() int { return s.cols.Dim }
 
 // Len returns the number of records in the segment (tombstones are a
 // store-level concept; the segment itself is immutable).
-func (s *Segment) Len() int { return len(s.recs) }
+func (s *Segment) Len() int { return s.cols.Len() }
 
 // Bytes returns the total encoded size of the segment's record blobs.
 func (s *Segment) Bytes() int { return s.payload }
 
 // Regions returns the byte sizes of the segment's columnar and blob
 // regions.
-func (s *Segment) Regions() (colBytes, blobBytes int) { return s.lay.size, s.payload }
+func (s *Segment) Regions() (colBytes, blobBytes int) { return s.colBytes, s.payload }
 
 // Mapped reports whether the segment serves reads from a memory mapping
 // (false on the pread fallback path).
 func (s *Segment) Mapped() bool { return s.mapped != nil }
 
-// Records returns the segment's records in archive (FIFO) order. The
-// returned slice is shared and must not be modified.
-func (s *Segment) Records() []Record { return s.recs }
+// record builds row i's Record. Its MBR views the decoded MBR column, so
+// building one allocates nothing.
+func (s *Segment) record(i int) Record {
+	return Record{ID: s.cols.IDs[i], Off: s.offs[i], Len: s.lens[i], MBR: s.cols.RowMBR(i), Feat: s.cols.Feat[i]}
+}
+
+// Records returns the segment's records in archive (FIFO) order, in a
+// slice of the caller's own.
+func (s *Segment) Records() []Record {
+	out := make([]Record, s.Len())
+	for i := range out {
+		out[i] = s.record(i)
+	}
+	return out
+}
 
 // Get returns the record with the given id.
 func (s *Segment) Get(id int64) (Record, bool) {
-	i, ok := s.byID[id]
-	if !ok {
+	i := s.cols.Find(id)
+	if i < 0 {
 		return Record{}, false
 	}
-	return s.recs[i], true
+	return s.record(i), true
 }
 
 // Zone returns the segment's filter zone from its footer: the union MBR
@@ -203,33 +213,43 @@ func (s *Segment) Zone() (mbr geom.MBR, featMin, featMax [4]float64) {
 	return s.zone.mbr, s.zone.featMin, s.zone.featMax
 }
 
-// ZonedSearchLocation visits records whose MBR intersects the query box
-// AND whose feature vector passes gate (nil means no gate). It returns
-// the number of intersecting records regardless of the gate, so callers
-// can report index-candidate counts, and whether the segment's zone
-// admitted the query: a query box outside the zone returns (0, false)
-// without touching the columns. The intersection test and the gate run
-// directly over the columnar region — zero allocation, no per-record
-// syscall. Iteration stops early if visit returns false (the returned
-// count is then partial).
-func (s *Segment) ZonedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
+// ZonedSearchLocation visits the records whose MBR intersects the query
+// box. It returns the number of intersecting records and whether the
+// segment's zone admitted the query: a query box outside the zone
+// returns (0, false) without touching the columns. Iteration stops
+// early if visit returns false (the returned count is then partial).
+func (s *Segment) ZonedSearchLocation(q geom.MBR, visit func(Record) bool) (probed int, admitted bool) {
 	if !s.zone.mbr.Intersects(q) {
 		metricZoneSkips.Inc()
 		return 0, false
 	}
 	metricScans.Inc()
-	return s.scanLocation(q, gate, visit), true
+	probed, _ = s.cols.SearchLocation(q, nil, func(i int) bool { return visit(s.record(i)) })
+	return probed, true
 }
 
-// ZonedSearchFeatures visits records whose feature vector lies inside
-// the inclusive hyper-rectangle [lo, hi] AND passes gate (nil means no
-// gate). It returns the number of in-range records regardless of the
-// gate, and whether the segment's feature zone admitted the range: a
-// range disjoint from the zone returns (0, false) without touching the
-// columns. This is the fused filter+gate pass: one sequential scan of
-// the feats column from the mapping, zero allocation. Iteration stops
-// early if visit returns false (the returned count is then partial).
-func (s *Segment) ZonedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
+// ZonedSearchFeatures visits the records whose feature vector lies
+// inside the inclusive hyper-rectangle [lo, hi]. It returns the number
+// of in-range records and whether the segment's feature zone admitted
+// the range: a range disjoint from the zone returns (0, false) without
+// touching the columns. Iteration stops early if visit returns false
+// (the returned count is then partial).
+func (s *Segment) ZonedSearchFeatures(lo, hi [4]float64, visit func(Record) bool) (probed int, admitted bool) {
+	return s.zonedFeatures(lo, hi, nil, visit)
+}
+
+// GatedSearchFeatures is ZonedSearchFeatures without the zone decision,
+// visiting only the in-range records whose feature vector passes gate
+// (nil admits all). The count does not depend on the gate, and a
+// rejected row builds no Record.
+func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
+	probed, _ := s.zonedFeatures(lo, hi, gate, visit)
+	return probed
+}
+
+// zonedFeatures is ZonedSearchFeatures with a gate applied before a
+// Record is built.
+func (s *Segment) zonedFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
 	for d := 0; d < 4; d++ {
 		if hi[d] < s.zone.featMin[d] || lo[d] > s.zone.featMax[d] {
 			metricZoneSkips.Inc()
@@ -237,13 +257,8 @@ func (s *Segment) ZonedSearchFeatures(lo, hi [4]float64, gate func([4]float64) b
 		}
 	}
 	metricScans.Inc()
-	return s.scanFeatures(lo, hi, gate, visit), true
-}
-
-// GatedSearchFeatures is ZonedSearchFeatures without the zone decision.
-func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
-	probed, _ := s.ZonedSearchFeatures(lo, hi, gate, visit)
-	return probed
+	probed, _ = s.cols.SearchFeatures(lo, hi, gate, func(i int) bool { return visit(s.record(i)) })
+	return probed, true
 }
 
 // blobPool recycles pread scratch buffers so the fallback refine path
@@ -305,7 +320,6 @@ func (s *Segment) release() {
 	if s.mapped != nil {
 		_ = munmapFile(s.mapped)
 		s.mapped = nil
-		s.col = nil
 	}
 	if s.f != nil {
 		_ = s.f.Close()
@@ -318,7 +332,6 @@ func (s *Segment) close() error {
 	if s.mapped != nil {
 		_ = munmapFile(s.mapped)
 		s.mapped = nil
-		s.col = nil
 	}
 	if s.f == nil {
 		return nil

@@ -148,13 +148,11 @@ func (st *Store) load() error {
 			return err
 		}
 		st.segs = append(st.segs, seg)
-		if seg.dim != st.opts.Dim {
-			return fmt.Errorf("segstore: %s: dimension %d != store dimension %d", name, seg.dim, st.opts.Dim)
+		if seg.Dim() != st.opts.Dim {
+			return fmt.Errorf("segstore: %s: dimension %d != store dimension %d", name, seg.Dim(), st.opts.Dim)
 		}
-		for _, r := range seg.recs {
-			if r.ID > st.maxID {
-				st.maxID = r.ID
-			}
+		if n := seg.Len(); n > 0 {
+			st.maxID = max(st.maxID, seg.cols.IDs[n-1])
 		}
 	}
 	// Remove uncommitted leftovers (their entries were still owned by the
@@ -433,7 +431,7 @@ func (st *Store) Tombstone(id int64) (bool, error) {
 	}
 	found := false
 	for _, s := range st.segs {
-		if _, ok := s.byID[id]; ok {
+		if s.cols.Find(id) >= 0 {
 			found = true
 			break
 		}
@@ -479,7 +477,7 @@ func (st *Store) Stats() Stats {
 	defer st.mu.Unlock()
 	s := Stats{Segments: len(st.segs), Tombstones: len(st.tombs), Compactions: st.compactions}
 	for _, seg := range st.segs {
-		s.Records += len(seg.recs)
+		s.Records += seg.Len()
 		s.Bytes += seg.payload
 		if seg.Mapped() {
 			s.SegmentsMapped++
@@ -529,7 +527,7 @@ func (st *Store) View() *View {
 		}
 	}
 	for _, seg := range st.segs {
-		v.count += len(seg.recs)
+		v.count += seg.Len()
 		v.bytes += seg.payload
 	}
 	// Views are pinned on the snapshot path (every Base.Snapshot after a

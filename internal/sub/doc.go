@@ -9,9 +9,9 @@
 // A one-shot matching query scans the archive with one target. A
 // standing query inverts that relationship: the registry keeps the
 // *subscriptions* — grouped into classes by their metric weights, each
-// class holding its targets' feature vectors (and, for
-// position-sensitive metrics, their MBRs) in flat columns computed once
-// at Subscribe — and each newly archived cluster is probed against each
+// class holding its targets' MBRs and feature vectors in the filter
+// columns every scan uses (segstore.Columns), computed once at
+// Subscribe — and each newly archived cluster is probed against each
 // class's columns once, in one sequential pass. The probe range
 // is the inversion of match.FeatureRanges: the relative feature distance
 // is symmetric, so a subscription within threshold t of a new cluster

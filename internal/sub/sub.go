@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"streamsum/internal/archive"
-	"streamsum/internal/geom"
 	"streamsum/internal/match"
 	"streamsum/internal/par"
+	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 	"streamsum/internal/trace"
 	"streamsum/internal/track"
@@ -197,42 +197,30 @@ func (s *Subscription) pump() {
 }
 
 // class groups subscriptions sharing one metric weight vector. Its
-// members' target feature vectors — and, for position-sensitive metrics,
-// their MBRs — sit in flat columns computed once at Subscribe, so the
-// probe is one sequential pass. maxThresh bounds the feature probe range
-// — any member within its own threshold of a cluster necessarily falls
-// inside the range computed at the class maximum.
+// members' targets — id, MBR and feature vector — sit in filter columns
+// computed once at Subscribe, so the probe is one sequential pass.
+// maxThresh bounds the feature probe range — any member within its own
+// threshold of a cluster necessarily falls inside the range computed at
+// the class maximum.
 type class struct {
-	w         match.Weights
-	subs      []*Subscription // members; row i of feat and mbr is subs[i]'s target
-	feat      [][4]float64
-	mbr       []float64 // 2·dim per member, Min then Max (position-sensitive classes only)
+	w    match.Weights
+	subs []*Subscription // members; row i of the columns is subs[i]'s target
+	segstore.Columns
 	maxThresh float64
 }
 
 // add appends s as the class's last row.
 func (c *class) add(s *Subscription) {
 	c.subs = append(c.subs, s)
-	c.feat = append(c.feat, s.feat)
-	if c.w.PositionSensitive {
-		m := s.target.MBR()
-		c.mbr = append(c.mbr, m.Min...)
-		c.mbr = append(c.mbr, m.Max...)
-	}
+	c.Push(s.id, s.target.MBR(), s.feat)
 	c.maxThresh = max(c.maxThresh, s.thresh)
 }
 
-// remove deletes s's row, moving the last row into its place.
-func (c *class) remove(s *Subscription, dim int) {
+// remove deletes s's row.
+func (c *class) remove(s *Subscription) {
 	i := slices.Index(c.subs, s)
-	last := len(c.subs) - 1
-	c.subs[i], c.feat[i] = c.subs[last], c.feat[last]
-	c.subs, c.feat = c.subs[:last], c.feat[:last]
-	if c.w.PositionSensitive {
-		w := 2 * dim
-		copy(c.mbr[i*w:(i+1)*w], c.mbr[last*w:])
-		c.mbr = c.mbr[:last*w]
-	}
+	c.subs = slices.Delete(c.subs, i, i+1)
+	c.Delete(i)
 	if s.thresh >= c.maxThresh {
 		// The departing member may have set the class bound; rescan.
 		c.maxThresh = 0
@@ -294,8 +282,8 @@ type Registry struct {
 // Config configures a registry.
 type Config struct {
 	// Dim is the data-space dimensionality (required; targets must have
-	// it, and position-sensitive classes keep their targets' MBRs in a
-	// flat column of 2·Dim values per member).
+	// it, and each class keeps its targets' MBRs in a column of 2·Dim
+	// values per member).
 	Dim int
 	// Workers bounds the parallel probe and refine fan-out per Offer:
 	// <= 0 means one worker per available CPU, 1 forces sequential
@@ -387,7 +375,7 @@ func (r *Registry) Subscribe(o Options) (*Subscription, error) {
 	if s.matchEv {
 		c, ok := r.classes[w]
 		if !ok {
-			c = &class{w: w}
+			c = &class{w: w, Columns: segstore.Columns{Dim: r.dim}}
 			r.classes[w] = c
 		}
 		c.add(s)
@@ -413,7 +401,7 @@ func (r *Registry) Unsubscribe(id int64) bool {
 	}
 	if s.matchEv {
 		c := r.classes[s.weights]
-		c.remove(s, r.dim)
+		c.remove(s)
 		if len(c.subs) == 0 {
 			delete(r.classes, s.weights)
 		}
@@ -623,33 +611,23 @@ func (r *Registry) probeLocked(entries []*archive.Entry) []pair {
 		e, c := entries[ei], classes[ci]
 		ev := e.Features.Vector()
 		var out []pair
+		visit := func(i int) bool {
+			if match.FeatureDistance(c.Feat[i], ev, c.w) <= c.subs[i].thresh {
+				out = append(out, pair{c.subs[i], ei})
+			}
+			return true
+		}
 		if c.w.PositionSensitive {
 			// Position-sensitive: non-overlapping MBRs put the location
 			// term at its 1.0 maximum, so the overlap probe is exact for
 			// any threshold < 1 (the same bound match.Run relies on).
-			w, empty := 2*r.dim, e.MBR.IsEmpty()
-			for i, s := range c.subs {
-				if empty || !geom.IntersectsFlat(c.mbr[i*w:(i+1)*w], e.MBR) {
-					continue
-				}
-				if match.FeatureDistance(c.feat[i], ev, c.w) <= s.thresh {
-					out = append(out, pair{s, ei})
-				}
-			}
+			c.SearchLocation(e.MBR, nil, visit)
 		} else {
 			// The relative feature distance is symmetric, so the range of
 			// target vectors within the class bound of this entry is the
 			// same inversion the one-shot filter uses for candidates.
 			lo, hi := match.FeatureRanges(ev, c.w, c.maxThresh)
-			for i, v := range c.feat {
-				if v[0] < lo[0] || v[0] > hi[0] || v[1] < lo[1] || v[1] > hi[1] ||
-					v[2] < lo[2] || v[2] > hi[2] || v[3] < lo[3] || v[3] > hi[3] {
-					continue
-				}
-				if match.FeatureDistance(v, ev, c.w) <= c.subs[i].thresh {
-					out = append(out, pair{c.subs[i], ei})
-				}
-			}
+			c.SearchFeatures(lo, hi, nil, visit)
 		}
 		perTask[k] = out
 	})

@@ -234,3 +234,126 @@ func TestDuplicatedHistory(t *testing.T) {
 		t.Fatal("the history gives too few hits to exercise the relation")
 	}
 }
+
+// TestScalingByPowerOfTwo is the scaling relation: multiplying every
+// coordinate and θr by 2^k, for k below and above 0, changes no window's
+// clusters and no summary except its cell side, which scales by 2^k
+// too; every query then returns the same hits at the same distance
+// bits. A power-of-two factor commutes exactly with every rounding the
+// pipeline does (cell index quotients, squared distances, the feature
+// vector's density, the metric's ratios), so the relation holds bit for
+// bit. Dims 1 and 4 keep the cell side θr/√dim exact.
+func TestScalingByPowerOfTwo(t *testing.T) {
+	ps := match.EqualWeights()
+	ps.PositionSensitive = true
+	for _, dim := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(17 + dim)))
+		pts := make([]Point, 0, 2400)
+		for len(pts) < cap(pts) {
+			center := make(Point, dim)
+			for d := range center {
+				center[d] = 40 * rng.Float64()
+			}
+			for range 40 {
+				p := make(Point, dim)
+				for d := range p {
+					p[d] = center[d] + rng.NormFloat64()
+				}
+				pts = append(pts, p)
+			}
+		}
+		base, baseWins := scaledRun(t, dim, pts, 0)
+		for _, k := range []int{-7, 5} {
+			eng, wins := scaledRun(t, dim, pts, k)
+			if len(wins) != len(baseWins) {
+				t.Fatalf("dim %d k %d: %d windows, unscaled %d", dim, k, len(wins), len(baseWins))
+			}
+			clusters := 0
+			for w := range baseWins {
+				a, b := baseWins[w], wins[w]
+				if a.Window != b.Window || len(a.Clusters) != len(b.Clusters) {
+					t.Fatalf("dim %d k %d window %d: %d clusters, scaled window %d has %d",
+						dim, k, a.Window, len(a.Clusters), b.Window, len(b.Clusters))
+				}
+				for i, ca := range a.Clusters {
+					cb := b.Clusters[i]
+					clusters++
+					if ca.ID != cb.ID || !reflect.DeepEqual(ca.Members, cb.Members) || !reflect.DeepEqual(ca.Cores, cb.Cores) {
+						t.Fatalf("dim %d k %d window %d cluster %d: membership differs after scaling", dim, k, a.Window, i)
+					}
+					if cb.Summary.Side != math.Ldexp(ca.Summary.Side, k) {
+						t.Fatalf("dim %d k %d window %d cluster %d: side %v, want %v scaled by 2^%d",
+							dim, k, a.Window, i, cb.Summary.Side, ca.Summary.Side, k)
+					}
+					want := *ca.Summary
+					want.Side = cb.Summary.Side
+					if !reflect.DeepEqual(&want, cb.Summary) {
+						t.Fatalf("dim %d k %d window %d cluster %d: scaled summary differs beyond its side", dim, k, a.Window, i)
+					}
+				}
+			}
+			if clusters < 10 {
+				t.Fatalf("dim %d: only %d clusters; the relation is barely exercised", dim, clusters)
+			}
+			hits := 0
+			for qi := range 12 {
+				id := int64(rng.Intn(base.PatternBase().Len()))
+				opts := MatchOptions{Threshold: []float64{0.1, 0.3, 0.6}[qi%3]}
+				if qi%2 == 1 {
+					opts.Weights = &ps
+				}
+				opts.Target = base.PatternBase().Get(id).Summary
+				want, _, err := base.Match(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Target = eng.PatternBase().Get(id).Summary
+				got, _, err := eng.Match(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("dim %d k %d query %d: %d hits, unscaled %d", dim, k, qi, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+						t.Fatalf("dim %d k %d query %d hit %d: (%d, %v), unscaled (%d, %v)",
+							dim, k, qi, i, got[i].ID, got[i].Distance, want[i].ID, want[i].Distance)
+					}
+				}
+				hits += len(got)
+			}
+			t.Logf("dim %d k %d: %d windows, %d clusters, %d hits", dim, k, len(wins), clusters, hits)
+			if hits < 12 {
+				t.Fatalf("dim %d k %d: only %d hits; the queries are barely exercised", dim, k, hits)
+			}
+		}
+	}
+}
+
+// scaledRun runs C-SGS with archiving over pts with every coordinate and
+// θr multiplied by 2^k, and returns the engine and every window,
+// including the final partial one.
+func scaledRun(t *testing.T, dim int, pts []Point, k int) (*Engine, []*WindowResult) {
+	t.Helper()
+	scaled := make([]Point, len(pts))
+	for i, p := range pts {
+		scaled[i] = make(Point, dim)
+		for d, v := range p {
+			scaled[i][d] = math.Ldexp(v, k)
+		}
+	}
+	eng, err := New(Options{Dim: dim, ThetaR: math.Ldexp(1, k), ThetaC: 4, Win: 600, Slide: 200, Archive: &ArchiveOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := eng.PushBatch(scaled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := eng.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, append(ws, last)
+}

@@ -217,7 +217,9 @@ type Options struct {
 	// byte as the memory tier holds it (31 when decoded from disk), so the
 	// tier's resident heap is roughly 30 times this bound. Requires
 	// StorePath; 0 means no byte bound (demotion then happens only via
-	// Archive.Capacity pressure); negative is rejected.
+	// Archive.Capacity pressure); negative is rejected. One summary
+	// larger than the bound is still admitted and stays resident, alone,
+	// until the next Put demotes it (archive's TestTieredOversizedEntries).
 	StoreMaxMemBytes int
 	// SlowQuery, when positive, logs any standing-query window
 	// evaluation whose wall time meets it, with a per-phase breakdown
