@@ -68,7 +68,11 @@ const diffBox = 7 * time.Second
 
 // diffCovering lists seeds whose cases together take every value of every
 // axis diffAxes reports; TestDifferential checks that before running them.
-var diffCovering = []int64{1, 1699, 195, 1233, 1562, 83, 1073, 1877}
+// Seed 10 (STT, dim 1, θr/4 lattice) adds matches on both probe kinds'
+// boundaries: a single-cell cluster, whose zero connectivity is both
+// bounds of its own feature box, and an MBR that only touches the
+// target's.
+var diffCovering = []int64{1, 1699, 195, 1233, 1562, 83, 1073, 1877, 10}
 
 // diffCase is one drawn configuration. N and Dim are what shrinking
 // lowers; everything else stays as Seed drew it.
@@ -241,6 +245,11 @@ func diffStream(c diffCase) (pts []Point, tss, pos []int64) {
 type diffTally struct {
 	clusters, matches, events, pruned, subPruned, rejected, diskEntries int
 
+	// Matches on the boundary of their query's filter probe (onProbeEdge),
+	// per probe kind: what catches a scan whose range test excludes its
+	// boundary.
+	locEdge, featEdge int
+
 	segments      int  // the most segments one store had
 	sparseSegment bool // a batch segment held more cells than a cell has neighbour offsets
 }
@@ -253,6 +262,8 @@ func (a *diffTally) add(b diffTally) {
 	a.pruned += b.pruned
 	a.subPruned += b.subPruned
 	a.rejected += b.rejected
+	a.locEdge += b.locEdge
+	a.featEdge += b.featEdge
 	a.segments = max(a.segments, b.segments)
 	a.sparseSegment = a.sparseSegment || b.sparseSegment
 }
@@ -365,6 +376,34 @@ func unprunedHits(target *Summary, w *Weights, thresh float64, entries []*Archiv
 		}
 	}
 	return out
+}
+
+// onProbeEdge reports whether e lies on the boundary of the filter probe
+// a query for target under w at thresh makes (match.FilterProbe): its MBR
+// meets the target's in a face or corner only, or one of its features
+// equals a bound of the feature box. A range test that excludes its
+// boundary drops such an entry, which the unpruned scan keeps.
+func onProbeEdge(target *Summary, w *Weights, thresh float64, e *ArchiveEntry) (location, edge bool) {
+	ws := EqualWeights()
+	if w != nil {
+		ws = *w
+	}
+	p := match.FilterProbe(target.Features().Vector(), target.MBR(), ws, thresh)
+	if p.Location {
+		for d := range p.MBR.Min {
+			if e.MBR.Max[d] == p.MBR.Min[d] || e.MBR.Min[d] == p.MBR.Max[d] {
+				return true, true
+			}
+		}
+		return true, false
+	}
+	v := e.Features.Vector()
+	for d := range v {
+		if v[d] == p.Lo[d] || v[d] == p.Hi[d] {
+			return false, true
+		}
+	}
+	return false, false
 }
 
 func matchHits(ms []Match) []diffHit {
@@ -576,6 +615,14 @@ func runCase(t *testing.T, c diffCase) (diffTally, error) {
 				}
 				tally.matches += len(rm)
 				tally.pruned += rst.Pruned
+				for _, m := range rm {
+					switch loc, edge := onProbeEdge(target, w, mo.Threshold, m.Entry); {
+					case edge && loc:
+						tally.locEdge++
+					case edge:
+						tally.featEdge++
+					}
+				}
 			}
 		}
 	}
@@ -674,7 +721,7 @@ func noveltyLoop(dim int, novelty float64, windows []*WindowResult) ([][]byte, e
 		for _, cl := range w.Clusters {
 			s := cl.Summary
 			if novelty > 0 && base.Len() > 0 {
-				ms, _, err := match.Run(base, match.Query{Target: s, Threshold: novelty, Limit: 1})
+				ms, _, err := match.Run(base.Snapshot(), match.Query{Target: s, Threshold: novelty, Limit: 1})
 				if err != nil {
 					return nil, err
 				}
@@ -789,7 +836,8 @@ func TestDifferential(t *testing.T) {
 	t.Logf("covering seeds: %+v in %v", total, time.Since(start))
 	switch {
 	case total.clusters == 0, total.matches == 0, total.events == 0, total.diskEntries == 0,
-		total.pruned == 0, total.subPruned == 0, total.rejected == 0, total.segments < 2, !total.sparseSegment:
+		total.pruned == 0, total.subPruned == 0, total.rejected == 0, total.segments < 2, !total.sparseSegment,
+		total.locEdge == 0, total.featEdge == 0:
 		t.Fatalf("covering seeds are vacuous somewhere: %+v", total)
 	}
 	seed := time.Now().UnixNano()

@@ -595,12 +595,6 @@ func (b *Base) All(visit func(*Entry) bool) {
 	b.Snapshot().All(visit)
 }
 
-// FilterShards splits the base's current contents into filter shards;
-// each call pins one snapshot (see Snapshot.FilterShards).
-func (b *Base) FilterShards() []Shard {
-	return b.Snapshot().FilterShards()
-}
-
 // TierStats reports the split of the archived population across the
 // memory and disk tiers (monitoring endpoints, bounded-memory tests).
 type TierStats struct {

@@ -50,10 +50,10 @@
 //
 //   - Entry values are immutable after Put returns; they are shared by
 //     reference across the base and all snapshots.
-//   - Base.All and a Snapshot's SearchLocation, SearchFeatures and All
-//     run their callbacks against a snapshot, never under the base lock,
-//     so a callback may call Put or Remove (the running iteration does
-//     not see the mutation).
+//   - Base.All and a Snapshot's Search and All run their callbacks
+//     against a snapshot, never under the base lock, so a callback may
+//     call Put or Remove (the running iteration does not see the
+//     mutation).
 //   - PutBatch archives one window's clusters under one lock
 //     acquisition; it is byte-for-byte equivalent to a sequential Put
 //     loop (same policy decisions, ids and evictions).
@@ -70,13 +70,15 @@
 // disk entry predates every memory entry and FIFO order spans the tiers
 // — as one segment per demotion batch. Snapshots pin the segment set
 // along with the memory tier's rows, and FilterShards exposes the tiers as
-// disjoint Shards (the memory tier plus one per segment) so the matcher's
-// filter phase can probe them in parallel. A Shard has one gated search
-// per probe kind (MBR overlap, feature box): the range test and the
-// matcher's gate run in one pass, and the search returns the range
-// candidate count and, for a segment, its zone decision (whether the
-// segment's zone admitted the probe or let it skip the columns), so the
-// matcher's statistics and traces come from the probe itself. Disk-resident
+// disjoint Shards (the memory tier first, then one per segment) so the
+// matcher's filter phase can probe them in parallel. A Shard has one
+// gated search, which takes a segstore.Probe (an MBR overlap or a feature
+// box): the range test and the matcher's gate run in one pass, and the
+// search returns the range candidate count and whether the segment's zone
+// let the probe skip its columns (never, for the memory tier), so the
+// matcher's statistics and traces come from the probe itself.
+// Snapshot.Search runs the same probe over every shard, oldest first, so
+// the ids it visits ascend. Disk-resident
 // entries surface with their footer-indexed features only (nil Summary);
 // the refine phase loads their cells lazily via Entry.LoadSummary, so a
 // query's resident cost is its candidates, not the history.

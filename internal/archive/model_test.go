@@ -11,25 +11,24 @@ import (
 	"testing"
 
 	"streamsum/internal/geom"
+	"streamsum/internal/segstore"
 )
 
 // modelQuery is one random filter-phase question: a location box or a
 // feature range, with an optional gate on the feature vector.
 type modelQuery struct {
-	location bool
-	box      geom.MBR
-	lo, hi   [4]float64
-	gate     func([4]float64) bool
+	p    segstore.Probe
+	gate func([4]float64) bool
 }
 
 // inRange is the brute-force predicate the query's search must apply.
 func (q modelQuery) inRange(e *Entry) bool {
-	if q.location {
-		return e.MBR.Intersects(q.box)
+	if q.p.Location {
+		return e.MBR.Intersects(q.p.MBR)
 	}
 	v := e.Features.Vector()
 	for d := 0; d < 4; d++ {
-		if v[d] < q.lo[d] || v[d] > q.hi[d] {
+		if v[d] < q.p.Lo[d] || v[d] > q.p.Hi[d] {
 			return false
 		}
 	}
@@ -37,14 +36,14 @@ func (q modelQuery) inRange(e *Entry) bool {
 }
 
 func randomQuery(rng *rand.Rand, all []*Entry) modelQuery {
-	q := modelQuery{location: rng.Intn(2) == 0}
-	if q.location {
+	q := modelQuery{p: segstore.Probe{Location: rng.Intn(2) == 0}}
+	if q.p.Location {
 		x, y := rng.Float64()*60-5, rng.Float64()*60-5
 		w, h := rng.Float64()*20, rng.Float64()*20
-		q.box = geom.MBR{Min: geom.Point{x, y}, Max: geom.Point{x + w, y + h}}
+		q.p.MBR = geom.MBR{Min: geom.Point{x, y}, Max: geom.Point{x + w, y + h}}
 		if len(all) > 0 && rng.Intn(4) == 0 {
 			// An entry's own box: hits at least that entry.
-			q.box = all[rng.Intn(len(all))].MBR
+			q.p.MBR = all[rng.Intn(len(all))].MBR
 		}
 	} else {
 		var v [4]float64
@@ -53,9 +52,9 @@ func randomQuery(rng *rand.Rand, all []*Entry) modelQuery {
 		}
 		for d := 0; d < 4; d++ {
 			r := rng.Float64()
-			q.lo[d], q.hi[d] = v[d]*(1-r), v[d]*(1+r)
+			q.p.Lo[d], q.p.Hi[d] = v[d]*(1-r), v[d]*(1+r)
 			if rng.Intn(5) == 0 {
-				q.hi[d] = math.Inf(1)
+				q.p.Hi[d] = math.Inf(1)
 			}
 		}
 	}
@@ -67,21 +66,16 @@ func randomQuery(rng *rand.Rand, all []*Entry) modelQuery {
 }
 
 // answer runs q on every filter shard of s and returns the visited ids
-// (sorted) and the summed gate-independent counts. Only the memory tier
-// (the first shard) has no zone, and a zone-skipped shard counts nothing.
+// (sorted) and the summed gate-independent counts. Only a disk segment
+// (any shard but the first, the memory tier) may skip on its zone, and a
+// skipped shard counts nothing.
 func answer(t *testing.T, s *Snapshot, q modelQuery) (visited []int64, count int) {
 	t.Helper()
 	visit := func(e *Entry) bool { visited = append(visited, e.ID); return true }
 	for i, sh := range s.FilterShards() {
-		var n int
-		var zone Zone
-		if q.location {
-			n, zone = sh.GatedSearchLocation(q.box, q.gate, visit)
-		} else {
-			n, zone = sh.GatedSearchFeatures(q.lo, q.hi, q.gate, visit)
-		}
-		if (zone == NoZone) != (i == 0) || zone == ZoneSkipped && n != 0 {
-			t.Fatalf("shard %d (%s): zone %d with %d candidates", i, sh.Label(), zone, n)
+		n, skipped := sh.Search(q.p, q.gate, visit)
+		if skipped && (i == 0 || n != 0) {
+			t.Fatalf("shard %d (%s): skipped with %d candidates", i, sh.Label(), n)
 		}
 		count += n
 	}
@@ -100,6 +94,8 @@ type snapshotState struct {
 	searchVisits [][]int64
 }
 
+// stateOf reads s's state. Snapshot.Search must visit oldest first, so
+// the ids it visits must strictly increase.
 func stateOf(t *testing.T, s *Snapshot, qs []modelQuery, probe []int64) snapshotState {
 	t.Helper()
 	st := snapshotState{n: s.Len(), bytes: s.Bytes()}
@@ -109,13 +105,12 @@ func stateOf(t *testing.T, s *Snapshot, qs []modelQuery, probe []int64) snapshot
 		st.visits = append(st.visits, v)
 		st.counts = append(st.counts, c)
 		var sv []int64
-		collect := func(e *Entry) bool { sv = append(sv, e.ID); return true }
-		if q.location {
-			s.SearchLocation(q.box, collect)
-		} else {
-			s.SearchFeatures(q.lo, q.hi, collect)
+		s.Search(q.p, func(e *Entry) bool { sv = append(sv, e.ID); return true })
+		for i := 1; i < len(sv); i++ {
+			if sv[i] <= sv[i-1] {
+				t.Fatalf("Search visited id %d after %d: not oldest first (%v)", sv[i], sv[i-1], sv)
+			}
 		}
-		sort.Slice(sv, func(i, j int) bool { return sv[i] < sv[j] })
 		st.searchVisits = append(st.searchVisits, sv)
 	}
 	for _, id := range probe {
@@ -128,9 +123,11 @@ func stateOf(t *testing.T, s *Snapshot, qs []modelQuery, probe []int64) snapshot
 // PutBatch, Remove, capacity eviction and store-backed demotion —
 // including a flush that fails and restores its batch — against a plain
 // FIFO model. After every step the fresh snapshot must agree with the
-// model (All, Len, Get of live and gone ids) and every gated search must
-// visit and count exactly the brute-force set over Snapshot.All; and a
-// snapshot pinned before the step must answer exactly as it did then.
+// model (All, Len, Get of live and gone ids), every gated shard search
+// must visit and count exactly the brute-force set over Snapshot.All, and
+// Snapshot.Search must visit the in-range set in All's (oldest-first)
+// order; and a snapshot pinned before the step must answer exactly as it
+// did then.
 func TestModelRandomOps(t *testing.T) {
 	sums := fixtureSummaries(t, 40, 77)
 	type setup struct {
@@ -306,21 +303,24 @@ func checkModel(t *testing.T, stage string, s *Snapshot, live, gone []int64, rng
 	}
 	for i := 0; i < 8; i++ {
 		q := randomQuery(rng, all)
-		var want []int64
-		wantCount := 0
+		var want, inRange []int64 // All's order: oldest first
 		for _, e := range all {
 			if !q.inRange(e) {
 				continue
 			}
-			wantCount++
+			inRange = append(inRange, e.ID)
 			if q.gate == nil || q.gate(e.Features.Vector()) {
 				want = append(want, e.ID)
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		got, count := answer(t, s, q)
-		if count != wantCount || !slices.Equal(got, want) {
-			t.Fatalf("%s: query %+v: visited %v count %d, brute force %v count %d", stage, q, got, count, want, wantCount)
+		if count != len(inRange) || !slices.Equal(got, want) {
+			t.Fatalf("%s: query %+v: visited %v count %d, brute force %v count %d", stage, q, got, count, want, len(inRange))
+		}
+		var searched []int64
+		s.Search(q.p, func(e *Entry) bool { searched = append(searched, e.ID); return true })
+		if !slices.Equal(searched, inRange) {
+			t.Fatalf("%s: query %+v: Search visited %v, brute force oldest first %v", stage, q, searched, inRange)
 		}
 	}
 }

@@ -118,112 +118,63 @@ func (s *Snapshot) Get(id int64) *Entry {
 // disk segment masked by the tombstones pinned in the snapshot. Shards
 // are disjoint (an id lives in exactly one) and each is safe for
 // concurrent probing, so a matcher may fan its filter phase out across
-// them. Both searches visit the live entries that pass the range test
-// and then gate (nil admits everything), stop early if visit returns
-// false (the count is then partial), and return the number of live
-// entries that passed the range test regardless of the gate together
-// with the shard's zone decision.
+// them.
 type Shard interface {
-	// GatedSearchLocation probes for entries whose MBR intersects q.
-	GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone)
-	// GatedSearchFeatures probes for entries whose feature vector lies
-	// inside the inclusive box [lo, hi].
-	GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone)
+	// Search visits the live entries p admits whose feature vector
+	// passes gate (nil admits everything), stopping early if visit
+	// returns false (the count is then partial). It returns the number
+	// of live entries p admits, whatever the gate says, and whether the
+	// shard's zone let the probe skip its columns (never, for the memory
+	// tier, which has no zone).
+	Search(p segstore.Probe, gate func([4]float64) bool, visit func(*Entry) bool) (probed int, skipped bool)
 	// Label names the shard in traces: "mem" for the memory tier, the
 	// segment file's basename for a disk segment.
 	Label() string
 }
 
-// Zone is a shard's zone decision for one probe.
-type Zone int8
-
-const (
-	// NoZone: the shard has no zone (the memory tier) and was scanned.
-	NoZone Zone = iota
-	// ZoneAdmitted: the segment's zone admitted the probe and its
-	// columns were scanned.
-	ZoneAdmitted
-	// ZoneSkipped: the probe lies outside the segment's zone; its columns
-	// were never touched.
-	ZoneSkipped
-)
-
 // memShard is the memory tier as a filter shard: one pass over each of
 // the snapshot's memory runs.
 type memShard struct{ s *Snapshot }
 
-func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
+func (m memShard) Search(p segstore.Probe, gate func([4]float64) bool, visit func(*Entry) bool) (int, bool) {
 	total := 0
 	for i := range m.s.mem {
 		run := &m.s.mem[i]
-		n, stopped := run.SearchLocation(q, gate, func(j int) bool { return visit(run.ents[j]) })
+		n, stopped := run.Search(p, gate, func(j int) bool { return visit(run.ents[j]) })
 		total += n
 		if stopped {
 			break
 		}
 	}
-	return total, NoZone
-}
-
-func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
-	total := 0
-	for i := range m.s.mem {
-		run := &m.s.mem[i]
-		n, stopped := run.SearchFeatures(lo, hi, gate, func(j int) bool { return visit(run.ents[j]) })
-		total += n
-		if stopped {
-			break
-		}
-	}
-	return total, NoZone
+	return total, false
 }
 
 func (m memShard) Label() string { return "mem" }
 
-// segShard is one disk segment as a filter shard. The range test and the
-// gate both run off the segment's columnar scan, so gate rejections never
-// materialize an Entry.
+// segShard is one disk segment as a filter shard. The range test runs
+// off the segment's columnar scan; tombstoned records are skipped before
+// the gate, and only gate survivors materialize an Entry.
 type segShard struct {
 	seg  *segstore.Segment
 	view *segstore.View
 }
 
-func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
+func (g segShard) Search(p segstore.Probe, gate func([4]float64) bool, visit func(*Entry) bool) (int, bool) {
 	live := 0
-	_, admitted := g.seg.ZonedSearchLocation(q, g.liveVisit(&live, gate, visit))
-	return live, zoneOf(admitted)
-}
-
-func (g segShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) (int, Zone) {
-	live := 0
-	_, admitted := g.seg.ZonedSearchFeatures(lo, hi, g.liveVisit(&live, gate, visit))
-	return live, zoneOf(admitted)
-}
-
-// liveVisit wraps a shard visit as a segment visit: it skips tombstoned
-// records, counts the live ones in *live, applies gate and materializes
-// an Entry only for the survivors.
-func (g segShard) liveVisit(live *int, gate func([4]float64) bool, visit func(*Entry) bool) func(segstore.Record) bool {
-	return func(r segstore.Record) bool {
+	_, admitted := g.seg.Search(p, nil, func(r segstore.Record) bool {
 		if g.view.Dead(r.ID) {
 			return true
 		}
-		*live++
+		live++
 		if gate != nil && !gate(r.Feat) {
 			return true
 		}
 		return visit(segEntry(g.seg, r))
-	}
+	})
+	return live, !admitted
 }
 
 func (g segShard) Label() string { return filepath.Base(g.seg.Path()) }
-
-func zoneOf(admitted bool) Zone {
-	if admitted {
-		return ZoneAdmitted
-	}
-	return ZoneSkipped
-}
 
 // FilterShards splits the snapshot into its filter shards: the memory
 // tier first, then one shard per disk segment in archive order.
@@ -251,35 +202,31 @@ func (s *Snapshot) segShards() []segShard {
 	return out
 }
 
-// SearchLocation visits entries whose MBR intersects the query box: the
-// disk segments (oldest history first), then the memory tier. Iteration
-// stops early if visit returns false.
-func (s *Snapshot) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	s.searchOldestFirst(visit, func(sh Shard, v func(*Entry) bool) { sh.GatedSearchLocation(q, nil, v) })
-}
-
-// SearchFeatures visits entries whose feature vector lies inside the
-// inclusive hyper-rectangle [lo, hi], disk segments first, then the
-// memory tier. Iteration stops early if visit returns false.
-func (s *Snapshot) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	s.searchOldestFirst(visit, func(sh Shard, v func(*Entry) bool) { sh.GatedSearchFeatures(lo, hi, nil, v) })
-}
-
-// searchOldestFirst runs search over the disk shards in archive order,
-// then the memory tier, until visit asks to stop.
-func (s *Snapshot) searchOldestFirst(visit func(*Entry) bool, search func(Shard, func(*Entry) bool)) {
+// Search visits the live entries p admits, oldest first: the disk
+// segments in archive order, then the memory tier, so ids ascend.
+// Iteration stops early if visit returns false.
+func (s *Snapshot) Search(p segstore.Probe, visit func(*Entry) bool) {
 	stopped := false
 	wrapped := func(e *Entry) bool {
 		stopped = !visit(e)
 		return !stopped
 	}
 	for _, sh := range s.segShards() {
-		search(sh, wrapped)
-		if stopped {
+		if sh.Search(p, nil, wrapped); stopped {
 			return
 		}
 	}
-	search(memShard{s}, wrapped)
+	memShard{s}.Search(p, nil, wrapped)
+}
+
+// SearchLocation is Search with the MBR-overlap probe q.
+func (s *Snapshot) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
+	s.Search(segstore.Probe{Location: true, MBR: q}, visit)
+}
+
+// SearchFeatures is Search with the feature probe [lo, hi].
+func (s *Snapshot) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
+	s.Search(segstore.Probe{Lo: lo, Hi: hi}, visit)
 }
 
 // All visits every entry in FIFO order: the disk segments (all disk

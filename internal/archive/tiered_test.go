@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamsum/internal/geom"
+	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 )
 
@@ -139,7 +140,7 @@ func TestTieredEquivalence(t *testing.T) {
 	}
 	seen := map[int64]int{}
 	for _, sh := range shards {
-		sh.GatedSearchFeatures([4]float64{0, 0, 0, 0}, probe.Features.Vector(), nil, func(e *Entry) bool {
+		sh.Search(segstore.Probe{Hi: probe.Features.Vector()}, nil, func(e *Entry) bool {
 			seen[e.ID]++
 			return true
 		})

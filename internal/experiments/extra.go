@@ -219,7 +219,7 @@ func RunResolution(cfg ResolutionConfig) ([]ResolutionResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ms, _, err := match.Run(base, match.Query{Target: target, Threshold: 1, Limit: 1})
+			ms, _, err := match.Run(base.Snapshot(), match.Query{Target: target, Threshold: 1, Limit: 1})
 			if err != nil {
 				return nil, err
 			}

@@ -220,7 +220,7 @@ func RunFig8(cfg Fig8Config) ([]Fig8Result, error) {
 		var cands, refined int
 		start := time.Now()
 		for _, target := range ss {
-			ms, stats, err := match.Run(st.Base, match.Query{Target: target, Threshold: cfg.Threshold})
+			ms, stats, err := match.Run(st.Base.Snapshot(), match.Query{Target: target, Threshold: cfg.Threshold})
 			if err != nil {
 				return nil, err
 			}

@@ -204,7 +204,6 @@ func (sc *scratch) refine(a, b *sgs.Summary, ap, bp *sgs.Profile, budget int, th
 	}
 	sc.mStar = unvoted
 	if threshold < 1 && sc.beyond(a, b, &alo, &ahi, &blo, &bhi, budget, threshold) {
-		metricPruned.Inc()
 		return math.Inf(1), false
 	}
 	start := centerAlign(a, b, &alo, &ahi, &blo, &bhi)

@@ -20,16 +20,16 @@
 // with its inverted probe of the subscription columns and shares the
 // refine stage).
 //
-//  1. Filter — the source's FilterShards (an *archive.Base pins one
-//     snapshot per call) split the pattern base into the memory tier and
-//     one shard per disk segment. Each shard's gated search scans its
-//     columns for entries whose MBR overlaps the target's
-//     (position-sensitive) or whose feature vector lies in the ranges
-//     derived from the distance threshold, applying the exact
-//     cluster-level feature distance as a gate in the same pass (one
-//     task per shard; the scan is cheap). The search returns the range
-//     candidate count and the segment's zone decision, which feed Stats
-//     and the trace directly.
+//  1. Filter — FilterProbe turns the target into the one range test
+//     of the query: the target's MBR (position-sensitive) or the feature
+//     ranges derived from the distance threshold; it is the only code
+//     that chooses between the two. The snapshot's FilterShards split
+//     the pattern base into the memory tier and one shard per disk
+//     segment, and each shard's Search scans its columns with that probe,
+//     applying the exact cluster-level feature distance as a gate in the
+//     same pass (one task per shard; the scan is cheap). The search
+//     returns the range candidate count and whether the segment's zone
+//     let it skip the columns, which feed Stats and the trace directly.
 //  2. Refine — RefinePairs evaluates the expensive grid-cell-level match
 //     (Refine) for every gate survivor: first the O(1) size bound, from
 //     the cell count the entry's features carry, so a pair it dismisses
@@ -81,7 +81,8 @@
 // position-insensitive pair at a threshold below 1 meets two exact stages
 // before the search runs, and RefinePairs puts a cheaper stage zero in
 // front of them; a pair any stage dismisses reports dist = +Inf, and
-// Stats.Pruned and sgs_match_pruned_pairs_total count it.
+// RefinePairs counts it once, in Stats.Pruned (SubStats.Pruned for a
+// standing query) and sgs_match_pruned_pairs_total.
 //
 // Stage one, M*. Let M* be the largest number of target cells any
 // translation brings into coincidence with candidate cells. An alignment
@@ -222,10 +223,9 @@
 //
 // # Concurrency against the base
 //
-// Run executes against a Source — either a pinned *archive.Snapshot
-// (point-in-time view, the facade's one-shot choice) or a *archive.Base
-// (one snapshot pinned per call, which novelty archiving uses so each
-// probe sees the previous Put). Either way the query never holds the
-// base's lock, so analysts can hammer the base while shards append; see
-// the internal/archive package comment for the isolation contract.
+// Run executes against a pinned *archive.Snapshot, one point-in-time view
+// across the whole query (novelty archiving pins a fresh one per probe,
+// so each probe sees the previous Put). The query never holds the base's
+// lock, so analysts can hammer the base while shards append; see the
+// internal/archive package comment for the isolation contract.
 package match

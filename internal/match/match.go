@@ -10,20 +10,10 @@ import (
 	"streamsum/internal/archive"
 	"streamsum/internal/geom"
 	"streamsum/internal/par"
+	"streamsum/internal/segstore"
 	"streamsum/internal/sgs"
 	"streamsum/internal/trace"
 )
-
-// Source is the read view a matching query executes against: a pinned
-// *archive.Snapshot (one point-in-time view across the whole query) or an
-// *archive.Base (which pins one snapshot per call).
-type Source interface {
-	// Dim is the dimensionality of the archived summaries; a query's
-	// target must have it.
-	Dim() int
-	// FilterShards splits the source into disjoint filter shards.
-	FilterShards() []archive.Shard
-}
 
 // DefaultAlignBudget is the alignment-search budget of every query's
 // refine phase.
@@ -127,18 +117,18 @@ func badQueryf(format string, args ...any) error {
 }
 
 // prepare validates the query — threshold, weights, and that the target
-// is non-empty and of the source's dimensionality — before anything is
+// is non-empty and of the snapshot's dimensionality — before anything is
 // probed: a location probe with a target of another dimensionality would
 // index out of range.
-func prepare(src Source, q Query) (Weights, error) {
+func prepare(snap *archive.Snapshot, q Query) (Weights, error) {
 	w := EqualWeights()
 	if q.Weights != nil {
 		w = *q.Weights
 	}
 	if t := q.Target; t == nil || t.NumCells() == 0 {
 		return w, badQueryf("match: empty target")
-	} else if t.Dim != src.Dim() {
-		return w, badQueryf("match: target dimension %d != base dimension %d", t.Dim, src.Dim())
+	} else if t.Dim != snap.Dim() {
+		return w, badQueryf("match: target dimension %d != base dimension %d", t.Dim, snap.Dim())
 	}
 	if q.Threshold < 0 || q.Threshold > 1 {
 		return w, badQueryf("match: threshold %g out of [0,1]", q.Threshold)
@@ -149,43 +139,35 @@ func prepare(src Source, q Query) (Weights, error) {
 	return w, nil
 }
 
-// filterOne probes one shard for the query's candidates, applying the
-// exact cluster-level gate inside the shard's scan (a disk shard rejects
-// candidates straight off its columns, without materializing an Entry).
-// It returns the gate survivors, the range-candidate count and the
-// shard's zone decision.
-func filterOne(sh archive.Shard, gate func([4]float64) bool, w Weights, targetMBR geom.MBR, lo, hi [4]float64) ([]*archive.Entry, int, archive.Zone) {
-	var out []*archive.Entry
-	visit := func(e *archive.Entry) bool {
-		out = append(out, e)
-		return true
-	}
+// FilterProbe is the cluster-level filter of §7.2 for a target with
+// feature vector feat and MBR mbr: under a position-sensitive metric an
+// overlap with mbr (non-overlapping clusters have Dist_location = 1 ≥ any
+// threshold < 1, so the overlap probe is exact for the location term),
+// otherwise the feature ranges FeatureRanges inverts from threshold. It is
+// the one place a probe kind is chosen; one-shot and standing queries both
+// build their probes here.
+func FilterProbe(feat [4]float64, mbr geom.MBR, w Weights, threshold float64) segstore.Probe {
 	if w.PositionSensitive {
-		// Non-overlapping clusters have Dist_location = 1 ≥ any
-		// threshold < 1, so the overlap probe is exact for the location
-		// term.
-		probed, zone := sh.GatedSearchLocation(targetMBR, gate, visit)
-		return out, probed, zone
+		return segstore.Probe{Location: true, MBR: mbr}
 	}
-	probed, zone := sh.GatedSearchFeatures(lo, hi, gate, visit)
-	return out, probed, zone
+	lo, hi := FeatureRanges(feat, w, threshold)
+	return segstore.Probe{Lo: lo, Hi: hi}
 }
 
-// Run executes the query against src and returns matches sorted by
-// ascending distance. Both the filter phase (one gated range scan per
-// filter shard) and the refine phase (RefinePairs, one grid-cell-level
-// match per candidate) fan out across Query.Workers goroutines; results
-// are byte-identical at every worker count and every shard layout.
-func Run(src Source, q Query) ([]Match, Stats, error) {
+// Run executes the query against snap and returns matches sorted by
+// ascending distance. Both the filter phase (one gated search per filter
+// shard) and the refine phase (RefinePairs, one grid-cell-level match per
+// candidate) fan out across Query.Workers goroutines; results are
+// byte-identical at every worker count and every shard layout.
+func Run(snap *archive.Snapshot, q Query) ([]Match, Stats, error) {
 	var st Stats
-	w, err := prepare(src, q)
+	w, err := prepare(snap, q)
 	if err != nil {
 		return nil, st, err
 	}
 
 	targetFeat := q.Target.Features().Vector()
-	targetMBR := q.Target.MBR()
-	lo, hi := FeatureRanges(targetFeat, w, q.Threshold)
+	probe := FilterProbe(targetFeat, q.Target.MBR(), w, q.Threshold)
 
 	// --- Phase 1: filter — parallel gated range scans across shards ------
 	// Shards are disjoint and independently searchable (the memory tier
@@ -203,21 +185,25 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	tr := q.Trace
 	filterSpan := tr.Start("filter")
 	filterStart := time.Now()
-	shards := src.FilterShards()
+	shards := snap.FilterShards()
 	st.FilterShards = len(shards)
 	perShard := make([][]*archive.Entry, len(shards))
 	probed := make([]int, len(shards))
-	zones := make([]archive.Zone, len(shards))
+	skipped := make([]bool, len(shards))
 	par.ForEach(q.Workers, len(shards), func(i int) {
+		visit := func(e *archive.Entry) bool {
+			perShard[i] = append(perShard[i], e)
+			return true
+		}
 		if tr == nil {
-			perShard[i], probed[i], zones[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
+			probed[i], skipped[i] = shards[i].Search(probe, gate, visit)
 			return
 		}
 		sp := filterSpan.Child("shard")
 		sp.SetStr("segment", shards[i].Label())
-		perShard[i], probed[i], zones[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
-		if zones[i] != archive.NoZone {
-			sp.SetBool("zone_skip", zones[i] == archive.ZoneSkipped)
+		probed[i], skipped[i] = shards[i].Search(probe, gate, visit)
+		if i > 0 { // shards[0] is the memory tier, which has no zone
+			sp.SetBool("zone_skip", skipped[i])
 		}
 		sp.SetInt("candidates", int64(probed[i]))
 		sp.SetInt("kept", int64(len(perShard[i])))
@@ -235,16 +221,13 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	metricCandidates.Add(uint64(st.IndexCandidates))
 	metricRefined.Add(uint64(st.Refined))
 	if tr != nil {
-		segProbed, segSkipped := 0, 0
-		for _, z := range zones {
-			switch z {
-			case archive.ZoneAdmitted:
-				segProbed++
-			case archive.ZoneSkipped:
+		segSkipped := 0
+		for _, sk := range skipped {
+			if sk {
 				segSkipped++
 			}
 		}
-		filterSpan.SetInt("segments_probed", int64(segProbed))
+		filterSpan.SetInt("segments_probed", int64(len(shards)-1-segSkipped))
 		filterSpan.SetInt("segments_skipped", int64(segSkipped))
 	}
 	filterSpan.SetInt("shards", int64(st.FilterShards))
@@ -371,7 +354,6 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 		if !p.Weights.PositionSensitive && p.Threshold < 1 {
 			na, nb := len(p.Target.Cells), int(p.Entry.Features.Volume)
 			if na > 0 && nb > 0 && distanceFloor(na, nb, min(na, nb)) > p.Threshold {
-				metricPruned.Inc()
 				o.Distance = math.Inf(1)
 				return
 			}
@@ -379,7 +361,6 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 			// in hand, and the outcome reports it like the vote would.
 			if tp := p.TargetProfile; tp != nil && cp != nil && p.Target.Dim == p.Entry.Summary.Dim &&
 				sc.profileBeyond(na, nb, tp, cp, p.Target.Dim, DefaultAlignBudget, p.Threshold) {
-				metricPruned.Inc()
 				o.Distance, o.Summary, o.profilePruned = math.Inf(1), p.Entry.Summary, true
 				return
 			}
@@ -415,6 +396,7 @@ func RefinePairs(workers, n, limit int, pair func(i int) Pair) ([]Outcome, Refin
 			rc.ProfilePruned++
 		}
 	}
+	metricPruned.Add(uint64(rc.Pruned))
 	metricTopKSkipped.Add(uint64(rc.TopKSkipped))
 	return outs, rc, nil
 }

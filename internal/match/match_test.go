@@ -236,7 +236,7 @@ func buildBase(t *testing.T, n int, seed int64) (*archive.Base, []*sgs.Summary) 
 func TestRunFindsArchivedSelf(t *testing.T) {
 	b, sums := buildBase(t, 25, 4)
 	for i := 0; i < 5; i++ {
-		matches, st, err := Run(b, Query{Target: sums[i], Threshold: 0.2})
+		matches, st, err := Run(b.Snapshot(), Query{Target: sums[i], Threshold: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestRunPositionSensitive(t *testing.T) {
 	b, sums := buildBase(t, 20, 5)
 	w := EqualWeights()
 	w.PositionSensitive = true
-	matches, _, err := Run(b, Query{Target: sums[0], Threshold: 0.3, Weights: &w})
+	matches, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 0.3, Weights: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRunPositionSensitive(t *testing.T) {
 
 func TestRunLimitAndOrdering(t *testing.T) {
 	b, sums := buildBase(t, 30, 6)
-	matches, _, err := Run(b, Query{Target: sums[0], Threshold: 1, Limit: 3})
+	matches, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 1, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,33 +296,31 @@ func TestRunLimitAndOrdering(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	b, sums := buildBase(t, 3, 7)
-	if _, _, err := Run(b, Query{Target: nil, Threshold: 0.2}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: nil, Threshold: 0.2}); err == nil {
 		t.Error("nil target accepted")
 	}
-	if _, _, err := Run(b, Query{Target: sums[0], Threshold: 2}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 2}); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
 	badW := Weights{Volume: 2}
-	if _, _, err := Run(b, Query{Target: sums[0], Threshold: 0.2, Weights: &badW}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 0.2, Weights: &badW}); err == nil {
 		t.Error("bad weights accepted")
 	}
 }
 
 // TestRunRejectsDimensionMismatch: a target of another dimensionality
-// than the source is a bad query, rejected before any probe — under a
+// than the snapshot is a bad query, rejected before any probe — under a
 // position-sensitive metric the MBR overlap scan would otherwise index
-// the target's MBR out of range. Both source forms.
+// the target's MBR out of range.
 func TestRunRejectsDimensionMismatch(t *testing.T) {
 	b, _ := buildBase(t, 5, 7)
 	var origin [grid.MaxDim]int32
 	oneD := randomSummary(rand.New(rand.NewSource(1)), 1, 6, origin, 9, 0.5)
 	ps := EqualWeights()
 	ps.PositionSensitive = true
-	for _, src := range []Source{b, b.Snapshot()} {
-		for _, w := range []*Weights{nil, &ps} {
-			if _, _, err := Run(src, Query{Target: oneD, Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
-				t.Errorf("Run with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
-			}
+	for _, w := range []*Weights{nil, &ps} {
+		if _, _, err := Run(b.Snapshot(), Query{Target: oneD, Threshold: 0.5, Weights: w}); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("Run with a 1-D target on a 2-D base: err = %v, want ErrBadQuery", err)
 		}
 	}
 }
@@ -386,7 +384,7 @@ func TestRunPrunedCountsEveryDismissal(t *testing.T) {
 	bySize := 0
 	for qi, target := range sums[:10] {
 		threshold := []float64{0.15, 0.3, 0.45}[qi%3]
-		_, st, err := Run(b, Query{Target: target, Threshold: threshold})
+		_, st, err := Run(b.Snapshot(), Query{Target: target, Threshold: threshold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +455,7 @@ func TestMatchingSeparatesShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := summarize(t, blob(rng, 250, 90, 90, 0.8), 2)
-	matches, _, err := Run(b, Query{Target: target, Threshold: 1, Limit: 2})
+	matches, _, err := Run(b.Snapshot(), Query{Target: target, Threshold: 1, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

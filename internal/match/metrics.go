@@ -14,7 +14,7 @@ var (
 	metricRefined = obs.NewCounter("sgs_match_refined_total",
 		"Candidates that survived the cluster-level gate into the refine phase.")
 	metricPruned = obs.NewCounter("sgs_match_pruned_pairs_total",
-		"Refine-phase pairs an exact distance bound dismissed without an alignment search (every caller of Refine).")
+		"Refine-phase pairs an exact distance bound dismissed without an alignment search, counted once per refine stage (one-shot and standing queries).")
 	metricTopKSkipped = obs.NewCounter("sgs_match_topk_skipped_total",
 		"Refine-phase pairs a query's running top-k bound showed could not reach its top k, so their alignment search was skipped. Not counted as pruned; how many depends on scheduling.")
 	metricFilterSeconds = obs.NewHistogram("sgs_match_filter_seconds",

@@ -122,8 +122,9 @@ func oracleRefineDistance(target, cand *sgs.Summary, w Weights, budget int) floa
 // checkAgainstOracle asserts the three properties the rebuild promises for
 // one pair: RefineDistance is the oracle's distance bit for bit, within is
 // exactly "oracle distance ≤ threshold", and dist is the oracle's whenever
-// within. It returns within.
-func checkAgainstOracle(t testing.TB, a, b *sgs.Summary, w Weights, budget int, threshold float64) bool {
+// within. It returns within, and whether Refine dismissed the pair with a
+// bound (dist = +Inf).
+func checkAgainstOracle(t testing.TB, a, b *sgs.Summary, w Weights, budget int, threshold float64) (within, pruned bool) {
 	t.Helper()
 	want := oracleRefineDistance(a, b, w, budget)
 	if got := RefineDistance(a, b, w, budget); math.Float64bits(got) != math.Float64bits(want) {
@@ -141,7 +142,7 @@ func checkAgainstOracle(t testing.TB, a, b *sgs.Summary, w Weights, budget int, 
 	if !within && !(dist > threshold) {
 		t.Fatalf("not within but dist = %v ≤ threshold %v", dist, threshold)
 	}
-	return within
+	return within, math.IsInf(dist, 1)
 }
 
 // summaryOf builds a normalized summary from raw cells (duplicates of a
@@ -228,7 +229,7 @@ func TestRefineMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ps := EqualWeights()
 	ps.PositionSensitive = true
-	checks, hits, prunedBefore := 0, 0, metricPruned.Value()
+	checks, hits, pruned := 0, 0, 0
 	for trial := 0; trial < 2500; trial++ {
 		dim := 1 + rng.Intn(grid.MaxDim)
 		side := 0.1 + rng.Float64()*2
@@ -276,8 +277,12 @@ func TestRefineMatchesOracle(t *testing.T) {
 			checkAgainstOracle(t, b, a, ps, budget, threshold)
 			for _, p := range [][2]*sgs.Summary{{a, b}, {b, a}} {
 				checks++
-				if checkAgainstOracle(t, p[0], p[1], EqualWeights(), budget, threshold) && threshold < 1 {
+				within, dismissed := checkAgainstOracle(t, p[0], p[1], EqualWeights(), budget, threshold)
+				if within && threshold < 1 {
 					hits++
+				}
+				if dismissed {
+					pruned++
 				}
 			}
 		}
@@ -285,7 +290,6 @@ func TestRefineMatchesOracle(t *testing.T) {
 	// The corpus must exercise both outcomes below threshold 1 — pairs a
 	// bound dismisses and pairs that survive it into a hit — or the test
 	// proves nothing about pruning.
-	pruned := metricPruned.Value() - prunedBefore
 	if pruned == 0 || hits == 0 {
 		t.Fatalf("%d position-insensitive checks: %d pruned, %d hits below threshold 1", checks, pruned, hits)
 	}

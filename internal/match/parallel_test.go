@@ -44,7 +44,7 @@ func TestRunOnPinnedSnapshot(t *testing.T) {
 		t.Fatal("pinned snapshot observed concurrent Puts")
 	}
 	// The live base does see them.
-	_, liveStats, err := Run(b, q)
+	_, liveStats, err := Run(b.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunConcurrentWithPuts(t *testing.T) {
 				default:
 				}
 				q := Query{Target: sums[i%len(sums)], Threshold: 0.5, Limit: 5, Workers: 2}
-				if _, _, err := Run(base, q); err != nil {
+				if _, _, err := Run(base.Snapshot(), q); err != nil {
 					t.Error(err)
 					return
 				}

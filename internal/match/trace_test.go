@@ -36,11 +36,11 @@ func buildTieredBase(t *testing.T, n int, seed int64) (*archive.Base, []*sgs.Sum
 
 // runTraced runs one query recording into a standalone trace and
 // returns the finished span tree.
-func runTraced(t *testing.T, src Source, q Query) (trace.TraceData, []Match, Stats) {
+func runTraced(t *testing.T, snap *archive.Snapshot, q Query) (trace.TraceData, []Match, Stats) {
 	t.Helper()
 	tr := trace.New(trace.Match, "query", trace.ID{})
 	q.Trace = tr
-	matches, st, err := Run(src, q)
+	matches, st, err := Run(snap, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestTraceProfilePruned(t *testing.T) {
 	disk, diskSums := buildTieredBase(t, 20, 11)
 	for _, c := range []struct {
 		name string
-		src  Source
+		snap *archive.Snapshot
 		sums []*sgs.Summary
-	}{{"memory", mem, sums}, {"disk", disk.Snapshot(), diskSums}} {
+	}{{"memory", mem.Snapshot(), sums}, {"disk", disk.Snapshot(), diskSums}} {
 		var stage int64
 		for _, target := range c.sums[:6] {
-			td, _, st := runTraced(t, c.src, Query{Target: target, Threshold: 0.2})
+			td, _, st := runTraced(t, c.snap, Query{Target: target, Threshold: 0.2})
 			refine := td.Span("refine")
 			n, pruned, bySize := attr(t, refine, "profile_pruned"), attr(t, refine, "pruned"), attr(t, refine, "size_pruned")
 			if pruned != int64(st.Pruned) || n+bySize > pruned {

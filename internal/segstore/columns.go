@@ -84,12 +84,28 @@ func (c *Columns) Find(id int64) int {
 	return -1
 }
 
-// SearchLocation visits the rows whose MBR intersects q (inclusive
-// boundaries, exactly geom.MBR.Intersects) and whose feature vector
-// passes gate (nil admits every row). It returns the number of
-// intersecting rows, whatever the gate says, and whether visit asked to
-// stop.
-func (c *Columns) SearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(i int) bool) (probed int, stopped bool) {
+// Probe is the filter phase's one range test, in one of its two forms:
+// with Location set, an overlap with the box MBR (inclusive boundaries,
+// exactly geom.MBR.Intersects); otherwise the inclusive feature box
+// [Lo, Hi].
+type Probe struct {
+	Location bool
+	MBR      geom.MBR
+	Lo, Hi   [4]float64
+}
+
+// Search visits the rows p admits whose feature vector passes gate (nil
+// admits every row). It returns the number of rows p admits, whatever
+// the gate says, and whether visit asked to stop. It picks the probe's
+// scan once per call, so neither loop branches on the probe kind per row.
+func (c *Columns) Search(p Probe, gate func([4]float64) bool, visit func(i int) bool) (probed int, stopped bool) {
+	if p.Location {
+		return c.searchLocation(p.MBR, gate, visit)
+	}
+	return c.searchFeatures(p.Lo, p.Hi, gate, visit)
+}
+
+func (c *Columns) searchLocation(q geom.MBR, gate func([4]float64) bool, visit func(i int) bool) (probed int, stopped bool) {
 	if q.IsEmpty() {
 		return 0, false
 	}
@@ -109,11 +125,7 @@ func (c *Columns) SearchLocation(q geom.MBR, gate func([4]float64) bool, visit f
 	return probed, false
 }
 
-// SearchFeatures visits the rows whose feature vector lies in the
-// inclusive box [lo, hi] and passes gate (nil admits every row). It
-// returns the in-range count, whatever the gate says, and whether visit
-// asked to stop.
-func (c *Columns) SearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(i int) bool) (probed int, stopped bool) {
+func (c *Columns) searchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(i int) bool) (probed int, stopped bool) {
 	for i, v := range c.Feat {
 		if v[0] < lo[0] || v[0] > hi[0] || v[1] < lo[1] || v[1] > hi[1] ||
 			v[2] < lo[2] || v[2] > hi[2] || v[3] < lo[3] || v[3] > hi[3] {

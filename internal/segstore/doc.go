@@ -33,9 +33,11 @@
 // raw region is not kept, and the mapping then serves blob loads only.
 // Columns is the one filter-column layout of the system: the archive's
 // memory tier and the standing-query target classes keep the same type,
-// so ZonedSearchLocation and ZonedSearchFeatures run the same two scans
-// (Columns.SearchLocation, Columns.SearchFeatures) as every other filter
-// phase, with zero allocation and no per-candidate syscall. A Record is
+// and Columns.Search is the one scan every filter phase runs. It takes a
+// Probe — an MBR overlap or an inclusive feature box, chosen once per
+// query by match.FilterProbe — and picks the matching typed loop once
+// per call, never per row. Segment.Search runs that scan after its zone
+// test, with zero allocation and no per-candidate syscall. A Record is
 // built on demand from a row (its MBR views the decoded column), and
 // only refine survivors decode a blob (Load decodes directly from the
 // mapping). When mmap is unavailable or disabled (SetMmapEnabled(false),
@@ -46,10 +48,11 @@
 //
 // The footer's zone block is the segment's filter zone — the union of
 // its records' MBRs and the per-dimension min/max of their feature
-// vectors. Searches test the query range against the zone first and
-// skip the segment's columns entirely when it cannot match, so a filter
-// phase fanned across many segments touches only the segments whose
-// range overlaps the query.
+// vectors. Segment.Search tests the probe against the zone first (the
+// union MBR for an overlap probe, the feature min/max for a feature box)
+// and skips the segment's columns entirely when it cannot match, so a
+// filter phase fanned across many segments touches only the segments
+// whose range overlaps the query.
 //
 // # Pre-v3 formats
 //

@@ -208,7 +208,7 @@ func TestV3PreadFallback(t *testing.T) {
 		}
 	}
 	got := 0
-	probed, _ := seg.ZonedSearchLocation(q, func(Record) bool { got++; return true })
+	probed, _ := seg.Search(Probe{Location: true, MBR: q}, nil, func(Record) bool { got++; return true })
 	if got != want || probed != want {
 		t.Fatalf("pread location scan: got=%d probed=%d want=%d", got, probed, want)
 	}
@@ -278,7 +278,7 @@ func TestV3ScanZeroAlloc(t *testing.T) {
 		t.Fatalf("feature filter+gate scan allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if n, _ := seg.ZonedSearchLocation(q, visit); n != len(entries) {
+		if n, _ := seg.Search(Probe{Location: true, MBR: q}, nil, visit); n != len(entries) {
 			t.Fatal("location scan missed records")
 		}
 	}); n != 0 {

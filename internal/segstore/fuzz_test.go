@@ -146,39 +146,38 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 			corner := geom.MBR{Min: recs[k].MBR.Max, Max: recs[k].MBR.Max}
 			for _, q := range []geom.MBR{recs[k].MBR, corner} {
-				checkScan(t, seg, "location", recs, func(r Record) bool { return r.MBR.Intersects(q) },
-					func(visit func(int) bool) int { n, _ := seg.cols.SearchLocation(q, nil, visit); return n },
-					func(visit func(Record) bool) (int, bool) { return seg.ZonedSearchLocation(q, visit) })
+				checkScan(t, seg, recs, func(r Record) bool { return r.MBR.Intersects(q) }, Probe{Location: true, MBR: q})
 			}
 			for _, box := range [][2][4]float64{{recs[k].Feat, recs[k].Feat}, {lo, hi}} {
-				checkScan(t, seg, "feature", recs, func(r Record) bool { return inBox(r.Feat, box[0], box[1]) },
-					func(visit func(int) bool) int { n, _ := seg.cols.SearchFeatures(box[0], box[1], nil, visit); return n },
-					func(visit func(Record) bool) (int, bool) { return seg.ZonedSearchFeatures(box[0], box[1], visit) })
+				checkScan(t, seg, recs, func(r Record) bool { return inBox(r.Feat, box[0], box[1]) }, Probe{Lo: box[0], Hi: box[1]})
 			}
 		}
 	})
 }
 
-// checkScan compares one column scan with a brute force over recs: the
-// column scan must visit exactly the ids the predicate in selects, in
-// record order, and the zoned search must either skip the segment or
-// visit the same ids.
-func checkScan(t *testing.T, seg *Segment, name string, recs []Record, in func(Record) bool,
-	scan func(func(int) bool) int, zoned func(func(Record) bool) (int, bool)) {
+// checkScan compares probe p's column scan with a brute force over recs:
+// the column scan must visit exactly the ids the predicate in selects, in
+// record order, and the segment's search must either skip the segment on
+// its zone or visit the same ids.
+func checkScan(t *testing.T, seg *Segment, recs []Record, in func(Record) bool, p Probe) {
 	t.Helper()
+	name := "feature"
+	if p.Location {
+		name = "location"
+	}
 	var want, got, zgot []int64
 	for _, r := range recs {
 		if in(r) {
 			want = append(want, r.ID)
 		}
 	}
-	n := scan(func(i int) bool { got = append(got, seg.cols.IDs[i]); return true })
+	n, _ := seg.cols.Search(p, nil, func(i int) bool { got = append(got, seg.cols.IDs[i]); return true })
 	if n != len(got) || !slices.Equal(got, want) {
 		t.Fatalf("%s scan visited %v (count %d), brute force %v", name, got, n, want)
 	}
-	zn, admitted := zoned(func(r Record) bool { zgot = append(zgot, r.ID); return true })
+	zn, admitted := seg.Search(p, nil, func(r Record) bool { zgot = append(zgot, r.ID); return true })
 	if admitted && (zn != len(want) || !slices.Equal(zgot, want)) || !admitted && zn+len(zgot) != 0 {
-		t.Fatalf("zoned %s search (admitted %v) visited %v (count %d), brute force %v", name, admitted, zgot, zn, want)
+		t.Fatalf("segment %s search (admitted %v) visited %v (count %d), brute force %v", name, admitted, zgot, zn, want)
 	}
 }
 

@@ -71,6 +71,19 @@ type zone struct {
 	featMin, featMax [4]float64
 }
 
+// admits reports whether p can admit a record inside the zone.
+func (z *zone) admits(p Probe) bool {
+	if p.Location {
+		return z.mbr.Intersects(p.MBR)
+	}
+	for d := 0; d < 4; d++ {
+		if p.Hi[d] < z.featMin[d] || p.Lo[d] > z.featMax[d] {
+			return false
+		}
+	}
+	return true
+}
+
 // Segment is one immutable on-disk segment, opened for reading. All
 // methods are safe for concurrent use: the columns are decoded once at
 // open and never mutated, and blob reads go through the read-only
@@ -213,52 +226,27 @@ func (s *Segment) Zone() (mbr geom.MBR, featMin, featMax [4]float64) {
 	return s.zone.mbr, s.zone.featMin, s.zone.featMax
 }
 
-// ZonedSearchLocation visits the records whose MBR intersects the query
-// box. It returns the number of intersecting records and whether the
-// segment's zone admitted the query: a query box outside the zone
-// returns (0, false) without touching the columns. Iteration stops
-// early if visit returns false (the returned count is then partial).
-func (s *Segment) ZonedSearchLocation(q geom.MBR, visit func(Record) bool) (probed int, admitted bool) {
-	if !s.zone.mbr.Intersects(q) {
+// Search visits the records p admits whose feature vector passes gate
+// (nil admits all; a rejected row builds no Record). It returns the
+// number of records p admits, whatever the gate says, and whether the
+// segment's zone admitted p: a probe outside the zone returns (0, false)
+// without touching the columns. Iteration stops early if visit returns
+// false (the count is then partial).
+func (s *Segment) Search(p Probe, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
+	if !s.zone.admits(p) {
 		metricZoneSkips.Inc()
 		return 0, false
 	}
 	metricScans.Inc()
-	probed, _ = s.cols.SearchLocation(q, nil, func(i int) bool { return visit(s.record(i)) })
+	probed, _ = s.cols.Search(p, gate, func(i int) bool { return visit(s.record(i)) })
 	return probed, true
 }
 
-// ZonedSearchFeatures visits the records whose feature vector lies
-// inside the inclusive hyper-rectangle [lo, hi]. It returns the number
-// of in-range records and whether the segment's feature zone admitted
-// the range: a range disjoint from the zone returns (0, false) without
-// touching the columns. Iteration stops early if visit returns false
-// (the returned count is then partial).
-func (s *Segment) ZonedSearchFeatures(lo, hi [4]float64, visit func(Record) bool) (probed int, admitted bool) {
-	return s.zonedFeatures(lo, hi, nil, visit)
-}
-
-// GatedSearchFeatures is ZonedSearchFeatures without the zone decision,
-// visiting only the in-range records whose feature vector passes gate
-// (nil admits all). The count does not depend on the gate, and a
-// rejected row builds no Record.
+// GatedSearchFeatures is Search with the feature probe [lo, hi], returning
+// the count only.
 func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
-	probed, _ := s.zonedFeatures(lo, hi, gate, visit)
+	probed, _ := s.Search(Probe{Lo: lo, Hi: hi}, gate, visit)
 	return probed
-}
-
-// zonedFeatures is ZonedSearchFeatures with a gate applied before a
-// Record is built.
-func (s *Segment) zonedFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) (probed int, admitted bool) {
-	for d := 0; d < 4; d++ {
-		if hi[d] < s.zone.featMin[d] || lo[d] > s.zone.featMax[d] {
-			metricZoneSkips.Inc()
-			return 0, false
-		}
-	}
-	metricScans.Inc()
-	probed, _ = s.cols.SearchFeatures(lo, hi, gate, func(i int) bool { return visit(s.record(i)) })
-	return probed, true
 }
 
 // blobPool recycles pread scratch buffers so the fallback refine path

@@ -106,9 +106,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got := 0
-	seg.ZonedSearchLocation(q, func(Record) bool { got++; return true })
+	seg.Search(Probe{Location: true, MBR: q}, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("ZonedSearchLocation: %d hits, linear scan %d", got, want)
+		t.Fatalf("location Search: %d hits, linear scan %d", got, want)
 	}
 	lo := [4]float64{0, 0, 0, 0}
 	hi := entries[0].Feat
@@ -125,9 +125,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got = 0
-	seg.ZonedSearchFeatures(lo, hi, func(Record) bool { got++; return true })
+	seg.Search(Probe{Lo: lo, Hi: hi}, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("ZonedSearchFeatures: %d hits, linear scan %d", got, want)
+		t.Fatalf("feature Search: %d hits, linear scan %d", got, want)
 	}
 }
 
@@ -539,7 +539,7 @@ func TestSegmentZone(t *testing.T) {
 	for d := 0; d < 4; d++ {
 		lo[d], hi[d] = fmax[d]+1, fmax[d]+2
 	}
-	if _, admitted := seg.ZonedSearchFeatures(lo, hi, func(r Record) bool {
+	if _, admitted := seg.Search(Probe{Lo: lo, Hi: hi}, nil, func(r Record) bool {
 		t.Fatalf("disjoint feature range visited record %d", r.ID)
 		return false
 	}); admitted {
@@ -547,7 +547,7 @@ func TestSegmentZone(t *testing.T) {
 	}
 	// A location box outside the union MBR must visit nothing.
 	far := geom.MBR{Min: geom.Point{mbr.Max[0] + 10, mbr.Max[1] + 10}, Max: geom.Point{mbr.Max[0] + 11, mbr.Max[1] + 11}}
-	if _, admitted := seg.ZonedSearchLocation(far, func(r Record) bool {
+	if _, admitted := seg.Search(Probe{Location: true, MBR: far}, nil, func(r Record) bool {
 		t.Fatalf("disjoint location box visited record %d", r.ID)
 		return false
 	}); admitted {
@@ -557,7 +557,7 @@ func TestSegmentZone(t *testing.T) {
 	// vector must find it.
 	for _, r := range seg.Records() {
 		found := false
-		seg.ZonedSearchFeatures(r.Feat, r.Feat, func(got Record) bool {
+		seg.Search(Probe{Lo: r.Feat, Hi: r.Feat}, nil, func(got Record) bool {
 			if got.ID == r.ID {
 				found = true
 				return false

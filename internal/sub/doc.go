@@ -12,11 +12,13 @@
 // class holding its targets' MBRs and feature vectors in the filter
 // columns every scan uses (segstore.Columns), computed once at
 // Subscribe — and each newly archived cluster is probed against each
-// class's columns once, in one sequential pass. The probe range
-// is the inversion of match.FeatureRanges: the relative feature distance
-// is symmetric, so a subscription within threshold t of a new cluster
-// with features v must have its target features inside the range computed
-// from v at the class's maximum registered threshold. Most subscriptions
+// class's columns once, in one sequential pass. The probe is the one
+// one-shot queries use (match.FilterProbe), built around the new cluster:
+// an MBR overlap for a position-sensitive class, otherwise the inversion
+// of match.FeatureRanges — the relative feature distance is symmetric, so
+// a subscription within threshold t of a new cluster with features v must
+// have its target features inside the range computed from v at the
+// class's maximum registered threshold. Most subscriptions
 // are therefore pruned per cluster without a single distance computation;
 // survivors pass the exact cluster-feature gate at their own threshold
 // and only then reach the grid-cell-level match (match.Refine). Refine

@@ -617,18 +617,10 @@ func (r *Registry) probeLocked(entries []*archive.Entry) []pair {
 			}
 			return true
 		}
-		if c.w.PositionSensitive {
-			// Position-sensitive: non-overlapping MBRs put the location
-			// term at its 1.0 maximum, so the overlap probe is exact for
-			// any threshold < 1 (the same bound match.Run relies on).
-			c.SearchLocation(e.MBR, nil, visit)
-		} else {
-			// The relative feature distance is symmetric, so the range of
-			// target vectors within the class bound of this entry is the
-			// same inversion the one-shot filter uses for candidates.
-			lo, hi := match.FeatureRanges(ev, c.w, c.maxThresh)
-			c.SearchFeatures(lo, hi, nil, visit)
-		}
+		// The relative feature distance is symmetric, so the class's
+		// probe around this entry, at the class bound, finds every target
+		// the entry could come within its subscription's threshold of.
+		c.Search(match.FilterProbe(ev, e.MBR, c.w, c.maxThresh), nil, visit)
 		perTask[k] = out
 	})
 	var pairs []pair

@@ -187,11 +187,11 @@ func TestDuplicatedHistory(t *testing.T) {
 	hits, tiesAtFive := 0, 0
 	for qi := 0; qi < 24; qi++ {
 		q := match.Query{Target: history[rng.Intn(len(history))], Threshold: []float64{0.1, 0.25, 0.4}[qi%3], Workers: 2}
-		want, wantSt, err := match.Run(single, q)
+		want, wantSt, err := match.Run(single.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotSt, err := match.Run(double, q)
+		got, gotSt, err := match.Run(double.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestDuplicatedHistory(t *testing.T) {
 			}
 		}
 		q.Limit = 5
-		top, _, err := match.Run(double, q)
+		top, _, err := match.Run(double.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -510,7 +510,7 @@ func (e *Engine) archiveNovelWindow(w *WindowResult) error {
 			continue
 		}
 		if e.base.Len() > 0 {
-			known, _, err := match.Run(e.base, match.Query{
+			known, _, err := match.Run(e.base.Snapshot(), match.Query{
 				Target:    s,
 				Threshold: e.opts.ArchiveNovelty,
 				Limit:     1,
